@@ -565,10 +565,39 @@ pub(crate) fn u8_admits(
     } else {
         u64::MAX
     };
-    (0..=(n + m)).all(|d| {
+    // The bias is constant inside each BIAS_WINDOW-diagonal window and
+    // the ceiling never decreases with `d`, so a window's worst diagonal
+    // is its last one (clipped to the race's final diagonal `n + m`):
+    // one check per window decides exactly what a per-diagonal scan
+    // would.
+    let last = n + m;
+    let window = BIAS_WINDOW as usize;
+    (0..=last / window).all(|k| {
+        let d = (k * window + window - 1).min(last);
         let ceiling = t.min((d as u64).saturating_mul(max_step)).min(path_bound);
         ceiling.saturating_sub(applied_bias(d, m2)) < inf
     })
+}
+
+/// A closed-form lower bound on the score of any `n × m` race under
+/// `mode` and `w` — the length cutoff of Ukkonen (1985). A global path
+/// takes `g ≤ min(n, m)` diagonal steps and `n + m − 2g ≥ |n − m|` indel
+/// steps, so it costs at least
+/// `|n − m| · indel + min(n, m) · min(matched, mismatched, 2 · indel)`
+/// (spending a diagonal step where two indels are cheaper never helps).
+/// Affine opens only add cost, so the bound holds for
+/// [`AlignMode::GlobalAffine`] too; a band only removes paths. The
+/// free-end modes (semi-global, local) get the trivial bound 0.
+pub(crate) fn score_lower_bound(mode: AlignMode, w: RawWeights, n: usize, m: usize) -> u64 {
+    match mode {
+        AlignMode::Global | AlignMode::GlobalAffine(_) => {
+            let step = w.matched.min(w.mismatched).min(w.indel.saturating_mul(2));
+            (n.abs_diff(m) as u64)
+                .saturating_mul(w.indel)
+                .saturating_add((n.min(m) as u64).saturating_mul(step))
+        }
+        AlignMode::SemiGlobal | AlignMode::Local(_) => 0,
+    }
 }
 
 /// The narrowest exact lane word an `n × m` problem admits under `w`
@@ -816,16 +845,7 @@ impl AlignConfig {
     ///   computes in `u64`.
     #[must_use]
     pub fn resolve_kernel(&self, n: usize, m: usize) -> KernelPlan {
-        let strategy = match self.strategy {
-            KernelStrategy::Auto => {
-                if n.min(m) >= WAVEFRONT_MIN_LEN {
-                    KernelStrategy::Wavefront
-                } else {
-                    KernelStrategy::RollingRow
-                }
-            }
-            s => s,
-        };
+        let strategy = self.resolve_strategy(n, m);
         if strategy != KernelStrategy::Wavefront {
             return KernelPlan {
                 strategy,
@@ -880,10 +900,15 @@ impl AlignConfig {
 
     /// The concrete traversal order an `n × m` alignment under this
     /// configuration runs on — [`AlignConfig::resolve_kernel`] without
-    /// the layout/lane detail.
+    /// the layout/lane detail, in O(1) (no lane-width eligibility
+    /// check), which is all the batch planner needs per pair.
     #[must_use]
     pub fn resolve_strategy(&self, n: usize, m: usize) -> KernelStrategy {
-        self.resolve_kernel(n, m).strategy
+        match self.strategy {
+            KernelStrategy::Auto if n.min(m) >= WAVEFRONT_MIN_LEN => KernelStrategy::Wavefront,
+            KernelStrategy::Auto => KernelStrategy::RollingRow,
+            s => s,
+        }
     }
 
     /// The lane word the **striped batch kernel** picks for a cohort
@@ -3000,6 +3025,144 @@ mod tests {
         let wave = AlignEngine::new(AlignConfig::new(w).with_strategy(KernelStrategy::Wavefront))
             .align(&q, &p);
         assert_eq!(rolling, wave);
+    }
+
+    /// The per-diagonal form of [`u8_admits`]: the windowed version
+    /// must decide exactly what this exhaustive scan decides.
+    fn u8_admits_per_diagonal(
+        n: usize,
+        m: usize,
+        mode: AlignMode,
+        w: RawWeights,
+        threshold: Option<u64>,
+        band: Option<usize>,
+    ) -> bool {
+        let inf = u64::from(<u8 as KernelWord>::INF);
+        if threshold.is_some_and(|t| t == NEVER) {
+            return false;
+        }
+        if let AlignMode::Local(s) = mode {
+            return fits_word(n, m, s.matched, inf);
+        }
+        let max_step = mode_max_step(mode, w);
+        let m2 = u8_bias_rate(mode, w);
+        let t = threshold.unwrap_or(u64::MAX);
+        let path_bound = if band.is_none() {
+            unbanded_path_bound(mode, w, n, m)
+        } else {
+            u64::MAX
+        };
+        (0..=(n + m)).all(|d| {
+            let ceiling = t.min((d as u64).saturating_mul(max_step)).min(path_bound);
+            ceiling.saturating_sub(applied_bias(d, m2)) < inf
+        })
+    }
+
+    #[test]
+    fn windowed_u8_admits_equals_per_diagonal_scan() {
+        let weights = [
+            RaceWeights::fig4(),
+            RaceWeights::fig2b(),
+            RaceWeights::levenshtein(),
+            RaceWeights {
+                matched: 0,
+                mismatched: None,
+                indel: 3,
+            },
+            RaceWeights {
+                matched: 2,
+                mismatched: Some(5),
+                indel: 4,
+            },
+        ];
+        let modes = [
+            AlignMode::Global,
+            AlignMode::SemiGlobal,
+            AlignMode::GlobalAffine(AffineWeights { open: 2 }),
+            AlignMode::Local(LocalScores::blast()),
+        ];
+        let thresholds = [
+            None,
+            Some(0),
+            Some(40),
+            Some(126),
+            Some(127),
+            Some(300),
+            Some(NEVER),
+        ];
+        let bands = [None, Some(0), Some(5), Some(40)];
+        let mut cases = 0_u64;
+        let mut check = |n, m, mode, w, threshold, band| {
+            assert_eq!(
+                u8_admits(n, m, mode, w, threshold, band),
+                u8_admits_per_diagonal(n, m, mode, w, threshold, band),
+                "{n}x{m} {mode} {w:?} t={threshold:?} band={band:?}"
+            );
+            cases += 1;
+        };
+        // A coarse grid over every axis ...
+        for w in weights.map(RawWeights::from_weights) {
+            for mode in modes {
+                for threshold in thresholds {
+                    for band in bands {
+                        for n in (0..=300).step_by(11) {
+                            for m in (0..=300).step_by(13) {
+                                check(n, m, mode, w, threshold, band);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // ... and every shape around the byte ceiling, where eligibility
+        // flips.
+        let fig4 = RawWeights::from_weights(RaceWeights::fig4());
+        for mode in modes {
+            for threshold in [None, Some(126)] {
+                for n in 0..=160 {
+                    for m in 0..=160 {
+                        check(n, m, mode, fig4, threshold, None);
+                    }
+                }
+            }
+        }
+        assert!(cases > 500_000);
+    }
+
+    proptest! {
+        /// The length bound the ratcheted scan prunes on never exceeds
+        /// the exact score, for global and affine races under matched-0,
+        /// infinite-mismatch and heavier-indel weights, banded or not.
+        #[test]
+        fn score_lower_bound_never_exceeds_the_exact_score(
+            qs in "[ACGT]{0,40}",
+            ps in "[ACGT]{0,40}",
+            scheme in 0_usize..5,
+            open in 0_u64..4,
+            band_raw in 0_usize..12,
+        ) {
+            let w = [
+                RaceWeights::fig4(),
+                RaceWeights::fig2b(),
+                RaceWeights::levenshtein(),
+                RaceWeights { matched: 0, mismatched: None, indel: 2 },
+                RaceWeights { matched: 3, mismatched: Some(4), indel: 1 },
+            ][scheme];
+            // band_raw ≥ 10 encodes "unbanded".
+            let band = (band_raw < 10).then_some(band_raw * 3);
+            let (q, p) = (packed(&qs), packed(&ps));
+            for mode in [AlignMode::Global, AlignMode::GlobalAffine(AffineWeights { open })] {
+                let mut cfg = AlignConfig::new(w).with_mode(mode);
+                cfg.band = band;
+                let score = AlignEngine::new(cfg).align(&q, &p).score;
+                let bound =
+                    score_lower_bound(mode, RawWeights::from_weights(w), q.len(), p.len());
+                prop_assert!(
+                    Time::from_cycles(bound) <= score,
+                    "{mode} {w:?} band {band:?}: bound {bound} > score {score:?}"
+                );
+            }
+        }
     }
 
     proptest! {

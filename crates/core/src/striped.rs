@@ -53,10 +53,10 @@ use rl_bio::{alphabet::Symbol, PackedSeq, StripedCodes};
 use rl_temporal::Time;
 
 use crate::engine::{
-    applied_bias, classify_outcome, diag_range, raw_to_time, rotate_bufs, u8_bias_rate,
-    AlignConfig, AlignEngine, AlignMode, BatchPlanStats, EngineOutcome, KernelStrategy, LaneWidth,
-    LocalScores, PackerPolicy, RawWeights, COHORT_LEN_BUCKET, NEVER, STRIPE_MIN_PAIRS,
-    STRIPE_PAD_BUDGET_PCT,
+    applied_bias, classify_outcome, diag_range, raw_to_time, rotate_bufs, score_lower_bound,
+    u8_bias_rate, AlignConfig, AlignEngine, AlignMode, BatchPlanStats, EngineOutcome,
+    KernelStrategy, LaneWidth, LocalScores, PackerPolicy, RawWeights, COHORT_LEN_BUCKET, NEVER,
+    STRIPE_MIN_PAIRS, STRIPE_PAD_BUDGET_PCT,
 };
 use crate::simd::{self, KernelWord, LaneWeights};
 use crate::supervisor::{fp_hit, panic_message, BatchReport, Fault, ScanControl, StopReason};
@@ -648,6 +648,34 @@ fn run_units<S: Symbol>(
                 },
             };
             if unit.striped {
+                // Under the ratchet, a stripe whose every member the
+                // length bound already proves out is abandoned whole,
+                // before a single cell is swept.
+                if let StripeThreshold::Coarse(t) = threshold {
+                    if unit
+                        .members
+                        .iter()
+                        .all(|&i| length_prunes(cfg, pairs[i], t))
+                    {
+                        unit.results.fill(PRUNED);
+                        unit.states.fill(SlotState::Done);
+                        telemetry::count(
+                            &telemetry::metrics::PAIRS_PRUNED,
+                            unit.members.len() as u64,
+                        );
+                        continue;
+                    }
+                }
+                let planned = || {
+                    unit.members
+                        .iter()
+                        .map(|&i| grid_cells(pairs[i].0.len(), pairs[i].1.len(), cfg.band))
+                        .sum()
+                };
+                if ctrl.is_some_and(|c| !c.reserve(planned())) {
+                    ledger.note_stop(StopReason::BudgetExhausted);
+                    break;
+                }
                 run_striped_unit(
                     cfg, pairs, unit, threshold, worker, ratchet, ctrl, propagate, &ledger,
                 );
@@ -901,6 +929,15 @@ fn run_per_pair_unit<S: Symbol>(
         let mut run_cfg = *cfg;
         if let Some(r) = ratchet {
             run_cfg.threshold = r.current();
+            if run_cfg
+                .threshold
+                .is_some_and(|t| length_prunes(cfg, pairs[i], t))
+            {
+                unit.results[idx] = PRUNED;
+                unit.states[idx] = SlotState::Done;
+                telemetry::count(&telemetry::metrics::PAIRS_PRUNED, 1);
+                continue;
+            }
         }
         worker.engine.set_config(run_cfg);
         let (q, p) = &pairs[i];
@@ -970,6 +1007,33 @@ fn run_per_pair_unit<S: Symbol>(
     }
 }
 
+/// The outcome of a pair the length-bound prune rules out: abandoned,
+/// with no cell computed.
+const PRUNED: EngineOutcome = EngineOutcome {
+    score: Time::NEVER,
+    cells_computed: 0,
+    early_terminated: true,
+};
+
+/// The ratcheted scan's length-bound prune: `true` when the closed-form
+/// [`score_lower_bound`] of `pair` alone proves `score > t`. Sound for
+/// the same reason as every ratchet abandon — a strict proof against a
+/// `t` that is always at least the true k-th best — and free: it reads
+/// two lengths. Only the ratchet applies it; the fixed-threshold batch
+/// path promises the per-pair kernel's exact cell counts.
+fn length_prunes<S: Symbol>(
+    cfg: &AlignConfig,
+    (q, p): (&PackedSeq<S>, &PackedSeq<S>),
+    t: u64,
+) -> bool {
+    score_lower_bound(
+        cfg.mode,
+        RawWeights::from_weights(cfg.weights),
+        q.len(),
+        p.len(),
+    ) > t
+}
+
 /// Feeds a finished score into the ratchet under `catch_unwind`: an
 /// injected `ratchet` failpoint panic loses the observation, which is
 /// sound — a missed observation only leaves the ratchet looser than it
@@ -1019,8 +1083,7 @@ fn plan_units<S: Symbol>(
     let mut eligible: Vec<(usize, usize, usize)> = Vec::new();
     let mut singles: Vec<usize> = Vec::new();
     for (i, (q, p)) in pairs.iter().enumerate() {
-        let plan = cfg.resolve_kernel(q.len(), p.len());
-        if plan.strategy == KernelStrategy::Wavefront {
+        if cfg.resolve_strategy(q.len(), p.len()) == KernelStrategy::Wavefront {
             eligible.push((q.len(), p.len(), i));
         } else {
             singles.push(i);
@@ -1114,7 +1177,13 @@ fn pack_length_aware(
             let (n2, m2, _) = eligible[start + count];
             let cand_nn = nn.max(n2);
             let cand_mm = mm.max(m2);
-            let cand_width = cfg.resolve_stripe_lanes(cand_nn, cand_mm);
+            // Width is a function of the union shape alone: re-resolve
+            // only when the candidate grows it.
+            let cand_width = if (cand_nn, cand_mm) == (nn, mm) {
+                width
+            } else {
+                cfg.resolve_stripe_lanes(cand_nn, cand_mm)
+            };
             if count + 1 > stripe_lanes(cand_width) {
                 break;
             }
@@ -1193,7 +1262,7 @@ pub(crate) fn plan_stats_impl<S: Symbol>(
         ..BatchPlanStats::default()
     };
     for (q, p) in pairs {
-        if cfg.resolve_kernel(q.len(), p.len()).strategy == KernelStrategy::Wavefront {
+        if cfg.resolve_strategy(q.len(), p.len()) == KernelStrategy::Wavefront {
             stats.wavefront_eligible += 1;
         }
     }

@@ -90,6 +90,9 @@ pub struct ScanControl {
     cells_budget: Option<u64>,
     scratch_budget: Option<usize>,
     cells_spent: AtomicU64,
+    /// Planned cells of every striped unit admitted so far (see
+    /// [`ScanControl::reserve`]).
+    cells_reserved: AtomicU64,
     tracer: Option<TraceHandle>,
 }
 
@@ -205,6 +208,19 @@ impl ScanControl {
     /// watchdog polls, at zero extra cost on this hot path.
     pub(crate) fn charge(&self, cells: u64) {
         self.cells_spent.fetch_add(cells, Ordering::Relaxed);
+    }
+
+    /// Reserves a striped unit's planned cells against the cell budget
+    /// before it sweeps, and reports whether the unit is admitted: only
+    /// while the cells reserved before it are still below the budget.
+    /// A sweep charges its cells only when it ends, so gating on
+    /// [`cells_spent`](ScanControl::cells_spent) alone would let every
+    /// worker's first unit start at zero; reserving up front bounds the
+    /// striped overshoot by one unit at any worker count. Always admits
+    /// without a budget.
+    pub(crate) fn reserve(&self, cells: u64) -> bool {
+        self.cells_budget
+            .is_none_or(|budget| self.cells_reserved.fetch_add(cells, Ordering::Relaxed) < budget)
     }
 
     /// Checks every stop condition, including an immediate deadline

@@ -275,6 +275,11 @@ pub mod metrics {
         "rl_ratchet_observations_total",
         "ratchet observations folded",
     );
+    /// Pairs the ratcheted scan ruled out by the length bound, unswept.
+    pub static PAIRS_PRUNED: Counter = Counter::new(
+        "rl_pairs_pruned_total",
+        "pairs pruned by the length bound before any sweep",
+    );
 
     /// Queries submitted to the service (accepted into the queue).
     pub static SERVICE_SUBMITTED: Counter = Counter::new(
@@ -403,6 +408,7 @@ pub fn catalog() -> Vec<Instrument> {
         C(&PAIR_FALLBACKS),
         C(&WORKER_FAULTS),
         C(&RATCHET_OBSERVATIONS),
+        C(&PAIRS_PRUNED),
         C(&SERVICE_SUBMITTED),
         C(&SERVICE_REJECTED),
         C(&SERVICE_OVERLOADED),

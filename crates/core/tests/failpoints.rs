@@ -424,12 +424,14 @@ fn service_retry_panic_finalizes_partial_after_watchdog() {
     let cfg = AlignConfig::new(RaceWeights::fig4());
     // 40 pairs = two u8 stripes: the first sweep sleeps through the
     // watchdog timeout, the second unit observes the trip and stops.
+    // One worker, so the two units run one after the other.
     let (q, database) = db(3, 40, 64);
     let database = Arc::new(database);
     let baseline = scan_packed_topk_with(&cfg, &q, &database, 3, Some(1));
 
     let service = ScanService::new(
         ServiceConfig::default()
+            .with_workers(1)
             .with_watchdog(Duration::from_millis(30))
             .with_backoff(Duration::from_millis(1), Duration::from_millis(5)),
     );

@@ -250,6 +250,87 @@ fn conformance_protein_local() {
     }
 }
 
+/// The length-bound prune against the sequential oracle: a database of
+/// near-copies of the query (so the ratchet tightens early) mixed with
+/// entries far shorter and far longer than it (so the prune fires, in
+/// striped and per-pair units alike) must yield exactly the top-k a
+/// full scalar scan selects, at every worker count.
+fn assert_pruned_scan_matches_oracle(label: &str, cfg: AlignConfig, seed: u64, len: usize) {
+    const K: usize = 4;
+    let mut rng = seeded_rng(seed);
+    let query_seq = Seq::<Dna>::random(&mut rng, len);
+    let query = PackedSeq::from_seq(&query_seq);
+    let mut database: Vec<PackedSeq<Dna>> = Vec::new();
+    for i in 0..48 {
+        let entry = match i % 4 {
+            0 => rl_bio::mutate::mutate(
+                &query_seq,
+                &rl_bio::mutate::MutationConfig::substitutions_only(0.05),
+                &mut rng,
+            ),
+            1 => Seq::random(&mut rng, 4 * len + i),
+            2 => Seq::random(&mut rng, len / 3 + i % 5),
+            _ => Seq::random(&mut rng, len + i % 9),
+        };
+        database.push(PackedSeq::from_seq(&entry));
+    }
+
+    let mut scalar_engine = AlignEngine::new(cfg.with_strategy(KernelStrategy::RollingRow));
+    let mut oracle: Vec<(usize, u64)> = database
+        .iter()
+        .enumerate()
+        .filter_map(|(i, p)| {
+            scalar_engine
+                .align(&query, p)
+                .finished_score()
+                .map(|s| (i, s))
+        })
+        .collect();
+    oracle.sort_unstable_by_key(|&(i, s)| (s, i));
+    oracle.truncate(K);
+
+    let pruned_before = race_logic::telemetry::metrics::PAIRS_PRUNED.get();
+    for workers in [1, 2, 4] {
+        let scan = scan_packed_topk_with(&cfg, &query, &database, K, Some(workers));
+        assert_eq!(
+            scan.hits, oracle,
+            "{label}: pruned scan diverges from the sequential oracle at {workers} workers"
+        );
+    }
+    assert!(
+        race_logic::telemetry::metrics::PAIRS_PRUNED.get() > pruned_before,
+        "{label}: the workload must actually exercise the length-bound prune"
+    );
+}
+
+#[test]
+fn pruned_scans_match_the_sequential_oracle() {
+    let affine = AlignMode::GlobalAffine(AffineWeights { open: 2 });
+    for (label, cfg) in [
+        ("global", AlignConfig::new(RaceWeights::fig4())),
+        (
+            "global/levenshtein",
+            AlignConfig::new(RaceWeights::levenshtein()),
+        ),
+        (
+            "global/banded",
+            AlignConfig::new(RaceWeights::fig4()).with_band(12),
+        ),
+        (
+            "affine",
+            AlignConfig::new(RaceWeights::fig4()).with_mode(affine),
+        ),
+        (
+            "affine/fig2b",
+            AlignConfig::new(RaceWeights::fig2b()).with_mode(affine),
+        ),
+    ] {
+        // 64 bp queries stripe; 24 bp queries run on per-pair units.
+        assert_pruned_scan_matches_oracle(label, cfg, 0x9A0E, 64);
+        assert_pruned_scan_matches_oracle(label, cfg, 0x9A0F, 24);
+    }
+}
+
 #[test]
 fn scan_conformance_across_workers() {
     assert_scan_conformance::<Dna>(

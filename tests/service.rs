@@ -116,7 +116,10 @@ fn admission_returns_typed_backpressure() {
 #[test]
 fn overload_sheds_costliest_queued_query_and_cancel_yields_resume() {
     let cfg = AlignConfig::new(RaceWeights::fig4());
-    // A deliberately heavy head query so the queue backs up behind it.
+    // A deliberately heavy head query so the queue backs up behind it:
+    // semi-global, whose wider lanes and unpruned scan keep it running
+    // until the cancel lands.
+    let head_cfg = cfg.with_mode(AlignMode::SemiGlobal);
     let (q_big, db_big) = db(60, 400, 160);
     let (q_small, db_small) = db(61, 8, 32);
     let (q_mid, db_mid) = db(62, 24, 48);
@@ -128,7 +131,12 @@ fn overload_sheds_costliest_queued_query_and_cancel_yields_resume() {
     let service =
         ScanService::new(ServiceConfig::default().with_shed_watermark(small_est + mid_est - 1));
     let h_big = service
-        .try_submit(ScanRequest::new(cfg, q_big.clone(), Arc::clone(&db_big), 5))
+        .try_submit(ScanRequest::new(
+            head_cfg,
+            q_big.clone(),
+            Arc::clone(&db_big),
+            5,
+        ))
         .expect("head admitted");
     // Wait for the worker to pick it up: a running query no longer
     // counts toward queued cells and is never a shedding victim.
@@ -177,7 +185,7 @@ fn overload_sheds_costliest_queued_query_and_cancel_yields_resume() {
     // Resuming the cancelled query completes it byte-identically.
     let h_resumed = service
         .resume(
-            ScanRequest::new(cfg, q_big.clone(), Arc::clone(&db_big), 5),
+            ScanRequest::new(head_cfg, q_big.clone(), Arc::clone(&db_big), 5),
             token,
         )
         .expect("resume admitted");
@@ -186,7 +194,7 @@ fn overload_sheds_costliest_queued_query_and_cancel_yields_resume() {
     assert!(h_resumed.estimated_cells() <= h_big.estimated_cells());
     let resumed = h_resumed.wait().expect("resume completes");
     assert!(resumed.outcome.is_complete());
-    let baseline = scan_packed_topk_with(&cfg, &q_big, &db_big, 5, None);
+    let baseline = scan_packed_topk_with(&head_cfg, &q_big, &db_big, 5, None);
     assert_eq!(resumed.outcome.hits, baseline.hits);
 
     let stats = service.stats();

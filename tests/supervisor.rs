@@ -244,20 +244,35 @@ fn zero_deadline_yields_partial_outcome_not_panic() {
 #[test]
 fn cells_budget_stops_mid_scan_with_exact_accounting() {
     let cfg = AlignConfig::new(RaceWeights::fig4());
+    // Two u8 stripes (32 + 8 pairs). Each stripe reserves its planned
+    // cells before it sweeps, so at any worker count only the first to
+    // reserve runs, even when both would start at once.
     let (q, database) = db(19, 40, 64);
-    let ctrl = ScanControl::new().with_cells_budget(5_000);
-    let outcome = scan_packed_topk_supervised(&cfg, &q, &database, 3, Some(1), &ctrl).unwrap();
-    assert_eq!(outcome.stop, Some(StopReason::BudgetExhausted));
-    assert!(outcome.budget_exhausted());
-    assert!(
-        outcome.remaining_pairs() > 0,
-        "budget should cut the scan short"
-    );
-    assert!(ctrl.cells_spent() >= 5_000);
-    assert_eq!(
-        outcome.completed_pairs + outcome.faulted_pairs + outcome.remaining_pairs(),
-        outcome.total_pairs
-    );
+    for workers in [1, 2, 4] {
+        let ctrl = ScanControl::new().with_cells_budget(5_000);
+        let outcome =
+            scan_packed_topk_supervised(&cfg, &q, &database, 3, Some(workers), &ctrl).unwrap();
+        assert_eq!(
+            outcome.stop,
+            Some(StopReason::BudgetExhausted),
+            "{workers} workers"
+        );
+        assert!(outcome.budget_exhausted());
+        assert!(
+            outcome.remaining_pairs() > 0,
+            "budget should cut the scan short"
+        );
+        assert!(
+            outcome.completed_pairs <= 32,
+            "{workers} workers: the budget admits one stripe, not {} pairs",
+            outcome.completed_pairs
+        );
+        assert!(ctrl.cells_spent() >= 5_000);
+        assert_eq!(
+            outcome.completed_pairs + outcome.faulted_pairs + outcome.remaining_pairs(),
+            outcome.total_pairs
+        );
+    }
 }
 
 #[test]
