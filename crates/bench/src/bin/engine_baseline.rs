@@ -71,7 +71,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use race_logic::alignment::{AlignmentRace, RaceWeights};
-use race_logic::early_termination::{scan_packed_topk_supervised, scan_packed_topk_with};
+use race_logic::early_termination::{scan, scan_packed_topk_with, ScanEntries};
 use race_logic::engine::{
     align_batch, batch_plan_stats, AffineWeights, AlignConfig, AlignEngine, AlignMode, BatchEngine,
     BatchPlanStats, KernelStrategy, LaneWidth, LocalScores, PackerPolicy,
@@ -576,8 +576,16 @@ fn run_deadline_demo(db_size: usize, median_len: usize, k: usize, mode: AlignMod
 
     let ctrl = ScanControl::new().with_deadline_after(Duration::from_millis(ms));
     let start = Instant::now();
-    let outcome = scan_packed_topk_supervised(&cfg, &query, &database, k, None, &ctrl)
-        .expect("the demo workload is valid");
+    let (outcome, _) = scan(
+        &cfg,
+        &query,
+        ScanEntries::Memory(&database),
+        k,
+        None,
+        None,
+        &ctrl,
+    )
+    .expect("the demo workload is valid");
     let elapsed = start.elapsed().as_secs_f64();
 
     let stop = outcome.stop.map_or("null".into(), |s| format!("\"{s}\""));

@@ -9,13 +9,14 @@
 //! pattern". The systolic baseline cannot do this: its score is only
 //! known after the whole computation drains (Section 6).
 
-use rl_bio::{alphabet::Symbol, Seq};
+use rl_bio::{alphabet::Symbol, PackedSeq, Seq};
 
 use crate::alignment::RaceWeights;
 use crate::engine::{AlignConfig, AlignEngine};
 use crate::error::AlignError;
 use crate::score_transform::TransformedWeights;
-use crate::supervisor::{ResumeToken, ScanControl, ScanOutcome};
+use crate::store::StoreTarget;
+use crate::supervisor::{Fault, ResumeToken, ScanControl, ScanOutcome};
 
 /// The outcome of a thresholded race.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -157,8 +158,6 @@ pub fn scan_database<S: Symbol>(
     weights: RaceWeights,
     threshold: u64,
 ) -> ScanReport {
-    use rl_bio::PackedSeq;
-
     let q = PackedSeq::from_seq(query);
     let patterns: Vec<PackedSeq<S>> = database.iter().map(PackedSeq::from_seq).collect();
     let pairs: Vec<(&PackedSeq<S>, &PackedSeq<S>)> = patterns.iter().map(|p| (&q, p)).collect();
@@ -190,12 +189,13 @@ pub fn scan_database<S: Symbol>(
     }
 }
 
-/// Result of a ratcheted top-k database scan ([`scan_database_topk`]).
+/// Result of a ratcheted top-k database scan in the pre-[`scan`] shape
+/// ([`scan_packed_topk_with`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TopKScan {
     /// The `k` best database entries as `(index, score)`, sorted by
-    /// `(score, index)` ascending (fewer when the database is smaller
-    /// than `k` or a configured threshold rejects the rest).
+    /// `(score, index)` ascending (fewer when a configured threshold
+    /// rejects the rest).
     /// **Deterministic**: identical for every worker count and
     /// interleaving, and identical to what a sequential full scan
     /// followed by top-k selection produces (property-tested).
@@ -209,374 +209,272 @@ pub struct TopKScan {
     pub cells_computed: u64,
 }
 
-/// Scans `query` against a database for the `k` **best** (lowest-score)
+impl From<ScanOutcome> for TopKScan {
+    fn from(outcome: ScanOutcome) -> Self {
+        TopKScan {
+            hits: outcome.hits,
+            abandoned: outcome.abandoned,
+            cells_computed: outcome.cells_computed,
+        }
+    }
+}
+
+/// What a [`scan`] races the query against: a borrowed view over an
+/// in-memory packed database or a persistent [`StoreTarget`]. The view
+/// hides the two real differences between the sources — how pending
+/// entries are materialized (a borrow, or the store's quarantine ladder)
+/// and which content hash a [`ResumeToken`] is bound to.
+#[derive(Debug, Clone, Copy)]
+pub enum ScanEntries<'a, S: Symbol> {
+    /// An in-memory packed database.
+    Memory(&'a [PackedSeq<S>]),
+    /// A persistent store target: lazily verified chunks, corruption
+    /// quarantine, replica fallback, token↔DB content-hash binding.
+    Store(&'a StoreTarget<S>),
+}
+
+impl<S: Symbol> ScanEntries<'_, S> {
+    /// Entries in the source.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        match self {
+            ScanEntries::Memory(db) => db.len(),
+            ScanEntries::Store(target) => target.store().len(),
+        }
+    }
+
+    /// `true` when the source holds no entries.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The length of entry `i` — from the manifest for a store, so
+    /// admission costing never touches a payload chunk.
+    fn entry_len(&self, i: usize) -> usize {
+        match self {
+            ScanEntries::Memory(db) => db[i].len(),
+            ScanEntries::Store(target) => target.store().entry_len(i),
+        }
+    }
+
+    /// The content hash a token issued over this source is bound to
+    /// (`None` for an in-memory database).
+    fn content_hash(&self) -> Option<u64> {
+        match self {
+            ScanEntries::Memory(_) => None,
+            ScanEntries::Store(target) => Some(target.content_hash()),
+        }
+    }
+}
+
+/// Scans `query` against `entries` for the `k` **best** (lowest-score)
 /// entries, with the early-termination threshold *ratcheting down* as
 /// hits land — the §6 "move on to the next pattern" rule, sharpened
 /// into a top-k race: once `k` candidates have finished, every further
 /// race runs under "beat the current k-th best or be abandoned", so the
-/// scan accelerates as it goes.
+/// scan accelerates as it goes. This is the one ratcheted top-k scan:
+/// in-memory and store sources, fresh and resumed runs, direct callers
+/// and the [`crate::service::ScanService`] all go through it.
 ///
-/// Execution: the batch planner packs the database into stripes (the
-/// fixed query is transposed into the stripe plane once and reused, not
-/// re-packed per stripe) and streams them through rayon workers that
-/// share the score ratchet. An optional `threshold` seeds the ratchet —
-/// entries scoring above it are never hits, exactly as in
-/// [`scan_database`].
+/// Execution: the batch planner packs the entries into stripes (the
+/// fixed query is transposed into the stripe plane once and reused) and
+/// streams them through workers (`None` = one per available thread)
+/// that share the score ratchet. `cfg` carries mode, band, packer and an
+/// optional threshold that seeds the ratchet. A **semi-global** scan
+/// (`cfg.with_mode(AlignMode::SemiGlobal)`) is the paper's actual §6
+/// workload: "does Q occur anywhere in this entry?".
 ///
-/// The returned [`TopKScan::hits`] is **deterministic** regardless of
-/// worker interleaving: abandons only ever fire on a strict
+/// The run is supervised by `ctrl` — cooperative cancellation,
+/// deadline and cell-budget stops, per-stripe panic isolation with
+/// per-pair fallback retry, and the fault ledger ([`crate::supervisor`]).
+/// A store source additionally quarantines corrupt or unreadable shards:
+/// a healthy replica serves them in place, otherwise their pairs land as
+/// faulted, retryable pairs.
+///
+/// Returns the cumulative [`ScanOutcome`] — every earlier segment
+/// included, so `completed + faulted + remaining == total` holds across
+/// any number of resumes — plus a [`ResumeToken`] whenever pairs are
+/// still unfinished. Feeding the token back as `resume` runs only its
+/// pending pairs, the ratchet re-seeded from the carried hits; however
+/// many times a scan is interrupted and resumed, the final top-k is
+/// byte-identical to an uninterrupted run (property-tested).
+///
+/// [`ScanOutcome::hits`] is **deterministic** regardless of worker
+/// interleaving: abandons only ever fire on a strict
 /// `score > current-k-th-best` proof, and the ratchet is always at
 /// least the true k-th best, so every true top-k entry finishes with
-/// its exact score.
+/// its exact score. Which *non*-hits get abandoned is advisory.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `k == 0`.
-#[must_use]
-pub fn scan_database_topk<S: Symbol>(
-    query: &Seq<S>,
-    database: &[Seq<S>],
-    weights: RaceWeights,
-    k: usize,
-    threshold: Option<u64>,
-) -> TopKScan {
-    scan_database_topk_with_workers(query, database, weights, k, threshold, None)
-}
-
-/// [`scan_database_topk`] with an explicit worker count (`None` = one
-/// per available thread) — exposed so the determinism guarantee is
-/// directly testable across worker counts.
-///
-/// # Panics
-///
-/// Panics if `k == 0`.
-#[must_use]
-pub fn scan_database_topk_with_workers<S: Symbol>(
-    query: &Seq<S>,
-    database: &[Seq<S>],
-    weights: RaceWeights,
-    k: usize,
-    threshold: Option<u64>,
-    workers: Option<usize>,
-) -> TopKScan {
-    let mut cfg = AlignConfig::new(weights);
-    cfg.threshold = threshold;
-    scan_database_topk_with(&cfg, query, database, k, workers)
-}
-
-/// [`scan_database_topk`] under a full [`AlignConfig`] (unpacked
-/// sequences; see [`scan_packed_topk_with`] for the steady-state packed
-/// form and the mode semantics).
-///
-/// # Panics
-///
-/// Panics if `k == 0` or in [`crate::engine::AlignMode::Local`].
-#[must_use]
-pub fn scan_database_topk_with<S: Symbol>(
+/// [`AlignError`] for a request rejected up front: an invalid `cfg`, a
+/// max-plus (local) mode, `k = 0` or `k` beyond the entries, an empty
+/// query or entry, a shape no kernel word fits, or a `resume` token
+/// issued for a different source or `k`. Early stops are not errors.
+pub fn scan<S: Symbol>(
     cfg: &AlignConfig,
-    query: &Seq<S>,
-    database: &[Seq<S>],
+    query: &PackedSeq<S>,
+    entries: ScanEntries<'_, S>,
     k: usize,
+    resume: Option<ResumeToken>,
     workers: Option<usize>,
-) -> TopKScan {
-    use rl_bio::PackedSeq;
-
-    let q = PackedSeq::from_seq(query);
-    let patterns: Vec<PackedSeq<S>> = database.iter().map(PackedSeq::from_seq).collect();
-    scan_packed_topk_with(cfg, &q, &patterns, k, workers)
+    ctrl: &ScanControl,
+) -> Result<(ScanOutcome, Option<ResumeToken>), AlignError> {
+    admit(cfg, query, entries, k, resume.as_ref())?;
+    let carried =
+        resume.unwrap_or_else(|| ResumeToken::fresh(k, entries.len(), entries.content_hash()));
+    Ok(run_segment(cfg, query, entries, carried, workers, ctrl))
 }
 
-/// [`scan_database_topk`] over an already-packed database — the
-/// steady-state form for callers that keep their database in
-/// [`rl_bio::PackedSeq`] form and scan it repeatedly (no per-scan
-/// packing or cloning; the fixed query is transposed into each stripe
-/// plane once and reused).
+/// Kept with its signature because the benchmark harness (`perfbench/`)
+/// calls it: [`scan`] over an in-memory database under an unbounded
+/// [`ScanControl`], returned as a [`TopKScan`].
 ///
 /// # Panics
 ///
-/// Panics if `k == 0`.
-#[must_use]
-pub fn scan_packed_topk<S: Symbol>(
-    query: &rl_bio::PackedSeq<S>,
-    database: &[rl_bio::PackedSeq<S>],
-    weights: RaceWeights,
-    k: usize,
-    threshold: Option<u64>,
-    workers: Option<usize>,
-) -> TopKScan {
-    let mut cfg = AlignConfig::new(weights);
-    cfg.threshold = threshold;
-    scan_packed_topk_with(&cfg, query, database, k, workers)
-}
-
-/// [`scan_packed_topk`] under a full [`AlignConfig`] — mode, band,
-/// packer and threshold included. This is the paper's actual §6
-/// workload once the engine speaks modes: a **semi-global** ratcheted
-/// top-k scan (`cfg.with_mode(AlignMode::SemiGlobal)`) races "does Q
-/// occur anywhere in this entry?" across the database on the striped
-/// batch kernel, the ratchet tightening on the best window scores. The
-/// determinism guarantee is mode-independent: every min-plus mode's
-/// abandon is a strict lower-bound proof.
-///
-/// # Panics
-///
-/// Panics if `k == 0`, or for [`crate::engine::AlignMode::Local`]
-/// (max-plus best-hit scans have no sound frontier abandon — run
-/// [`crate::engine::align_batch`] in local mode and select instead).
+/// Panics with the typed error's message on a request [`scan`] rejects.
 #[must_use]
 pub fn scan_packed_topk_with<S: Symbol>(
     cfg: &AlignConfig,
-    query: &rl_bio::PackedSeq<S>,
-    database: &[rl_bio::PackedSeq<S>],
+    query: &PackedSeq<S>,
+    database: &[PackedSeq<S>],
     k: usize,
     workers: Option<usize>,
 ) -> TopKScan {
-    let pairs: Vec<_> = database.iter().map(|p| (query, p)).collect();
-    let mut scratch = crate::striped::BatchScratch::default();
-    let outcomes = crate::striped::scan_topk_impl(cfg, &pairs, k, workers, &mut scratch);
-
-    let mut hits: Vec<(usize, u64)> = Vec::new();
-    let mut abandoned = 0_usize;
-    let mut cells_computed = 0_u64;
-    for (idx, outcome) in outcomes.iter().enumerate() {
-        cells_computed += outcome.cells_computed;
-        match outcome.finished_score() {
-            Some(score) => hits.push((idx, score)),
-            None => abandoned += 1,
-        }
-    }
-    // Deterministic selection: k smallest by (score, index). Survivors
-    // beyond k were simply never abandoned before the ratchet tightened
-    // past them.
-    hits.sort_unstable_by_key(|&(idx, score)| (score, idx));
-    hits.truncate(k);
-    TopKScan {
-        hits,
-        abandoned,
-        cells_computed,
+    match scan(
+        cfg,
+        query,
+        ScanEntries::Memory(database),
+        k,
+        None,
+        workers,
+        &ScanControl::new(),
+    ) {
+        Ok((outcome, _)) => outcome.into(),
+        Err(e) => panic!("{e}"),
     }
 }
 
-/// Validates a top-k scan request before any racing: the configuration
-/// itself ([`AlignConfig::validate`]'s rules), the min-plus
-/// requirement, `1 ≤ k ≤ database.len()`, non-empty sequences, and
-/// kernel-word eligibility for the scan's largest shape.
-pub(crate) fn validate_scan<S: Symbol>(
+/// Kept with its signature because the benchmark harness (`perfbench/`)
+/// calls it: a fresh [`scan`] over an in-memory database.
+pub fn scan_packed_topk_resumable<S: Symbol>(
     cfg: &AlignConfig,
-    query: &rl_bio::PackedSeq<S>,
-    database: &[rl_bio::PackedSeq<S>],
+    query: &PackedSeq<S>,
+    database: &[PackedSeq<S>],
     k: usize,
+    workers: Option<usize>,
+    ctrl: &ScanControl,
+) -> Result<(ScanOutcome, Option<ResumeToken>), AlignError> {
+    scan(
+        cfg,
+        query,
+        ScanEntries::Memory(database),
+        k,
+        None,
+        workers,
+        ctrl,
+    )
+}
+
+/// Admits a scan request before any racing: the one validator (the
+/// configuration's own rules, the min-plus requirement,
+/// `1 ≤ k ≤ entries`, non-empty sequences, kernel-word eligibility for
+/// the largest shape — a store answers the length questions from its
+/// manifest, so no payload chunk is touched) and, for a resume, the one
+/// token check (content-hash binding, database size, `k`, index range).
+pub(crate) fn admit<S: Symbol>(
+    cfg: &AlignConfig,
+    query: &PackedSeq<S>,
+    entries: ScanEntries<'_, S>,
+    k: usize,
+    resume: Option<&ResumeToken>,
 ) -> Result<(), AlignError> {
     cfg.validate()?;
+    let invalid = |reason: String| Err(AlignError::InvalidConfig { reason });
     if !cfg.mode.is_min_plus() {
-        return Err(AlignError::InvalidConfig {
-            reason: "the ratcheted top-k scan races min-plus modes \
-                     (global/semi-global/affine); local (max-plus) best-hit scans \
-                     have no sound frontier abandon"
+        return invalid(
+            "the ratcheted top-k scan races min-plus modes \
+             (global/semi-global/affine); local (max-plus) best-hit scans \
+             have no sound frontier abandon"
                 .into(),
-        });
+        );
     }
     if k == 0 {
-        return Err(AlignError::InvalidConfig {
-            reason: "top-k scan needs k >= 1".into(),
-        });
+        return invalid("top-k scan needs k >= 1".into());
     }
-    if k > database.len() {
-        return Err(AlignError::InvalidConfig {
-            reason: format!(
-                "k = {k} exceeds the database size {}: every entry would be a hit \
-                 and the ratchet could never tighten",
-                database.len()
-            ),
-        });
+    if k > entries.len() {
+        return invalid(format!(
+            "k = {k} exceeds the database size {}: every entry would be a hit \
+             and the ratchet could never tighten",
+            entries.len()
+        ));
     }
     if query.is_empty() {
-        return Err(AlignError::InvalidConfig {
-            reason: "empty query: a zero-length race has no cells to time".into(),
-        });
+        return invalid("empty query: a zero-length race has no cells to time".into());
     }
-    if let Some(i) = database.iter().position(rl_bio::PackedSeq::is_empty) {
-        return Err(AlignError::InvalidConfig {
-            reason: format!("database entry {i} is empty"),
-        });
-    }
-    let m_max = database
-        .iter()
-        .map(rl_bio::PackedSeq::len)
-        .max()
-        .unwrap_or(0);
+    let m_max = match entries {
+        ScanEntries::Memory(db) => {
+            if let Some(i) = db.iter().position(PackedSeq::is_empty) {
+                return invalid(format!("database entry {i} is empty"));
+            }
+            db.iter().map(PackedSeq::len).max().unwrap_or(0)
+        }
+        ScanEntries::Store(target) => target.store().max_entry_len(),
+    };
     cfg.checked_lane_width(query.len(), m_max)?;
+    let Some(token) = resume else { return Ok(()) };
+    match (entries.content_hash(), token.db_hash) {
+        (None, Some(hash)) => {
+            return invalid(format!(
+                "resume token is bound to persistent store content {hash:#018x}; \
+                 resume it against that store, not an in-memory database"
+            ))
+        }
+        (Some(own), Some(hash)) if hash != own => {
+            return invalid(format!(
+                "resume token is bound to store content {hash:#018x}, but this store's \
+                 content hash is {own:#018x} — the database was rebuilt or differs"
+            ))
+        }
+        (Some(_), None) => {
+            return invalid("resume token was issued by an in-memory scan, not this store".into())
+        }
+        _ => {}
+    }
+    if token.total_pairs != entries.len() {
+        return invalid(format!(
+            "resume token was issued for a database of {} entries, not {}",
+            token.total_pairs,
+            entries.len()
+        ));
+    }
+    if token.k != k {
+        return invalid(format!(
+            "resume token was issued for a top-{} scan, not top-{k}",
+            token.k
+        ));
+    }
+    if let Some(bad) = token.pending_indices().find(|&i| i >= entries.len()) {
+        return invalid(format!(
+            "resume token references pair {bad} beyond the database"
+        ));
+    }
     Ok(())
 }
 
-/// Fallible form of [`scan_database_topk_with`]: rejects a bad request
-/// (`k = 0`, `k` beyond the database, empty sequences, a degenerate
-/// weight scheme, a max-plus mode, or a shape no kernel word fits)
-/// with a typed [`AlignError`] instead of panicking.
-pub fn try_scan_database_topk_with<S: Symbol>(
-    cfg: &AlignConfig,
-    query: &Seq<S>,
-    database: &[Seq<S>],
-    k: usize,
-    workers: Option<usize>,
-) -> Result<TopKScan, AlignError> {
-    use rl_bio::PackedSeq;
-
-    let q = PackedSeq::from_seq(query);
-    let patterns: Vec<PackedSeq<S>> = database.iter().map(PackedSeq::from_seq).collect();
-    try_scan_packed_topk_with(cfg, &q, &patterns, k, workers)
-}
-
-/// Fallible form of [`scan_packed_topk_with`] — same validation as
-/// [`try_scan_database_topk_with`], over an already-packed database.
-pub fn try_scan_packed_topk_with<S: Symbol>(
-    cfg: &AlignConfig,
-    query: &rl_bio::PackedSeq<S>,
-    database: &[rl_bio::PackedSeq<S>],
-    k: usize,
-    workers: Option<usize>,
-) -> Result<TopKScan, AlignError> {
-    validate_scan(cfg, query, database, k)?;
-    Ok(scan_packed_topk_with(cfg, query, database, k, workers))
-}
-
-/// Supervised form of [`scan_database_topk_with`]: validates the
-/// request, then runs the ratcheted scan under `ctrl` — cooperative
-/// cancellation, deadline and cell-budget stops, per-stripe panic
-/// isolation with per-pair fallback retry, and the fault ledger
-/// ([`crate::supervisor`]).
-///
-/// An early stop returns `Ok` with a *partial* [`ScanOutcome`]
-/// (`stop` set, accounting invariant `completed + faulted + remaining
-/// == total`); `Err` is reserved for requests rejected up front. When
-/// the scan completes with every fault recovered, [`ScanOutcome::hits`]
-/// is byte-identical to the unsupervised [`TopKScan::hits`].
-pub fn scan_database_topk_supervised<S: Symbol>(
-    cfg: &AlignConfig,
-    query: &Seq<S>,
-    database: &[Seq<S>],
-    k: usize,
-    workers: Option<usize>,
-    ctrl: &ScanControl,
-) -> Result<ScanOutcome, AlignError> {
-    use rl_bio::PackedSeq;
-
-    let q = PackedSeq::from_seq(query);
-    let patterns: Vec<PackedSeq<S>> = database.iter().map(PackedSeq::from_seq).collect();
-    scan_packed_topk_supervised(cfg, &q, &patterns, k, workers, ctrl)
-}
-
-/// Supervised form of [`scan_packed_topk_with`]; see
-/// [`scan_database_topk_supervised`] for the semantics. A thin wrapper
-/// over [`scan_packed_topk_resumable`] that drops the resume token.
-pub fn scan_packed_topk_supervised<S: Symbol>(
-    cfg: &AlignConfig,
-    query: &rl_bio::PackedSeq<S>,
-    database: &[rl_bio::PackedSeq<S>],
-    k: usize,
-    workers: Option<usize>,
-    ctrl: &ScanControl,
-) -> Result<ScanOutcome, AlignError> {
-    scan_packed_topk_resumable(cfg, query, database, k, workers, ctrl)
-        .map(|(outcome, _token)| outcome)
-}
-
-/// [`scan_packed_topk_supervised`] with a checkpoint: alongside the
-/// (possibly partial) [`ScanOutcome`], returns a [`ResumeToken`]
-/// whenever pairs are still unfinished — remaining after an early stop,
-/// or lost to unrecovered faults. Feed the token to
-/// [`scan_packed_topk_resume`] to continue the scan; however many times
-/// a scan is interrupted and resumed, the final top-k is byte-identical
-/// to an uninterrupted [`scan_packed_topk_with`] run (property-tested).
-/// `None` means nothing is left to resume.
-pub fn scan_packed_topk_resumable<S: Symbol>(
-    cfg: &AlignConfig,
-    query: &rl_bio::PackedSeq<S>,
-    database: &[rl_bio::PackedSeq<S>],
-    k: usize,
-    workers: Option<usize>,
-    ctrl: &ScanControl,
-) -> Result<(ScanOutcome, Option<ResumeToken>), AlignError> {
-    validate_scan(cfg, query, database, k)?;
-    let fresh = ResumeToken {
-        k,
-        total_pairs: database.len(),
-        remaining: (0..database.len()).collect(),
-        retryable: Vec::new(),
-        hits: Vec::new(),
-        completed_pairs: 0,
-        abandoned: 0,
-        cells_computed: 0,
-        faults: Vec::new(),
-        attempt: 0,
-        db_hash: None,
-    };
-    Ok(run_resume_segment(
-        cfg, query, database, fresh, workers, ctrl,
-    ))
-}
-
-/// Continues an interrupted scan from its [`ResumeToken`]: runs only
-/// the token's remaining pairs, with the ratchet re-seeded from the
-/// carried hits (see [`ResumeToken`] for the soundness argument), and
-/// merges the segment into the cumulative ledger. The returned
-/// [`ScanOutcome`] accounts for the *whole* scan — every earlier
-/// segment included — so the invariant `completed + faulted +
-/// remaining == total` keeps holding across any number of resumes.
-///
-/// The token must come from a scan of this same `query`/`database`
-/// (same `cfg`); a token sized for a different database is rejected.
-pub fn scan_packed_topk_resume<S: Symbol>(
-    cfg: &AlignConfig,
-    query: &rl_bio::PackedSeq<S>,
-    database: &[rl_bio::PackedSeq<S>],
-    token: ResumeToken,
-    workers: Option<usize>,
-    ctrl: &ScanControl,
-) -> Result<(ScanOutcome, Option<ResumeToken>), AlignError> {
-    validate_scan(cfg, query, database, token.k)?;
-    if let Some(hash) = token.db_hash {
-        return Err(AlignError::InvalidConfig {
-            reason: format!(
-                "resume token is bound to persistent store content {hash:#018x}; \
-                 resume it through the store scan, not the in-memory one"
-            ),
-        });
-    }
-    if token.total_pairs != database.len() {
-        return Err(AlignError::InvalidConfig {
-            reason: format!(
-                "resume token was issued for a database of {} entries, not {}",
-                token.total_pairs,
-                database.len()
-            ),
-        });
-    }
-    if let Some(&bad) = token
-        .remaining
-        .iter()
-        .chain(&token.retryable)
-        .find(|&&i| i >= database.len())
-    {
-        return Err(AlignError::InvalidConfig {
-            reason: format!("resume token references pair {bad} beyond the database"),
-        });
-    }
-    Ok(run_resume_segment(
-        cfg, query, database, token, workers, ctrl,
-    ))
-}
-
-/// Runs one segment of a (possibly resumed) scan — the token's
+/// Runs one segment of a (possibly resumed) scan — the carried token's
 /// remaining pairs — and merges the result with the token's carried
 /// state into a cumulative [`ScanOutcome`] plus the next checkpoint.
-/// Segment-local slot positions and fault indices are remapped to
-/// original database indices here; the remap is monotone (the
-/// remaining set is kept ascending), so ledger ordering is preserved.
-fn run_resume_segment<S: Symbol>(
+/// Materialization is the only per-source step: an in-memory database
+/// lends its entries, a store walks its quarantine ladder
+/// (`store::materialize_pending`), whose lost pairs join the faulted
+/// set. Segment-local slot positions and fault indices are remapped to
+/// original database indices here.
+fn run_segment<S: Symbol>(
     cfg: &AlignConfig,
-    query: &rl_bio::PackedSeq<S>,
-    database: &[rl_bio::PackedSeq<S>],
+    query: &PackedSeq<S>,
+    entries: ScanEntries<'_, S>,
     carried: ResumeToken,
     workers: Option<usize>,
     ctrl: &ScanControl,
@@ -584,7 +482,7 @@ fn run_resume_segment<S: Symbol>(
     let ResumeToken {
         k,
         total_pairs,
-        remaining: ids,
+        remaining: pending,
         retryable: mut faulted,
         hits: mut all_hits,
         completed_pairs: mut completed,
@@ -594,7 +492,29 @@ fn run_resume_segment<S: Symbol>(
         attempt,
         db_hash,
     } = carried;
-    let pairs: Vec<_> = ids.iter().map(|&i| (query, &database[i])).collect();
+    let stamp = |mut f: Fault| {
+        f.attempt = attempt;
+        f
+    };
+
+    let materialized;
+    let (ids, pairs): (Vec<usize>, Vec<_>) = match entries {
+        ScanEntries::Memory(db) => {
+            let pairs = pending.iter().map(|&i| (query, &db[i])).collect();
+            (pending, pairs)
+        }
+        ScanEntries::Store(target) => {
+            let (seqs, store_faults, lost) =
+                crate::store::materialize_pending(target, &pending, ctrl);
+            all_faults.extend(store_faults.into_iter().map(stamp));
+            faulted.extend(lost);
+            materialized = seqs;
+            materialized
+                .iter()
+                .map(|(id, seq)| (*id, (query, seq)))
+                .unzip()
+        }
+    };
     let mut scratch = crate::striped::BatchScratch::default();
     let (slots, report) = crate::striped::scan_topk_resume_impl(
         cfg,
@@ -608,8 +528,7 @@ fn run_resume_segment<S: Symbol>(
     );
 
     let mut remaining = Vec::new();
-    for (pos, slot) in slots.iter().enumerate() {
-        let idx = ids[pos];
+    for (slot, &idx) in slots.iter().zip(&ids) {
         if let Some(outcome) = slot.outcome() {
             completed += 1;
             cells += outcome.cells_computed;
@@ -625,13 +544,15 @@ fn run_resume_segment<S: Symbol>(
     }
     all_hits.sort_unstable_by_key(|&(idx, score)| (score, idx));
     all_hits.truncate(k);
+    // A store materializes shard group by shard group, not in ascending
+    // input order, so re-establish the token's ascending-index invariant.
+    remaining.sort_unstable();
     faulted.sort_unstable();
     all_faults.extend(report.faults.into_iter().map(|mut f| {
         for p in &mut f.pairs {
             *p = ids[*p];
         }
-        f.attempt = attempt;
-        f
+        stamp(f)
     }));
 
     let outcome = ScanOutcome {
@@ -660,21 +581,49 @@ fn run_resume_segment<S: Symbol>(
     (outcome, token)
 }
 
-/// The admission-control cost estimate of a scan: total banded DP cells
+/// The admission-control cost estimate of a scan over `entries` — or
+/// over just the `pending` ids of a resumed one: total banded DP cells
 /// ([`crate::engine::BatchPlanStats::useful_cells`]'s currency) the
-/// query would race across the database under `cfg`'s band, assuming no
-/// early abandons. The [`crate::service::ScanService`] keys its bounded
-/// queue on this.
+/// query would race under `cfg`'s band, assuming no early abandons.
+/// Priced from lengths alone, so a store is priced from its manifest.
+/// The [`crate::service::ScanService`] keys its bounded queue on this.
+pub(crate) fn estimate_cells<S: Symbol>(
+    cfg: &AlignConfig,
+    query: &PackedSeq<S>,
+    entries: ScanEntries<'_, S>,
+    pending: Option<&[usize]>,
+) -> u64 {
+    price_cells(cfg, query.len(), entries.len(), pending, |i| {
+        entries.entry_len(i)
+    })
+}
+
+/// Sums the banded grid cells of `pending` (all `total` entries when
+/// `None`), each entry's length read through `entry_len`.
+pub(crate) fn price_cells(
+    cfg: &AlignConfig,
+    query_len: usize,
+    total: usize,
+    pending: Option<&[usize]>,
+    entry_len: impl Fn(usize) -> usize,
+) -> u64 {
+    let per = |i: usize| crate::striped::grid_cells(query_len, entry_len(i), cfg.band);
+    match pending {
+        Some(ids) => ids.iter().map(|&i| per(i)).sum(),
+        None => (0..total).map(per).sum(),
+    }
+}
+
+/// Kept with its signature because the benchmark harness (`perfbench/`)
+/// calls it: the admission estimate of a fresh scan over an in-memory
+/// database.
 #[must_use]
 pub fn estimate_scan_cells<S: Symbol>(
     cfg: &AlignConfig,
-    query: &rl_bio::PackedSeq<S>,
-    database: &[rl_bio::PackedSeq<S>],
+    query: &PackedSeq<S>,
+    database: &[PackedSeq<S>],
 ) -> u64 {
-    database
-        .iter()
-        .map(|p| crate::striped::grid_cells(query.len(), p.len(), cfg.band))
-        .sum()
+    estimate_cells(cfg, query, ScanEntries::Memory(database), None)
 }
 
 #[cfg(test)]

@@ -54,8 +54,8 @@
 //!   with rayon, one persistent scratch arena per worker
 //!   ([`BatchEngine`]), results in input order — and byte-identical to
 //!   the sequential loop. The §6 database scan sharpens this into
-//!   [`crate::early_termination::scan_database_topk`], whose shared
-//!   top-k ratchet tightens the fused threshold as hits land.
+//!   [`crate::early_termination::scan`], whose shared top-k ratchet
+//!   tightens the fused threshold as hits land.
 //!
 //! See `docs/KERNELS.md` in the repository root for memory layouts, the
 //! auto-selection policy, and how to reproduce `BENCH_engine.json`.

@@ -7,9 +7,10 @@ use std::fmt;
 use crate::supervisor::StopReason;
 
 /// Typed errors from the alignment engine's validated entry points
-/// (`try_*` constructors, supervised scans). The legacy panicking
-/// surface (`AlignConfig::new`, `scan_database_topk`, …) raises the
-/// same conditions as panics whose messages match these displays.
+/// (`try_*` constructors, [`crate::early_termination::scan`]). The
+/// panicking surface (`AlignConfig::new`, `scan_packed_topk_with`, …)
+/// raises the same conditions as panics whose messages match these
+/// displays.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AlignError {
     /// A configuration or input was rejected before any racing began:

@@ -26,7 +26,7 @@
 //! | [`gating`] | §4.3, Fig. 7 | data-dependent clock gating over m×m multi-cell regions |
 //! | [`score_transform`] | §5 | arbitrary score matrices (BLOSUM62…) → positive delay weights, and exact score recovery |
 //! | [`generalized`] | §5, Fig. 8 | the generalized cell: saturating counter + weight taps + set-on-arrival |
-//! | [`early_termination`] | §6 | thresholded races that abandon dissimilar pairs early |
+//! | [`early_termination`] | §6 | thresholded races that abandon dissimilar pairs early, and `scan` — the one ratcheted top-k scan over a `ScanEntries` view of an in-memory database or a store, fresh or resumed |
 //! | [`supervisor`] | robustness | supervised scan execution: cancellation, deadlines, cell budgets, per-stripe panic isolation with fallback retry, resume tokens, and a feature-gated fault-injection harness |
 //! | [`service`] | robustness | the long-lived scan service: bounded admission by estimated cells, overload shedding, retry with exponential backoff, resumable queries, and a heartbeat watchdog |
 //! | [`store`] | robustness | the crash-safe persistent packed-shard store: versioned checksummed on-disk format, lazy integrity verification, corruption quarantine with replica fallback, and content-hash-bound resume tokens |

@@ -2,9 +2,8 @@
 //! the supervised top-k scan pipeline.
 //!
 //! [`ScanService`] owns a worker thread (and, optionally, a watchdog
-//! thread) and turns the one-shot supervised entry points of
-//! [`crate::early_termination`] into a resilient control plane with
-//! four pillars:
+//! thread) and turns the one-shot supervised [`scan`] into a resilient
+//! control plane with four pillars:
 //!
 //! - **Resumable queries** — every query runs as a chain of supervised
 //!   *segments*; an early stop yields a
@@ -22,7 +21,8 @@
 //!   backoff into the query's cumulative ledger.
 //! - **Admission control + overload shedding** — [`ScanService::try_submit`]
 //!   bounds the queue by entry count *and* by total estimated DP cells
-//!   ([`estimate_scan_cells`]), answering with typed
+//!   (the [`crate::early_termination::estimate_scan_cells`] pricing,
+//!   over the pending pairs of a resumed query), answering with typed
 //!   [`SubmitError::Overloaded`] / [`SubmitError::Rejected`]
 //!   backpressure instead of blocking; past the high watermark the
 //!   costliest *queued* queries (never the running one, never the next
@@ -70,15 +70,10 @@ use std::time::{Duration, Instant};
 
 use rl_bio::{alphabet::Symbol, PackedSeq};
 
-use crate::early_termination::{
-    estimate_scan_cells, scan_packed_topk_resumable, scan_packed_topk_resume, validate_scan,
-};
+use crate::early_termination::{admit, estimate_cells, scan, ScanEntries};
 use crate::engine::AlignConfig;
 use crate::error::AlignError;
-use crate::store::{
-    estimate_store_scan_cells, scan_store_topk_resumable, scan_store_topk_resume,
-    validate_store_scan, StoreTarget,
-};
+use crate::store::StoreTarget;
 use crate::supervisor::{fp_hit, panic_message, ResumeToken, ScanControl, ScanOutcome, StopReason};
 use crate::telemetry::{self, flight, Counter, Gauge, QueryTrace, TraceEvent, TraceHandle};
 
@@ -222,10 +217,7 @@ impl<S: Symbol> ScanSource<S> {
     /// Entries in the source.
     #[must_use]
     pub fn len(&self) -> usize {
-        match self {
-            ScanSource::Memory(db) => db.len(),
-            ScanSource::Store(target) => target.store().len(),
-        }
+        self.entries().len()
     }
 
     /// `true` when the source holds no entries.
@@ -234,12 +226,12 @@ impl<S: Symbol> ScanSource<S> {
         self.len() == 0
     }
 
-    /// The length of entry `i` — from the manifest for a store source,
-    /// so admission costing never touches a payload chunk.
-    fn entry_len(&self, i: usize) -> usize {
+    /// Lends the source as the borrowed view [`scan`] races against.
+    #[must_use]
+    pub fn entries(&self) -> ScanEntries<'_, S> {
         match self {
-            ScanSource::Memory(db) => db[i].len(),
-            ScanSource::Store(target) => target.store().entry_len(i),
+            ScanSource::Memory(db) => ScanEntries::Memory(db),
+            ScanSource::Store(target) => ScanEntries::Store(target),
         }
     }
 }
@@ -673,51 +665,17 @@ impl<S: Symbol> ScanService<S> {
 
     /// Enqueues the continuation of an interrupted query from its
     /// [`ResumeToken`] (carried hits, cumulative ledger, remaining
-    /// pairs). The request must address the same database the token was
-    /// issued for — for a store source the token's content hash must
-    /// match the target's, so a token can never resume against a
-    /// rebuilt or corrupted DB. The admission cost is estimated over
-    /// the *remaining* pairs only.
+    /// pairs). The token passes the same check as a direct [`scan`]
+    /// resume: it must have been issued for this source and this `k` —
+    /// for a store source the token's content hash must match the
+    /// target's, so a token can never resume against a rebuilt or
+    /// corrupted DB. The admission cost is estimated over the *pending*
+    /// pairs only.
     pub fn resume(
         &self,
         req: ScanRequest<S>,
         token: ResumeToken,
     ) -> Result<QueryHandle, SubmitError> {
-        if token.total_pairs() != req.source.len() {
-            return Err(SubmitError::Rejected {
-                reason: AlignError::InvalidConfig {
-                    reason: format!(
-                        "resume token was issued for a database of {} entries, not {}",
-                        token.total_pairs(),
-                        req.source.len()
-                    ),
-                },
-            });
-        }
-        // Token↔source binding: an in-memory token must not resume
-        // against a store (or vice versa), and a store token only
-        // against identical content.
-        let bound = match (&req.source, token.db_hash()) {
-            (ScanSource::Memory(_), None) => Ok(()),
-            (ScanSource::Memory(_), Some(hash)) => Err(format!(
-                "resume token is bound to persistent store content {hash:#018x}; \
-                 resume it against that store, not an in-memory database"
-            )),
-            (ScanSource::Store(target), Some(hash)) if hash == target.content_hash() => Ok(()),
-            (ScanSource::Store(target), Some(hash)) => Err(format!(
-                "resume token is bound to store content {hash:#018x}, but this store's \
-                 content hash is {:#018x} — the database was rebuilt or differs",
-                target.content_hash()
-            )),
-            (ScanSource::Store(_), None) => {
-                Err("resume token was issued by an in-memory scan, not this store".to_string())
-            }
-        };
-        if let Err(reason) = bound {
-            return Err(SubmitError::Rejected {
-                reason: AlignError::InvalidConfig { reason },
-            });
-        }
         self.submit_inner(req, Some(token))
     }
 
@@ -738,31 +696,16 @@ impl<S: Symbol> ScanService<S> {
                 },
             });
         }
-        let validated = match &req.source {
-            ScanSource::Memory(db) => validate_scan(&req.cfg, &req.query, db, req.k),
-            ScanSource::Store(target) => {
-                validate_store_scan(&req.cfg, &req.query, target.store(), req.k)
-            }
-        };
-        if let Err(reason) = validated {
+        let entries = req.source.entries();
+        if let Err(reason) = admit(&req.cfg, &req.query, entries, req.k, resume.as_ref()) {
             telemetry::count(&telemetry::metrics::SERVICE_REJECTED, 1);
             return Err(SubmitError::Rejected { reason });
         }
         // Admission costing: for a store source every length comes from
         // the manifest, so a cold (just-opened) DB is priced without a
         // single payload chunk touch (regression-tested).
-        let est_cells = match (&req.source, &resume) {
-            (ScanSource::Memory(db), None) => estimate_scan_cells(&req.cfg, &req.query, db),
-            (ScanSource::Store(target), None) => {
-                estimate_store_scan_cells(&req.cfg, &req.query, target.store(), None)
-            }
-            (source, Some(token)) => token
-                .pending_indices()
-                .map(|i| {
-                    crate::striped::grid_cells(req.query.len(), source.entry_len(i), req.cfg.band)
-                })
-                .sum(),
-        };
+        let pending: Option<Vec<usize>> = resume.as_ref().map(|t| t.pending_indices().collect());
+        let est_cells = estimate_cells(&req.cfg, &req.query, entries, pending.as_deref());
         let mut state = self.inner.lock();
         if state.shutdown {
             return Err(SubmitError::ShuttingDown);
@@ -960,46 +903,18 @@ fn run_job<S: Symbol>(inner: &Inner<S>, job: Job<S>) {
         // runs.
         let segment = catch_unwind(AssertUnwindSafe(|| {
             fp_hit("watchdog-heartbeat");
-            match (&req.source, token.clone()) {
-                (ScanSource::Memory(db), None) => scan_packed_topk_resumable(
-                    &req.cfg,
-                    &req.query,
-                    db,
-                    req.k,
-                    service_cfg.workers,
-                    ctrl.as_ref(),
-                ),
-                (ScanSource::Memory(db), Some(tok)) => {
-                    fp_hit("service-resume");
-                    scan_packed_topk_resume(
-                        &req.cfg,
-                        &req.query,
-                        db,
-                        tok,
-                        service_cfg.workers,
-                        ctrl.as_ref(),
-                    )
-                }
-                (ScanSource::Store(target), None) => scan_store_topk_resumable(
-                    &req.cfg,
-                    &req.query,
-                    target,
-                    req.k,
-                    service_cfg.workers,
-                    ctrl.as_ref(),
-                ),
-                (ScanSource::Store(target), Some(tok)) => {
-                    fp_hit("service-resume");
-                    scan_store_topk_resume(
-                        &req.cfg,
-                        &req.query,
-                        target,
-                        tok,
-                        service_cfg.workers,
-                        ctrl.as_ref(),
-                    )
-                }
+            if token.is_some() {
+                fp_hit("service-resume");
             }
+            scan(
+                &req.cfg,
+                &req.query,
+                req.source.entries(),
+                req.k,
+                token.clone(),
+                service_cfg.workers,
+                ctrl.as_ref(),
+            )
         }));
         inner.lock().current = None;
         let segment_cells = ctrl.cells_spent();

@@ -46,6 +46,7 @@
 //!
 //! ```no_run
 //! use race_logic::alignment::RaceWeights;
+//! use race_logic::early_termination::{scan, ScanEntries};
 //! use race_logic::engine::AlignConfig;
 //! use race_logic::store::{build_store, PackedStore, StoreParams, StoreTarget};
 //! use race_logic::supervisor::ScanControl;
@@ -61,8 +62,8 @@
 //! let target = StoreTarget::new(store.into());
 //! let query = PackedSeq::from_seq(&"ACTGAGA".parse::<Seq<Dna>>().unwrap());
 //! let cfg = AlignConfig::new(RaceWeights::fig4());
-//! let (outcome, _token) = race_logic::store::scan_store_topk_resumable(
-//!     &cfg, &query, &target, 1, None, &ScanControl::new(),
+//! let (outcome, _token) = scan(
+//!     &cfg, &query, ScanEntries::Store(&target), 1, None, None, &ScanControl::new(),
 //! )?;
 //! assert_eq!(outcome.hits[0].0, 1); // exact match wins the race
 //! # Ok::<(), Box<dyn std::error::Error>>(())
@@ -77,6 +78,7 @@ use std::sync::{Arc, Mutex};
 
 use rl_bio::{alphabet::Symbol, PackedSeq};
 
+use crate::early_termination::{price_cells, scan, ScanEntries};
 use crate::engine::AlignConfig;
 use crate::error::AlignError;
 use crate::supervisor::{fp_hit, panic_message, Fault, ResumeToken, ScanControl, ScanOutcome};
@@ -1192,7 +1194,8 @@ impl<S: Symbol> StoreTarget<S> {
     }
 }
 
-/// The admission-control cost estimate of a store-backed scan over the
+/// Kept with its signature because the benchmark harness (`perfbench/`)
+/// calls it: the admission estimate of a store-backed scan over the
 /// pending entries `ids` (or the whole store for `None`), priced purely
 /// from manifest lengths — zero payload chunks are touched, so a cold
 /// service can admit or refuse queries without a single page fault
@@ -1204,72 +1207,15 @@ pub fn estimate_store_scan_cells<S: Symbol>(
     store: &PackedStore<S>,
     ids: Option<&[usize]>,
 ) -> u64 {
-    let per = |i: usize| crate::striped::grid_cells(query.len(), store.entry_len(i), cfg.band);
-    match ids {
-        Some(ids) => ids.iter().map(|&i| per(i)).sum(),
-        None => (0..store.len()).map(per).sum(),
-    }
+    price_cells(cfg, query.len(), store.len(), ids, |i| store.entry_len(i))
 }
 
-/// Validates a store-backed top-k scan request: the same rules as the
-/// in-memory [`crate::early_termination`] validator (min-plus mode,
-/// `1 ≤ k ≤ entries`, non-empty query, kernel-word eligibility for the
-/// largest shape), priced from the manifest.
-pub(crate) fn validate_store_scan<S: Symbol>(
-    cfg: &AlignConfig,
-    query: &PackedSeq<S>,
-    store: &PackedStore<S>,
-    k: usize,
-) -> Result<(), AlignError> {
-    cfg.validate()?;
-    if !cfg.mode.is_min_plus() {
-        return Err(AlignError::InvalidConfig {
-            reason: "the ratcheted top-k scan races min-plus modes \
-                     (global/semi-global/affine); local (max-plus) best-hit scans \
-                     have no sound frontier abandon"
-                .into(),
-        });
-    }
-    if k == 0 {
-        return Err(AlignError::InvalidConfig {
-            reason: "top-k scan needs k >= 1".into(),
-        });
-    }
-    if k > store.len() {
-        return Err(AlignError::InvalidConfig {
-            reason: format!(
-                "k = {k} exceeds the store size {}: every entry would be a hit \
-                 and the ratchet could never tighten",
-                store.len()
-            ),
-        });
-    }
-    if query.is_empty() {
-        return Err(AlignError::InvalidConfig {
-            reason: "empty query: a zero-length race has no cells to time".into(),
-        });
-    }
-    cfg.checked_lane_width(query.len(), store.max_entry_len())?;
-    Ok(())
-}
-
-/// A store-backed [`crate::early_termination::scan_packed_topk_resumable`]:
-/// races `query` against every entry of `target` for the `k` best hits
-/// under `ctrl`, reporting hits and ledger entries in the caller's
-/// *original input index* space — over a healthy store the result is
-/// byte-identical to the in-memory scan of the same entries
-/// (property-tested).
-///
-/// Corrupt or unreadable shards are quarantined: their pairs are served
-/// from a healthy replica when the target has one (a recovered
-/// `store-chunk-read` fault in the ledger), otherwise they land as
-/// faulted, *retryable* pairs in the returned token — the
-/// [`crate::service::ScanService`] backoff policy retries them, and an
-/// exhausted retry budget leaves an honest partial [`ScanOutcome`]
-/// (`completed + faulted + remaining == total`), never a panic.
-///
-/// The returned token carries the store's content hash; it can only
-/// resume against a store with identical content.
+/// Kept with its signature because the benchmark harness (`perfbench/`)
+/// calls it: a fresh [`scan`] over a store target. Hits and ledger
+/// entries are reported in the caller's *original input index* space,
+/// so over a healthy store the result is byte-identical to the
+/// in-memory scan of the same entries (property-tested); the returned
+/// token is bound to the store's content hash.
 pub fn scan_store_topk_resumable<S: Symbol>(
     cfg: &AlignConfig,
     query: &PackedSeq<S>,
@@ -1278,76 +1224,15 @@ pub fn scan_store_topk_resumable<S: Symbol>(
     workers: Option<usize>,
     ctrl: &ScanControl,
 ) -> Result<(ScanOutcome, Option<ResumeToken>), AlignError> {
-    validate_store_scan(cfg, query, target.store(), k)?;
-    let fresh = ResumeToken {
+    scan(
+        cfg,
+        query,
+        ScanEntries::Store(target),
         k,
-        total_pairs: target.store().len(),
-        remaining: (0..target.store().len()).collect(),
-        retryable: Vec::new(),
-        hits: Vec::new(),
-        completed_pairs: 0,
-        abandoned: 0,
-        cells_computed: 0,
-        faults: Vec::new(),
-        attempt: 0,
-        db_hash: Some(target.content_hash()),
-    };
-    Ok(run_store_segment(cfg, query, target, fresh, workers, ctrl))
-}
-
-/// Continues an interrupted store scan from its [`ResumeToken`] (the
-/// store analogue of
-/// [`crate::early_termination::scan_packed_topk_resume`]). On top of
-/// the in-memory validator's checks, the token must carry this target's
-/// content hash: a token from a rebuilt, corrupted, or different store
-/// is rejected with a typed error — resuming it could double-count or
-/// mis-attribute pairs.
-pub fn scan_store_topk_resume<S: Symbol>(
-    cfg: &AlignConfig,
-    query: &PackedSeq<S>,
-    target: &StoreTarget<S>,
-    token: ResumeToken,
-    workers: Option<usize>,
-    ctrl: &ScanControl,
-) -> Result<(ScanOutcome, Option<ResumeToken>), AlignError> {
-    validate_store_scan(cfg, query, target.store(), token.k)?;
-    match token.db_hash {
-        Some(hash) if hash == target.content_hash() => {}
-        Some(hash) => {
-            return Err(AlignError::InvalidConfig {
-                reason: format!(
-                    "resume token is bound to store content {hash:#018x}, but this store's \
-                     content hash is {:#018x} — the database was rebuilt or differs",
-                    target.content_hash()
-                ),
-            })
-        }
-        None => {
-            return Err(AlignError::InvalidConfig {
-                reason: "resume token was issued by an in-memory scan, not this store".into(),
-            })
-        }
-    }
-    if token.total_pairs != target.store().len() {
-        return Err(AlignError::InvalidConfig {
-            reason: format!(
-                "resume token was issued for a database of {} entries, not {}",
-                token.total_pairs,
-                target.store().len()
-            ),
-        });
-    }
-    if let Some(&bad) = token
-        .remaining
-        .iter()
-        .chain(&token.retryable)
-        .find(|&&i| i >= target.store().len())
-    {
-        return Err(AlignError::InvalidConfig {
-            reason: format!("resume token references pair {bad} beyond the database"),
-        });
-    }
-    Ok(run_store_segment(cfg, query, target, token, workers, ctrl))
+        None,
+        workers,
+        ctrl,
+    )
 }
 
 /// What [`materialize_pending`] hands back: the materialized
@@ -1359,8 +1244,9 @@ type Materialized<S> = (Vec<(usize, PackedSeq<S>)>, Vec<Fault>, Vec<usize>);
 /// shard group, applying the quarantine ladder: primary → first healthy
 /// replica → faulted (retryable). Each group's load is traced (with the
 /// chunk-load / cache-hit deltas it caused) into `ctrl`'s timeline, and
-/// an unrecovered quarantine triggers a flight-recorder dump.
-fn materialize_pending<S: Symbol>(
+/// an unrecovered quarantine triggers a flight-recorder dump. The
+/// store-specific step of [`scan`]'s segment runner.
+pub(crate) fn materialize_pending<S: Symbol>(
     target: &StoreTarget<S>,
     ids: &[usize],
     ctrl: &ScanControl,
@@ -1452,111 +1338,6 @@ fn materialize_pending<S: Symbol>(
         }
     }
     (out, faults, lost)
-}
-
-/// Runs one segment of a (possibly resumed) store scan: materializes
-/// the pending entries through the quarantine ladder, races the healthy
-/// ones on the shared striped pipeline, and merges the segment into the
-/// cumulative ledger — the store counterpart of
-/// `early_termination::run_resume_segment`, plus store faults.
-fn run_store_segment<S: Symbol>(
-    cfg: &AlignConfig,
-    query: &PackedSeq<S>,
-    target: &StoreTarget<S>,
-    carried: ResumeToken,
-    workers: Option<usize>,
-    ctrl: &ScanControl,
-) -> (ScanOutcome, Option<ResumeToken>) {
-    let ResumeToken {
-        k,
-        total_pairs,
-        remaining: pending,
-        retryable: mut faulted,
-        hits: mut all_hits,
-        completed_pairs: mut completed,
-        abandoned: mut abandoned_count,
-        cells_computed: mut cells,
-        faults: mut all_faults,
-        attempt,
-        db_hash,
-    } = carried;
-
-    let (materialized, store_faults, lost) = materialize_pending(target, &pending, ctrl);
-    all_faults.extend(store_faults.into_iter().map(|mut f| {
-        f.attempt = attempt;
-        f
-    }));
-    faulted.extend(lost);
-
-    let ids: Vec<usize> = materialized.iter().map(|(id, _)| *id).collect();
-    let pairs: Vec<(&PackedSeq<S>, &PackedSeq<S>)> =
-        materialized.iter().map(|(_, seq)| (query, seq)).collect();
-    let mut scratch = crate::striped::BatchScratch::default();
-    let (slots, report) = crate::striped::scan_topk_resume_impl(
-        cfg,
-        &pairs,
-        &ids,
-        k,
-        &all_hits,
-        workers,
-        &mut scratch,
-        ctrl,
-    );
-
-    let mut remaining = Vec::new();
-    for (pos, slot) in slots.iter().enumerate() {
-        let idx = ids[pos];
-        if let Some(outcome) = slot.outcome() {
-            completed += 1;
-            cells += outcome.cells_computed;
-            match outcome.finished_score() {
-                Some(score) => all_hits.push((idx, score)),
-                None => abandoned_count += 1,
-            }
-        } else if matches!(slot, crate::striped::Slot::Faulted) {
-            faulted.push(idx);
-        } else {
-            remaining.push(idx);
-        }
-    }
-    all_hits.sort_unstable_by_key(|&(idx, score)| (score, idx));
-    all_hits.truncate(k);
-    // Materialization walks shard groups, not ascending input order, so
-    // re-establish the token's ascending-index invariant here.
-    remaining.sort_unstable();
-    faulted.sort_unstable();
-    all_faults.extend(report.faults.into_iter().map(|mut f| {
-        for p in &mut f.pairs {
-            *p = ids[*p];
-        }
-        f.attempt = attempt;
-        f
-    }));
-
-    let outcome = ScanOutcome {
-        hits: all_hits.clone(),
-        completed_pairs: completed,
-        faulted_pairs: faulted.len(),
-        total_pairs,
-        abandoned: abandoned_count,
-        cells_computed: cells,
-        faults: all_faults.clone(),
-        stop: report.stop,
-    };
-    let token = (!remaining.is_empty() || !faulted.is_empty()).then_some(ResumeToken {
-        k,
-        total_pairs,
-        remaining,
-        retryable: faulted,
-        hits: all_hits,
-        completed_pairs: completed,
-        abandoned: abandoned_count,
-        cells_computed: cells,
-        faults: all_faults,
-        attempt,
-        db_hash,
-    });
-    (outcome, token)
 }
 
 #[cfg(test)]

@@ -337,12 +337,21 @@ pub(crate) fn align_batch_supervised_impl<S: Symbol>(
     }
 }
 
-/// The ratcheted scan pipeline behind
-/// [`crate::early_termination::scan_database_topk`]: stripes stream
-/// through the workers with a shared top-`k` score ratchet that
-/// tightens each unit's fused early-termination threshold as hits land
-/// — the scan accelerates as it goes. Score-only: abandoned entries
+/// The ratcheted scan pipeline behind [`crate::early_termination::scan`]:
+/// stripes stream through the workers with a shared top-`k` score
+/// ratchet that tightens each unit's fused early-termination threshold
+/// as hits land — the scan accelerates as it goes — under panic
+/// isolation and cooperative stops. Score-only: abandoned entries
 /// report [`Time::NEVER`] with `early_terminated` set.
+///
+/// Runs over a pair *subset* (`pairs[pos]` is original database entry
+/// `ids[pos]`; a fresh scan passes the identity) under a ratchet
+/// pre-seeded with `seed`, the carried best hits of every pair completed
+/// by earlier segments. All slot positions and ledger fault `pairs` in
+/// the return are **subset positions**; the caller remaps them through
+/// `ids` when it merges the segment into the cumulative
+/// [`crate::supervisor::ScanOutcome`]. The ratchet itself remaps
+/// internally so score tie-breaks match the uninterrupted run.
 ///
 /// The *final top-k* (the `k` smallest `(score, index)` pairs among
 /// finished entries) is deterministic regardless of worker
@@ -351,58 +360,6 @@ pub(crate) fn align_batch_supervised_impl<S: Symbol>(
 /// proof, so every true top-k entry finishes with its exact score.
 /// Which *non*-hits get abandoned (and therefore per-entry
 /// `cells_computed`) does depend on interleaving.
-pub(crate) fn scan_topk_impl<S: Symbol>(
-    cfg: &AlignConfig,
-    pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
-    k: usize,
-    workers: Option<usize>,
-    scratch: &mut BatchScratch,
-) -> Vec<EngineOutcome> {
-    assert!(k > 0, "top-k scan needs k >= 1");
-    assert!(
-        cfg.mode.is_min_plus(),
-        "the ratcheted top-k scan races min-plus modes (global/semi-global/affine); \
-         local (max-plus) best-hit scans have no sound frontier abandon"
-    );
-    let mut out = vec![EngineOutcome::default(); pairs.len()];
-    if pairs.is_empty() {
-        return out;
-    }
-    let units = plan_units(cfg, pairs);
-    let ratchet = Ratchet::new(k, cfg.threshold);
-    let mut slots = vec![Slot::Pending; pairs.len()];
-    run_units(
-        cfg,
-        pairs,
-        units,
-        scratch,
-        Some(&ratchet),
-        workers,
-        None,
-        true,
-        &mut slots,
-    );
-    for (o, slot) in out.iter_mut().zip(&slots) {
-        match slot {
-            Slot::Done(r) => *o = *r,
-            _ => unreachable!("an unsupervised scan completes every pair"),
-        }
-    }
-    out
-}
-
-/// The supervised ratcheted scan behind
-/// [`crate::early_termination::scan_database_topk_supervised`] and its
-/// resumable forms: the [`scan_topk_impl`] pipeline with panic
-/// isolation and cooperative stops, over a pair *subset* (`pairs[pos]`
-/// is original database entry `ids[pos]`; a fresh scan passes the
-/// identity) under a ratchet pre-seeded with `seed`, the carried best
-/// hits of every pair completed by earlier segments. All slot positions
-/// and ledger fault `pairs` in the return are **subset positions**; the
-/// caller ([`crate::early_termination`]) remaps them through `ids` when
-/// it merges the segment into the cumulative
-/// [`crate::supervisor::ScanOutcome`]. The ratchet itself remaps
-/// internally so score tie-breaks match the uninterrupted run.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn scan_topk_resume_impl<S: Symbol>(
     cfg: &AlignConfig,
@@ -456,27 +413,18 @@ struct Ratchet {
     /// Max-heap on `(score, index)`: the root is the *worst* of the
     /// current best-k, i.e. exactly the entry the next hit must beat.
     heap: Mutex<std::collections::BinaryHeap<(u64, usize)>>,
-    /// Position → original-database-index remap for resumed scans
-    /// running over a pair *subset*: tie-breaks and reported hits must
-    /// use original indices or a resumed run's `(score, index)` order —
-    /// and therefore its top-k at score ties — would diverge from the
-    /// uninterrupted run. `None` = identity (a fresh full scan).
-    ids: Option<Vec<usize>>,
+    /// Position → original-database-index remap: a resumed scan runs
+    /// over a pair *subset*, and tie-breaks and reported hits must use
+    /// original indices or its `(score, index)` order — and therefore
+    /// its top-k at score ties — would diverge from the uninterrupted
+    /// run. A fresh scan passes the identity.
+    ids: Vec<usize>,
 }
 
 impl Ratchet {
-    fn new(k: usize, initial: Option<u64>) -> Self {
-        Ratchet {
-            k,
-            limit: AtomicU64::new(initial.unwrap_or(NEVER)),
-            heap: Mutex::new(std::collections::BinaryHeap::with_capacity(k + 1)),
-            ids: None,
-        }
-    }
-
-    /// A ratchet for a resumed scan: pre-folds the carried hits of every
-    /// completed pair (original indices), so the bound starts exactly as
-    /// tight as the interrupted run left it, and remaps subsequent
+    /// Pre-folds the carried hits of every completed pair (original
+    /// indices), so the bound starts exactly as tight as an interrupted
+    /// run left it (a fresh scan carries none), and remaps subsequent
     /// observations through `ids`. Sound because the carried k-th best
     /// among completed pairs is ≥ the true final k-th best — the bound
     /// only ever tightens from there.
@@ -485,7 +433,7 @@ impl Ratchet {
             k,
             limit: AtomicU64::new(initial.unwrap_or(NEVER)),
             heap: Mutex::new(std::collections::BinaryHeap::with_capacity(k + 1)),
-            ids: Some(ids),
+            ids,
         };
         for &(index, score) in seed {
             r.fold(score, index);
@@ -508,8 +456,7 @@ impl Ratchet {
     fn observe(&self, score: u64, index: usize) {
         fp_hit("ratchet");
         telemetry::count(&telemetry::metrics::RATCHET_OBSERVATIONS, 1);
-        let index = self.ids.as_ref().map_or(index, |ids| ids[index]);
-        self.fold(score, index);
+        self.fold(score, self.ids[index]);
     }
 
     /// The lock-and-fold half of [`observe`](Ratchet::observe), in
@@ -2999,12 +2946,11 @@ mod tests {
             let len = 56 + (i * 5) % 17; // mixed lengths, shared stripes
             db.push(pack(&Seq::random(&mut rng, len)));
         }
-        let scan = crate::early_termination::scan_packed_topk(
+        let scan = crate::early_termination::scan_packed_topk_with(
+            &AlignConfig::new(RaceWeights::levenshtein()),
             &pack(&query),
             &db,
-            RaceWeights::levenshtein(),
             1,
-            None,
             Some(1),
         );
         assert_eq!(scan.hits, vec![(0, 0)], "the exact copy wins at distance 0");

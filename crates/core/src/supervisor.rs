@@ -2,7 +2,7 @@
 //! isolation, and a deterministic fault-injection harness.
 //!
 //! The batch and scan pipelines ([`crate::engine::BatchEngine`],
-//! [`crate::early_termination::scan_database_topk`]) are built to run as
+//! [`crate::early_termination::scan`]) are built to run as
 //! long-lived services over co-batched tenants. This module is the
 //! robustness substrate that makes that safe:
 //!
@@ -22,10 +22,9 @@
 //!   fallback kernel; when every retry succeeds the scan's output is
 //!   byte-identical to the unfaulted run (tested under injected panics).
 //! - [`ResumeToken`] — the checkpoint of an interrupted scan: remaining
-//!   pairs plus the carried top-k bound, consumed by
-//!   [`crate::early_termination::scan_packed_topk_resume`] so a stopped
-//!   scan continues to a final top-k byte-identical to an uninterrupted
-//!   run.
+//!   pairs plus the carried top-k bound, passed back to
+//!   [`crate::early_termination::scan`] so a stopped scan continues to a
+//!   final top-k byte-identical to an uninterrupted run.
 //! - `failpoint` — a feature-gated (`failpoints`), zero-cost-when-off
 //!   registry of named injection sites (`packer`, `stripe-sweep`,
 //!   `ratchet`, `affine`, `simd-diag`, `service-*`) so the fault paths
@@ -352,7 +351,7 @@ impl Fault {
 }
 
 /// The typed partial result of a supervised top-k scan
-/// ([`crate::early_termination::scan_database_topk_supervised`]).
+/// ([`crate::early_termination::scan`]).
 ///
 /// Accounting invariant: `completed_pairs + faulted_pairs +
 /// remaining_pairs() == total_pairs`, with no pair counted twice.
@@ -361,7 +360,7 @@ pub struct ScanOutcome {
     /// The best `(index, score)` hits among **completed** pairs, sorted
     /// by `(score, index)` ascending, at most `k`. When the scan ran to
     /// completion with every fault recovered, this is byte-identical to
-    /// the unsupervised [`crate::early_termination::TopKScan::hits`].
+    /// an unfaulted run's hits.
     pub hits: Vec<(usize, u64)>,
     /// Pairs that finished (scored or soundly abandoned by the ratchet).
     pub completed_pairs: usize,
@@ -369,8 +368,8 @@ pub struct ScanOutcome {
     pub faulted_pairs: usize,
     /// Total pairs submitted.
     pub total_pairs: usize,
-    /// Completed pairs the ratchet abandoned early (advisory, like
-    /// [`crate::early_termination::TopKScan::abandoned`]).
+    /// Completed pairs the ratchet abandoned early (advisory: depends on
+    /// worker interleaving).
     pub abandoned: usize,
     /// Grid cells computed by completed pairs.
     pub cells_computed: u64,
@@ -401,9 +400,9 @@ impl ScanOutcome {
 }
 
 /// A checkpoint of an interrupted top-k scan, produced by
-/// [`crate::early_termination::scan_packed_topk_resumable`] alongside a
-/// partial [`ScanOutcome`] and consumed by
-/// [`crate::early_termination::scan_packed_topk_resume`].
+/// [`crate::early_termination::scan`] alongside a partial
+/// [`ScanOutcome`] and consumed by passing it back as `scan`'s `resume`
+/// argument over the same [`crate::early_termination::ScanEntries`].
 ///
 /// The token carries the pair indices still to run, the cumulative
 /// accounting of every earlier segment, and the carried top-k hits that
@@ -440,6 +439,24 @@ pub struct ResumeToken {
 }
 
 impl ResumeToken {
+    /// The starting state of a fresh scan: every one of `total_pairs`
+    /// pairs remaining, nothing carried, bound to `db_hash`.
+    pub(crate) fn fresh(k: usize, total_pairs: usize, db_hash: Option<u64>) -> Self {
+        ResumeToken {
+            k,
+            total_pairs,
+            remaining: (0..total_pairs).collect(),
+            retryable: Vec::new(),
+            hits: Vec::new(),
+            completed_pairs: 0,
+            abandoned: 0,
+            cells_computed: 0,
+            faults: Vec::new(),
+            attempt: 0,
+            db_hash,
+        }
+    }
+
     /// The `k` the interrupted scan was submitted with.
     #[must_use]
     pub fn k(&self) -> usize {

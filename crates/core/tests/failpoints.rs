@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use proptest::prelude::*;
 use race_logic::alignment::RaceWeights;
-use race_logic::early_termination::{scan_packed_topk_supervised, scan_packed_topk_with};
+use race_logic::early_termination::{scan, scan_packed_topk_with, ScanEntries};
 use race_logic::engine::{AffineWeights, AlignConfig, AlignMode, BatchEngine};
 use race_logic::supervisor::failpoint::{self, Action};
 use race_logic::supervisor::{ScanControl, StopReason};
@@ -28,6 +28,28 @@ fn db(seed: u64, entries: usize, len: usize) -> (PackedSeq<Dna>, Vec<PackedSeq<D
     (query, database)
 }
 
+/// A fresh [`scan`] over an in-memory database under `ctrl`, without
+/// the resume token.
+fn supervised(
+    cfg: &AlignConfig,
+    q: &PackedSeq<Dna>,
+    database: &[PackedSeq<Dna>],
+    k: usize,
+    workers: Option<usize>,
+    ctrl: &ScanControl,
+) -> Result<race_logic::supervisor::ScanOutcome, race_logic::AlignError> {
+    scan(
+        cfg,
+        q,
+        ScanEntries::Memory(database),
+        k,
+        None,
+        workers,
+        ctrl,
+    )
+    .map(|(outcome, _)| outcome)
+}
+
 /// Runs a supervised scan with `site` armed to panic once, and asserts
 /// the scan completes with the baseline's exact hits plus a recovered
 /// fault in the ledger.
@@ -38,8 +60,7 @@ fn assert_recovered_identical(site: &'static str, seed: u64, workers: usize) {
 
     failpoint::arm_times(site, Action::Panic, 1);
     let ctrl = ScanControl::new();
-    let outcome =
-        scan_packed_topk_supervised(&cfg, &q, &database, 3, Some(workers), &ctrl).unwrap();
+    let outcome = supervised(&cfg, &q, &database, 3, Some(workers), &ctrl).unwrap();
     failpoint::disarm_all();
 
     assert_eq!(
@@ -162,8 +183,7 @@ fn affine_stripe_panic_preserves_topk() {
     for workers in [1, 4] {
         failpoint::arm_times("affine-stripe", Action::Panic, 1);
         let ctrl = ScanControl::new();
-        let outcome =
-            scan_packed_topk_supervised(&cfg, &q, &database, 3, Some(workers), &ctrl).unwrap();
+        let outcome = supervised(&cfg, &q, &database, 3, Some(workers), &ctrl).unwrap();
         failpoint::disarm_all();
 
         assert_eq!(outcome.hits, baseline.hits, "workers {workers}");
@@ -225,7 +245,7 @@ fn sleep_injection_expires_the_deadline() {
     let (q, database) = db(3, 40, 64);
     failpoint::arm("stripe-sweep", Action::Sleep(Duration::from_millis(50)));
     let ctrl = ScanControl::new().with_deadline_after(Duration::from_millis(10));
-    let outcome = scan_packed_topk_supervised(&cfg, &q, &database, 3, Some(1), &ctrl).unwrap();
+    let outcome = supervised(&cfg, &q, &database, 3, Some(1), &ctrl).unwrap();
     failpoint::disarm_all();
 
     assert_eq!(outcome.stop, Some(StopReason::DeadlineExpired));
@@ -254,7 +274,7 @@ fn persistent_stripe_panics_still_complete_the_scan() {
     let baseline = scan_packed_topk_with(&cfg, &q, &database, 3, Some(1));
     failpoint::arm("stripe-sweep", Action::Panic);
     let ctrl = ScanControl::new();
-    let outcome = scan_packed_topk_supervised(&cfg, &q, &database, 3, Some(2), &ctrl).unwrap();
+    let outcome = supervised(&cfg, &q, &database, 3, Some(2), &ctrl).unwrap();
     failpoint::disarm_all();
 
     assert_eq!(outcome.hits, baseline.hits);
@@ -267,7 +287,7 @@ fn persistent_stripe_panics_still_complete_the_scan() {
 
 use std::sync::{Arc, Mutex};
 
-use race_logic::early_termination::{scan_packed_topk_resumable, scan_packed_topk_resume};
+use race_logic::early_termination::scan_packed_topk_resumable;
 use race_logic::service::{BackoffTimer, ScanRequest, ScanService, ServiceConfig, SubmitError};
 use race_logic::AlignError;
 
@@ -325,8 +345,16 @@ fn budget_trip_during_quarantine_is_interrupted_not_lost() {
 
     // The token resumes the interrupted members to the exact baseline.
     let token = token.expect("an interrupted scan must be resumable");
-    let (full, none) =
-        scan_packed_topk_resume(&cfg, &q, &database, token, Some(1), &ScanControl::new()).unwrap();
+    let (full, none) = scan(
+        &cfg,
+        &q,
+        ScanEntries::Memory(&database),
+        3,
+        Some(token),
+        Some(1),
+        &ScanControl::new(),
+    )
+    .unwrap();
     assert!(none.is_none());
     assert!(full.is_complete());
     assert_eq!(full.hits, baseline.hits);
@@ -541,7 +569,8 @@ proptest! {
             prop_assert!(segments <= entries, "chain stopped making progress");
             let ctrl = ScanControl::new().with_cells_budget(budget_step);
             let (next, next_token) =
-                scan_packed_topk_resume(&cfg, &q, &database, tok, workers, &ctrl).unwrap();
+                scan(&cfg, &q, ScanEntries::Memory(&database), 3, Some(tok), workers, &ctrl)
+                    .unwrap();
             prop_assert_eq!(
                 next.completed_pairs + next.faulted_pairs + next.remaining_pairs(),
                 entries
@@ -567,8 +596,7 @@ proptest! {
 use std::path::PathBuf;
 
 use race_logic::store::{
-    build_store, scan_store_topk_resumable, scan_store_topk_resume, PackedStore, StoreError,
-    StoreParams, StoreTarget,
+    build_store, scan_store_topk_resumable, PackedStore, StoreError, StoreParams, StoreTarget,
 };
 
 fn fp_store_path(tag: &str) -> (PathBuf, StoreFileGuard) {
@@ -703,9 +731,16 @@ fn store_read_panic_quarantines_then_resume_completes() {
         let mut tok = token.expect("quarantined pairs are retryable");
         assert_eq!(tok.retryable_pairs(), outcome.faulted_pairs);
         tok.retry_faulted();
-        let (full, none) =
-            scan_store_topk_resume(&cfg, &q, &target, tok, Some(2), &ScanControl::new())
-                .expect("resume accepted");
+        let (full, none) = scan(
+            &cfg,
+            &q,
+            ScanEntries::Store(&target),
+            3,
+            Some(tok),
+            Some(2),
+            &ScanControl::new(),
+        )
+        .expect("resume accepted");
         assert!(none.is_none());
         assert!(full.is_complete(), "site {site}: retry completes");
         assert_eq!(full.hits, baseline.hits, "site {site}");

@@ -13,13 +13,13 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use race_logic::alignment::RaceWeights;
 use race_logic::early_termination::{
-    estimate_scan_cells, scan_packed_topk_resumable, scan_packed_topk_resume, scan_packed_topk_with,
+    estimate_scan_cells, scan, scan_packed_topk_resumable, scan_packed_topk_with, ScanEntries,
 };
 use race_logic::engine::{AffineWeights, AlignConfig, AlignMode, LocalScores};
 use race_logic::service::{ScanRequest, ScanService, ServiceConfig, SubmitError};
 use race_logic::store::{
-    build_store, estimate_store_scan_cells, scan_store_topk_resumable, scan_store_topk_resume,
-    PackedStore, StoreError, StoreParams, StoreTarget,
+    build_store, estimate_store_scan_cells, scan_store_topk_resumable, PackedStore, StoreError,
+    StoreParams, StoreTarget,
 };
 use race_logic::supervisor::ScanControl;
 use race_logic::AlignError;
@@ -275,9 +275,16 @@ fn corrupt_chunk_quarantines_its_shard_as_retryable() {
     let mut tok = token.expect("token for retryable pairs");
     assert_eq!(tok.retryable_pairs(), victims.len());
     tok.retry_faulted();
-    let (outcome2, token2) =
-        scan_store_topk_resume(&cfg, &query, &target, tok, Some(2), &ScanControl::new())
-            .expect("resume accepted");
+    let (outcome2, token2) = scan(
+        &cfg,
+        &query,
+        ScanEntries::Store(&target),
+        3,
+        Some(tok),
+        Some(2),
+        &ScanControl::new(),
+    )
+    .expect("resume accepted");
     assert_eq!(outcome2.faulted_pairs, victims.len());
     assert_eq!(outcome2.hits, remapped);
     assert!(token2.is_some(), "still-corrupt shard stays retryable");
@@ -421,11 +428,12 @@ fn resume_token_binds_to_db_content_hash() {
     assert_eq!(token.db_hash(), Some(target.content_hash()));
 
     // Same content, different file/store instance: accepted.
-    let (outcome2, _t2) = scan_store_topk_resume(
+    let (outcome2, _t2) = scan(
         &cfg,
         &query,
-        &target,
-        token.clone(),
+        ScanEntries::Store(&target),
+        2,
+        Some(token.clone()),
         Some(1),
         &ScanControl::new(),
     )
@@ -434,11 +442,12 @@ fn resume_token_binds_to_db_content_hash() {
     assert_eq!(outcome2.hits, baseline.hits);
 
     // A rebuilt (different-content) store: typed rejection.
-    match scan_store_topk_resume(
+    match scan(
         &cfg,
         &query,
-        &rebuilt,
-        token.clone(),
+        ScanEntries::Store(&rebuilt),
+        2,
+        Some(token.clone()),
         Some(1),
         &ScanControl::new(),
     ) {
@@ -449,11 +458,12 @@ fn resume_token_binds_to_db_content_hash() {
     }
 
     // A store token against the in-memory resume: typed rejection.
-    match scan_packed_topk_resume(
+    match scan(
         &cfg,
         &query,
-        &database,
-        token.clone(),
+        ScanEntries::Memory(&database),
+        2,
+        Some(token.clone()),
         Some(1),
         &ScanControl::new(),
     ) {
@@ -469,11 +479,12 @@ fn resume_token_binds_to_db_content_hash() {
         scan_packed_topk_resumable(&cfg, &query, &database, 2, Some(1), &ctrl).expect("valid");
     let mem_token = mem_token.expect("token");
     assert_eq!(mem_token.db_hash(), None);
-    match scan_store_topk_resume(
+    match scan(
         &cfg,
         &query,
-        &target,
-        mem_token.clone(),
+        ScanEntries::Store(&target),
+        2,
+        Some(mem_token.clone()),
         Some(1),
         &ScanControl::new(),
     ) {
@@ -632,9 +643,16 @@ proptest! {
         let mut segments = 1;
         while let Some(tok) = token {
             prop_assert!(segments < 50, "resume chain must terminate");
-            let (o, t) =
-                scan_store_topk_resume(&cfg, &query, &target, tok, Some(workers), &ScanControl::new())
-                    .expect("resume accepted");
+            let (o, t) = scan(
+                &cfg,
+                &query,
+                ScanEntries::Store(&target),
+                k,
+                Some(tok),
+                Some(workers),
+                &ScanControl::new(),
+            )
+            .expect("resume accepted");
             outcome = o;
             token = t;
             segments += 1;

@@ -654,8 +654,21 @@ fn band_compaction_edge_regression() {
 // Ragged batches (length-aware packer) and the ratcheted top-k scan.
 // ---------------------------------------------------------------------------
 
-use race_logic::early_termination::{scan_database, scan_database_topk_with_workers};
+use race_logic::early_termination::{scan_database, scan_packed_topk_with, TopKScan};
 use race_logic::engine::{batch_plan_stats, BatchEngine, PackerPolicy};
+
+/// The ratcheted top-k scan of unpacked sequences: packs them and runs
+/// [`scan_packed_topk_with`].
+fn topk_scan(
+    cfg: &AlignConfig,
+    query: &Seq<Dna>,
+    db: &[Seq<Dna>],
+    k: usize,
+    workers: Option<usize>,
+) -> TopKScan {
+    let db: Vec<PackedSeq<Dna>> = db.iter().map(PackedSeq::from_seq).collect();
+    scan_packed_topk_with(cfg, &PackedSeq::from_seq(query), &db, k, workers)
+}
 
 /// Seed-pinned log-normal lengths clamped to `[lo, hi]` — the shape of
 /// realistic read-length distributions (same construction as
@@ -763,7 +776,9 @@ proptest! {
         expected.truncate(k);
 
         for workers in [Some(1), Some(4), None] {
-            let scan = scan_database_topk_with_workers(&query, &db, w, k, threshold, workers);
+            let mut cfg = AlignConfig::new(w);
+            cfg.threshold = threshold;
+            let scan = topk_scan(&cfg, &query, &db, k, workers);
             prop_assert_eq!(&scan.hits, &expected, "workers {:?}", workers);
         }
     }
@@ -793,8 +808,8 @@ fn ratcheted_topk_deterministic_across_worker_counts() {
     }
     let w = RaceWeights::fig4();
 
-    let single = scan_database_topk_with_workers(&query, &db, w, 8, None, Some(1));
-    let quad = scan_database_topk_with_workers(&query, &db, w, 8, None, Some(4));
+    let single = topk_scan(&AlignConfig::new(w), &query, &db, 8, Some(1));
+    let quad = topk_scan(&AlignConfig::new(w), &query, &db, 8, Some(4));
     assert_eq!(
         single.hits, quad.hits,
         "top-k must not depend on worker count"
@@ -880,7 +895,8 @@ fn topk_agrees_with_scan_database_hits() {
     let w = RaceWeights::fig4();
     let threshold = 45_u64;
     let report = scan_database(&query, &db, w, threshold);
-    let topk = scan_database_topk_with_workers(&query, &db, w, db.len(), Some(threshold), Some(2));
+    let cfg = AlignConfig::new(w).with_threshold(threshold);
+    let topk = topk_scan(&cfg, &query, &db, db.len(), Some(2));
     let mut expected = report.hits.clone();
     expected.sort_unstable_by_key(|&(idx, score)| (score, idx));
     assert_eq!(topk.hits, expected);
@@ -912,7 +928,6 @@ fn lane_floor_does_not_change_outcomes() {
 // Alignment modes: semi-global, local (max-plus), affine — every kernel.
 // ---------------------------------------------------------------------------
 
-use race_logic::early_termination::scan_database_topk_with;
 use race_logic::engine::{AffineWeights, AlignMode, LocalScores};
 use race_logic::semi_global::semi_global_reference;
 
@@ -1184,7 +1199,7 @@ proptest! {
         expected.truncate(k);
 
         for workers in [Some(1), Some(4)] {
-            let scan = scan_database_topk_with(&cfg, &query, &db, k, workers);
+            let scan = topk_scan(&cfg, &query, &db, k, workers);
             prop_assert_eq!(&scan.hits, &expected, "workers {:?}", workers);
         }
     }
@@ -1220,8 +1235,8 @@ fn semi_global_scan_finds_planted_occurrences() {
     }
     let cfg = AlignConfig::new(RaceWeights::levenshtein()).with_mode(AlignMode::SemiGlobal);
 
-    let single = scan_database_topk_with(&cfg, &query, &db, 3, Some(1));
-    let quad = scan_database_topk_with(&cfg, &query, &db, 3, Some(4));
+    let single = topk_scan(&cfg, &query, &db, 3, Some(1));
+    let quad = topk_scan(&cfg, &query, &db, 3, Some(4));
     assert_eq!(single.hits, quad.hits, "worker-count determinism");
     assert_eq!(
         single.hits.iter().map(|&(i, s)| (i, s)).collect::<Vec<_>>(),

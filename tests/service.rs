@@ -10,11 +10,12 @@ use std::time::Duration;
 
 use race_logic::alignment::RaceWeights;
 use race_logic::early_termination::{
-    estimate_scan_cells, scan_packed_topk_resumable, scan_packed_topk_resume, scan_packed_topk_with,
+    estimate_scan_cells, scan, scan_packed_topk_resumable, scan_packed_topk_with, ScanEntries,
 };
 use race_logic::engine::{AffineWeights, AlignConfig, AlignMode};
 use race_logic::service::{
-    backoff_delay, QueryError, QueryStatus, ScanRequest, ScanService, ServiceConfig, SubmitError,
+    backoff_delay, QueryError, QueryStatus, ScanRequest, ScanService, ScanSource, ServiceConfig,
+    SubmitError,
 };
 use race_logic::supervisor::{ScanControl, StopReason};
 use race_logic::AlignError;
@@ -286,14 +287,30 @@ fn entry_point_resume_merges_exact_accounting() {
     let token = token.expect("resumable");
 
     let expired = ScanControl::new().with_deadline_after(Duration::ZERO);
-    let (stalled, token) =
-        scan_packed_topk_resume(&cfg, &q, &database, token.clone(), Some(1), &expired).unwrap();
+    let (stalled, token) = scan(
+        &cfg,
+        &q,
+        ScanEntries::Memory(&database),
+        3,
+        Some(token.clone()),
+        Some(1),
+        &expired,
+    )
+    .unwrap();
     assert_eq!(stalled.stop, Some(StopReason::DeadlineExpired));
     assert_eq!(stalled.completed_pairs, first.completed_pairs);
     let token = token.expect("still resumable");
 
-    let (full, none) =
-        scan_packed_topk_resume(&cfg, &q, &database, token, Some(1), &ScanControl::new()).unwrap();
+    let (full, none) = scan(
+        &cfg,
+        &q,
+        ScanEntries::Memory(&database),
+        3,
+        Some(token),
+        Some(1),
+        &ScanControl::new(),
+    )
+    .unwrap();
     assert!(none.is_none());
     assert!(full.is_complete());
     assert_eq!(full.faulted_pairs, 0);
@@ -439,5 +456,115 @@ fn store_backed_admission_prices_from_the_manifest() {
         target.store().chunks_loaded(),
         0,
         "admission must price store queries from the manifest alone"
+    );
+}
+
+#[test]
+fn resume_rejects_a_token_issued_for_a_different_k() {
+    // A token from a top-3 scan must not silently finish as a top-3
+    // scan when the resumed request asks for the top 7.
+    let cfg = AlignConfig::new(RaceWeights::fig4());
+    let (q, database) = db(34, 128, 32);
+    let ctrl = ScanControl::new().with_cells_budget(1);
+    let (_, token) = scan_packed_topk_resumable(&cfg, &q, &database, 3, Some(1), &ctrl).unwrap();
+    let token = token.expect("budget of 1 cell leaves work");
+    assert_eq!(token.k(), 3);
+    let service = ScanService::new(ServiceConfig::default());
+    match service.resume(ScanRequest::new(cfg, q, database, 7), token) {
+        Err(SubmitError::Rejected {
+            reason: AlignError::InvalidConfig { reason },
+        }) => assert!(reason.contains("top-3"), "reason {reason:?}"),
+        other => panic!("expected Rejected, got {other:?}"),
+    }
+}
+
+#[test]
+fn every_bad_token_is_rejected_alike_by_the_service_and_scan() {
+    let cfg = AlignConfig::new(RaceWeights::fig4());
+    let (q, database) = db(35, 128, 32);
+    let (_, small_db) = db(36, 5, 32);
+    let (_, other_db) = db(37, 128, 32);
+    let (target, _guard) = store_target("bad_tokens", &database);
+    let (rebuilt, _rguard) = store_target("bad_tokens_rebuilt", &other_db);
+    let memory = ScanSource::Memory(Arc::clone(&database));
+    let store = ScanSource::Store(Arc::clone(&target));
+
+    // Budget trips are unit-granular, so a one-cell budget over several
+    // units leaves work behind.
+    let interrupted = |source: &ScanSource<Dna>, k: usize| {
+        let ctrl = ScanControl::new().with_cells_budget(1);
+        scan(&cfg, &q, source.entries(), k, None, Some(1), &ctrl)
+            .unwrap()
+            .1
+            .expect("budget of 1 cell leaves work")
+    };
+    let mem_token = interrupted(&memory, 3);
+    let store_token = interrupted(&store, 3);
+
+    let cases = [
+        (
+            "memory token, store source",
+            mem_token.clone(),
+            store.clone(),
+            3,
+            "in-memory",
+        ),
+        (
+            "store token, memory source",
+            store_token.clone(),
+            memory.clone(),
+            3,
+            "store",
+        ),
+        (
+            "rebuilt store",
+            store_token,
+            ScanSource::Store(Arc::clone(&rebuilt)),
+            3,
+            "rebuilt",
+        ),
+        (
+            "wrong database size",
+            mem_token.clone(),
+            ScanSource::Memory(small_db),
+            3,
+            "128 entries",
+        ),
+        ("mismatched k", mem_token, memory, 7, "top-3"),
+    ];
+    let service = ScanService::new(ServiceConfig::default());
+    for (name, token, source, k, needle) in cases {
+        let direct = match scan(
+            &cfg,
+            &q,
+            source.entries(),
+            k,
+            Some(token.clone()),
+            Some(1),
+            &ScanControl::new(),
+        ) {
+            Err(AlignError::InvalidConfig { reason }) => reason,
+            other => panic!("{name}: expected InvalidConfig from scan, got {other:?}"),
+        };
+        assert!(direct.contains(needle), "{name}: reason {direct:?}");
+        let req = ScanRequest {
+            cfg,
+            query: q.clone(),
+            source,
+            k,
+            deadline: None,
+            cells_budget: None,
+        };
+        match service.resume(req, token) {
+            Err(SubmitError::Rejected {
+                reason: AlignError::InvalidConfig { reason },
+            }) => assert_eq!(reason, direct, "{name}: the two doors disagree"),
+            other => panic!("{name}: expected Rejected from the service, got {other:?}"),
+        }
+    }
+    assert_eq!(
+        service.stats().queued,
+        0,
+        "no rejected token reached the queue"
     );
 }

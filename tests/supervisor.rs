@@ -10,8 +10,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 use race_logic::alignment::RaceWeights;
 use race_logic::early_termination::{
-    scan_packed_topk_resumable, scan_packed_topk_resume, scan_packed_topk_supervised,
-    scan_packed_topk_with, try_scan_database_topk_with, try_scan_packed_topk_with,
+    scan, scan_packed_topk_resumable, scan_packed_topk_with, ScanEntries, TopKScan,
 };
 use race_logic::engine::{
     AffineWeights, AlignConfig, AlignEngine, AlignMode, BatchEngine, LaneWidth, LocalScores,
@@ -28,6 +27,39 @@ fn db(seed: u64, entries: usize, len: usize) -> (PackedSeq<Dna>, Vec<PackedSeq<D
         .map(|_| PackedSeq::from_seq(&Seq::<Dna>::random(&mut rng, len)))
         .collect();
     (query, database)
+}
+
+/// A fresh [`scan`] over an in-memory database, unbounded.
+fn try_scan(
+    cfg: &AlignConfig,
+    q: &PackedSeq<Dna>,
+    database: &[PackedSeq<Dna>],
+    k: usize,
+    workers: Option<usize>,
+) -> Result<race_logic::supervisor::ScanOutcome, AlignError> {
+    supervised(cfg, q, database, k, workers, &ScanControl::new())
+}
+
+/// A fresh [`scan`] over an in-memory database under `ctrl`, without
+/// the resume token.
+fn supervised(
+    cfg: &AlignConfig,
+    q: &PackedSeq<Dna>,
+    database: &[PackedSeq<Dna>],
+    k: usize,
+    workers: Option<usize>,
+    ctrl: &ScanControl,
+) -> Result<race_logic::supervisor::ScanOutcome, AlignError> {
+    scan(
+        cfg,
+        q,
+        ScanEntries::Memory(database),
+        k,
+        None,
+        workers,
+        ctrl,
+    )
+    .map(|(outcome, _)| outcome)
 }
 
 fn invalid(result: Result<impl std::fmt::Debug, AlignError>, needle: &str) {
@@ -47,58 +79,41 @@ fn scan_validation_rejects_bad_requests() {
     let cfg = AlignConfig::new(RaceWeights::fig4());
     let (q, database) = db(1, 4, 16);
 
+    invalid(try_scan(&cfg, &q, &database, 0, None), "k >= 1");
     invalid(
-        try_scan_packed_topk_with(&cfg, &q, &database, 0, None),
-        "k >= 1",
-    );
-    invalid(
-        try_scan_packed_topk_with(&cfg, &q, &database, 5, None),
+        try_scan(&cfg, &q, &database, 5, None),
         "exceeds the database size",
     );
 
     let empty = PackedSeq::from_seq(&"".parse::<Seq<Dna>>().unwrap());
-    invalid(
-        try_scan_packed_topk_with(&cfg, &empty, &database, 2, None),
-        "empty query",
-    );
+    invalid(try_scan(&cfg, &empty, &database, 2, None), "empty query");
     let mut holed = database.clone();
     holed[2] = empty;
-    invalid(
-        try_scan_packed_topk_with(&cfg, &q, &holed, 2, None),
-        "entry 2 is empty",
-    );
+    invalid(try_scan(&cfg, &q, &holed, 2, None), "entry 2 is empty");
 
     // Degenerate weight scheme: a zero indel weight would let a race
     // stall forever on a free gap ladder.
     let mut zero_indel = cfg;
     zero_indel.weights.indel = 0;
     invalid(
-        try_scan_packed_topk_with(&zero_indel, &q, &database, 2, None),
+        try_scan(&zero_indel, &q, &database, 2, None),
         "indel weight must be positive",
     );
 
     // Max-plus local mode has no sound frontier abandon.
     let local =
         AlignConfig::new(RaceWeights::fig4()).with_mode(AlignMode::Local(LocalScores::unit()));
-    invalid(
-        try_scan_packed_topk_with(&local, &q, &database, 2, None),
-        "min-plus",
-    );
+    invalid(try_scan(&local, &q, &database, 2, None), "min-plus");
 
-    // The unpacked wrapper routes through the same validation.
-    let seqs: Vec<Seq<Dna>> = vec!["ACGT".parse().unwrap()];
-    let query: Seq<Dna> = "ACGT".parse().unwrap();
-    invalid(
-        try_scan_database_topk_with(&cfg, &query, &seqs, 0, None),
-        "k >= 1",
-    );
+    // A one-entry database packed from unpacked sequences meets the
+    // same validation.
+    let seqs: Vec<PackedSeq<Dna>> = vec![PackedSeq::from_seq(&"ACGT".parse().unwrap())];
+    let query = PackedSeq::from_seq(&"ACGT".parse::<Seq<Dna>>().unwrap());
+    invalid(try_scan(&cfg, &query, &seqs, 0, None), "k >= 1");
 
-    // The supervised entry point validates before touching the control.
+    // A scan under a control validates before touching the control.
     let ctrl = ScanControl::new();
-    invalid(
-        scan_packed_topk_supervised(&cfg, &q, &database, 0, None, &ctrl),
-        "k >= 1",
-    );
+    invalid(supervised(&cfg, &q, &database, 0, None, &ctrl), "k >= 1");
 }
 
 #[test]
@@ -183,8 +198,8 @@ fn try_scan_matches_unsupervised_scan() {
     let cfg = AlignConfig::new(RaceWeights::fig4());
     let (q, database) = db(7, 20, 48);
     let baseline = scan_packed_topk_with(&cfg, &q, &database, 5, Some(1));
-    let tried = try_scan_packed_topk_with(&cfg, &q, &database, 5, Some(1)).unwrap();
-    assert_eq!(tried, baseline);
+    let tried = try_scan(&cfg, &q, &database, 5, Some(1)).unwrap();
+    assert_eq!(TopKScan::from(tried), baseline);
 }
 
 #[test]
@@ -194,7 +209,7 @@ fn unconstrained_supervised_scan_is_byte_identical() {
     let baseline = scan_packed_topk_with(&cfg, &q, &database, 4, Some(1));
     for workers in [Some(1), Some(4), None] {
         let ctrl = ScanControl::new();
-        let outcome = scan_packed_topk_supervised(&cfg, &q, &database, 4, workers, &ctrl).unwrap();
+        let outcome = supervised(&cfg, &q, &database, 4, workers, &ctrl).unwrap();
         assert_eq!(outcome.hits, baseline.hits, "workers {workers:?}");
         assert!(outcome.is_complete());
         assert_eq!(outcome.faulted_pairs, 0);
@@ -212,7 +227,7 @@ fn pre_cancelled_scan_stops_before_any_work() {
     let (q, database) = db(13, 24, 64);
     let ctrl = ScanControl::new();
     ctrl.cancel();
-    let outcome = scan_packed_topk_supervised(&cfg, &q, &database, 3, Some(2), &ctrl).unwrap();
+    let outcome = supervised(&cfg, &q, &database, 3, Some(2), &ctrl).unwrap();
     assert_eq!(outcome.stop, Some(StopReason::Cancelled));
     assert_eq!(outcome.completed_pairs, 0);
     assert_eq!(outcome.remaining_pairs(), outcome.total_pairs);
@@ -224,7 +239,7 @@ fn zero_deadline_yields_partial_outcome_not_panic() {
     let cfg = AlignConfig::new(RaceWeights::fig4());
     let (q, database) = db(17, 24, 64);
     let ctrl = ScanControl::new().with_deadline_after(Duration::ZERO);
-    let outcome = scan_packed_topk_supervised(&cfg, &q, &database, 3, Some(2), &ctrl).unwrap();
+    let outcome = supervised(&cfg, &q, &database, 3, Some(2), &ctrl).unwrap();
     assert_eq!(outcome.stop, Some(StopReason::DeadlineExpired));
     assert_eq!(outcome.completed_pairs, 0);
     assert_eq!(outcome.remaining_pairs(), outcome.total_pairs);
@@ -250,8 +265,7 @@ fn cells_budget_stops_mid_scan_with_exact_accounting() {
     let (q, database) = db(19, 40, 64);
     for workers in [1, 2, 4] {
         let ctrl = ScanControl::new().with_cells_budget(5_000);
-        let outcome =
-            scan_packed_topk_supervised(&cfg, &q, &database, 3, Some(workers), &ctrl).unwrap();
+        let outcome = supervised(&cfg, &q, &database, 3, Some(workers), &ctrl).unwrap();
         assert_eq!(
             outcome.stop,
             Some(StopReason::BudgetExhausted),
@@ -336,7 +350,7 @@ proptest! {
             ctrl = ctrl.with_deadline_after(Duration::from_micros(deadline_us));
         }
         let outcome =
-            scan_packed_topk_supervised(&cfg, &q, &database, 3, Some(workers * 2), &ctrl).unwrap();
+            supervised(&cfg, &q, &database, 3, Some(workers * 2), &ctrl).unwrap();
         prop_assert_eq!(outcome.total_pairs, database.len());
         prop_assert_eq!(outcome.faulted_pairs, 0);
         prop_assert_eq!(
@@ -398,7 +412,8 @@ proptest! {
             prop_assert!(segments <= entries, "chain stopped making progress");
             let ctrl = ScanControl::new().with_cells_budget(budget_step);
             let (next, next_token) =
-                scan_packed_topk_resume(&cfg, &q, &database, tok, workers, &ctrl).unwrap();
+                scan(&cfg, &q, ScanEntries::Memory(&database), k, Some(tok), workers, &ctrl)
+                    .unwrap();
             // The cumulative ledger accounts for every pair at every
             // interruption point, not just at the end.
             prop_assert_eq!(
