@@ -103,6 +103,11 @@ pub trait KernelWord: Copy + Ord + std::fmt::Debug {
     /// subtraction saturates, so the same unsigned lane words that race
     /// min-plus arrivals also run the AND-race dual.
     fn sub_weight(self, weight: Self) -> Self;
+    /// The stored value as a `u32`, saturating at `u32::MAX`: never
+    /// above the stored value, so a lower bound on it at every width.
+    /// The `+∞` sentinel reads as its own numeric value, which is what a
+    /// bound needs — a saturated cell only proves "at least this much".
+    fn floor_u32(self) -> u32;
 }
 
 impl KernelWord for u64 {
@@ -128,6 +133,15 @@ impl KernelWord for u64 {
     #[inline(always)]
     fn sub_weight(self, weight: Self) -> Self {
         self.saturating_sub(weight)
+    }
+
+    #[inline(always)]
+    fn floor_u32(self) -> u32 {
+        // Cast is lossless after the clamp.
+        #[allow(clippy::cast_possible_truncation)]
+        {
+            self.min(u64::from(u32::MAX)) as u32
+        }
     }
 }
 
@@ -169,6 +183,11 @@ impl KernelWord for u32 {
     fn sub_weight(self, weight: Self) -> Self {
         self.saturating_sub(weight)
     }
+
+    #[inline(always)]
+    fn floor_u32(self) -> u32 {
+        self
+    }
 }
 
 impl KernelWord for u16 {
@@ -208,6 +227,11 @@ impl KernelWord for u16 {
     #[inline(always)]
     fn sub_weight(self, weight: Self) -> Self {
         self.saturating_sub(weight)
+    }
+
+    #[inline(always)]
+    fn floor_u32(self) -> u32 {
+        u32::from(self)
     }
 }
 
@@ -251,6 +275,11 @@ impl KernelWord for u8 {
     #[inline(always)]
     fn sub_weight(self, weight: Self) -> Self {
         self.saturating_sub(weight)
+    }
+
+    #[inline(always)]
+    fn floor_u32(self) -> u32 {
+        u32::from(self)
     }
 }
 

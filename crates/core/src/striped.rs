@@ -281,7 +281,7 @@ pub(crate) fn align_batch_impl<S: Symbol>(
     if pairs.is_empty() {
         return out;
     }
-    let units = plan_units(cfg, pairs);
+    let units = plan_units(cfg, pairs, resolve_workers(None));
     let mut slots = vec![Slot::Pending; pairs.len()];
     run_units(
         cfg, pairs, units, scratch, None, None, None, true, &mut slots,
@@ -310,7 +310,7 @@ pub(crate) fn align_batch_supervised_impl<S: Symbol>(
     let mut slots = vec![Slot::Pending; pairs.len()];
     let mut stop = None;
     if !pairs.is_empty() {
-        let units = plan_units_guarded(cfg, pairs, &mut faults);
+        let units = plan_units_guarded(cfg, pairs, resolve_workers(None), &mut faults);
         let mut report = run_units(
             cfg,
             pairs,
@@ -377,7 +377,7 @@ pub(crate) fn scan_topk_resume_impl<S: Symbol>(
     if pairs.is_empty() {
         return (slots, RunReport { faults, stop: None });
     }
-    let units = plan_units_guarded(cfg, pairs, &mut faults);
+    let units = plan_units_guarded(cfg, pairs, resolve_workers(workers), &mut faults);
     let ratchet = Ratchet::seeded(k, cfg.threshold, seed, ids.to_vec());
     let mut report = run_units(
         cfg,
@@ -504,6 +504,9 @@ enum StripeThreshold {
     /// under positive weights, but can stall under a zero matched
     /// weight) can delay that further — fine for the ratchet, whose
     /// abandons are an optimization, never a correctness requirement.
+    /// Global and affine sweeps add a second whole-stripe rule at every
+    /// [`REMAINING_BOUND_EVERY`]-th diagonal: the elapsed cost plus a
+    /// bound on the cost still ahead ([`SuffixBound`]).
     Coarse(u64),
 }
 
@@ -543,10 +546,7 @@ fn run_units<S: Symbol>(
     propagate: bool,
     out: &mut [Slot],
 ) -> RunReport {
-    let n_workers = workers
-        .unwrap_or_else(rayon::current_num_threads)
-        .min(units.len())
-        .max(1);
+    let n_workers = resolve_workers(workers).min(units.len()).max(1);
     scratch.ensure(n_workers, cfg);
     let ledger = ExecLedger::new();
     // Round-robin units across workers: the planner emits all striped
@@ -1018,13 +1018,22 @@ fn stripe_scratch_bytes(
     3 * planes * (nn + 1) * lanes * word + (nn + mm) * lanes
 }
 
+/// The worker count a run uses: the caller's, or one per available
+/// thread. Planning and execution both read it, so a `Some(n)` run plans
+/// the same units on every host.
+fn resolve_workers(workers: Option<usize>) -> usize {
+    workers.unwrap_or_else(rayon::current_num_threads).max(1)
+}
+
 /// Groups the batch into work units under the configured
 /// [`PackerPolicy`]; pairs the kernel plan resolves to the rolling row,
 /// and stripes left under [`STRIPE_MIN_PAIRS`] members, fall back to
-/// per-pair runs split evenly across workers.
+/// per-pair runs split evenly across `workers` (the count
+/// [`resolve_workers`] gives the run).
 fn plan_units<S: Symbol>(
     cfg: &AlignConfig,
     pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
+    workers: usize,
 ) -> Vec<WorkUnit> {
     fp_hit("packer");
     let mut eligible: Vec<(usize, usize, usize)> = Vec::new();
@@ -1042,7 +1051,7 @@ fn plan_units<S: Symbol>(
     };
     if !singles.is_empty() {
         singles.sort_unstable();
-        let per = singles.len().div_ceil(rayon::current_num_threads());
+        let per = singles.len().div_ceil(workers);
         for chunk in singles.chunks(per) {
             units.push(WorkUnit {
                 striped: false,
@@ -1062,9 +1071,10 @@ fn plan_units<S: Symbol>(
 fn plan_units_guarded<S: Symbol>(
     cfg: &AlignConfig,
     pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
+    workers: usize,
     faults: &mut Vec<Fault>,
 ) -> Vec<WorkUnit> {
-    match catch_unwind(AssertUnwindSafe(|| plan_units(cfg, pairs))) {
+    match catch_unwind(AssertUnwindSafe(|| plan_units(cfg, pairs, workers))) {
         Ok(units) => units,
         Err(payload) => {
             faults.push(Fault::new(
@@ -1073,7 +1083,7 @@ fn plan_units_guarded<S: Symbol>(
                 true,
                 panic_message(&*payload),
             ));
-            let per = pairs.len().div_ceil(rayon::current_num_threads());
+            let per = pairs.len().div_ceil(workers);
             let indices: Vec<usize> = (0..pairs.len()).collect();
             indices
                 .chunks(per)
@@ -1213,7 +1223,7 @@ pub(crate) fn plan_stats_impl<S: Symbol>(
             stats.wavefront_eligible += 1;
         }
     }
-    for unit in plan_units(cfg, pairs) {
+    for unit in plan_units(cfg, pairs, resolve_workers(None)) {
         if !unit.striped {
             continue;
         }
@@ -1348,6 +1358,12 @@ fn run_stripe<S: Symbol>(
     } else {
         0
     };
+    // The remaining-cost bound rides the ratchet's coarse mode only: the
+    // fixed-threshold path keeps the per-pair kernel's exact cell counts.
+    let suffix = match threshold {
+        StripeThreshold::Coarse(_) => SuffixBound::new(cfg.mode, w, nn, mm),
+        StripeThreshold::None | StripeThreshold::Exact(_) => None,
+    };
     if let AlignMode::Local(s) = cfg.mode {
         match (width, lanes) {
             (LaneWidth::U8, HALF_U8_STRIPE_LANES) => {
@@ -1427,6 +1443,7 @@ fn run_stripe<S: Symbol>(
                     a.open,
                     cfg.band,
                     threshold,
+                    suffix,
                     bias_m2,
                     &mut scratch.a8,
                     results,
@@ -1441,6 +1458,7 @@ fn run_stripe<S: Symbol>(
                 a.open,
                 cfg.band,
                 threshold,
+                suffix,
                 bias_m2,
                 &mut scratch.a8,
                 results,
@@ -1454,6 +1472,7 @@ fn run_stripe<S: Symbol>(
                 a.open,
                 cfg.band,
                 threshold,
+                suffix,
                 0,
                 &mut scratch.a16,
                 results,
@@ -1467,6 +1486,7 @@ fn run_stripe<S: Symbol>(
                 a.open,
                 cfg.band,
                 threshold,
+                suffix,
                 0,
                 &mut scratch.a16,
                 results,
@@ -1480,6 +1500,7 @@ fn run_stripe<S: Symbol>(
                 a.open,
                 cfg.band,
                 threshold,
+                suffix,
                 0,
                 &mut scratch.a32,
                 results,
@@ -1493,6 +1514,7 @@ fn run_stripe<S: Symbol>(
                 a.open,
                 cfg.band,
                 threshold,
+                suffix,
                 0,
                 &mut scratch.a64,
                 results,
@@ -1509,6 +1531,7 @@ fn run_stripe<S: Symbol>(
             w,
             cfg.band,
             threshold,
+            suffix,
             semi,
             bias_m2,
             &mut scratch.b8,
@@ -1522,6 +1545,7 @@ fn run_stripe<S: Symbol>(
             w,
             cfg.band,
             threshold,
+            suffix,
             semi,
             bias_m2,
             &mut scratch.b8,
@@ -1535,6 +1559,7 @@ fn run_stripe<S: Symbol>(
             w,
             cfg.band,
             threshold,
+            suffix,
             semi,
             0,
             &mut scratch.b16,
@@ -1548,6 +1573,7 @@ fn run_stripe<S: Symbol>(
             w,
             cfg.band,
             threshold,
+            suffix,
             semi,
             0,
             &mut scratch.b16,
@@ -1561,6 +1587,7 @@ fn run_stripe<S: Symbol>(
             w,
             cfg.band,
             threshold,
+            suffix,
             semi,
             0,
             &mut scratch.b32,
@@ -1574,6 +1601,7 @@ fn run_stripe<S: Symbol>(
             w,
             cfg.band,
             threshold,
+            suffix,
             semi,
             0,
             &mut scratch.b64,
@@ -1631,6 +1659,7 @@ fn stripe_sweep<W: KernelWord, const L: usize>(
     w: RawWeights,
     band: Option<usize>,
     threshold: StripeThreshold,
+    suffix: Option<SuffixBound>,
     semi: bool,
     bias_m2: u64,
     bufs: &mut [Vec<W>; 3],
@@ -1789,17 +1818,7 @@ fn stripe_sweep<W: KernelWord, const L: usize>(
                 }
             }
             if floor > t {
-                for l in 0..lanes {
-                    if !done[l] {
-                        out[l] = EngineOutcome {
-                            score: Time::NEVER,
-                            cells_computed: cells[l],
-                            early_terminated: true,
-                        };
-                        done[l] = true;
-                        live -= 1;
-                    }
-                }
+                abandon_live_lanes(&mut done, &mut live, &cells, out);
                 break;
             }
         }
@@ -1807,6 +1826,25 @@ fn stripe_sweep<W: KernelWord, const L: usize>(
         if let Some(delta) = rebase_delta {
             rebase_buf(d1, delta);
             rebase_buf(d2, delta);
+        }
+        // Remaining-cost checkpoint (coarse global only): elapsed cost
+        // plus Ukkonen's bound on each lane's suffix, over d − 1, d − 2.
+        if let (Some(sb), StripeThreshold::Coarse(t)) = (suffix, threshold) {
+            if d % REMAINING_BOUND_EVERY == 0
+                && sb.proves_out(
+                    [&d1[..]],
+                    [&d2[..]],
+                    d,
+                    (nn, mm),
+                    band,
+                    shapes,
+                    &done,
+                    t.saturating_sub(bias),
+                )
+            {
+                abandon_live_lanes(&mut done, &mut live, &cells, out);
+                break;
+            }
         }
         let (lo, hi) = diag_range(d, nn, mm, band);
         if lo > hi {
@@ -2017,6 +2055,179 @@ fn stripe_sweep<W: KernelWord, const L: usize>(
     debug_assert_eq!(live, 0, "every lane must retire by the last diagonal");
 }
 
+/// Ends every live lane of a stripe as abandoned at the current diagonal
+/// — the whole-stripe verdict of both [`StripeThreshold::Coarse`] rules.
+fn abandon_live_lanes<const L: usize>(
+    done: &mut [bool; L],
+    live: &mut usize,
+    cells: &[u64; L],
+    out: &mut [EngineOutcome],
+) {
+    for (l, o) in out.iter_mut().enumerate() {
+        if !done[l] {
+            *o = EngineOutcome {
+                score: Time::NEVER,
+                cells_computed: cells[l],
+                early_terminated: true,
+            };
+            done[l] = true;
+            *live -= 1;
+        }
+    }
+}
+
+/// Diagonals between the ratchet's remaining-cost checkpoints: before
+/// every `REMAINING_BOUND_EVERY`-th diagonal, a coarse global or affine
+/// sweep evaluates its [`SuffixBound`] over the two diagonals behind it.
+/// Chosen from an 8/16/32 measurement on the `scan_long` workload (see
+/// `docs/KERNELS.md`).
+const REMAINING_BOUND_EVERY: usize = 16;
+
+/// The largest `D(i, j)` the remaining-cost pass reads. Larger stored
+/// values are clamped down to it, which only lowers the bound.
+const SUFFIX_D_CAP: u32 = 1 << 29;
+
+/// Rows the remaining-cost pass folds between two early-exit tests.
+const SUFFIX_EXIT_ROWS: usize = 8;
+
+/// The ratchet's **remaining-cost bound**: Ukkonen's length cutoff
+/// ([`score_lower_bound`]) applied to the part of each lane's alignment
+/// still ahead. Every path of lane `l` through cell `(i, j)` costs at
+/// least `f = D(i, j) + score_lower_bound(n_l − i, m_l − j)` — the
+/// suffix bound never exceeds the suffix's exact score — and every path
+/// crosses one of any two consecutive anti-diagonals. So the minimum of
+/// `f` over diagonals `d − 1` and `d − 2` and every live lane is a lower
+/// bound on every live lane's final score: the admissible-heuristic test
+/// of A*. When it exceeds the threshold, the whole stripe is out.
+///
+/// [`score_lower_bound`] is piecewise linear,
+/// `lb(a, b) = |a − b| · lb(1, 0) + min(a, b) · lb(1, 1)`. On one
+/// anti-diagonal a lane's suffix sum `s = a + b` is constant and the
+/// difference `δ = a − b` falls by 2 per row, so the pass works in
+/// doubled units, `2 · lb = s · step + |δ| · (2 · indel − step)`, with
+/// no division and `|δ| ≤ s` as the in-shape test. All lane arithmetic
+/// is `i32`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SuffixBound {
+    /// `lb(1, 1)`: the cost of each paired suffix residue.
+    step: i32,
+    /// `2 · lb(1, 0) − lb(1, 1)`: the doubled cost of each residue by
+    /// which the suffix sides differ, beyond `step`.
+    skew: i32,
+}
+
+impl SuffixBound {
+    /// The bound for an `nn × mm` union sweep under `mode`, or `None`
+    /// where the pass cannot prove anything the elapsed-time rule does
+    /// not: the free-end modes (semi-global's suffix bound is 0, and
+    /// local scans are never ratcheted) and all-zero weights. Also `None`
+    /// when a suffix bound could reach `SUFFIX_D_CAP / 2`, so that every
+    /// in-shape doubled `f` fits the `i32` lane arithmetic.
+    fn new(mode: AlignMode, w: RawWeights, nn: usize, mm: usize) -> Option<Self> {
+        if !matches!(mode, AlignMode::Global | AlignMode::GlobalAffine(_)) {
+            return None;
+        }
+        let indel = score_lower_bound(mode, w, 1, 0);
+        let step = score_lower_bound(mode, w, 1, 1);
+        let worst = ((nn + mm) as u64).saturating_mul(indel.max(step));
+        if worst == 0 || worst >= u64::from(SUFFIX_D_CAP / 2) {
+            return None;
+        }
+        Some(SuffixBound {
+            step: i32::try_from(step).ok()?,
+            skew: i32::try_from((2 * indel).checked_sub(step)?).ok()?,
+        })
+    }
+
+    /// `2 · lb(a, b)` from the suffix's side sum `a + b` and side
+    /// difference `|a − b|`; the suffix is in shape when `|a − b| ≤ a + b`.
+    /// Out-of-shape operands may wrap, hence the wrapping ops.
+    #[inline(always)]
+    fn doubled(self, sum: i32, abs_delta: i32) -> i32 {
+        sum.wrapping_mul(self.step)
+            .wrapping_add(abs_delta.wrapping_mul(self.skew))
+    }
+
+    /// `true` when the bound over diagonals `d − 1` (`prev`) and `d − 2`
+    /// (`prev2`) exceeds `t_rem` for every live lane. `t_rem` is the
+    /// threshold less the running u8 bias: the buffers hold biased
+    /// values, so the comparison happens in the biased space.
+    #[allow(clippy::too_many_arguments)]
+    fn proves_out<W: KernelWord, const L: usize, const P: usize>(
+        self,
+        prev: [&[W]; P],
+        prev2: [&[W]; P],
+        d: usize,
+        (nn, mm): (usize, usize),
+        band: Option<usize>,
+        shapes: &[(usize, usize)],
+        done: &[bool; L],
+        t_rem: u64,
+    ) -> bool {
+        // Every in-shape doubled `f` is below `2^31`, so a threshold at
+        // or past `2^30` can never be exceeded.
+        let Some(t2) = i32::try_from(t_rem).ok().and_then(|t| t.checked_mul(2)) else {
+            return false;
+        };
+        [(prev, d - 1), (prev2, d - 2)]
+            .into_iter()
+            .all(|(planes, e)| {
+                let (lo, hi) = diag_range(e, nn, mm, band);
+                // A band-empty diagonal holds no cell, so no path crosses it.
+                lo > hi || self.diagonal_exceeds(planes, e, lo..=hi, shapes, done, t2)
+            })
+    }
+
+    /// `true` when every in-shape cell of anti-diagonal `e` (rows `rows`)
+    /// of every live lane has a doubled `f` above `t2`. `D` is the
+    /// minimum over `planes` (M, Ix and Iy for affine). Stops at the
+    /// first block of rows that holds a cell within the threshold.
+    fn diagonal_exceeds<W: KernelWord, const L: usize, const P: usize>(
+        self,
+        planes: [&[W]; P],
+        e: usize,
+        rows: std::ops::RangeInclusive<usize>,
+        shapes: &[(usize, usize)],
+        done: &[bool; L],
+        t2: i32,
+    ) -> bool {
+        // Per lane: the suffix sum `s` (−1 for retired and empty lanes,
+        // so no cell is in shape) and `δ` at row 0. Lengths fit `i32`
+        // (see `new`).
+        let mut sum = [-1_i32; L];
+        let mut delta0 = [0_i32; L];
+        for (l, &(n, m)) in shapes.iter().enumerate() {
+            if !done[l] {
+                let (n, m, e) = (n as i32, m as i32, e as i32);
+                sum[l] = n + m - e;
+                delta0[l] = n - m + e;
+            }
+        }
+        let mut acc = [i32::MAX; L];
+        for (k, i) in rows.enumerate() {
+            let mut dv = [W::INF; L];
+            for plane in planes {
+                let block = &plane[i * L..(i + 1) * L];
+                for l in 0..L {
+                    dv[l] = dv[l].min(block[l]);
+                }
+            }
+            let twice_i = 2 * i as i32;
+            for l in 0..L {
+                let delta = delta0[l].wrapping_sub(twice_i).wrapping_abs();
+                let d2 = 2 * dv[l].floor_u32().min(SUFFIX_D_CAP) as i32;
+                // In shape, `d2 ≤ 2^30` and `2 · lb < 2^29`: no wrap.
+                let f2 = d2.wrapping_add(self.doubled(sum[l], delta));
+                acc[l] = acc[l].min(if delta > sum[l] { i32::MAX } else { f2 });
+            }
+            if (k + 1) % SUFFIX_EXIT_ROWS == 0 && acc.iter().any(|&f2| f2 <= t2) {
+                return false;
+            }
+        }
+        acc.iter().all(|&f2| f2 > t2)
+    }
+}
+
 /// Fills lane `l`'s column in all three diagonal buffers with `+∞` —
 /// called at lane retirement in [`StripeThreshold::Coarse`] mode so the
 /// whole-stripe lower bound (an *unmasked* minimum over the interior)
@@ -2102,6 +2313,7 @@ fn stripe_sweep_affine<W: KernelWord, const L: usize>(
     open: u64,
     band: Option<usize>,
     threshold: StripeThreshold,
+    suffix: Option<SuffixBound>,
     bias_m2: u64,
     planes: &mut AffinePlanes<W>,
     out: &mut [EngineOutcome],
@@ -2227,17 +2439,7 @@ fn stripe_sweep_affine<W: KernelWord, const L: usize>(
         // bound, exactly as in the linear sweep.
         if let Some(t) = t_c {
             if gmin1.min(gmin2) > t {
-                for l in 0..lanes {
-                    if !done[l] {
-                        out[l] = EngineOutcome {
-                            score: Time::NEVER,
-                            cells_computed: cells[l],
-                            early_terminated: true,
-                        };
-                        done[l] = true;
-                        live -= 1;
-                    }
-                }
+                abandon_live_lanes(&mut done, &mut live, &cells, out);
                 break;
             }
         }
@@ -2247,6 +2449,24 @@ fn stripe_sweep_affine<W: KernelWord, const L: usize>(
         if let Some(delta) = rebase_delta {
             for buf in [&mut *m1, &mut *m2, &mut *x1, &mut *x2, &mut *y1, &mut *y2] {
                 rebase_buf(buf, delta);
+            }
+        }
+        // Remaining-cost checkpoint, `D` taken across the three planes.
+        if let (Some(sb), StripeThreshold::Coarse(t)) = (suffix, threshold) {
+            if d % REMAINING_BOUND_EVERY == 0
+                && sb.proves_out(
+                    [&m1[..], &x1[..], &y1[..]],
+                    [&m2[..], &x2[..], &y2[..]],
+                    d,
+                    (nn, mm),
+                    band,
+                    shapes,
+                    &done,
+                    t.saturating_sub(bias),
+                )
+            {
+                abandon_live_lanes(&mut done, &mut live, &cells, out);
+                break;
             }
         }
         let (lo, hi) = diag_range(d, nn, mm, band);
@@ -2684,7 +2904,7 @@ mod tests {
         // Three same-shape pairs < STRIPE_MIN_PAIRS: planner must not stripe.
         let pairs = random_pairs(STRIPE_MIN_PAIRS - 1, 64, 64);
         let cfg = AlignConfig::new(RaceWeights::fig4());
-        let units = plan_units(&cfg, &ref_pairs(&pairs));
+        let units = plan_units(&cfg, &ref_pairs(&pairs), 1);
         assert!(units.iter().all(|u| !u.striped));
         assert_batch_matches_sequential(&cfg, &pairs);
     }
@@ -2699,20 +2919,24 @@ mod tests {
         // PR 3 plan.
         let pairs = random_pairs(20, 64, 64);
         let base = AlignConfig::new(RaceWeights::fig4()).with_lane_floor(LaneWidth::U16);
-        let u8_units = plan_units(&AlignConfig::new(RaceWeights::fig4()), &ref_pairs(&pairs));
+        let u8_units = plan_units(
+            &AlignConfig::new(RaceWeights::fig4()),
+            &ref_pairs(&pairs),
+            1,
+        );
         let u8_striped: Vec<_> = u8_units.iter().filter(|u| u.striped).collect();
         assert_eq!(u8_striped.len(), 1, "u8's 32 lanes hold all 20 pairs");
         assert_eq!(u8_striped[0].width, LaneWidth::U8);
         assert_eq!(u8_striped[0].members.len(), 20);
         for cfg in [base, base.with_packer(PackerPolicy::ExactBucket)] {
-            let units = plan_units(&cfg, &ref_pairs(&pairs));
+            let units = plan_units(&cfg, &ref_pairs(&pairs), 1);
             let striped: Vec<_> = units.iter().filter(|u| u.striped).collect();
             assert_eq!(striped.len(), 2, "{}", cfg.packer);
             assert_eq!(striped[0].members.len(), 16, "{}", cfg.packer);
             assert_eq!(striped[1].members.len(), 4, "{}", cfg.packer);
             // Short pairs resolve to the rolling row and never stripe.
             let short = random_pairs(16, 8, 8);
-            assert!(plan_units(&cfg, &ref_pairs(&short))
+            assert!(plan_units(&cfg, &ref_pairs(&short), 1)
                 .iter()
                 .all(|u| !u.striped));
         }
@@ -2777,7 +3001,7 @@ mod tests {
 
         let mut over: Vec<_> = (0..7).map(|_| mk(39)).collect();
         over.push(mk(49));
-        let units = plan_units(&cfg, &ref_pairs(&over));
+        let units = plan_units(&cfg, &ref_pairs(&over), 1);
         let striped: Vec<_> = units.iter().filter(|u| u.striped).collect();
         assert_eq!(striped.len(), 1, "over-budget outlier must not merge");
         assert_eq!(striped[0].members.len(), 7);
@@ -2785,7 +3009,7 @@ mod tests {
 
         let mut under: Vec<_> = (0..7).map(|_| mk(39)).collect();
         under.push(mk(44));
-        let units = plan_units(&cfg, &ref_pairs(&under));
+        let units = plan_units(&cfg, &ref_pairs(&under), 1);
         let striped: Vec<_> = units.iter().filter(|u| u.striped).collect();
         assert_eq!(striped.len(), 1, "within-budget outlier must merge");
         assert_eq!(striped[0].members.len(), 8);
@@ -2811,7 +3035,7 @@ mod tests {
             pack(&Seq::random(&mut rng, 300)),
         ));
         let cfg = AlignConfig::new(RaceWeights::fig4());
-        let units = plan_units(&cfg, &ref_pairs(&pairs));
+        let units = plan_units(&cfg, &ref_pairs(&pairs), 1);
         let striped: Vec<_> = units.iter().filter(|u| u.striped).collect();
         assert_eq!(striped.len(), 1);
         assert_eq!(striped[0].members.len(), 16);
@@ -2901,7 +3125,7 @@ mod tests {
         let pairs = random_pairs(16, 64, 64);
         let cfg = AlignConfig::new(RaceWeights::fig4())
             .with_mode(AlignMode::GlobalAffine(AffineWeights { open: 1 }));
-        let units = plan_units(&cfg, &ref_pairs(&pairs));
+        let units = plan_units(&cfg, &ref_pairs(&pairs), 1);
         assert!(units.iter().any(|u| u.striped), "affine must stripe now");
         assert_batch_matches_sequential(&cfg, &pairs);
     }
@@ -2913,7 +3137,7 @@ mod tests {
         // stripe, halving its swept cells, and stay byte-identical.
         let pairs = random_pairs(21, 64, 64);
         let cfg = AlignConfig::new(RaceWeights::fig4()).with_lane_floor(LaneWidth::U16);
-        let units = plan_units(&cfg, &ref_pairs(&pairs));
+        let units = plan_units(&cfg, &ref_pairs(&pairs), 1);
         let striped: Vec<_> = units.iter().filter(|u| u.striped).collect();
         assert_eq!(striped.len(), 2);
         assert_eq!(striped[0].width, LaneWidth::U16);
@@ -3038,6 +3262,256 @@ mod tests {
                     .sum();
                 assert_eq!(grid_cells(n, m, band), by_diag, "{n}x{m} band {band:?}");
             }
+        }
+    }
+
+    #[test]
+    fn per_pair_split_follows_the_run_worker_count() {
+        // Short pairs resolve to the rolling row, so the whole batch is
+        // per-pair units, split into even chunks for the workers the run
+        // will use, whatever the host's thread count (and
+        // `RAYON_NUM_THREADS`) says.
+        let pairs = random_pairs(12, 8, 12);
+        let cfg = AlignConfig::new(RaceWeights::fig4());
+        let mut faults = Vec::new();
+        for workers in [1, 2, 3, 5, 12, 40] {
+            let expected = pairs.len().div_ceil(pairs.len().div_ceil(workers));
+            let units = plan_units(&cfg, &ref_pairs(&pairs), workers);
+            assert!(units.iter().all(|u| !u.striped));
+            assert_eq!(units.len(), expected, "{workers} workers");
+            let guarded = plan_units_guarded(&cfg, &ref_pairs(&pairs), workers, &mut faults);
+            assert_eq!(guarded.len(), expected, "{workers} workers (guarded)");
+        }
+        assert!(faults.is_empty());
+        assert_eq!(resolve_workers(Some(3)), 3);
+        assert_eq!(resolve_workers(Some(0)), 1);
+        assert_eq!(resolve_workers(None), rayon::current_num_threads().max(1));
+    }
+
+    #[test]
+    fn suffix_bound_lane_arithmetic_is_score_lower_bound() {
+        use crate::engine::AffineWeights;
+        let affine = AlignMode::GlobalAffine(AffineWeights { open: 2 });
+        let skewless = RaceWeights {
+            matched: 3,
+            mismatched: Some(2),
+            indel: 1,
+        };
+        for weights in [
+            RaceWeights::fig4(),
+            RaceWeights::fig2b(),
+            RaceWeights::levenshtein(),
+            skewless,
+        ] {
+            let w = RawWeights::from_weights(weights);
+            for mode in [AlignMode::Global, affine] {
+                let sb = SuffixBound::new(mode, w, 40, 40).expect("global modes get the pass");
+                for a in 0..40_usize {
+                    for b in 0..40_usize {
+                        let lb = score_lower_bound(mode, w, a, b);
+                        let (sum, delta) = ((a + b) as i32, a.abs_diff(b) as i32);
+                        assert_eq!(sb.doubled(sum, delta), 2 * lb as i32, "{a} x {b}");
+                    }
+                }
+            }
+        }
+        let w = RawWeights::from_weights(RaceWeights::fig4());
+        // Skipped by mode: semi-global's suffix bound is 0 and local
+        // scans are never ratcheted.
+        assert_eq!(SuffixBound::new(AlignMode::SemiGlobal, w, 40, 40), None);
+        assert_eq!(
+            SuffixBound::new(AlignMode::Local(LocalScores::blast()), w, 40, 40),
+            None
+        );
+        // All-zero weights prove nothing; a huge grid would overflow.
+        let zero = RawWeights::from_weights(RaceWeights {
+            matched: 0,
+            mismatched: Some(0),
+            indel: 0,
+        });
+        assert_eq!(SuffixBound::new(AlignMode::Global, zero, 40, 40), None);
+        assert_eq!(
+            SuffixBound::new(AlignMode::Global, w, 1 << 28, 1 << 28),
+            None
+        );
+    }
+
+    /// The full `(n + 1) × (m + 1)` matrix of the min-plus recurrence in
+    /// plain `u64`, `min(M, Ix, Iy)` per cell (`open = 0` is the linear
+    /// recurrence): the rolling-row kernel's cell rules, kept whole.
+    fn full_matrix(
+        q: &Seq<Dna>,
+        p: &Seq<Dna>,
+        w: RawWeights,
+        open: u64,
+        band: Option<usize>,
+    ) -> Vec<Vec<u64>> {
+        let (n, m) = (q.len(), p.len());
+        let (q, p) = (q.as_slice(), p.as_slice());
+        let mut mm = vec![vec![NEVER; m + 1]; n + 1];
+        let mut xx = mm.clone();
+        let mut yy = mm.clone();
+        let in_band = |i: usize, j: usize| band.is_none_or(|k| i.abs_diff(j) <= k);
+        let open_ext = open.saturating_add(w.indel);
+        for i in 0..=n {
+            for j in 0..=m {
+                if !in_band(i, j) {
+                    continue;
+                }
+                if i == 0 && j == 0 {
+                    mm[0][0] = 0;
+                    continue;
+                }
+                if i > 0 && j > 0 {
+                    let dw = if q[i - 1] == p[j - 1] {
+                        w.matched
+                    } else {
+                        w.mismatched
+                    };
+                    mm[i][j] = mm[i - 1][j - 1]
+                        .min(xx[i - 1][j - 1])
+                        .min(yy[i - 1][j - 1])
+                        .saturating_add(dw);
+                }
+                if i > 0 {
+                    xx[i][j] = mm[i - 1][j]
+                        .min(yy[i - 1][j])
+                        .saturating_add(open_ext)
+                        .min(xx[i - 1][j].saturating_add(w.indel));
+                }
+                if j > 0 {
+                    yy[i][j] = mm[i][j - 1]
+                        .min(xx[i][j - 1])
+                        .saturating_add(open_ext)
+                        .min(yy[i][j - 1].saturating_add(w.indel));
+                }
+            }
+        }
+        (0..=n)
+            .map(|i| {
+                (0..=m)
+                    .map(|j| mm[i][j].min(xx[i][j]).min(yy[i][j]))
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn remaining_cost_bound_never_exceeds_the_final_score() {
+        // The scalar statement of the ratchet's remaining-cost abandon:
+        // for every pair of consecutive anti-diagonals, the minimum of
+        // D(i, j) + score_lower_bound(n − i, m − j) over their cells is
+        // at most the final score.
+        use crate::engine::AffineWeights;
+        let mut rng = rl_dag::generate::seeded_rng(0x5_0FF1);
+        let affine = |open| AlignMode::GlobalAffine(AffineWeights { open });
+        let settings = [
+            ("fig4", RaceWeights::fig4(), AlignMode::Global, None),
+            ("fig2b", RaceWeights::fig2b(), AlignMode::Global, None),
+            (
+                "levenshtein",
+                RaceWeights::levenshtein(),
+                AlignMode::Global,
+                None,
+            ),
+            ("banded", RaceWeights::fig4(), AlignMode::Global, Some(3)),
+            (
+                "banded/levenshtein",
+                RaceWeights::levenshtein(),
+                AlignMode::Global,
+                Some(2),
+            ),
+            ("affine", RaceWeights::fig4(), affine(2), None),
+            ("affine/fig2b", RaceWeights::fig2b(), affine(3), None),
+            (
+                "affine/banded",
+                RaceWeights::levenshtein(),
+                affine(1),
+                Some(4),
+            ),
+        ];
+        for (label, weights, mode, band) in settings {
+            let w = RawWeights::from_weights(weights);
+            let open = match mode {
+                AlignMode::GlobalAffine(a) => a.open,
+                _ => 0,
+            };
+            let mut cfg = AlignConfig::new(weights).with_mode(mode);
+            if let Some(k) = band {
+                cfg = cfg.with_band(k);
+            }
+            let mut engine = AlignEngine::new(cfg.with_strategy(KernelStrategy::RollingRow));
+            for trial in 0..40 {
+                let q = Seq::<Dna>::random(&mut rng, 1 + trial % 17);
+                // Half the entries are near copies, so scores run low
+                // and the bound is tested where it is tight.
+                let p = if trial % 2 == 0 {
+                    let keep = q.len().saturating_sub(trial % 4).max(1);
+                    q.as_slice()[..keep].iter().copied().collect()
+                } else {
+                    Seq::random(&mut rng, 1 + (trial * 7) % 19)
+                };
+                let (n, m) = (q.len(), p.len());
+                let dp = full_matrix(&q, &p, w, open, band);
+                let score = dp[n][m];
+                assert_eq!(
+                    engine.align(&pack(&q), &pack(&p)).score.cycles(),
+                    (score != NEVER).then_some(score),
+                    "{label}: the reference matrix must agree with the kernel"
+                );
+                if score == NEVER {
+                    continue;
+                }
+                let f = |i: usize, j: usize| {
+                    dp[i][j].saturating_add(score_lower_bound(mode, w, n - i, m - j))
+                };
+                for e in 1..=(n + m) {
+                    let floor = (e - 1..=e)
+                        .flat_map(|diag| {
+                            (diag.saturating_sub(m)..=diag.min(n)).map(move |i| (i, diag - i))
+                        })
+                        .map(|(i, j)| f(i, j))
+                        .min()
+                        .unwrap_or(NEVER);
+                    assert!(
+                        floor <= score,
+                        "{label}: {n}x{m} diagonals {}..={e} bound {floor} > score {score}",
+                        e - 1
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn remaining_cost_bound_abandons_long_ratcheted_stripes() {
+        // The `scan_long` regime in miniature: entry 0 is the query's
+        // first 199 bp, which scores exactly 256 under fig4 and sorts
+        // into the first stripe, so the ratchet holds t = 256 from the
+        // second stripe on. The 63 random 200–256 bp entries pass the
+        // length prune (their bound is exactly 256) and their
+        // elapsed-time frontier only passes 256 near anti-diagonal 512;
+        // the remaining-cost bound proves them out far earlier.
+        use crate::early_termination::{estimate_scan_cells, scan_packed_topk_with};
+        use crate::engine::AffineWeights;
+        let mut rng = rl_dag::generate::seeded_rng(0x5_CA17);
+        let query = Seq::<Dna>::random(&mut rng, 256);
+        let mut db = vec![pack(&query.as_slice()[..199].iter().copied().collect())];
+        for i in 0..63 {
+            db.push(pack(&Seq::random(&mut rng, 200 + (i * 29) % 57)));
+        }
+        let query = pack(&query);
+        let affine = AlignMode::GlobalAffine(AffineWeights { open: 2 });
+        for (label, mode, score) in [("global", AlignMode::Global, 256), ("affine", affine, 258)] {
+            let cfg = AlignConfig::new(RaceWeights::fig4()).with_mode(mode);
+            let scan = scan_packed_topk_with(&cfg, &query, &db, 1, Some(1));
+            assert_eq!(scan.hits, vec![(0, score)], "{label}");
+            let planned = estimate_scan_cells(&cfg, &query, &db);
+            assert!(
+                scan.cells_computed * 3 <= planned,
+                "{label}: computed {} of {planned} planned cells",
+                scan.cells_computed
+            );
         }
     }
 }

@@ -250,19 +250,31 @@ fn conformance_protein_local() {
     }
 }
 
-/// The length-bound prune against the sequential oracle: a database of
-/// near-copies of the query (so the ratchet tightens early) mixed with
-/// entries far shorter and far longer than it (so the prune fires, in
-/// striped and per-pair units alike) must yield exactly the top-k a
-/// full scalar scan selects, at every worker count.
-fn assert_pruned_scan_matches_oracle(label: &str, cfg: AlignConfig, seed: u64, len: usize) {
+/// The length-bound prune and the remaining-cost stripe abandon against
+/// the sequential oracle. The database mixes near-copies of the query
+/// (so the ratchet tightens early), entries far shorter and far longer
+/// than it (so the prune fires, in striped and per-pair units alike),
+/// random entries just below and just above its length, and windows of
+/// the query itself. Under fig4 weights a window of length `m < n`
+/// scores exactly `n` (`m` matches plus `n − m` indels), the
+/// `scan_long` regime: several entries tie the ratchet's threshold
+/// exactly, so any abandon that is not a strict `score > t` proof shows
+/// up as a wrong hit. The scan must yield exactly the top-k a full
+/// scalar scan selects at every lane floor and worker count. Returns
+/// the stripe widths the query length resolves to.
+fn assert_pruned_scan_matches_oracle(
+    label: &str,
+    cfg: AlignConfig,
+    seed: u64,
+    len: usize,
+) -> Vec<LaneWidth> {
     const K: usize = 4;
     let mut rng = seeded_rng(seed);
     let query_seq = Seq::<Dna>::random(&mut rng, len);
     let query = PackedSeq::from_seq(&query_seq);
     let mut database: Vec<PackedSeq<Dna>> = Vec::new();
     for i in 0..48 {
-        let entry = match i % 4 {
+        let entry = match i % 6 {
             0 => rl_bio::mutate::mutate(
                 &query_seq,
                 &rl_bio::mutate::MutationConfig::substitutions_only(0.05),
@@ -270,7 +282,13 @@ fn assert_pruned_scan_matches_oracle(label: &str, cfg: AlignConfig, seed: u64, l
             ),
             1 => Seq::random(&mut rng, 4 * len + i),
             2 => Seq::random(&mut rng, len / 3 + i % 5),
-            _ => Seq::random(&mut rng, len + i % 9),
+            3 => Seq::random(&mut rng, len + i % 9),
+            4 => {
+                let start = i % 3;
+                let end = len - 1 - i % 4;
+                query_seq.as_slice()[start..end].iter().copied().collect()
+            }
+            _ => Seq::random(&mut rng, len - 1 - i % 7),
         };
         database.push(PackedSeq::from_seq(&entry));
     }
@@ -290,22 +308,30 @@ fn assert_pruned_scan_matches_oracle(label: &str, cfg: AlignConfig, seed: u64, l
     oracle.truncate(K);
 
     let pruned_before = race_logic::telemetry::metrics::PAIRS_PRUNED.get();
-    for workers in [1, 2, 4] {
-        let scan = scan_packed_topk_with(&cfg, &query, &database, K, Some(workers));
-        assert_eq!(
-            scan.hits, oracle,
-            "{label}: pruned scan diverges from the sequential oracle at {workers} workers"
-        );
+    let mut widths = Vec::new();
+    for floor in [LaneWidth::U8, LaneWidth::U16, LaneWidth::U32] {
+        let fcfg = cfg.with_lane_floor(floor);
+        widths.push(fcfg.resolve_stripe_lanes(len, len));
+        for workers in [1, 2, 4] {
+            let scan = scan_packed_topk_with(&fcfg, &query, &database, K, Some(workers));
+            assert_eq!(
+                scan.hits, oracle,
+                "{label}: pruned scan diverges from the sequential oracle at floor \
+                 {floor:?}, {workers} workers"
+            );
+        }
     }
     assert!(
         race_logic::telemetry::metrics::PAIRS_PRUNED.get() > pruned_before,
         "{label}: the workload must actually exercise the length-bound prune"
     );
+    widths
 }
 
 #[test]
 fn pruned_scans_match_the_sequential_oracle() {
     let affine = AlignMode::GlobalAffine(AffineWeights { open: 2 });
+    let mut widths = Vec::new();
     for (label, cfg) in [
         ("global", AlignConfig::new(RaceWeights::fig4())),
         (
@@ -326,8 +352,14 @@ fn pruned_scans_match_the_sequential_oracle() {
         ),
     ] {
         // 64 bp queries stripe; 24 bp queries run on per-pair units.
-        assert_pruned_scan_matches_oracle(label, cfg, 0x9A0E, 64);
+        widths.extend(assert_pruned_scan_matches_oracle(label, cfg, 0x9A0E, 64));
         assert_pruned_scan_matches_oracle(label, cfg, 0x9A0F, 24);
+    }
+    for width in [LaneWidth::U8, LaneWidth::U16, LaneWidth::U32] {
+        assert!(
+            widths.contains(&width),
+            "the striped scans must run {width:?} stripes"
+        );
     }
 }
 
