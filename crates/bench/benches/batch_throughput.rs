@@ -11,10 +11,8 @@
 //! - `align_batch`: the inter-pair **striped batch kernel** (each SIMD
 //!   lane a different pair) fanned out across cores.
 //!
-//! `cargo run --release -p rl-bench --bin engine_baseline` writes the
-//! same comparison (plus the narrow-band workload) to
-//! `BENCH_engine.json`; the committed numbers and their interpretation
-//! live in `docs/KERNELS.md`.
+//! Every path computes identical scores (`tests/conformance.rs`); the
+//! kernels and their layouts are described in `docs/KERNELS.md`.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use race_logic::alignment::{AlignmentRace, RaceWeights};
@@ -80,8 +78,8 @@ fn bench_batch_throughput(c: &mut Criterion) {
     }
 }
 
-/// The ragged counterpart: log-normal lengths (the `engine_baseline
-/// --ragged` construction), length-aware packer vs the PR 3
+/// The ragged counterpart: log-normal lengths
+/// ([`rl_bench::lognormal_len`], σ = 1.2), length-aware packer vs the
 /// exact-bucket ruler at equal thread count.
 fn bench_ragged_packers(c: &mut Criterion) {
     use race_logic::engine::PackerPolicy;

@@ -1,0 +1,111 @@
+//! Telemetry overhead gate: times a supervised striped batch — 1000
+//! fixed-length 256 bp DNA pairs under fig4 weights, seed `0xBA7C4` —
+//! with the metrics registry and a query tracer enabled against
+//! telemetry globally disabled, and exits non-zero when the overhead
+//! exceeds [`MAX_OVERHEAD_PCT`].
+//!
+//! Each timed sample runs [`BATCH`] batches back to back per side. The
+//! side that runs first alternates sample to sample, so monotonic drift
+//! (thermal throttling, frequency steps) biases half the samples each
+//! way, and the reported overhead is the median of [`REPS`] per-sample
+//! enabled/disabled ratios. Both sides must return the same checksum.
+//!
+//! The gate is noisy: on a 2-core Xeon, 10 runs gave a median of
+//! +1.72% and a range of −2.04% to +14.00%, with 3 of the 10 above the
+//! ceiling. Re-run before reading a failure as a regression.
+//!
+//! ```text
+//! cargo run --release -p rl-bench --bin telemetry_overhead
+//! ```
+
+use std::time::Instant;
+
+use race_logic::alignment::RaceWeights;
+use race_logic::engine::{AlignConfig, BatchEngine};
+use race_logic::supervisor::ScanControl;
+use race_logic::telemetry::{self, TraceHandle};
+use rl_bio::{alphabet::Dna, PackedSeq, Seq};
+use rl_dag::generate::seeded_rng;
+
+const PAIRS: usize = 1_000;
+const LEN: usize = 256;
+/// Batches per timed sample: one supervised batch takes ~20 ms, inside
+/// the scheduler-noise floor.
+const BATCH: usize = 4;
+/// Timed samples per side; even, so both orders run equally often.
+const REPS: usize = 6;
+/// The gate: the median enabled/disabled ratio may exceed 1 by at most
+/// this many percent.
+const MAX_OVERHEAD_PCT: f64 = 5.0;
+
+/// The upper median of `samples`.
+fn median(mut samples: Vec<f64>) -> f64 {
+    samples.sort_by(f64::total_cmp);
+    samples[samples.len() / 2]
+}
+
+fn main() {
+    let mut rng = seeded_rng(0xBA7C4);
+    let pairs: Vec<(PackedSeq<Dna>, PackedSeq<Dna>)> = (0..PAIRS)
+        .map(|_| {
+            (
+                PackedSeq::from_seq(&Seq::random(&mut rng, LEN)),
+                PackedSeq::from_seq(&Seq::random(&mut rng, LEN)),
+            )
+        })
+        .collect();
+    let cfg = AlignConfig::new(RaceWeights::fig4());
+
+    // Seconds for BATCH supervised batches, and the last batch's score
+    // checksum.
+    let run = |on: bool| {
+        let prior = telemetry::set_enabled(on);
+        let mut checksum = 0_u64;
+        let start = Instant::now();
+        for _ in 0..BATCH {
+            let mut ctrl = ScanControl::new();
+            if on {
+                ctrl = ctrl.with_tracer(TraceHandle::new(u64::MAX));
+            }
+            let report = BatchEngine::new(cfg).align_batch_supervised(&pairs, &ctrl);
+            assert!(report.is_complete(), "unconstrained batch must complete");
+            checksum = report
+                .outcomes
+                .iter()
+                .flatten()
+                .map(|o| o.score.cycles().unwrap_or(0))
+                .sum();
+        }
+        let secs = start.elapsed().as_secs_f64();
+        telemetry::set_enabled(prior);
+        (secs, checksum)
+    };
+    let (_, checksum) = run(false); // warm-up, untimed
+
+    let (mut off_secs, mut on_secs, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for rep in 0..REPS {
+        let (off, on) = if rep % 2 == 0 {
+            let off = run(false);
+            (off, run(true))
+        } else {
+            let on = run(true);
+            (run(false), on)
+        };
+        assert_eq!(off.1, checksum);
+        assert_eq!(on.1, checksum, "telemetry must not change results");
+        off_secs.push(off.0);
+        on_secs.push(on.0);
+        ratios.push(on.0 / off.0);
+    }
+    let overhead_pct = (median(ratios) - 1.0) * 100.0;
+    println!(
+        "{{\"pairs\": {PAIRS}, \"len\": {LEN}, \"disabled_seconds\": {:.6}, \
+         \"enabled_seconds\": {:.6}, \"telemetry_overhead_pct\": {overhead_pct:.2}}}",
+        median(off_secs) / BATCH as f64,
+        median(on_secs) / BATCH as f64
+    );
+    assert!(
+        overhead_pct <= MAX_OVERHEAD_PCT,
+        "telemetry overhead {overhead_pct:.2}% exceeds the {MAX_OVERHEAD_PCT}% ceiling"
+    );
+}

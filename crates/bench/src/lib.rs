@@ -118,8 +118,8 @@ pub fn log_sweep() -> Vec<usize> {
 }
 
 /// Box–Muller over the shim rng: one standard-normal draw. Shared by
-/// the ragged-workload generators of `engine_baseline --ragged` and the
-/// `batch_throughput` criterion bench, so both draw from the identical
+/// the ragged-workload generators of the `batch_throughput` criterion
+/// bench and the integration tests, so both draw from the identical
 /// construction.
 pub fn normal(rng: &mut impl rand::Rng) -> f64 {
     let u1 = rng.unit_f64().max(1e-12);

@@ -57,8 +57,8 @@
 //!   [`crate::early_termination::scan`], whose shared top-k ratchet
 //!   tightens the fused threshold as hits land.
 //!
-//! See `docs/KERNELS.md` in the repository root for memory layouts, the
-//! auto-selection policy, and how to reproduce `BENCH_engine.json`.
+//! See `docs/KERNELS.md` in the repository root for memory layouts and
+//! the auto-selection policy.
 //!
 //! ```
 //! use race_logic::engine::{AlignConfig, AlignEngine};
@@ -2537,8 +2537,8 @@ impl BatchEngine {
 
 /// Static occupancy accounting of a batch plan — how well
 /// [`align_batch`] would pack `pairs` under `cfg`, before running
-/// anything. The numbers behind `engine_baseline --occupancy`, exposed
-/// so packer regressions are visible as numbers, not vibes.
+/// anything. The numbers behind perfbench's traced `engine.occupancy`,
+/// exposed so packer regressions are visible as numbers, not vibes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchPlanStats {
     /// Pairs in the batch.

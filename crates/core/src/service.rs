@@ -14,7 +14,7 @@
 //! - **Retry with bounded backoff** — pairs lost to unrecovered worker
 //!   faults, and segments cut short by the watchdog, are requeued with
 //!   a deterministic exponential backoff ([`backoff_delay`]) up to
-//!   [`ServiceConfig::max_attempts`] segment attempts. The pause goes
+//!   three segment attempts per query. The pause goes
 //!   through an injectable [`BackoffTimer`], so tests verify the
 //!   schedule without sleeping. Each retry stamps a
 //!   [`Fault`](crate::supervisor::Fault) with its attempt number and
@@ -77,6 +77,11 @@ use crate::store::StoreTarget;
 use crate::supervisor::{fp_hit, panic_message, ResumeToken, ScanControl, ScanOutcome, StopReason};
 use crate::telemetry::{self, flight, Counter, Gauge, QueryTrace, TraceEvent, TraceHandle};
 
+/// Most supervised segments one query runs. Retries happen on
+/// unrecovered faults and watchdog trips; deadline, budget and cancel
+/// stops finalize immediately.
+const MAX_ATTEMPTS: u32 = 3;
+
 /// Tuning knobs of a [`ScanService`]. The defaults admit generously and
 /// never shed; production deployments should bound
 /// [`max_queued_cells`](ServiceConfig::max_queued_cells) and set a
@@ -92,10 +97,6 @@ pub struct ServiceConfig {
     /// this, the costliest queued queries (never the running one, never
     /// the front of the queue) are shed until back under.
     pub shed_watermark_cells: u64,
-    /// Most supervised segments one query may run (1 = no retries).
-    /// Retries happen on unrecovered faults and watchdog trips;
-    /// deadline/budget/cancel stops finalize immediately.
-    pub max_attempts: u32,
     /// First retry backoff; attempt `n` waits `base · 2^(n-1)`.
     pub backoff_base: Duration,
     /// Upper bound on any single backoff pause.
@@ -114,7 +115,6 @@ impl Default for ServiceConfig {
             max_queue: 64,
             max_queued_cells: u64::MAX,
             shed_watermark_cells: u64::MAX,
-            max_attempts: 3,
             backoff_base: Duration::from_millis(10),
             backoff_cap: Duration::from_secs(1),
             watchdog_timeout: None,
@@ -142,13 +142,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn with_shed_watermark(mut self, cells: u64) -> Self {
         self.shed_watermark_cells = cells;
-        self
-    }
-
-    /// Sets the per-query segment-attempt bound (min 1).
-    #[must_use]
-    pub fn with_max_attempts(mut self, attempts: u32) -> Self {
-        self.max_attempts = attempts.max(1);
         self
     }
 
@@ -939,7 +932,7 @@ fn run_job<S: Symbol>(inner: &Inner<S>, job: Job<S>) {
                 // `watchdog-heartbeat` failpoint): a failed attempt.
                 // The token is untouched, so backoff and re-run it.
                 let message = panic_message(&*payload);
-                if attempts >= service_cfg.max_attempts {
+                if attempts >= MAX_ATTEMPTS {
                     break Err(QueryError::Failed { message });
                 }
                 let delay =
@@ -965,7 +958,7 @@ fn run_job<S: Symbol>(inner: &Inner<S>, job: Job<S>) {
 
         let retryable = next_token.as_ref().is_some_and(|t| t.retryable_pairs() > 0)
             || outcome.stop == Some(StopReason::Watchdog);
-        if !retryable || attempts >= service_cfg.max_attempts {
+        if !retryable || attempts >= MAX_ATTEMPTS {
             // Complete, or stopped by deadline/budget/cancel (the
             // caller's bound — honor it), or out of attempts.
             if let Some(tok) = &next_token {

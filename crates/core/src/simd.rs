@@ -82,8 +82,7 @@ pub trait KernelWord: Copy + Ord + std::fmt::Debug {
     /// ROADMAP retry on the current toolchain vectorizes it cleanly:
     /// per-pair wavefront at length 256 went 13.2k → 24.5k pairs/s
     /// (≈ 1.9×) and at length 64 165k → 214k (≈ 1.3×) on the 1-core
-    /// bench container, so `u32` now keeps the flat form (the
-    /// `engine_wavefront_u32` entry in `BENCH_engine.json` pins it).
+    /// bench container, so `u32` now keeps the flat form.
     /// `u64` has no unsigned vector `min` on the x86-64-v2 floor, so
     /// neither vectorizer helps and it stays on the block form.
     const FLAT_LOOP: bool;

@@ -1207,8 +1207,7 @@ fn pack_exact_bucket(
     units
 }
 
-/// Static occupancy accounting for a batch plan (the numbers behind
-/// `engine_baseline --occupancy`); see
+/// Static occupancy accounting for a batch plan; see
 /// [`crate::engine::batch_plan_stats`].
 pub(crate) fn plan_stats_impl<S: Symbol>(
     cfg: &AlignConfig,

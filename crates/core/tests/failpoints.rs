@@ -588,6 +588,82 @@ proptest! {
     }
 }
 
+/// The service soak: 8 concurrent queries while every stripe sweep
+/// panics and every packer call sleeps 1 ms. Odd-numbered queries carry
+/// a budget of a sixteenth of their estimated cells and are resumed from
+/// their tokens to the end. Every query stays accounted, completes and
+/// returns the direct scan's hits, and the service completes each
+/// submission and each resumption exactly once.
+#[test]
+fn service_soak_under_persistent_stripe_panics() {
+    use race_logic::early_termination::estimate_scan_cells;
+
+    const QUERIES: usize = 8;
+    let _guard = failpoint::lock_for_test();
+    failpoint::quiet_failpoint_panics();
+
+    let cfg = AlignConfig::new(RaceWeights::fig4());
+    let mut rng = seeded_rng(0xBA7C4 ^ 0x50AC);
+    let jobs: Vec<_> = (0..QUERIES)
+        .map(|_| {
+            let query = PackedSeq::from_seq(&Seq::<Dna>::random(&mut rng, 64));
+            let database: Vec<PackedSeq<Dna>> = (0..48)
+                .map(|_| PackedSeq::from_seq(&Seq::<Dna>::random(&mut rng, 64)))
+                .collect();
+            (query, Arc::new(database))
+        })
+        .collect();
+    let baselines: Vec<_> = jobs
+        .iter()
+        .map(|(q, db)| scan_packed_topk_with(&cfg, q, db, 3, None))
+        .collect();
+
+    let service = ScanService::new(
+        ServiceConfig::default().with_backoff(Duration::from_millis(1), Duration::from_millis(10)),
+    );
+    failpoint::arm("stripe-sweep", Action::Panic);
+    failpoint::arm("packer", Action::Sleep(Duration::from_millis(1)));
+    let handles: Vec<_> = jobs
+        .iter()
+        .enumerate()
+        .map(|(i, (q, db))| {
+            let mut req = ScanRequest::new(cfg, q.clone(), Arc::clone(db), 3);
+            if i % 2 == 1 {
+                req = req.with_cells_budget(estimate_scan_cells(&cfg, q, db) / 16);
+            }
+            service.try_submit(req).expect("soak query admitted")
+        })
+        .collect();
+
+    let mut resumed = 0;
+    for (i, handle) in handles.iter().enumerate() {
+        let mut report = handle.wait().expect("soak query finalizes");
+        while let Some(token) = report.resume.take() {
+            resumed += 1;
+            let (q, db) = &jobs[i];
+            report = service
+                .resume(ScanRequest::new(cfg, q.clone(), Arc::clone(db), 3), token)
+                .expect("soak resume admitted")
+                .wait()
+                .expect("soak resume finalizes");
+        }
+        let o = &report.outcome;
+        assert_eq!(
+            o.completed_pairs + o.faulted_pairs + o.remaining_pairs(),
+            o.total_pairs,
+            "soak query {i}: accounting invariant"
+        );
+        assert!(o.is_complete(), "soak query {i} must complete: {o:?}");
+        assert_eq!(
+            o.hits, baselines[i].hits,
+            "soak query {i}: top-k must survive the injected faults"
+        );
+    }
+    failpoint::disarm_all();
+    assert!(resumed > 0, "the budgeted queries must be cut short");
+    assert_eq!(service.stats().completed as usize, QUERIES + resumed);
+}
+
 // ---------------------------------------------------------------------
 // Store sites (PR 9): injected I/O faults on the persistent packed-shard
 // store must surface as typed errors, quarantine at shard granularity,
@@ -846,6 +922,130 @@ fn service_store_chunk_fault_backs_off_and_completes() {
         "the quarantined attempt must stay in the cumulative ledger: {:?}",
         report.outcome.faults
     );
+}
+
+/// The store corruption soak: random payload bytes of four shards are
+/// bit-flipped, then 8 concurrent store-backed service queries run with
+/// every chunk read delayed 50 µs. Each query stays accounted, loses
+/// pairs and carries an unrecovered fault attributed to
+/// `store-chunk-read`; with a pristine replica attached, every query
+/// completes with the in-memory scan's hits.
+#[test]
+fn store_corruption_soak_quarantines_then_replica_recovers() {
+    use rand::Rng as _;
+    use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
+
+    const QUERIES: usize = 8;
+    const FLIPS: usize = 4;
+    let _guard = failpoint::lock_for_test();
+    failpoint::quiet_failpoint_panics();
+
+    let cfg = AlignConfig::new(RaceWeights::fig4());
+    let mut rng = seeded_rng(0xBA7C4 ^ 0x50BE);
+    let database: Vec<PackedSeq<Dna>> = (0..96)
+        .map(|_| PackedSeq::from_seq(&Seq::<Dna>::random(&mut rng, 64)))
+        .collect();
+    let queries: Vec<PackedSeq<Dna>> = (0..QUERIES)
+        .map(|_| PackedSeq::from_seq(&Seq::<Dna>::random(&mut rng, 64)))
+        .collect();
+    let (path, _fguard) = fp_store_path("soak");
+    let (rpath, _rguard) = fp_store_path("soak_replica");
+    let params = StoreParams {
+        chunk_size: 256,
+        shard_entries: 8,
+    };
+    build_store(&path, &database, &params).expect("build");
+    std::fs::copy(&path, &rpath).expect("copy replica");
+
+    // Flip one bit in one random chunk of each of FLIPS distinct shards
+    // of the primary; the replica stays pristine.
+    let probe = PackedStore::<Dna>::open_validated(&path).expect("open for corruption");
+    let shards = probe.shard_count();
+    let mut file = std::fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .open(&path)
+        .expect("open for corruption");
+    let mut corrupted = std::collections::BTreeSet::new();
+    let mut pick = seeded_rng(0xBA7C4 ^ 0xF11B);
+    while corrupted.len() < FLIPS.min(shards - 1) {
+        let shard = pick.random_range(0..shards);
+        let chunk = pick.random_range(0..probe.shard_chunk_count(shard));
+        let (off, len) = probe.chunk_file_range(shard, chunk);
+        let byte = off + pick.random_range(0..len as u64);
+        let mut b = [0_u8; 1];
+        file.seek(SeekFrom::Start(byte)).expect("seek");
+        file.read_exact(&mut b).expect("read");
+        b[0] ^= 1 << pick.random_range(0..8_u8);
+        file.seek(SeekFrom::Start(byte)).expect("seek");
+        file.write_all(&b).expect("write flip");
+        corrupted.insert(shard);
+    }
+    drop((file, probe));
+
+    let open = |p: &PathBuf| Arc::new(PackedStore::<Dna>::open_validated(p).expect("open"));
+    let service: ScanService<Dna> = ScanService::new(
+        ServiceConfig::default().with_backoff(Duration::from_millis(1), Duration::from_millis(5)),
+    );
+    let run_all = |target: &Arc<StoreTarget<Dna>>| -> Vec<ScanOutcome> {
+        let handles: Vec<_> = queries
+            .iter()
+            .map(|q| {
+                service
+                    .try_submit(ScanRequest::from_store(
+                        cfg,
+                        q.clone(),
+                        Arc::clone(target),
+                        3,
+                    ))
+                    .expect("soak query admitted")
+            })
+            .collect();
+        handles
+            .iter()
+            .map(|h| {
+                h.wait()
+                    .expect("soak query finalizes without panicking")
+                    .outcome
+            })
+            .collect()
+    };
+
+    failpoint::arm("store-chunk-read", Action::Sleep(Duration::from_micros(50)));
+    let corrupt_only = Arc::new(StoreTarget::new(open(&path)));
+    for (i, o) in run_all(&corrupt_only).iter().enumerate() {
+        assert_eq!(
+            o.completed_pairs + o.faulted_pairs + o.remaining_pairs(),
+            o.total_pairs,
+            "soak query {i}: accounting invariant under corruption"
+        );
+        assert!(
+            o.faulted_pairs > 0,
+            "soak query {i}: corruption must surface"
+        );
+        assert!(
+            o.faults
+                .iter()
+                .any(|f| f.site == "store-chunk-read" && !f.recovered),
+            "soak query {i}: quarantine must be attributed: {:?}",
+            o.faults
+        );
+    }
+    failpoint::disarm_all();
+
+    let with_replica = Arc::new(
+        StoreTarget::new(open(&path))
+            .with_replica(open(&rpath))
+            .expect("replica content matches"),
+    );
+    for (i, o) in run_all(&with_replica).iter().enumerate() {
+        assert!(o.is_complete(), "replica query {i} must complete");
+        assert_eq!(
+            o.hits,
+            scan_packed_topk_with(&cfg, &queries[i], &database, 3, None).hits,
+            "replica query {i}: hits must match the in-memory scan"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------

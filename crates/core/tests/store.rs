@@ -86,6 +86,10 @@ fn flip_byte(path: &std::path::Path, offset: u64, mask: u8) {
     f.write_all(&b).unwrap();
 }
 
+/// Cold (first scan after open) and warm (chunk cache populated) store
+/// scans both return the in-memory scan's hits; opening touches no
+/// payload, the warm scan is served from the cache, and a pristine
+/// store never fails verification.
 #[test]
 fn store_scan_is_byte_identical_to_in_memory_scan() {
     // Small chunks force entries to span chunk boundaries.
@@ -98,6 +102,7 @@ fn store_scan_is_byte_identical_to_in_memory_scan() {
         let (path, _guard) = tmp_store("roundtrip");
         let built_hash = build_store(&path, &database, &params).expect("build");
         let store = PackedStore::<Dna>::open_validated(&path).expect("open");
+        assert_eq!(store.chunks_loaded(), 0, "open must not touch payload");
         assert_eq!(store.content_hash(), built_hash);
         assert_eq!(store.len(), database.len());
         for (i, e) in database.iter().enumerate() {
@@ -120,6 +125,13 @@ fn store_scan_is_byte_identical_to_in_memory_scan() {
             assert_eq!(outcome.hits, baseline.hits, "mode {mi} workers {workers}");
             assert!(outcome.faults.is_empty());
         }
+        let store = target.store();
+        assert!(store.chunks_loaded() > 0, "the cold scan must load chunks");
+        assert!(
+            store.chunk_cache_hits() > 0,
+            "the warm scan must hit the cache"
+        );
+        assert_eq!(store.verify_failures(), 0);
         // Entries materialize exactly, in the caller's index space.
         for (i, e) in database.iter().enumerate() {
             assert_eq!(&target.store().entry(i).expect("entry"), e);

@@ -1,22 +1,25 @@
 //! The differential conformance suite: the single oracle every kernel
 //! must pass. One parameterized harness asserts that the striped batch
-//! path, the per-pair wavefront path, and the scalar rolling-row
-//! reference produce identical verdicts for every `AlignMode` × lane
-//! floor × `PackerPolicy`, on DNA and protein, plain, banded, and
-//! thresholded — and that ratcheted top-k scans are byte-identical
-//! across worker counts and agree with the per-pair reference
-//! selection.
+//! path (plain and supervised), the per-pair wavefront path, and the
+//! scalar rolling-row reference produce identical verdicts for every
+//! `AlignMode` × lane floor × `PackerPolicy`, on DNA and protein, plain,
+//! banded, and thresholded — and that ratcheted top-k scans are
+//! byte-identical across worker counts and agree with the per-pair
+//! reference selection. The batch runs on the default worker pool, so
+//! running the suite at `RAYON_NUM_THREADS=1` and `=4` covers the
+//! single- and multi-worker batch.
 //!
 //! Future kernels (new lane widths, new mode sweeps, new packers) plug
 //! into this matrix instead of growing bespoke tests: if a
 //! configuration is expressible, it is conformance-checked here.
 
-use race_logic::alignment::RaceWeights;
+use race_logic::alignment::{AlignmentRace, RaceWeights};
 use race_logic::early_termination::scan_packed_topk_with;
 use race_logic::engine::{
-    align_batch, AffineWeights, AlignConfig, AlignEngine, AlignMode, KernelStrategy, LaneWidth,
-    LocalScores, PackerPolicy,
+    align_batch, AffineWeights, AlignConfig, AlignEngine, AlignMode, BatchEngine, KernelStrategy,
+    LaneWidth, LocalScores, PackerPolicy,
 };
+use race_logic::supervisor::ScanControl;
 use rl_bio::alphabet::Symbol;
 use rl_bio::{AminoAcid, Dna, PackedSeq, Seq};
 use rl_dag::generate::seeded_rng;
@@ -61,9 +64,26 @@ fn pairs<S: Symbol>(
     out
 }
 
+/// `count` seed-pinned pairs of exactly `len` bp each: the fixed shapes
+/// every kernel path is smoke-checked on (8 × 32 bp short reads, 16 ×
+/// 256 bp long reads).
+fn fixed_pairs(count: usize, len: usize) -> Vec<(PackedSeq<Dna>, PackedSeq<Dna>)> {
+    let mut rng = seeded_rng(0xBA7C4);
+    (0..count)
+        .map(|_| {
+            (
+                PackedSeq::from_seq(&Seq::random(&mut rng, len)),
+                PackedSeq::from_seq(&Seq::random(&mut rng, len)),
+            )
+        })
+        .collect()
+}
+
 /// The conformance core: for one mode/band/threshold configuration,
-/// assert striped == per-pair == scalar-reference across every lane
-/// floor and packer policy.
+/// assert striped == supervised striped == per-pair == scalar-reference
+/// across every lane floor and packer policy (and, for the unbanded
+/// unthresholded global recurrence, == the allocating full-grid
+/// `run_functional`).
 fn assert_conformance<S: Symbol>(
     label: &str,
     cfg: AlignConfig,
@@ -76,6 +96,19 @@ fn assert_conformance<S: Symbol>(
         .iter()
         .map(|(q, p)| scalar_engine.align(q, p))
         .collect();
+
+    if cfg.mode == AlignMode::Global && cfg.band.is_none() && cfg.threshold.is_none() {
+        for ((q, p), reference) in pairs.iter().zip(&scalar) {
+            let grid = AlignmentRace::new(&q.to_seq(), &p.to_seq(), cfg.weights).run_functional();
+            assert_eq!(
+                grid.latency_cycles(),
+                reference.score.cycles(),
+                "{label}: run_functional diverges from scalar ({} x {})",
+                q.len(),
+                p.len()
+            );
+        }
+    }
 
     for floor in LANE_FLOORS {
         let fcfg = cfg.with_lane_floor(floor);
@@ -115,6 +148,17 @@ fn assert_conformance<S: Symbol>(
                      packer {packer}"
                 );
             }
+            let report = BatchEngine::new(pcfg).align_batch_supervised(pairs, &ScanControl::new());
+            assert!(
+                report.is_complete(),
+                "{label}: an unconstrained supervised batch must complete every pair"
+            );
+            let supervised: Vec<_> = report.outcomes.into_iter().flatten().collect();
+            assert_eq!(
+                supervised, sequential,
+                "{label}: supervised batch diverges from the sequential per-pair loop \
+                 at floor {floor:?}, packer {packer}"
+            );
         }
     }
 }
@@ -171,9 +215,14 @@ fn mode_variants(base: AlignConfig, threshold: Option<u64>) -> Vec<(&'static str
 #[test]
 fn conformance_dna_global() {
     let pairs = pairs::<Dna>(0xC0F0, 14, 40, 64);
-    for (variant, cfg) in mode_variants(AlignConfig::new(RaceWeights::fig4()), Some(18)) {
+    let base = AlignConfig::new(RaceWeights::fig4());
+    for (variant, cfg) in mode_variants(base, Some(18)) {
         assert_conformance(&format!("dna/global/{variant}"), cfg, &pairs);
     }
+    let short = fixed_pairs(8, 32);
+    assert_conformance("dna/global/8x32", base, &short);
+    assert_conformance("dna/global/8x32/band4", base.with_band(4), &short);
+    assert_conformance("dna/global/16x256", base, &fixed_pairs(16, 256));
 }
 
 #[test]
@@ -183,6 +232,9 @@ fn conformance_dna_semi_global() {
     for (variant, cfg) in mode_variants(base, Some(10)) {
         assert_conformance(&format!("dna/semi-global/{variant}"), cfg, &pairs);
     }
+    let short = fixed_pairs(8, 32);
+    assert_conformance("dna/semi-global/8x32", base, &short);
+    assert_conformance("dna/semi-global/8x32/band4", base.with_band(4), &short);
 }
 
 #[test]
@@ -193,6 +245,7 @@ fn conformance_dna_local() {
     for (variant, cfg) in mode_variants(base, None) {
         assert_conformance(&format!("dna/local/{variant}"), cfg, &pairs);
     }
+    assert_conformance("dna/local/8x32", base, &fixed_pairs(8, 32));
 }
 
 #[test]
@@ -203,6 +256,7 @@ fn conformance_dna_affine() {
     for (variant, cfg) in mode_variants(base, Some(22)) {
         assert_conformance(&format!("dna/affine/{variant}"), cfg, &pairs);
     }
+    assert_conformance("dna/affine/8x32", base, &fixed_pairs(8, 32));
 }
 
 #[test]

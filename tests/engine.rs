@@ -654,8 +654,11 @@ fn band_compaction_edge_regression() {
 // Ragged batches (length-aware packer) and the ratcheted top-k scan.
 // ---------------------------------------------------------------------------
 
-use race_logic::early_termination::{scan_database, scan_packed_topk_with, TopKScan};
-use race_logic::engine::{batch_plan_stats, BatchEngine, PackerPolicy};
+use race_logic::early_termination::{
+    scan, scan_database, scan_packed_topk_with, ScanEntries, TopKScan,
+};
+use race_logic::engine::{align_batch_refs, batch_plan_stats, BatchEngine, PackerPolicy};
+use race_logic::supervisor::ScanControl;
 
 /// The ratcheted top-k scan of unpacked sequences: packs them and runs
 /// [`scan_packed_topk_with`].
@@ -671,8 +674,7 @@ fn topk_scan(
 }
 
 /// Seed-pinned log-normal lengths clamped to `[lo, hi]` — the shape of
-/// realistic read-length distributions (same construction as
-/// `engine_baseline --ragged`, independently seeded here).
+/// realistic read-length distributions ([`rl_bench::lognormal_len`]).
 fn lognormal_lengths(
     seed: u64,
     count: usize,
@@ -681,16 +683,9 @@ fn lognormal_lengths(
     lo: usize,
     hi: usize,
 ) -> Vec<usize> {
-    use rand::Rng;
     let mut rng = rl_dag::generate::seeded_rng(seed);
     (0..count)
-        .map(|_| {
-            let u1 = rng.unit_f64().max(1e-12);
-            let u2 = rng.unit_f64();
-            let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-            let len = (median.ln() + sigma * z).exp().round() as i64;
-            (len.max(lo as i64) as usize).min(hi)
-        })
+        .map(|_| rl_bench::lognormal_len(&mut rng, median, sigma, lo, hi))
         .collect()
 }
 
@@ -847,9 +842,11 @@ fn ratcheted_topk_deterministic_across_worker_counts() {
 /// On a ragged log-normal workload most wavefront-eligible pairs must
 /// ride stripes under the length-aware packer (the acceptance-criterion
 /// floor, pinned well below the measured value), and a reused
-/// `BatchEngine` stays byte-identical to the free function.
+/// `BatchEngine` stays byte-identical to the free function. A far wider
+/// spread checks every batch path against the sequential loop.
 #[test]
 fn ragged_workload_stripes_most_pairs() {
+    use rand::Rng;
     let pairs = ragged_pairs(0xBADC0DE, 400);
     let cfg = AlignConfig::new(RaceWeights::fig4());
     let aware = batch_plan_stats(&cfg, &pairs);
@@ -877,6 +874,137 @@ fn ragged_workload_stripes_most_pairs() {
     let second = batcher.align_batch(&pairs); // scratch reuse path
     assert_eq!(first, second);
     assert_eq!(first, align_batch(&cfg, &pairs));
+
+    // A far wider spread (64 pairs, median 48 bp, σ = 1.2, clamp
+    // `[8, 384]`, patterns ±15%, one seed-pinned stream): both packers,
+    // the u16-floored stripes and the supervised batch all equal the
+    // sequential loop, every plan's occupancy is a fraction, and the
+    // length-aware plan stripes some of the pairs.
+    let mut rng = rl_dag::generate::seeded_rng(0xBA7C4);
+    let wide: Vec<(PackedSeq<Dna>, PackedSeq<Dna>)> = (0..64)
+        .map(|_| {
+            let n = rl_bench::lognormal_len(&mut rng, 48.0, 1.2, 8, 384);
+            let m = ((n as f64) * rng.random_range(0.85..=1.15))
+                .round()
+                .max(1.0) as usize;
+            (
+                PackedSeq::from_seq(&Seq::<Dna>::random(&mut rng, n)),
+                PackedSeq::from_seq(&Seq::<Dna>::random(&mut rng, m)),
+            )
+        })
+        .collect();
+    let mut engine = AlignEngine::new(cfg);
+    let sequential: Vec<EngineOutcome> = wide.iter().map(|(q, p)| engine.align(q, p)).collect();
+    for cfg in [
+        cfg,
+        cfg.with_packer(PackerPolicy::ExactBucket),
+        cfg.with_lane_floor(LaneWidth::U16),
+    ] {
+        assert_eq!(
+            align_batch(&cfg, &wide),
+            sequential,
+            "packer {}",
+            cfg.packer
+        );
+        let report = BatchEngine::new(cfg).align_batch_supervised(&wide, &ScanControl::new());
+        assert!(report.is_complete());
+        let supervised: Vec<EngineOutcome> = report.outcomes.into_iter().flatten().collect();
+        assert_eq!(supervised, sequential, "supervised, packer {}", cfg.packer);
+        let stats = batch_plan_stats(&cfg, &wide);
+        assert!(
+            stats.occupancy() > 0.0 && stats.occupancy() <= 1.0,
+            "packer {}: {stats:?}",
+            cfg.packer
+        );
+    }
+    let aware = batch_plan_stats(&cfg, &wide);
+    assert!(aware.striped_pairs > 0, "{aware:?}");
+}
+
+/// Seed-pinned log-normal scan databases (σ = 0.5, clamp `[8, 4·median]`,
+/// the query drawn first from the same stream): at 4 workers the
+/// ratcheted top-k equals the unratcheted batch's top-k selection.
+/// Global and semi-global (Levenshtein, a read a third the median
+/// length) run on 8 entries; global and affine on 512 entries of median
+/// 128 bp, large enough that stripes are abandoned mid-sweep. Each case
+/// also runs a fixed-length batch of the same count and median length
+/// through the plain, u16-floored and supervised batch paths, which must
+/// agree.
+#[test]
+fn ratcheted_scans_equal_the_batch_topk_on_lognormal_databases() {
+    let affine = AlignMode::GlobalAffine(AffineWeights { open: 2 });
+    for (entries, median, k, mode) in [
+        (8, 48, 6, AlignMode::Global),
+        (8, 48, 6, AlignMode::SemiGlobal),
+        (512, 128, 10, AlignMode::Global),
+        (512, 128, 10, affine),
+    ] {
+        let semi = mode == AlignMode::SemiGlobal;
+        let mut rng = rl_dag::generate::seeded_rng(0xBA7C4 ^ 0x5CA9);
+        let query_len = if semi { (median / 3).max(16) } else { median };
+        let query = PackedSeq::from_seq(&Seq::<Dna>::random(&mut rng, query_len));
+        let db: Vec<PackedSeq<Dna>> = (0..entries)
+            .map(|_| {
+                let len = rl_bench::lognormal_len(&mut rng, median as f64, 0.5, 8, median * 4);
+                PackedSeq::from_seq(&Seq::<Dna>::random(&mut rng, len))
+            })
+            .collect();
+        let w = if semi {
+            RaceWeights::levenshtein()
+        } else {
+            RaceWeights::fig4()
+        };
+        let cfg = AlignConfig::new(w).with_mode(mode);
+
+        let mut rng = rl_dag::generate::seeded_rng(0xBA7C4);
+        let fixed: Vec<(PackedSeq<Dna>, PackedSeq<Dna>)> = (0..entries)
+            .map(|_| {
+                (
+                    PackedSeq::from_seq(&Seq::<Dna>::random(&mut rng, median)),
+                    PackedSeq::from_seq(&Seq::<Dna>::random(&mut rng, median)),
+                )
+            })
+            .collect();
+        let batch = align_batch(&cfg, &fixed);
+        assert_eq!(
+            align_batch(&cfg.with_lane_floor(LaneWidth::U16), &fixed),
+            batch,
+            "{mode}: u16-floored batch"
+        );
+        let report = BatchEngine::new(cfg).align_batch_supervised(&fixed, &ScanControl::new());
+        assert!(report.is_complete(), "{mode}: supervised batch");
+        assert_eq!(
+            report.outcomes.into_iter().flatten().collect::<Vec<_>>(),
+            batch,
+            "{mode}: supervised batch"
+        );
+
+        let (ratcheted, _) = scan(
+            &cfg,
+            &query,
+            ScanEntries::Memory(&db),
+            k,
+            None,
+            Some(4),
+            &ScanControl::new(),
+        )
+        .expect("valid scan");
+        let pairs: Vec<_> = db.iter().map(|p| (&query, p)).collect();
+        let mut full: Vec<(usize, u64)> = align_batch_refs(&cfg, &pairs)
+            .iter()
+            .enumerate()
+            .filter_map(|(i, o)| o.score.cycles().map(|s| (i, s)))
+            .collect();
+        full.sort_unstable_by_key(|&(i, s)| (s, i));
+        full.truncate(k);
+        assert_eq!(ratcheted.hits, full, "{mode}, {entries} entries");
+        if entries == 512 {
+            assert!(
+                ratcheted.abandoned > 0,
+                "{mode}: the 512-entry scan must abandon entries"
+            );
+        }
+    }
 }
 
 /// `scan_database` (the §6 report) and the ratcheted top-k agree on who

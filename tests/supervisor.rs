@@ -256,6 +256,29 @@ fn zero_deadline_yields_partial_outcome_not_panic() {
     );
 }
 
+/// A deadline far beyond the scan's run time never stops it early: on a
+/// seed-pinned 32-entry log-normal fig4 database (median 48 bp, σ =
+/// 0.5), a 60 s deadline completes every pair with the hits of the same
+/// scan run without one.
+#[test]
+fn generous_deadline_completes_every_pair() {
+    let mut rng = seeded_rng(0xBA7C4 ^ 0x5CA9);
+    let q = PackedSeq::from_seq(&Seq::<Dna>::random(&mut rng, 48));
+    let database: Vec<PackedSeq<Dna>> = (0..32)
+        .map(|_| {
+            let len = rl_bench::lognormal_len(&mut rng, 48.0, 0.5, 8, 192);
+            PackedSeq::from_seq(&Seq::<Dna>::random(&mut rng, len))
+        })
+        .collect();
+    let cfg = AlignConfig::new(RaceWeights::fig4());
+    let unbounded = try_scan(&cfg, &q, &database, 10, None).unwrap();
+    let ctrl = ScanControl::new().with_deadline_after(Duration::from_secs(60));
+    let outcome = supervised(&cfg, &q, &database, 10, None, &ctrl).unwrap();
+    assert_eq!(outcome.stop, None);
+    assert_eq!(outcome.completed_pairs, outcome.total_pairs);
+    assert_eq!(outcome.hits, unbounded.hits);
+}
+
 #[test]
 fn cells_budget_stops_mid_scan_with_exact_accounting() {
     let cfg = AlignConfig::new(RaceWeights::fig4());

@@ -1,8 +1,9 @@
 //! Integration tests for the telemetry subsystem (`race_logic::telemetry`)
 //! at the public-API level: instrument semantics, both exposition
-//! formats, snapshot lookups, per-query timelines on service reports,
-//! per-instance store counters across cold and warm scans, and the
-//! registry-backed `ServiceStats` views. Fault-injected telemetry paths
+//! formats, snapshot lookups, result invariance of a traced striped
+//! batch, per-query timelines on service reports, per-instance store
+//! counters across cold and warm scans, and the registry-backed
+//! `ServiceStats` views. Fault-injected telemetry paths
 //! (flight dumps, retry timelines) live in
 //! `crates/core/tests/failpoints.rs`.
 
@@ -10,7 +11,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use race_logic::alignment::RaceWeights;
-use race_logic::engine::AlignConfig;
+use race_logic::engine::{AlignConfig, BatchEngine};
 use race_logic::service::{ScanRequest, ScanService, ServiceConfig};
 use race_logic::store::{
     build_store, scan_store_topk_resumable, PackedStore, StoreParams, StoreTarget,
@@ -123,6 +124,76 @@ fn exposition_formats_cover_the_whole_catalog() {
     assert!(snap.counter("rl_no_such_metric").is_none());
     let (count, _sum) = snap.histogram("rl_unit_cells").expect("known histogram");
     let _ = count;
+}
+
+/// Telemetry never changes results and feeds the catalog: a supervised
+/// striped batch (32 fixed 256 bp fig4 pairs) returns identical
+/// outcomes with the registry and a tracer enabled and with telemetry
+/// globally off; the enabled run counts striped units and checkpoints
+/// and observes per-unit cells, and both exposition formats render
+/// them.
+#[test]
+fn traced_batch_is_result_invariant_and_populates_the_catalog() {
+    let _g = registry_lock();
+    let mut rng = seeded_rng(0xBA7C4);
+    let pairs: Vec<(PackedSeq<Dna>, PackedSeq<Dna>)> = (0..32)
+        .map(|_| {
+            (
+                PackedSeq::from_seq(&Seq::<Dna>::random(&mut rng, 256)),
+                PackedSeq::from_seq(&Seq::<Dna>::random(&mut rng, 256)),
+            )
+        })
+        .collect();
+    let cfg = AlignConfig::new(RaceWeights::fig4());
+    let run = |on: bool| {
+        let prior = telemetry::set_enabled(on);
+        let mut ctrl = ScanControl::new();
+        if on {
+            ctrl = ctrl.with_tracer(TraceHandle::new(u64::MAX));
+        }
+        let report = BatchEngine::new(cfg).align_batch_supervised(&pairs, &ctrl);
+        telemetry::set_enabled(prior);
+        assert!(report.is_complete(), "unconstrained batch must complete");
+        report.outcomes
+    };
+    let catalog = || {
+        let snap = Snapshot::capture();
+        (
+            snap.counter("rl_stripe_units_total")
+                .expect("catalog counter"),
+            snap.counter("rl_checkpoints_total")
+                .expect("catalog counter"),
+            snap.histogram("rl_unit_cells")
+                .expect("catalog histogram")
+                .0,
+        )
+    };
+
+    let off = run(false);
+    let (units, checkpoints, unit_cells) = catalog();
+    assert_eq!(run(true), off, "telemetry must not change results");
+    let (units_on, checkpoints_on, unit_cells_on) = catalog();
+    assert!(units_on > units, "enabled runs must count striped units");
+    assert!(
+        checkpoints_on > checkpoints,
+        "enabled runs must count checkpoints"
+    );
+    assert!(
+        unit_cells_on > unit_cells,
+        "enabled runs must observe unit cells"
+    );
+
+    let prom = telemetry::prometheus_text();
+    assert!(
+        prom.contains("# TYPE rl_stripe_units_total counter")
+            && prom.contains("rl_unit_cells_bucket{le=\"+Inf\"}"),
+        "prometheus exposition must render the catalog"
+    );
+    let js = telemetry::json_snapshot();
+    assert!(
+        js.contains("\"counters\"") && js.contains("\"rl_unit_cells\""),
+        "json exposition must render the catalog"
+    );
 }
 
 #[test]
