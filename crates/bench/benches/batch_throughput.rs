@@ -17,6 +17,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use race_logic::alignment::{AlignmentRace, RaceWeights};
 use race_logic::engine::{align_batch, AlignConfig, AlignEngine, KernelStrategy};
+use race_logic::supervisor::ScanControl;
 use rl_bio::{alphabet::Dna, PackedSeq, Seq};
 use rl_dag::generate::seeded_rng;
 use std::hint::black_box;
@@ -28,6 +29,11 @@ fn random_pairs(len: usize) -> Vec<(Seq<Dna>, Seq<Dna>)> {
     (0..PAIRS)
         .map(|_| (Seq::random(&mut rng, len), Seq::random(&mut rng, len)))
         .collect()
+}
+
+/// Borrowed views of owned pairs, the form [`align_batch`] takes.
+fn refs(pairs: &[(PackedSeq<Dna>, PackedSeq<Dna>)]) -> Vec<(&PackedSeq<Dna>, &PackedSeq<Dna>)> {
+    pairs.iter().map(|(q, p)| (q, p)).collect()
 }
 
 fn bench_batch_throughput(c: &mut Criterion) {
@@ -70,8 +76,9 @@ fn bench_batch_throughput(c: &mut Criterion) {
             });
         }
 
+        let refs = refs(&packed);
         group.bench_function("engine_align_batch/striped", |b| {
-            b.iter(|| black_box(align_batch(&cfg, &packed)));
+            b.iter(|| black_box(align_batch(&cfg, &refs, &ScanControl::new())));
         });
 
         group.finish();
@@ -79,10 +86,9 @@ fn bench_batch_throughput(c: &mut Criterion) {
 }
 
 /// The ragged counterpart: log-normal lengths
-/// ([`rl_bench::lognormal_len`], σ = 1.2), length-aware packer vs the
-/// exact-bucket ruler at equal thread count.
-fn bench_ragged_packers(c: &mut Criterion) {
-    use race_logic::engine::PackerPolicy;
+/// ([`rl_bench::lognormal_len`], σ = 1.2) through the length-aware
+/// packer.
+fn bench_ragged(c: &mut Criterion) {
     use rand::Rng;
     use rl_bench::lognormal_len;
 
@@ -111,15 +117,10 @@ fn bench_ragged_packers(c: &mut Criterion) {
     ));
     group.sample_size(10);
     group.throughput(Throughput::Elements(PAIRS as u64));
-    for (name, packer) in [
-        ("length_aware", PackerPolicy::LengthAware),
-        ("exact_bucket", PackerPolicy::ExactBucket),
-    ] {
-        let cfg = cfg.with_packer(packer);
-        group.bench_function(format!("engine_align_batch/{name}"), |b| {
-            b.iter(|| black_box(align_batch(&cfg, &packed)));
-        });
-    }
+    let refs = refs(&packed);
+    group.bench_function("engine_align_batch/ragged", |b| {
+        b.iter(|| black_box(align_batch(&cfg, &refs, &ScanControl::new())));
+    });
     group.finish();
 }
 
@@ -142,6 +143,7 @@ fn bench_mode_sweep(c: &mut Criterion) {
     ));
     group.sample_size(10);
     group.throughput(Throughput::Elements(PAIRS as u64));
+    let refs = refs(&packed);
     for mode in [
         AlignMode::Global,
         AlignMode::SemiGlobal,
@@ -150,7 +152,7 @@ fn bench_mode_sweep(c: &mut Criterion) {
     ] {
         let cfg = AlignConfig::new(RaceWeights::fig4()).with_mode(mode);
         group.bench_function(format!("engine_align_batch/{mode}"), |b| {
-            b.iter(|| black_box(align_batch(&cfg, &packed)));
+            b.iter(|| black_box(align_batch(&cfg, &refs, &ScanControl::new())));
         });
     }
     group.finish();
@@ -159,7 +161,7 @@ fn bench_mode_sweep(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_batch_throughput,
-    bench_ragged_packers,
+    bench_ragged,
     bench_mode_sweep
 );
 criterion_main!(benches);

@@ -21,7 +21,7 @@
 use std::time::Instant;
 
 use race_logic::alignment::RaceWeights;
-use race_logic::engine::{AlignConfig, BatchEngine};
+use race_logic::engine::{align_batch, AlignConfig};
 use race_logic::supervisor::ScanControl;
 use race_logic::telemetry::{self, TraceHandle};
 use rl_bio::{alphabet::Dna, PackedSeq, Seq};
@@ -54,6 +54,7 @@ fn main() {
             )
         })
         .collect();
+    let refs: Vec<_> = pairs.iter().map(|(q, p)| (q, p)).collect();
     let cfg = AlignConfig::new(RaceWeights::fig4());
 
     // Seconds for BATCH supervised batches, and the last batch's score
@@ -67,7 +68,7 @@ fn main() {
             if on {
                 ctrl = ctrl.with_tracer(TraceHandle::new(u64::MAX));
             }
-            let report = BatchEngine::new(cfg).align_batch_supervised(&pairs, &ctrl);
+            let report = align_batch(&cfg, &refs, &ctrl);
             assert!(report.is_complete(), "unconstrained batch must complete");
             checksum = report
                 .outcomes

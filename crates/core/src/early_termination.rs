@@ -161,7 +161,9 @@ pub fn scan_database<S: Symbol>(
     let q = PackedSeq::from_seq(query);
     let patterns: Vec<PackedSeq<S>> = database.iter().map(PackedSeq::from_seq).collect();
     let pairs: Vec<(&PackedSeq<S>, &PackedSeq<S>)> = patterns.iter().map(|p| (&q, p)).collect();
-    let outcomes = crate::engine::align_batch_refs(&AlignConfig::new(weights), &pairs);
+    let outcomes =
+        crate::engine::align_batch(&AlignConfig::new(weights), &pairs, &ScanControl::new())
+            .expect_complete();
 
     let mut hits = Vec::new();
     let mut rejected = 0;
@@ -515,17 +517,8 @@ fn run_segment<S: Symbol>(
                 .unzip()
         }
     };
-    let mut scratch = crate::striped::BatchScratch::default();
-    let (slots, report) = crate::striped::scan_topk_resume_impl(
-        cfg,
-        &pairs,
-        &ids,
-        k,
-        &all_hits,
-        workers,
-        &mut scratch,
-        ctrl,
-    );
+    let (slots, report) =
+        crate::striped::scan_topk_resume_impl(cfg, &pairs, &ids, k, &all_hits, workers, ctrl);
 
     let mut remaining = Vec::new();
     for (slot, &idx) in slots.iter().zip(&ids) {

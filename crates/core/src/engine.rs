@@ -47,13 +47,13 @@
 //!   crosses). Both are fused into both kernels.
 //! - **Batching.** [`align_batch`] packs wavefront-eligible pairs into
 //!   stripes — sorted by `(n, m)`, greedily merged across lengths under
-//!   a padding budget ([`PackerPolicy::LengthAware`]) — and sweeps each
+//!   a padding budget ([`STRIPE_PAD_BUDGET_PCT`]) — and sweeps each
 //!   stripe with the inter-pair striped kernel (every SIMD lane a
 //!   different pair, per-lane banding masks and early-termination
 //!   flags, lanes retiring independently), fanned out across cores
-//!   with rayon, one persistent scratch arena per worker
-//!   ([`BatchEngine`]), results in input order — and byte-identical to
-//!   the sequential loop. The §6 database scan sharpens this into
+//!   with rayon, one scratch arena per worker, always supervised,
+//!   results in input order — and byte-identical to the sequential
+//!   loop. The §6 database scan sharpens this into
 //!   [`crate::early_termination::scan`], whose shared top-k ratchet
 //!   tightens the fused threshold as hits land.
 //!
@@ -115,32 +115,21 @@ pub const WAVEFRONT_MIN_BAND: usize = 8;
 /// take the narrowest exact width.
 pub const U16_MIN_LEN: usize = 512;
 
-/// Smallest number of same-cohort pairs worth launching as one striped
+/// Smallest number of pairs worth launching as one striped
 /// (inter-pair SIMD) sweep in [`align_batch`]: a stripe's cost is nearly
 /// independent of how many of its lanes are live, so below this
 /// occupancy the per-pair wavefront kernel is cheaper. Leftover pairs
 /// of a partially filled stripe run per pair.
 pub const STRIPE_MIN_PAIRS: usize = 4;
 
-/// Length quantum of the **legacy** [`PackerPolicy::ExactBucket`]
-/// cohort grouping: pairs whose `(n, m)` round up to the same multiple
-/// of this share a cohort, and each stripe is padded to the cohort
-/// ceiling with sentinel cells. A coarser quantum fills stripes faster
-/// on ragged batches; a finer one wastes fewer padded cells. 16 keeps
-/// worst-case padding below ~25% at the shortest striped lengths
-/// (`min(n, m) ≥` [`WAVEFRONT_MIN_LEN`]). The default
-/// [`PackerPolicy::LengthAware`] packer replaces the quantum with a
-/// per-stripe padding budget ([`STRIPE_PAD_BUDGET_PCT`]).
-pub const COHORT_LEN_BUCKET: usize = 16;
-
-/// Padding budget of the [`PackerPolicy::LengthAware`] stripe packer,
-/// in percent: a stripe may accept a further pair only while
+/// Padding budget of the length-aware stripe packer, in percent: a
+/// stripe may accept a further pair only while
 /// `padded cells ≤ budget% · useful cells`, where *useful* is the sum
 /// of each member's own (banded) cell count and *padded* is what the
 /// members' lanes additionally sweep when padded to the stripe's union
-/// shape. 25% mirrors the worst-case padding the legacy 16-quantum
-/// bucketing tolerated, but is now spent where it buys occupancy
-/// instead of wherever bucket boundaries happen to fall.
+/// shape. 25% is the worst-case padding a 16-cell length quantum
+/// tolerates at the shortest striped lengths, spent where it buys
+/// occupancy instead of wherever quantum boundaries happen to fall.
 pub const STRIPE_PAD_BUDGET_PCT: u64 = 25;
 
 /// Which traversal order the engine's fused kernel uses.
@@ -174,37 +163,6 @@ impl std::fmt::Display for KernelStrategy {
             KernelStrategy::Auto => write!(f, "auto"),
             KernelStrategy::RollingRow => write!(f, "rolling-row"),
             KernelStrategy::Wavefront => write!(f, "wavefront"),
-        }
-    }
-}
-
-/// How [`align_batch`] groups wavefront-eligible pairs into stripes.
-///
-/// Both policies produce **identical outcomes** (each stripe's lanes
-/// mirror the per-pair kernel exactly, whatever the grouping); they
-/// differ only in how many pairs end up riding stripes on ragged
-/// batches, i.e. in throughput. The A/B knob exists so the packer win
-/// is benchmarkable against a fixed ruler and so a packing regression
-/// shows up as a number, not a vibe (`batch_plan_stats`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum PackerPolicy {
-    /// Sort pairs by `(n, m)` and greedily pack consecutive pairs into
-    /// stripes while the padding stays under
-    /// [`STRIPE_PAD_BUDGET_PCT`] — cross-length stripes, padded lanes
-    /// retiring early. The default.
-    #[default]
-    LengthAware,
-    /// The PR 3 planner: only pairs sharing an exact 16-rounded
-    /// `(⌈n⌉₁₆, ⌈m⌉₁₆)` bucket ([`COHORT_LEN_BUCKET`]) share a stripe.
-    /// Kept as the benchmark ruler for the length-aware packer.
-    ExactBucket,
-}
-
-impl std::fmt::Display for PackerPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PackerPolicy::LengthAware => write!(f, "length-aware"),
-            PackerPolicy::ExactBucket => write!(f, "exact-bucket"),
         }
     }
 }
@@ -658,11 +616,6 @@ pub struct AlignConfig {
     /// benchmarking the lane-width win, never needed for correctness
     /// (every eligible width computes identical scores).
     pub lane_floor: LaneWidth,
-    /// How [`align_batch`] packs pairs into stripes
-    /// ([`PackerPolicy::LengthAware`] by default; the legacy
-    /// [`PackerPolicy::ExactBucket`] is the benchmarking ruler). Pure
-    /// throughput knob — outcomes are identical under either policy.
-    pub packer: PackerPolicy,
     /// Which alignment problem the kernels race
     /// ([`AlignMode::Global`] by default): boundary injection, readout
     /// rule, and — for [`AlignMode::Local`] — the max-plus arithmetic.
@@ -695,7 +648,6 @@ impl AlignConfig {
             threshold: None,
             strategy: KernelStrategy::Auto,
             lane_floor: LaneWidth::U8,
-            packer: PackerPolicy::default(),
             mode: AlignMode::Global,
         };
         cfg.validate()?;
@@ -729,15 +681,6 @@ impl AlignConfig {
     #[must_use]
     pub fn with_lane_floor(mut self, floor: LaneWidth) -> Self {
         self.lane_floor = floor;
-        self
-    }
-
-    /// Pins the batch stripe-packing policy — an A/B benchmarking knob
-    /// ([`PackerPolicy::ExactBucket`] reproduces the PR 3 planner);
-    /// outcomes are identical under either policy.
-    #[must_use]
-    pub fn with_packer(mut self, packer: PackerPolicy) -> Self {
-        self.packer = packer;
         self
     }
 
@@ -1977,7 +1920,7 @@ impl AlignEngine {
     /// when the control stops the sweep; the partially computed grid is
     /// discarded (single alignments have no useful partial result —
     /// batch callers get typed partial ledgers instead, see
-    /// [`BatchEngine::align_batch_supervised`]).
+    /// [`align_batch`]).
     pub fn align_supervised<S: Symbol>(
         &mut self,
         q: &PackedSeq<S>,
@@ -2427,114 +2370,6 @@ impl AlignEngine {
     }
 }
 
-/// A reusable **batch** alignment engine: configuration plus the
-/// plan-level scratch arena of the striped batch kernel (per-worker
-/// code planes, diagonal buffers at every lane width, per-pair fallback
-/// engines). Create once, call [`BatchEngine::align_batch`] many times —
-/// after warm-up at a working-set size, batching re-transposes planes
-/// and rotates buffers in place instead of reallocating per call, the
-/// batch analogue of [`AlignEngine`]'s zero-allocation contract.
-///
-/// The free functions [`align_batch`] / [`align_batch_refs`] are
-/// one-shot wrappers over a transient `BatchEngine`.
-pub struct BatchEngine {
-    cfg: AlignConfig,
-    scratch: crate::striped::BatchScratch,
-}
-
-impl BatchEngine {
-    /// A batch engine with the given configuration and empty scratch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cfg.weights.indel == 0` (see [`RaceWeights`]).
-    #[must_use]
-    pub fn new(cfg: AlignConfig) -> Self {
-        cfg.assert_valid();
-        BatchEngine {
-            cfg,
-            scratch: crate::striped::BatchScratch::default(),
-        }
-    }
-
-    /// The engine's configuration.
-    #[must_use]
-    pub fn config(&self) -> &AlignConfig {
-        &self.cfg
-    }
-
-    /// Swaps the configuration while keeping every scratch buffer (the
-    /// batch analogue of [`AlignEngine::set_config`]).
-    pub fn set_config(&mut self, cfg: AlignConfig) {
-        cfg.assert_valid();
-        self.cfg = cfg;
-    }
-
-    /// Aligns every `(q, p)` pair, in parallel, with results in input
-    /// order — see [`align_batch`] for the execution model. Outcomes
-    /// are **identical** to a sequential [`AlignEngine::align`] loop.
-    #[must_use]
-    pub fn align_batch<S: Symbol>(
-        &mut self,
-        pairs: &[(PackedSeq<S>, PackedSeq<S>)],
-    ) -> Vec<EngineOutcome> {
-        let refs: Vec<(&PackedSeq<S>, &PackedSeq<S>)> = pairs.iter().map(|(q, p)| (q, p)).collect();
-        self.align_batch_refs(&refs)
-    }
-
-    /// [`BatchEngine::align_batch`] over borrowed operands — for
-    /// callers whose pairs share sequences (e.g. one query against a
-    /// whole database), where an owned pair slice would clone the
-    /// shared side once per pair. Stripes whose lanes all share one
-    /// query operand additionally reuse the packed query plane across
-    /// stripes instead of re-transposing it per stripe.
-    #[must_use]
-    pub fn align_batch_refs<S: Symbol>(
-        &mut self,
-        pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
-    ) -> Vec<EngineOutcome> {
-        crate::striped::align_batch_impl(&self.cfg, pairs, &mut self.scratch)
-    }
-
-    /// [`BatchEngine::align_batch`] under a [`ScanControl`]: the batch
-    /// checkpoints the control between work units (and inside the
-    /// per-pair kernels), isolates worker panics per unit, retries a
-    /// quarantined stripe's members on the per-pair fallback kernel,
-    /// and returns a typed partial ledger instead of crashing or
-    /// blocking. When nothing stops or faults, `outcomes` equals the
-    /// plain [`BatchEngine::align_batch`] result, entry for entry.
-    pub fn align_batch_supervised<S: Symbol>(
-        &mut self,
-        pairs: &[(PackedSeq<S>, PackedSeq<S>)],
-        ctrl: &ScanControl,
-    ) -> crate::supervisor::BatchReport {
-        let refs: Vec<(&PackedSeq<S>, &PackedSeq<S>)> = pairs.iter().map(|(q, p)| (q, p)).collect();
-        self.align_batch_refs_supervised(&refs, ctrl)
-    }
-
-    /// [`BatchEngine::align_batch_supervised`] over borrowed operands.
-    pub fn align_batch_refs_supervised<S: Symbol>(
-        &mut self,
-        pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
-        ctrl: &ScanControl,
-    ) -> crate::supervisor::BatchReport {
-        crate::striped::align_batch_supervised_impl(&self.cfg, pairs, &mut self.scratch, ctrl)
-    }
-
-    /// [`BatchEngine::new`] with a typed error instead of a panic.
-    ///
-    /// # Errors
-    ///
-    /// [`AlignError::InvalidConfig`] (see [`AlignConfig::validate`]).
-    pub fn try_new(cfg: AlignConfig) -> Result<Self, AlignError> {
-        cfg.validate()?;
-        Ok(BatchEngine {
-            cfg,
-            scratch: crate::striped::BatchScratch::default(),
-        })
-    }
-}
-
 /// Static occupancy accounting of a batch plan — how well
 /// [`align_batch`] would pack `pairs` under `cfg`, before running
 /// anything. The numbers behind perfbench's traced `engine.occupancy`,
@@ -2598,44 +2433,62 @@ pub fn batch_plan_stats<S: Symbol>(
     crate::striped::plan_stats_impl(cfg, &refs)
 }
 
-/// Aligns every `(q, p)` pair under `cfg`, in parallel, with results in
-/// input order.
+/// Aligns every `(q, p)` pair under `cfg`, in parallel, under `ctrl` —
+/// the one batch entry point.
 ///
 /// Two levels of parallelism are fused. Across cores, work is chunked
 /// with rayon, one scratch set per worker chunk. Within a core, pairs
-/// whose plan resolves to the wavefront kernel are packed into stripes
-/// by the configured [`PackerPolicy`] — by default the length-aware
-/// packer: pairs sorted by `(n, m)`, consecutive pairs greedily sharing
-/// a stripe while padding stays under [`STRIPE_PAD_BUDGET_PCT`] — and
-/// each stripe is swept by the **striped batch kernel**
-/// (`race_logic`'s inter-pair SIMD path): each SIMD lane of one
-/// anti-diagonal sweep is a *different pair*, with per-lane banding
-/// masks and per-lane early termination, lanes retiring independently —
-/// the software analogue of tiling many small alignments onto one Race
-/// Logic array. Stripes with fewer than [`STRIPE_MIN_PAIRS`] live lanes,
-/// and pairs that resolve to the rolling row, run per pair as before.
+/// whose plan resolves to the wavefront kernel are sorted by `(n, m)`
+/// and consecutive pairs greedily share a stripe while padding stays
+/// under [`STRIPE_PAD_BUDGET_PCT`]; each stripe is swept by the
+/// **striped batch kernel** (`race_logic`'s inter-pair SIMD path): each
+/// SIMD lane of one anti-diagonal sweep is a *different pair*, with
+/// per-lane banding masks and per-lane early termination, lanes
+/// retiring independently — the software analogue of tiling many small
+/// alignments onto one Race Logic array. Stripes with fewer than
+/// [`STRIPE_MIN_PAIRS`] live lanes, and pairs that resolve to the
+/// rolling row, run per pair.
 ///
-/// Every outcome is **identical** to what a sequential
+/// The batch is always supervised. It checkpoints `ctrl` between work
+/// units (and inside the per-pair kernels), isolates worker panics per
+/// unit, retries a quarantined stripe's members on the per-pair
+/// fallback kernel, and returns a typed partial ledger instead of
+/// crashing or blocking. Operands are borrowed, so batches whose pairs
+/// share a sequence (one query against a whole database) clone
+/// nothing, and stripes whose lanes all share one query reuse its
+/// packed plane.
+///
+/// Every completed outcome is **identical** to what a sequential
 /// [`AlignEngine::align`] loop would produce — scores, cell counts and
-/// early-termination verdicts alike (property-tested), under either
-/// packer policy.
+/// early-termination verdicts alike (property-tested).
+///
+/// # Panics
+///
+/// Panics if `cfg` is invalid (see [`AlignConfig::validate`]).
 #[must_use]
 pub fn align_batch<S: Symbol>(
     cfg: &AlignConfig,
-    pairs: &[(PackedSeq<S>, PackedSeq<S>)],
-) -> Vec<EngineOutcome> {
-    BatchEngine::new(*cfg).align_batch(pairs)
+    pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
+    ctrl: &ScanControl,
+) -> crate::supervisor::BatchReport {
+    cfg.assert_valid();
+    crate::striped::run_batch(cfg, pairs, ctrl)
 }
 
-/// [`align_batch`] over borrowed operands — for callers whose pairs
-/// share sequences (e.g. one query against a whole database), where an
-/// owned pair slice would clone the shared side once per pair.
+/// [`align_batch`] under an unconstrained [`ScanControl`], unwrapped to
+/// one outcome per pair. Kept for the `perfbench` harness; new code
+/// calls [`align_batch`].
+///
+/// # Panics
+///
+/// Panics, naming the pair, if a pair is lost to an unrecovered fault,
+/// or if `cfg` is invalid.
 #[must_use]
 pub fn align_batch_refs<S: Symbol>(
     cfg: &AlignConfig,
     pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
 ) -> Vec<EngineOutcome> {
-    BatchEngine::new(*cfg).align_batch_refs(pairs)
+    align_batch(cfg, pairs, &ScanControl::new()).expect_complete()
 }
 
 #[cfg(test)]
@@ -2650,6 +2503,14 @@ mod tests {
 
     fn dna(s: &str) -> Seq<Dna> {
         s.parse().unwrap()
+    }
+
+    fn batch_outcomes(
+        cfg: &AlignConfig,
+        pairs: &[(PackedSeq<Dna>, PackedSeq<Dna>)],
+    ) -> Vec<EngineOutcome> {
+        let refs: Vec<_> = pairs.iter().map(|(q, p)| (q, p)).collect();
+        align_batch(cfg, &refs, &ScanControl::new()).expect_complete()
     }
 
     fn packed(s: &str) -> PackedSeq<Dna> {
@@ -2990,7 +2851,7 @@ mod tests {
             .iter()
             .map(|s| (packed(s), packed("ACGTACG")))
             .collect();
-        let batch = align_batch(&cfg, &pairs);
+        let batch = batch_outcomes(&cfg, &pairs);
         let mut engine = AlignEngine::new(cfg);
         let seq: Vec<_> = pairs.iter().map(|(q, p)| engine.align(q, p)).collect();
         assert_eq!(batch, seq);
@@ -2999,7 +2860,8 @@ mod tests {
     #[test]
     fn batch_of_nothing() {
         let cfg = AlignConfig::new(RaceWeights::fig4());
-        assert!(align_batch::<Dna>(&cfg, &[]).is_empty());
+        let report = align_batch::<Dna>(&cfg, &[], &ScanControl::new());
+        assert!(report.outcomes.is_empty() && report.is_complete());
     }
 
     #[test]
@@ -3300,7 +3162,7 @@ mod tests {
                 .iter()
                 .map(|s| (packed(s), packed("GATTCGA")))
                 .collect();
-            let batch = align_batch(&cfg, &pairs);
+            let batch = batch_outcomes(&cfg, &pairs);
             let mut engine = AlignEngine::new(cfg);
             for (i, (q, p)) in pairs.iter().enumerate() {
                 prop_assert_eq!(batch[i], engine.align(q, p));

@@ -20,14 +20,12 @@
 //! full — every vector op updates `L` pairs, no tails, contiguous loads
 //! from the planes by construction.
 //!
-//! **Packing** is the throughput lever on ragged batches. The default
-//! [`PackerPolicy::LengthAware`] packer sorts wavefront-eligible pairs
-//! by `(n, m)` and greedily grows each stripe while the padding stays
-//! under [`STRIPE_PAD_BUDGET_PCT`] of the members' own (banded) cell
-//! counts — so pairs of *different* lengths share a sweep, shorter
-//! lanes retiring early instead of padding to a bucket ceiling. The
-//! PR 3 exact-bucket planner survives as
-//! [`PackerPolicy::ExactBucket`], the benchmarking ruler.
+//! **Packing** is the throughput lever on ragged batches. The
+//! length-aware packer sorts wavefront-eligible pairs by `(n, m)` and
+//! greedily grows each stripe while the padding stays under
+//! [`STRIPE_PAD_BUDGET_PCT`] of the members' own (banded) cell counts —
+//! so pairs of *different* lengths share a sweep, shorter lanes
+//! retiring early instead of padding to a bucket ceiling.
 //!
 //! Correctness is *mirroring*, not approximation: each lane runs the
 //! per-pair wavefront recurrence over its own `(n, m)` geometry —
@@ -37,14 +35,14 @@
 //! ranges, and independent lane retirement at each lane's final
 //! diagonal. The batch outcome is therefore **byte-identical** to a
 //! sequential [`crate::engine::AlignEngine::align`] loop (scores, cell
-//! counts and verdicts alike — property-tested in `tests/engine.rs`)
-//! under **either** packer policy. Padded cells (shorter lanes inside a
-//! shared sweep) are harmless by construction: a lane's real cells only
-//! ever read real cells (cell dependencies never increase indices),
-//! padding codes are sentinels outside every alphabet, and padded
-//! positions are masked out of the lane's minima and counts.
+//! counts and verdicts alike — property-tested in `tests/engine.rs`).
+//! Padded cells (shorter lanes inside a shared sweep) are harmless by
+//! construction: a lane's real cells only ever read real cells (cell
+//! dependencies never increase indices), padding codes are sentinels
+//! outside every alphabet, and padded positions are masked out of the
+//! lane's minima and counts.
 
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -55,8 +53,8 @@ use rl_temporal::Time;
 use crate::engine::{
     applied_bias, classify_outcome, diag_range, raw_to_time, rotate_bufs, score_lower_bound,
     u8_bias_rate, AlignConfig, AlignEngine, AlignMode, BatchPlanStats, EngineOutcome,
-    KernelStrategy, LaneWidth, LocalScores, PackerPolicy, RawWeights, COHORT_LEN_BUCKET, NEVER,
-    STRIPE_MIN_PAIRS, STRIPE_PAD_BUDGET_PCT,
+    KernelStrategy, LaneWidth, LocalScores, RawWeights, NEVER, STRIPE_MIN_PAIRS,
+    STRIPE_PAD_BUDGET_PCT,
 };
 use crate::simd::{self, KernelWord, LaneWeights};
 use crate::supervisor::{fp_hit, panic_message, BatchReport, Fault, ScanControl, StopReason};
@@ -236,74 +234,21 @@ pub(crate) struct RunReport {
     pub(crate) stop: Option<StopReason>,
 }
 
-/// Reusable per-worker scratch: a per-pair fallback engine plus the
-/// striped-sweep arena. Owned by [`BatchScratch`] so both survive
-/// across stripes *and* across `align_batch` calls on one
-/// [`crate::engine::BatchEngine`].
+/// Per-worker scratch of one `run_units` pass: a per-pair fallback
+/// engine plus the striped-sweep arena, reused across the worker's
+/// units.
 struct WorkerScratch {
     engine: AlignEngine,
     stripe: StripeScratch,
 }
 
-/// The plan-level scratch arena of [`crate::engine::BatchEngine`]: one
-/// [`WorkerScratch`] per rayon worker slot, grown on demand and reused
-/// across batch calls — steady-state batching re-transposes planes and
-/// rotates diagonal buffers in place, allocating nothing.
-#[derive(Default)]
-pub(crate) struct BatchScratch {
-    workers: Vec<WorkerScratch>,
-}
-
-impl BatchScratch {
-    fn ensure(&mut self, n_workers: usize, cfg: &AlignConfig) {
-        for w in &mut self.workers {
-            w.engine.set_config(*cfg);
-            w.stripe.q_key = None; // operand pointers are only stable per call
-        }
-        while self.workers.len() < n_workers {
-            self.workers.push(WorkerScratch {
-                engine: AlignEngine::new(*cfg),
-                stripe: StripeScratch::new(),
-            });
-        }
-    }
-}
-
-/// The batch entry point behind [`crate::engine::align_batch`] and
-/// [`crate::engine::align_batch_refs`]. Operands are borrowed so
-/// shared-sequence batches (one query × many patterns) need no clones.
-pub(crate) fn align_batch_impl<S: Symbol>(
+/// The batch pipeline behind [`crate::engine::align_batch`]: worker
+/// panics are isolated (quarantine + per-pair fallback retry) and the
+/// [`ScanControl`] is honored between work units and inside the
+/// per-pair kernels.
+pub(crate) fn run_batch<S: Symbol>(
     cfg: &AlignConfig,
     pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
-    scratch: &mut BatchScratch,
-) -> Vec<EngineOutcome> {
-    let mut out = vec![EngineOutcome::default(); pairs.len()];
-    if pairs.is_empty() {
-        return out;
-    }
-    let units = plan_units(cfg, pairs, resolve_workers(None));
-    let mut slots = vec![Slot::Pending; pairs.len()];
-    run_units(
-        cfg, pairs, units, scratch, None, None, None, true, &mut slots,
-    );
-    for (o, slot) in out.iter_mut().zip(&slots) {
-        match slot {
-            Slot::Done(r) => *o = *r,
-            _ => unreachable!("an unsupervised batch run completes every pair"),
-        }
-    }
-    out
-}
-
-/// The supervised batch entry point behind
-/// [`crate::engine::BatchEngine::align_batch_supervised`]: same plan
-/// and kernels as [`align_batch_impl`], but worker panics are isolated
-/// (quarantine + per-pair fallback retry) and the [`ScanControl`] is
-/// honored between work units and inside the per-pair kernels.
-pub(crate) fn align_batch_supervised_impl<S: Symbol>(
-    cfg: &AlignConfig,
-    pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
-    scratch: &mut BatchScratch,
     ctrl: &ScanControl,
 ) -> BatchReport {
     let mut faults = Vec::new();
@@ -311,17 +256,7 @@ pub(crate) fn align_batch_supervised_impl<S: Symbol>(
     let mut stop = None;
     if !pairs.is_empty() {
         let units = plan_units_guarded(cfg, pairs, resolve_workers(None), &mut faults);
-        let mut report = run_units(
-            cfg,
-            pairs,
-            units,
-            scratch,
-            None,
-            None,
-            Some(ctrl),
-            false,
-            &mut slots,
-        );
+        let mut report = run_units(cfg, pairs, units, None, None, ctrl, &mut slots);
         faults.append(&mut report.faults);
         stop = report.stop;
     }
@@ -360,7 +295,6 @@ pub(crate) fn align_batch_supervised_impl<S: Symbol>(
 /// proof, so every true top-k entry finishes with its exact score.
 /// Which *non*-hits get abandoned (and therefore per-entry
 /// `cells_computed`) does depend on interleaving.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn scan_topk_resume_impl<S: Symbol>(
     cfg: &AlignConfig,
     pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
@@ -368,7 +302,6 @@ pub(crate) fn scan_topk_resume_impl<S: Symbol>(
     k: usize,
     seed: &[(usize, u64)],
     workers: Option<usize>,
-    scratch: &mut BatchScratch,
     ctrl: &ScanControl,
 ) -> (Vec<Slot>, RunReport) {
     debug_assert_eq!(pairs.len(), ids.len());
@@ -379,17 +312,7 @@ pub(crate) fn scan_topk_resume_impl<S: Symbol>(
     }
     let units = plan_units_guarded(cfg, pairs, resolve_workers(workers), &mut faults);
     let ratchet = Ratchet::seeded(k, cfg.threshold, seed, ids.to_vec());
-    let mut report = run_units(
-        cfg,
-        pairs,
-        units,
-        scratch,
-        Some(&ratchet),
-        workers,
-        Some(ctrl),
-        false,
-        &mut slots,
-    );
+    let mut report = run_units(cfg, pairs, units, Some(&ratchet), workers, ctrl, &mut slots);
     faults.append(&mut report.faults);
     (
         slots,
@@ -526,42 +449,37 @@ impl StripeThreshold {
 /// `ratchet`, each unit runs under the ratchet's threshold at the
 /// moment the unit starts, and finished scores feed back into it.
 ///
-/// With a [`ScanControl`], the control is consulted before every work
-/// unit (and inside the per-pair kernels at row/diagonal granularity);
-/// units an early stop never reaches leave their slots `Pending`. With
-/// `propagate` false, worker panics are additionally isolated per unit:
-/// a poisoned stripe is quarantined and its members retried on the
-/// scalar fallback kernel (see [`run_striped_unit`]); with `propagate`
-/// true (the unsupervised entry points), panics unwind to the caller
-/// exactly as before this layer existed.
-#[allow(clippy::too_many_arguments)]
+/// The [`ScanControl`] is consulted before every work unit (and inside
+/// the per-pair kernels at row/diagonal granularity); units an early
+/// stop never reaches leave their slots `Pending`. Worker panics are
+/// isolated per unit: a poisoned stripe is quarantined and its members
+/// retried on the scalar fallback kernel (see [`run_striped_unit`]).
 fn run_units<S: Symbol>(
     cfg: &AlignConfig,
     pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
     units: Vec<WorkUnit>,
-    scratch: &mut BatchScratch,
     ratchet: Option<&Ratchet>,
     workers: Option<usize>,
-    ctrl: Option<&ScanControl>,
-    propagate: bool,
+    ctrl: &ScanControl,
     out: &mut [Slot],
 ) -> RunReport {
     let n_workers = resolve_workers(workers).min(units.len()).max(1);
-    scratch.ensure(n_workers, cfg);
     let ledger = ExecLedger::new();
     // Round-robin units across workers: the planner emits all striped
     // units first and the (at most one-per-worker) per-pair units last,
     // so contiguous chunking would pile every per-pair unit onto the
     // final worker. Round-robin spreads both kinds.
-    struct WorkSlot<'w> {
+    struct WorkSlot {
         units: Vec<WorkUnit>,
-        scratch: &'w mut WorkerScratch,
+        scratch: WorkerScratch,
     }
-    let mut slots: Vec<WorkSlot<'_>> = scratch.workers[..n_workers]
-        .iter_mut()
-        .map(|scratch| WorkSlot {
+    let mut slots: Vec<WorkSlot> = (0..n_workers)
+        .map(|_| WorkSlot {
             units: Vec::new(),
-            scratch,
+            scratch: WorkerScratch {
+                engine: AlignEngine::new(*cfg),
+                stripe: StripeScratch::new(),
+            },
         })
         .collect();
     for (i, unit) in units.into_iter().enumerate() {
@@ -569,18 +487,15 @@ fn run_units<S: Symbol>(
     }
     slots.par_chunks_mut(1).for_each(|slot| {
         let slot = &mut slot[0];
-        let worker = &mut *slot.scratch;
+        let worker = &mut slot.scratch;
         for unit in &mut slot.units {
             unit.results
                 .resize(unit.members.len(), EngineOutcome::default());
             unit.states.resize(unit.members.len(), SlotState::Pending);
-            if ctrl.is_some() {
-                // The striped driver's unit boundary is its checkpoint:
-                // the only place a supervised batch evaluates stop
-                // conditions between whole work units.
-                telemetry::count(&telemetry::metrics::CHECKPOINTS, 1);
-            }
-            if let Some(stop) = ctrl.and_then(ScanControl::should_stop) {
+            // Each unit boundary is a checkpoint: the only place a batch
+            // evaluates stop conditions between whole work units.
+            telemetry::count(&telemetry::metrics::CHECKPOINTS, 1);
+            if let Some(stop) = ctrl.should_stop() {
                 ledger.note_stop(stop);
                 break;
             }
@@ -619,15 +534,13 @@ fn run_units<S: Symbol>(
                         .map(|&i| grid_cells(pairs[i].0.len(), pairs[i].1.len(), cfg.band))
                         .sum()
                 };
-                if ctrl.is_some_and(|c| !c.reserve(planned())) {
+                if !ctrl.reserve(planned()) {
                     ledger.note_stop(StopReason::BudgetExhausted);
                     break;
                 }
-                run_striped_unit(
-                    cfg, pairs, unit, threshold, worker, ratchet, ctrl, propagate, &ledger,
-                );
+                run_striped_unit(cfg, pairs, unit, threshold, worker, ratchet, ctrl, &ledger);
             } else {
-                run_per_pair_unit(cfg, pairs, unit, worker, ratchet, ctrl, propagate, &ledger);
+                run_per_pair_unit(cfg, pairs, unit, worker, ratchet, ctrl, &ledger);
             }
         }
     });
@@ -661,11 +574,10 @@ fn run_striped_unit<S: Symbol>(
     threshold: StripeThreshold,
     worker: &mut WorkerScratch,
     ratchet: Option<&Ratchet>,
-    ctrl: Option<&ScanControl>,
-    propagate: bool,
+    ctrl: &ScanControl,
     ledger: &ExecLedger,
 ) {
-    if let Some(budget) = ctrl.and_then(ScanControl::scratch_budget) {
+    if let Some(budget) = ctrl.scratch_budget() {
         let (mut nn, mut mm) = (0_usize, 0_usize);
         for &i in &unit.members {
             let (q, p) = &pairs[i];
@@ -689,7 +601,7 @@ fn run_striped_unit<S: Symbol>(
                      members degraded to the per-pair kernel"
                 ),
             ));
-            run_per_pair_unit(cfg, pairs, unit, worker, ratchet, ctrl, propagate, ledger);
+            run_per_pair_unit(cfg, pairs, unit, worker, ratchet, ctrl, ledger);
             return;
         }
     }
@@ -711,9 +623,7 @@ fn run_striped_unit<S: Symbol>(
         Ok(()) => {
             unit.states.fill(SlotState::Done);
             let cells: u64 = unit.results.iter().map(|r| r.cells_computed).sum();
-            if let Some(c) = ctrl {
-                c.charge(cells);
-            }
+            ctrl.charge(cells);
             telemetry::count(&telemetry::metrics::STRIPE_UNITS, 1);
             telemetry::count(&telemetry::metrics::UNIT_PAIRS, unit.members.len() as u64);
             telemetry::observe(&telemetry::metrics::UNIT_CELLS, cells);
@@ -725,22 +635,17 @@ fn run_striped_unit<S: Symbol>(
                 }
             }
         }
-        Err(payload) => {
-            if propagate {
-                resume_unwind(payload);
-            }
-            quarantine_and_retry(
-                cfg,
-                pairs,
-                unit,
-                worker,
-                ratchet,
-                ctrl,
-                ledger,
-                "stripe-sweep",
-                panic_message(&*payload),
-            );
-        }
+        Err(payload) => quarantine_and_retry(
+            cfg,
+            pairs,
+            unit,
+            worker,
+            ratchet,
+            ctrl,
+            ledger,
+            "stripe-sweep",
+            panic_message(&*payload),
+        ),
     }
 }
 
@@ -765,17 +670,15 @@ fn quarantine_and_retry<S: Symbol>(
     unit: &mut WorkUnit,
     worker: &mut WorkerScratch,
     ratchet: Option<&Ratchet>,
-    ctrl: Option<&ScanControl>,
+    ctrl: &ScanControl,
     ledger: &ExecLedger,
     site: &str,
     message: String,
 ) {
     telemetry::count(&telemetry::metrics::QUARANTINES, 1);
-    if let Some(c) = ctrl {
-        c.trace(|| TraceEvent::StripeQuarantined {
-            members: unit.members.len() as u64,
-        });
-    }
+    ctrl.trace(|| TraceEvent::StripeQuarantined {
+        members: unit.members.len() as u64,
+    });
     let mut lost = false;
     let mut interrupted = None;
     for idx in 0..unit.members.len() {
@@ -783,7 +686,7 @@ fn quarantine_and_retry<S: Symbol>(
             continue;
         }
         let i = unit.members[idx];
-        if let Some(stop) = ctrl.and_then(ScanControl::should_stop) {
+        if let Some(stop) = ctrl.should_stop() {
             ledger.note_stop(stop);
             interrupted = Some(stop);
             break;
@@ -796,16 +699,16 @@ fn quarantine_and_retry<S: Symbol>(
         worker.engine.set_config(fallback);
         let (q, p) = &pairs[i];
         telemetry::count(&telemetry::metrics::PAIR_FALLBACKS, 1);
-        match catch_unwind(AssertUnwindSafe(|| worker.engine.align_ctrl(q, p, ctrl))) {
+        match catch_unwind(AssertUnwindSafe(|| {
+            worker.engine.align_ctrl(q, p, Some(ctrl))
+        })) {
             Ok(Ok(o)) => {
                 unit.results[idx] = o;
                 unit.states[idx] = SlotState::Done;
-                if let Some(c) = ctrl {
-                    c.trace(|| TraceEvent::PairFallback {
-                        pair: i as u64,
-                        recovered: true,
-                    });
-                }
+                ctrl.trace(|| TraceEvent::PairFallback {
+                    pair: i as u64,
+                    recovered: true,
+                });
                 if let Some(r) = ratchet {
                     if let Some(score) = o.finished_score() {
                         observe_guarded(r, score, i, ledger);
@@ -821,12 +724,10 @@ fn quarantine_and_retry<S: Symbol>(
                 unit.states[idx] = SlotState::Faulted;
                 lost = true;
                 telemetry::count(&telemetry::metrics::WORKER_FAULTS, 1);
-                if let Some(c) = ctrl {
-                    c.trace(|| TraceEvent::PairFallback {
-                        pair: i as u64,
-                        recovered: false,
-                    });
-                }
+                ctrl.trace(|| TraceEvent::PairFallback {
+                    pair: i as u64,
+                    recovered: false,
+                });
                 ledger.note_fault(Fault::new(
                     "per-pair",
                     vec![i],
@@ -847,7 +748,7 @@ fn quarantine_and_retry<S: Symbol>(
 }
 
 /// Executes one per-pair unit: each alignment under its own
-/// `catch_unwind` (unless `propagate`); a panicked pair is retried
+/// `catch_unwind`; a panicked pair is retried
 /// once on the rolling-row fallback kernel before being declared lost.
 ///
 /// With a ratchet, the threshold is re-read per pair, not per unit —
@@ -856,20 +757,18 @@ fn quarantine_and_retry<S: Symbol>(
 /// while the unit drains; the per-pair plan re-resolves lane width
 /// from the live threshold, so the fused abandon stays exact. Every
 /// finished score observes the ratchet exactly once.
-#[allow(clippy::too_many_arguments)]
 fn run_per_pair_unit<S: Symbol>(
     cfg: &AlignConfig,
     pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
     unit: &mut WorkUnit,
     worker: &mut WorkerScratch,
     ratchet: Option<&Ratchet>,
-    ctrl: Option<&ScanControl>,
-    propagate: bool,
+    ctrl: &ScanControl,
     ledger: &ExecLedger,
 ) {
     for idx in 0..unit.members.len() {
         let i = unit.members[idx];
-        if let Some(stop) = ctrl.and_then(ScanControl::should_stop) {
+        if let Some(stop) = ctrl.should_stop() {
             ledger.note_stop(stop);
             break;
         }
@@ -888,25 +787,24 @@ fn run_per_pair_unit<S: Symbol>(
         }
         worker.engine.set_config(run_cfg);
         let (q, p) = &pairs[i];
-        let first = catch_unwind(AssertUnwindSafe(|| worker.engine.align_ctrl(q, p, ctrl)));
+        let first = catch_unwind(AssertUnwindSafe(|| {
+            worker.engine.align_ctrl(q, p, Some(ctrl))
+        }));
         let result = match first {
             Ok(res) => res,
             Err(payload) => {
-                if propagate {
-                    resume_unwind(payload);
-                }
                 let mut fallback = run_cfg;
                 fallback.strategy = KernelStrategy::RollingRow;
                 worker.engine.set_config(fallback);
                 telemetry::count(&telemetry::metrics::PAIR_FALLBACKS, 1);
-                match catch_unwind(AssertUnwindSafe(|| worker.engine.align_ctrl(q, p, ctrl))) {
+                match catch_unwind(AssertUnwindSafe(|| {
+                    worker.engine.align_ctrl(q, p, Some(ctrl))
+                })) {
                     Ok(res) => {
-                        if let Some(c) = ctrl {
-                            c.trace(|| TraceEvent::PairFallback {
-                                pair: i as u64,
-                                recovered: true,
-                            });
-                        }
+                        ctrl.trace(|| TraceEvent::PairFallback {
+                            pair: i as u64,
+                            recovered: true,
+                        });
                         ledger.note_fault(Fault::new(
                             "per-pair",
                             vec![i],
@@ -918,12 +816,10 @@ fn run_per_pair_unit<S: Symbol>(
                     Err(retry_payload) => {
                         unit.states[idx] = SlotState::Faulted;
                         telemetry::count(&telemetry::metrics::WORKER_FAULTS, 1);
-                        if let Some(c) = ctrl {
-                            c.trace(|| TraceEvent::PairFallback {
-                                pair: i as u64,
-                                recovered: false,
-                            });
-                        }
+                        ctrl.trace(|| TraceEvent::PairFallback {
+                            pair: i as u64,
+                            recovered: false,
+                        });
                         ledger.note_fault(Fault::new(
                             "per-pair",
                             vec![i],
@@ -1025,8 +921,8 @@ fn resolve_workers(workers: Option<usize>) -> usize {
     workers.unwrap_or_else(rayon::current_num_threads).max(1)
 }
 
-/// Groups the batch into work units under the configured
-/// [`PackerPolicy`]; pairs the kernel plan resolves to the rolling row,
+/// Groups the batch into work units with the length-aware packer
+/// ([`pack_length_aware`]); pairs the kernel plan resolves to the rolling row,
 /// and stripes left under [`STRIPE_MIN_PAIRS`] members, fall back to
 /// per-pair runs split evenly across `workers` (the count
 /// [`resolve_workers`] gives the run).
@@ -1045,10 +941,7 @@ fn plan_units<S: Symbol>(
             singles.push(i);
         }
     }
-    let mut units = match cfg.packer {
-        PackerPolicy::LengthAware => pack_length_aware(cfg, &mut eligible, &mut singles),
-        PackerPolicy::ExactBucket => pack_exact_bucket(cfg, &eligible, &mut singles),
-    };
+    let mut units = pack_length_aware(cfg, &mut eligible, &mut singles);
     if !singles.is_empty() {
         singles.sort_unstable();
         let per = singles.len().div_ceil(workers);
@@ -1099,7 +992,7 @@ fn plan_units_guarded<S: Symbol>(
     }
 }
 
-/// The length-aware greedy packer (the default). Pairs sorted by
+/// The length-aware greedy packer. Pairs sorted by
 /// `(n, m)` are packed into consecutive stripes; a stripe accepts its
 /// next pair while
 ///
@@ -1172,41 +1065,6 @@ fn pack_length_aware(
     units
 }
 
-/// The legacy PR 3 planner ([`PackerPolicy::ExactBucket`]): pairs are
-/// bucketed by `(⌈n⌉, ⌈m⌉)` cohort (lengths rounded up to
-/// [`COHORT_LEN_BUCKET`]) and each cohort chunked into stripes of the
-/// width its ceiling shape admits. Kept as the packer benchmark ruler.
-fn pack_exact_bucket(
-    cfg: &AlignConfig,
-    eligible: &[(usize, usize, usize)],
-    singles: &mut Vec<usize>,
-) -> Vec<WorkUnit> {
-    let bucket = |len: usize| len.div_ceil(COHORT_LEN_BUCKET) * COHORT_LEN_BUCKET;
-    let mut cohorts: std::collections::BTreeMap<(usize, usize), Vec<usize>> =
-        std::collections::BTreeMap::new();
-    for &(n, m, i) in eligible {
-        cohorts.entry((bucket(n), bucket(m))).or_default().push(i);
-    }
-    let mut units = Vec::new();
-    for ((bn, bm), members) in cohorts {
-        let width = cfg.resolve_stripe_lanes(bn, bm);
-        for chunk in members.chunks(stripe_lanes(width)) {
-            if chunk.len() >= STRIPE_MIN_PAIRS {
-                units.push(WorkUnit {
-                    striped: true,
-                    width,
-                    members: chunk.to_vec(),
-                    results: Vec::new(),
-                    states: Vec::new(),
-                });
-            } else {
-                singles.extend_from_slice(chunk);
-            }
-        }
-    }
-    units
-}
-
 /// Static occupancy accounting for a batch plan; see
 /// [`crate::engine::batch_plan_stats`].
 pub(crate) fn plan_stats_impl<S: Symbol>(
@@ -1260,9 +1118,9 @@ struct StripeScratch {
     q_plane: StripedCodes,
     p_plane: StripedCodes,
     /// `(query address, lanes, positions)` of the query plane's current
-    /// packing, valid only within one batch call (cleared by
-    /// [`BatchScratch::ensure`] — operand addresses are not stable
-    /// across calls).
+    /// packing. Valid only within one `run_units` pass, which builds
+    /// its scratch fresh: operand addresses are not stable across
+    /// calls.
     q_key: Option<(usize, usize, usize)>,
     shapes: Vec<(usize, usize)>,
     b8: [Vec<u8>; 3],
@@ -2807,6 +2665,7 @@ mod tests {
     use super::*;
     use crate::alignment::RaceWeights;
     use crate::engine::{align_batch, AlignEngine};
+    use crate::supervisor::ScanControl;
     use rl_bio::alphabet::Dna;
     use rl_bio::Seq;
 
@@ -2833,16 +2692,21 @@ mod tests {
             .collect()
     }
 
+    fn batch_outcomes(
+        cfg: &AlignConfig,
+        pairs: &[(PackedSeq<Dna>, PackedSeq<Dna>)],
+    ) -> Vec<EngineOutcome> {
+        align_batch(cfg, &ref_pairs(pairs), &ScanControl::new()).expect_complete()
+    }
+
     fn assert_batch_matches_sequential(
         cfg: &AlignConfig,
         pairs: &[(PackedSeq<Dna>, PackedSeq<Dna>)],
     ) {
-        for cfg in [*cfg, cfg.with_packer(PackerPolicy::ExactBucket)] {
-            let batch = align_batch(&cfg, pairs);
-            let mut engine = AlignEngine::new(cfg);
-            for (i, (q, p)) in pairs.iter().enumerate() {
-                assert_eq!(batch[i], engine.align(q, p), "pair {i} ({})", cfg.packer);
-            }
+        let batch = batch_outcomes(cfg, pairs);
+        let mut engine = AlignEngine::new(*cfg);
+        for (i, (q, p)) in pairs.iter().enumerate() {
+            assert_eq!(batch[i], engine.align(q, p), "pair {i}");
         }
     }
 
@@ -2913,9 +2777,8 @@ mod tests {
         // 20 pairs of one shape at u16 width (floor-pinned: unfloored
         // 64×64 fig4 now rides u8's 32 lanes and packs a single stripe)
         // → one full 16-lane stripe + 4 leftovers (≥ STRIPE_MIN_PAIRS →
-        // second stripe), under both packers — identical lengths are the
-        // degenerate case where the length-aware packer reduces to the
-        // PR 3 plan.
+        // second stripe) — identical lengths are the degenerate case
+        // where the length-aware packer reduces to fixed-size chunks.
         let pairs = random_pairs(20, 64, 64);
         let base = AlignConfig::new(RaceWeights::fig4()).with_lane_floor(LaneWidth::U16);
         let u8_units = plan_units(
@@ -2927,27 +2790,24 @@ mod tests {
         assert_eq!(u8_striped.len(), 1, "u8's 32 lanes hold all 20 pairs");
         assert_eq!(u8_striped[0].width, LaneWidth::U8);
         assert_eq!(u8_striped[0].members.len(), 20);
-        for cfg in [base, base.with_packer(PackerPolicy::ExactBucket)] {
-            let units = plan_units(&cfg, &ref_pairs(&pairs), 1);
-            let striped: Vec<_> = units.iter().filter(|u| u.striped).collect();
-            assert_eq!(striped.len(), 2, "{}", cfg.packer);
-            assert_eq!(striped[0].members.len(), 16, "{}", cfg.packer);
-            assert_eq!(striped[1].members.len(), 4, "{}", cfg.packer);
-            // Short pairs resolve to the rolling row and never stripe.
-            let short = random_pairs(16, 8, 8);
-            assert!(plan_units(&cfg, &ref_pairs(&short), 1)
-                .iter()
-                .all(|u| !u.striped));
-        }
+        let units = plan_units(&base, &ref_pairs(&pairs), 1);
+        let striped: Vec<_> = units.iter().filter(|u| u.striped).collect();
+        assert_eq!(striped.len(), 2);
+        assert_eq!(striped[0].members.len(), 16);
+        assert_eq!(striped[1].members.len(), 4);
+        // Short pairs resolve to the rolling row and never stripe.
+        let short = random_pairs(16, 8, 8);
+        assert!(plan_units(&base, &ref_pairs(&short), 1)
+            .iter()
+            .all(|u| !u.striped));
     }
 
     #[test]
     fn length_aware_packer_crosses_buckets_within_budget() {
         // Lengths 200 + 7i, one pair each: every 16-rounded bucket holds
-        // at most 3 pairs (< STRIPE_MIN_PAIRS), so the exact-bucket
-        // planner stripes *nothing* — while neighbours differ by only
-        // ~3.5%, so the length-aware packer fills ~8-lane stripes well
-        // within the 25% budget.
+        // at most 3 pairs (< STRIPE_MIN_PAIRS), yet neighbours differ by
+        // only ~3.5%, so the length-aware packer fills ~8-lane stripes
+        // well within the 25% budget.
         let mut rng = rl_dag::generate::seeded_rng(0xACE);
         let pairs: Vec<_> = (0..40)
             .map(|i| {
@@ -2960,15 +2820,7 @@ mod tests {
             .collect();
         let cfg = AlignConfig::new(RaceWeights::fig4());
         let aware = plan_stats_impl(&cfg, &ref_pairs(&pairs));
-        let exact = plan_stats_impl(
-            &cfg.with_packer(PackerPolicy::ExactBucket),
-            &ref_pairs(&pairs),
-        );
         assert_eq!(aware.wavefront_eligible, pairs.len());
-        assert_eq!(
-            exact.striped_pairs, 0,
-            "exact buckets of ≤ 3 pairs must all fall back"
-        );
         assert!(
             aware.striped_pairs * 10 >= pairs.len() * 8,
             "≥ 80% of eligible pairs must ride stripes (got {}/{})",
@@ -3059,7 +2911,7 @@ mod tests {
                 .with_band(0)
                 .with_threshold(t);
             assert_batch_matches_sequential(&cfg, &pairs);
-            let out = align_batch(&cfg, &pairs);
+            let out = batch_outcomes(&cfg, &pairs);
             assert!(out[0].early_terminated, "t = {t}");
             assert!(
                 out[0].cells_computed < 10,

@@ -1,7 +1,7 @@
 //! Supervised scan execution: cancellation, deadlines, budgets, panic
 //! isolation, and a deterministic fault-injection harness.
 //!
-//! The batch and scan pipelines ([`crate::engine::BatchEngine`],
+//! The batch and scan pipelines ([`crate::engine::align_batch`],
 //! [`crate::early_termination::scan`]) are built to run as
 //! long-lived services over co-batched tenants. This module is the
 //! robustness substrate that makes that safe:
@@ -544,8 +544,8 @@ impl ResumeToken {
     }
 }
 
-/// The typed partial result of a supervised batch alignment
-/// ([`crate::engine::BatchEngine::align_batch_supervised`]). Same
+/// The typed partial result of a batch alignment
+/// ([`crate::engine::align_batch`]). Same
 /// accounting invariant as [`ScanOutcome`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchReport {
@@ -579,6 +579,28 @@ impl BatchReport {
     #[must_use]
     pub fn is_complete(&self) -> bool {
         self.completed_pairs == self.total_pairs()
+    }
+
+    /// One outcome per pair, in input order.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the first such pair, if any pair faulted or was
+    /// never reached.
+    #[must_use]
+    pub fn expect_complete(self) -> Vec<EngineOutcome> {
+        self.outcomes
+            .into_iter()
+            .enumerate()
+            .map(|(i, o)| {
+                o.unwrap_or_else(|| {
+                    panic!(
+                        "batch pair {i} did not complete (stop {:?}, faults {:?})",
+                        self.stop, self.faults
+                    )
+                })
+            })
+            .collect()
     }
 }
 

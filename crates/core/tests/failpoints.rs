@@ -13,7 +13,9 @@ use std::time::Duration;
 use proptest::prelude::*;
 use race_logic::alignment::RaceWeights;
 use race_logic::early_termination::{scan, scan_packed_topk_with, ScanEntries};
-use race_logic::engine::{AffineWeights, AlignConfig, AlignMode, BatchEngine};
+use race_logic::engine::{
+    align_batch, align_batch_refs, AffineWeights, AlignConfig, AlignEngine, AlignMode,
+};
 use race_logic::supervisor::failpoint::{self, Action};
 use race_logic::supervisor::{ScanControl, StopReason};
 use rl_bio::{Dna, PackedSeq, Seq};
@@ -145,17 +147,18 @@ fn affine_panic_falls_back_per_pair() {
             )
         })
         .collect();
-    let mut engine = BatchEngine::new(cfg);
-    let baseline = engine.align_batch(&pairs);
+    let mut engine = AlignEngine::new(cfg);
+    let baseline: Vec<_> = pairs.iter().map(|(q, p)| engine.align(q, p)).collect();
+    let refs: Vec<_> = pairs.iter().map(|(q, p)| (q, p)).collect();
 
     failpoint::arm_times("affine", Action::Panic, 1);
     let ctrl = ScanControl::new();
-    let report = engine.align_batch_supervised(&pairs, &ctrl);
+    let report = align_batch(&cfg, &refs, &ctrl);
     failpoint::disarm_all();
 
     assert!(report.is_complete());
-    for (supervised, unsupervised) in report.outcomes.iter().zip(&baseline) {
-        assert_eq!(supervised.as_ref(), Some(unsupervised));
+    for (supervised, expected) in report.outcomes.iter().zip(&baseline) {
+        assert_eq!(supervised.as_ref(), Some(expected));
     }
     assert!(
         report
@@ -215,23 +218,45 @@ fn affine_stripe_panic_recovers_in_batches() {
             )
         })
         .collect();
-    let mut engine = BatchEngine::new(cfg);
-    let baseline = engine.align_batch(&pairs);
+    let mut engine = AlignEngine::new(cfg);
+    let baseline: Vec<_> = pairs.iter().map(|(q, p)| engine.align(q, p)).collect();
+    let refs: Vec<_> = pairs.iter().map(|(q, p)| (q, p)).collect();
 
     failpoint::arm_times("affine-stripe", Action::Panic, 1);
     let ctrl = ScanControl::new();
-    let report = engine.align_batch_supervised(&pairs, &ctrl);
+    let report = align_batch(&cfg, &refs, &ctrl);
     failpoint::disarm_all();
 
     assert!(report.is_complete());
-    for (supervised, unsupervised) in report.outcomes.iter().zip(&baseline) {
-        assert_eq!(supervised.as_ref(), Some(unsupervised));
+    for (supervised, expected) in report.outcomes.iter().zip(&baseline) {
+        assert_eq!(supervised.as_ref(), Some(expected));
     }
     assert!(
         report.faults.iter().any(|f| f.recovered),
         "expected a recovered stripe fault: {:?}",
         report.faults
     );
+}
+
+/// Every batch is supervised: a stripe panic under an unconstrained
+/// control is quarantined and retried per pair, so the plain
+/// `align_batch_refs` returns the unarmed outcomes instead of
+/// unwinding.
+#[test]
+fn unconstrained_batch_recovers_from_a_stripe_panic() {
+    let _guard = failpoint::lock_for_test();
+    failpoint::quiet_failpoint_panics();
+
+    let cfg = AlignConfig::new(RaceWeights::fig4());
+    let (q, database) = db(33, 16, 64);
+    let pairs: Vec<_> = database.iter().map(|p| (&q, p)).collect();
+    let baseline = align_batch_refs(&cfg, &pairs);
+
+    failpoint::arm_times("stripe-sweep", Action::Panic, 1);
+    let recovered = align_batch_refs(&cfg, &pairs);
+    failpoint::disarm_all();
+
+    assert_eq!(recovered, baseline);
 }
 
 #[test]

@@ -1,23 +1,22 @@
 //! The differential conformance suite: the single oracle every kernel
 //! must pass. One parameterized harness asserts that the striped batch
-//! path (plain and supervised), the per-pair wavefront path, and the
-//! scalar rolling-row reference produce identical verdicts for every
-//! `AlignMode` × lane floor × `PackerPolicy`, on DNA and protein, plain,
-//! banded, and thresholded — and that ratcheted top-k scans are
-//! byte-identical across worker counts and agree with the per-pair
-//! reference selection. The batch runs on the default worker pool, so
-//! running the suite at `RAYON_NUM_THREADS=1` and `=4` covers the
-//! single- and multi-worker batch.
+//! path, the per-pair wavefront path, and the scalar rolling-row
+//! reference produce identical verdicts for every `AlignMode` × lane
+//! floor, on DNA and protein, plain, banded, and thresholded — and that
+//! ratcheted top-k scans are byte-identical across worker counts and
+//! agree with the per-pair reference selection. The batch runs on the
+//! default worker pool, so running the suite at `RAYON_NUM_THREADS=1`
+//! and `=4` covers the single- and multi-worker batch.
 //!
-//! Future kernels (new lane widths, new mode sweeps, new packers) plug
-//! into this matrix instead of growing bespoke tests: if a
-//! configuration is expressible, it is conformance-checked here.
+//! Future kernels (new lane widths, new mode sweeps) plug into this
+//! matrix instead of growing bespoke tests: if a configuration is
+//! expressible, it is conformance-checked here.
 
 use race_logic::alignment::{AlignmentRace, RaceWeights};
 use race_logic::early_termination::scan_packed_topk_with;
 use race_logic::engine::{
-    align_batch, AffineWeights, AlignConfig, AlignEngine, AlignMode, BatchEngine, KernelStrategy,
-    LaneWidth, LocalScores, PackerPolicy,
+    align_batch, AffineWeights, AlignConfig, AlignEngine, AlignMode, KernelStrategy, LaneWidth,
+    LocalScores,
 };
 use race_logic::supervisor::ScanControl;
 use rl_bio::alphabet::Symbol;
@@ -30,7 +29,6 @@ const LANE_FLOORS: [LaneWidth; 4] = [
     LaneWidth::U32,
     LaneWidth::U64,
 ];
-const PACKERS: [PackerPolicy; 2] = [PackerPolicy::LengthAware, PackerPolicy::ExactBucket];
 
 /// Mixed-length pairs in `lo..=hi` bp — long enough to stripe, ragged
 /// enough to exercise the length-aware packer's cross-length stripes,
@@ -80,15 +78,15 @@ fn fixed_pairs(count: usize, len: usize) -> Vec<(PackedSeq<Dna>, PackedSeq<Dna>)
 }
 
 /// The conformance core: for one mode/band/threshold configuration,
-/// assert striped == supervised striped == per-pair == scalar-reference
-/// across every lane floor and packer policy (and, for the unbanded
-/// unthresholded global recurrence, == the allocating full-grid
-/// `run_functional`).
+/// assert striped batch == per-pair == scalar-reference across every
+/// lane floor (and, for the unbanded unthresholded global recurrence,
+/// == the allocating full-grid `run_functional`).
 fn assert_conformance<S: Symbol>(
     label: &str,
     cfg: AlignConfig,
     pairs: &[(PackedSeq<S>, PackedSeq<S>)],
 ) {
+    let refs: Vec<_> = pairs.iter().map(|(q, p)| (q, p)).collect();
     // Scalar reference: the per-pair rolling row computes in plain u64
     // with no SIMD, no striping, no lane clamping.
     let mut scalar_engine = AlignEngine::new(cfg.with_strategy(KernelStrategy::RollingRow));
@@ -132,32 +130,22 @@ fn assert_conformance<S: Symbol>(
         let mut auto_engine = AlignEngine::new(fcfg);
         let sequential: Vec<_> = pairs.iter().map(|(q, p)| auto_engine.align(q, p)).collect();
 
-        for packer in PACKERS {
-            let pcfg = fcfg.with_packer(packer);
-            let batch = align_batch(&pcfg, pairs);
+        let report = align_batch(&fcfg, &refs, &ScanControl::new());
+        assert!(
+            report.is_complete(),
+            "{label}: an unconstrained batch must complete every pair"
+        );
+        let batch: Vec<_> = report.outcomes.into_iter().flatten().collect();
+        assert_eq!(
+            batch, sequential,
+            "{label}: striped batch diverges from the sequential per-pair loop \
+             at floor {floor:?}"
+        );
+        for (out, reference) in batch.iter().zip(&scalar) {
             assert_eq!(
-                batch, sequential,
-                "{label}: striped batch diverges from the sequential per-pair loop \
-                 at floor {floor:?}, packer {packer}"
-            );
-            for (out, reference) in batch.iter().zip(&scalar) {
-                assert_eq!(
-                    (out.score, out.early_terminated),
-                    (reference.score, reference.early_terminated),
-                    "{label}: striped batch diverges from scalar at floor {floor:?}, \
-                     packer {packer}"
-                );
-            }
-            let report = BatchEngine::new(pcfg).align_batch_supervised(pairs, &ScanControl::new());
-            assert!(
-                report.is_complete(),
-                "{label}: an unconstrained supervised batch must complete every pair"
-            );
-            let supervised: Vec<_> = report.outcomes.into_iter().flatten().collect();
-            assert_eq!(
-                supervised, sequential,
-                "{label}: supervised batch diverges from the sequential per-pair loop \
-                 at floor {floor:?}, packer {packer}"
+                (out.score, out.early_terminated),
+                (reference.score, reference.early_terminated),
+                "{label}: striped batch diverges from scalar at floor {floor:?}"
             );
         }
     }
@@ -181,23 +169,19 @@ fn assert_scan_conformance<S: Symbol>(label: &str, cfg: AlignConfig, seed: u64, 
         .collect();
 
     for floor in LANE_FLOORS {
-        for packer in PACKERS {
-            let pcfg = cfg.with_lane_floor(floor).with_packer(packer);
-            let one = scan_packed_topk_with(&pcfg, &query, &database, 5, Some(1));
-            let four = scan_packed_topk_with(&pcfg, &query, &database, 5, Some(4));
+        let fcfg = cfg.with_lane_floor(floor);
+        let one = scan_packed_topk_with(&fcfg, &query, &database, 5, Some(1));
+        let four = scan_packed_topk_with(&fcfg, &query, &database, 5, Some(4));
+        assert_eq!(
+            one.hits, four.hits,
+            "{label}: scan hits diverge across worker counts at floor {floor:?}"
+        );
+        for &(idx, score) in &one.hits {
             assert_eq!(
-                one.hits, four.hits,
-                "{label}: scan hits diverge across worker counts at floor {floor:?}, \
-                 packer {packer}"
+                Some(score),
+                scalar[idx].score.cycles(),
+                "{label}: hit {idx} disagrees with the scalar reference at floor {floor:?}"
             );
-            for &(idx, score) in &one.hits {
-                assert_eq!(
-                    Some(score),
-                    scalar[idx].score.cycles(),
-                    "{label}: hit {idx} disagrees with the scalar reference at \
-                     floor {floor:?}, packer {packer}"
-                );
-            }
         }
     }
 }

@@ -9,10 +9,20 @@ use proptest::prelude::*;
 use race_logic::alignment::{AlignmentRace, RaceWeights};
 use race_logic::banded::banded_race;
 use race_logic::early_termination::{threshold_race, ThresholdOutcome};
-use race_logic::engine::{align_batch, AlignConfig, AlignEngine};
+use race_logic::engine::{align_batch, AlignConfig, AlignEngine, EngineOutcome};
+use race_logic::supervisor::ScanControl;
 use rl_bio::alphabet::Symbol;
 use rl_bio::{align, Objective, PackedSeq, ScoreScheme, Seq};
 use rl_bio::{AminoAcid, Dna};
+
+/// The batch door under an unconstrained control, one outcome per pair.
+fn batch_outcomes<S: Symbol>(
+    cfg: &AlignConfig,
+    pairs: &[(PackedSeq<S>, PackedSeq<S>)],
+) -> Vec<EngineOutcome> {
+    let refs: Vec<_> = pairs.iter().map(|(q, p)| (q, p)).collect();
+    align_batch(cfg, &refs, &ScanControl::new()).expect_complete()
+}
 
 /// A reference DP scheme equivalent to `RaceWeights`, for any alphabet.
 fn race_scheme<S: Symbol>(w: RaceWeights) -> ScoreScheme<S> {
@@ -129,7 +139,7 @@ proptest! {
             AlignConfig::new(w).with_band(band),
             AlignConfig::new(w).with_threshold(t),
         ] {
-            let batch = align_batch(&cfg, &pairs);
+            let batch = batch_outcomes(&cfg, &pairs);
             let mut engine = AlignEngine::new(cfg);
             let sequential: Vec<_> =
                 pairs.iter().map(|(q, p)| engine.align(q, p)).collect();
@@ -374,7 +384,7 @@ fn auto_boundary_shapes_agree() {
 // Striped (inter-pair SIMD) batch kernel, u16 lanes, compacted bands.
 // ---------------------------------------------------------------------------
 
-use race_logic::engine::{EngineOutcome, LaneWidth, WAVEFRONT_MIN_BAND};
+use race_logic::engine::{LaneWidth, WAVEFRONT_MIN_BAND};
 
 proptest! {
     /// The striped batch kernel is byte-identical to the sequential
@@ -404,7 +414,7 @@ proptest! {
             AlignConfig::new(w).with_threshold(t),
             AlignConfig::new(w).with_band(band).with_threshold(t),
         ] {
-            let batch = align_batch(&cfg, &pairs);
+            let batch = batch_outcomes(&cfg, &pairs);
             let mut engine = AlignEngine::new(cfg);
             let sequential: Vec<EngineOutcome> =
                 pairs.iter().map(|(q, p)| engine.align(q, p)).collect();
@@ -430,7 +440,7 @@ proptest! {
             .collect();
         let w = RaceWeights::fig4();
         let cfg = AlignConfig::new(w).with_threshold(t);
-        let batch = align_batch(&cfg, &pairs);
+        let batch = batch_outcomes(&cfg, &pairs);
         let mut engine = AlignEngine::new(cfg);
         for (i, (q, p)) in pairs.iter().enumerate() {
             let seq_out = engine.align(q, p);
@@ -503,8 +513,6 @@ fn u16_u32_eligibility_boundary_regression() {
 /// sides must stay byte-identical to the scalar rolling row.
 #[test]
 fn u8_u16_eligibility_boundary_regression() {
-    use race_logic::engine::align_batch;
-
     let cfg = AlignConfig::new(RaceWeights::fig4());
     assert_eq!(cfg.resolve_stripe_lanes(111, 111), LaneWidth::U8);
     assert_eq!(cfg.resolve_stripe_lanes(111, 112), LaneWidth::U16);
@@ -526,7 +534,7 @@ fn u8_u16_eligibility_boundary_regression() {
                 )
             })
             .collect();
-        let batch = align_batch(&cfg, &pairs);
+        let batch = batch_outcomes(&cfg, &pairs);
         let mut scalar = AlignEngine::new(cfg.with_strategy(KernelStrategy::RollingRow));
         for (out, (q, p)) in batch.iter().zip(&pairs) {
             assert_eq!(out.score, scalar.align(q, p).score, "{n}x{m}");
@@ -544,8 +552,6 @@ fn u8_u16_eligibility_boundary_regression() {
 /// rows pin the abandon verdict at the same scores.
 #[test]
 fn u8_bias_holds_scores_across_byte_ceiling() {
-    use race_logic::engine::align_batch;
-
     let cfg = AlignConfig::new(RaceWeights::fig4());
     let a = |len: usize| -> PackedSeq<Dna> {
         PackedSeq::from_seq(&Seq::repeated(rl_bio::alphabet::Dna::A, len))
@@ -558,7 +564,7 @@ fn u8_bias_holds_scores_across_byte_ceiling() {
         let (n, m) = (63, total - 63);
         assert_eq!(cfg.resolve_stripe_lanes(n, m), LaneWidth::U8, "{total}");
         let pairs: Vec<_> = (0..6).map(|_| (a(n), c(m))).collect();
-        for out in align_batch(&cfg, &pairs) {
+        for out in batch_outcomes(&cfg, &pairs) {
             assert_eq!(
                 out.score.cycles(),
                 Some(total as u64),
@@ -576,7 +582,7 @@ fn u8_bias_holds_scores_across_byte_ceiling() {
                 "{total} t {t}"
             );
             let pairs: Vec<_> = (0..6).map(|_| (a(n), c(m))).collect();
-            for out in align_batch(&tcfg, &pairs) {
+            for out in batch_outcomes(&tcfg, &pairs) {
                 assert_eq!(
                     out.finished_score().is_some(),
                     finishes,
@@ -657,8 +663,7 @@ fn band_compaction_edge_regression() {
 use race_logic::early_termination::{
     scan, scan_database, scan_packed_topk_with, ScanEntries, TopKScan,
 };
-use race_logic::engine::{align_batch_refs, batch_plan_stats, BatchEngine, PackerPolicy};
-use race_logic::supervisor::ScanControl;
+use race_logic::engine::batch_plan_stats;
 
 /// The ratcheted top-k scan of unpacked sequences: packs them and runs
 /// [`scan_packed_topk_with`].
@@ -711,9 +716,7 @@ fn ragged_pairs(seed: u64, count: usize) -> Vec<(PackedSeq<Dna>, PackedSeq<Dna>)
 proptest! {
     /// The length-aware packer's batches are byte-identical to the
     /// sequential engine over ragged log-normal length mixes — scores,
-    /// cell counts and verdicts — across bands, thresholds, and both
-    /// packer policies (and a reused `BatchEngine` matches the one-shot
-    /// free function).
+    /// cell counts and verdicts — across bands and thresholds.
     #[test]
     fn ragged_lognormal_batch_equals_sequential(
         seed in 0_u64..1_000, band in 3_usize..24, t in 20_u64..120
@@ -726,13 +729,11 @@ proptest! {
             AlignConfig::new(w).with_threshold(t),
             AlignConfig::new(w).with_band(band).with_threshold(t),
         ] {
-            for cfg in [cfg, cfg.with_packer(PackerPolicy::ExactBucket)] {
-                let batch = align_batch(&cfg, &pairs);
-                let mut engine = AlignEngine::new(cfg);
-                let sequential: Vec<EngineOutcome> =
-                    pairs.iter().map(|(q, p)| engine.align(q, p)).collect();
-                prop_assert_eq!(&batch, &sequential, "packer {}", cfg.packer);
-            }
+            let batch = batch_outcomes(&cfg, &pairs);
+            let mut engine = AlignEngine::new(cfg);
+            let sequential: Vec<EngineOutcome> =
+                pairs.iter().map(|(q, p)| engine.align(q, p)).collect();
+            prop_assert_eq!(&batch, &sequential);
         }
     }
 
@@ -823,7 +824,7 @@ fn ratcheted_topk_deterministic_across_worker_counts() {
             .iter()
             .map(|p| (PackedSeq::from_seq(&query), PackedSeq::from_seq(p)))
             .collect();
-        align_batch(&AlignConfig::new(w), &pairs)
+        batch_outcomes(&AlignConfig::new(w), &pairs)
             .iter()
             .map(|o| o.cells_computed)
             .sum()
@@ -841,16 +842,15 @@ fn ratcheted_topk_deterministic_across_worker_counts() {
 
 /// On a ragged log-normal workload most wavefront-eligible pairs must
 /// ride stripes under the length-aware packer (the acceptance-criterion
-/// floor, pinned well below the measured value), and a reused
-/// `BatchEngine` stays byte-identical to the free function. A far wider
-/// spread checks every batch path against the sequential loop.
+/// floor, pinned well below the measured value), and repeated batches
+/// are byte-identical. A far wider spread checks the batch at two lane
+/// floors against the sequential loop.
 #[test]
 fn ragged_workload_stripes_most_pairs() {
     use rand::Rng;
     let pairs = ragged_pairs(0xBADC0DE, 400);
     let cfg = AlignConfig::new(RaceWeights::fig4());
     let aware = batch_plan_stats(&cfg, &pairs);
-    let exact = batch_plan_stats(&cfg.with_packer(PackerPolicy::ExactBucket), &pairs);
     assert!(
         aware.striped_pairs * 10 >= aware.wavefront_eligible * 8,
         "length-aware packer must stripe ≥ 80% of eligible pairs: {}/{}",
@@ -858,28 +858,18 @@ fn ragged_workload_stripes_most_pairs() {
         aware.wavefront_eligible
     );
     assert!(
-        aware.striped_fraction() > exact.striped_fraction(),
-        "length-aware ({:.2}) must beat exact-bucket ({:.2}) on ragged lengths",
-        aware.striped_fraction(),
-        exact.striped_fraction()
-    );
-    assert!(
         aware.occupancy() > 0.5,
         "occupancy {:.2}",
         aware.occupancy()
     );
 
-    let mut batcher = BatchEngine::new(cfg);
-    let first = batcher.align_batch(&pairs);
-    let second = batcher.align_batch(&pairs); // scratch reuse path
-    assert_eq!(first, second);
-    assert_eq!(first, align_batch(&cfg, &pairs));
+    assert_eq!(batch_outcomes(&cfg, &pairs), batch_outcomes(&cfg, &pairs));
 
     // A far wider spread (64 pairs, median 48 bp, σ = 1.2, clamp
-    // `[8, 384]`, patterns ±15%, one seed-pinned stream): both packers,
-    // the u16-floored stripes and the supervised batch all equal the
-    // sequential loop, every plan's occupancy is a fraction, and the
-    // length-aware plan stripes some of the pairs.
+    // `[8, 384]`, patterns ±15%, one seed-pinned stream): the default
+    // and the u16-floored stripes equal the sequential loop, every
+    // plan's occupancy is a fraction, and the plan stripes some of the
+    // pairs.
     let mut rng = rl_dag::generate::seeded_rng(0xBA7C4);
     let wide: Vec<(PackedSeq<Dna>, PackedSeq<Dna>)> = (0..64)
         .map(|_| {
@@ -895,26 +885,18 @@ fn ragged_workload_stripes_most_pairs() {
         .collect();
     let mut engine = AlignEngine::new(cfg);
     let sequential: Vec<EngineOutcome> = wide.iter().map(|(q, p)| engine.align(q, p)).collect();
-    for cfg in [
-        cfg,
-        cfg.with_packer(PackerPolicy::ExactBucket),
-        cfg.with_lane_floor(LaneWidth::U16),
-    ] {
+    for cfg in [cfg, cfg.with_lane_floor(LaneWidth::U16)] {
         assert_eq!(
-            align_batch(&cfg, &wide),
+            batch_outcomes(&cfg, &wide),
             sequential,
-            "packer {}",
-            cfg.packer
+            "{:?}",
+            cfg.lane_floor
         );
-        let report = BatchEngine::new(cfg).align_batch_supervised(&wide, &ScanControl::new());
-        assert!(report.is_complete());
-        let supervised: Vec<EngineOutcome> = report.outcomes.into_iter().flatten().collect();
-        assert_eq!(supervised, sequential, "supervised, packer {}", cfg.packer);
         let stats = batch_plan_stats(&cfg, &wide);
         assert!(
             stats.occupancy() > 0.0 && stats.occupancy() <= 1.0,
-            "packer {}: {stats:?}",
-            cfg.packer
+            "{:?}: {stats:?}",
+            cfg.lane_floor
         );
     }
     let aware = batch_plan_stats(&cfg, &wide);
@@ -928,8 +910,8 @@ fn ragged_workload_stripes_most_pairs() {
 /// length) run on 8 entries; global and affine on 512 entries of median
 /// 128 bp, large enough that stripes are abandoned mid-sweep. Each case
 /// also runs a fixed-length batch of the same count and median length
-/// through the plain, u16-floored and supervised batch paths, which must
-/// agree.
+/// at the default and the u16 lane floor, which must agree with each
+/// other and with the sequential loop.
 #[test]
 fn ratcheted_scans_equal_the_batch_topk_on_lognormal_databases() {
     let affine = AlignMode::GlobalAffine(AffineWeights { open: 2 });
@@ -965,19 +947,16 @@ fn ratcheted_scans_equal_the_batch_topk_on_lognormal_databases() {
                 )
             })
             .collect();
-        let batch = align_batch(&cfg, &fixed);
+        let fixed_batch = batch_outcomes(&cfg, &fixed);
         assert_eq!(
-            align_batch(&cfg.with_lane_floor(LaneWidth::U16), &fixed),
-            batch,
+            batch_outcomes(&cfg.with_lane_floor(LaneWidth::U16), &fixed),
+            fixed_batch,
             "{mode}: u16-floored batch"
         );
-        let report = BatchEngine::new(cfg).align_batch_supervised(&fixed, &ScanControl::new());
-        assert!(report.is_complete(), "{mode}: supervised batch");
-        assert_eq!(
-            report.outcomes.into_iter().flatten().collect::<Vec<_>>(),
-            batch,
-            "{mode}: supervised batch"
-        );
+        let mut engine = AlignEngine::new(cfg);
+        let sequential: Vec<EngineOutcome> =
+            fixed.iter().map(|(q, p)| engine.align(q, p)).collect();
+        assert_eq!(fixed_batch, sequential, "{mode}: sequential loop");
 
         let (ratcheted, _) = scan(
             &cfg,
@@ -990,7 +969,8 @@ fn ratcheted_scans_equal_the_batch_topk_on_lognormal_databases() {
         )
         .expect("valid scan");
         let pairs: Vec<_> = db.iter().map(|p| (&query, p)).collect();
-        let mut full: Vec<(usize, u64)> = align_batch_refs(&cfg, &pairs)
+        let mut full: Vec<(usize, u64)> = align_batch(&cfg, &pairs, &ScanControl::new())
+            .expect_complete()
             .iter()
             .enumerate()
             .filter_map(|(i, o)| o.score.cycles().map(|s| (i, s)))
@@ -1287,7 +1267,7 @@ proptest! {
                 cfgs.push(AlignConfig::new(w).with_mode(mode).with_threshold(t));
             }
             for cfg in cfgs {
-                let batch = align_batch(&cfg, &pairs);
+                let batch = batch_outcomes(&cfg, &pairs);
                 let mut engine = AlignEngine::new(cfg);
                 let sequential: Vec<EngineOutcome> =
                     pairs.iter().map(|(q, p)| engine.align(q, p)).collect();

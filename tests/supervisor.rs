@@ -13,7 +13,7 @@ use race_logic::early_termination::{
     scan, scan_packed_topk_resumable, scan_packed_topk_with, ScanEntries, TopKScan,
 };
 use race_logic::engine::{
-    AffineWeights, AlignConfig, AlignEngine, AlignMode, BatchEngine, LaneWidth, LocalScores,
+    align_batch, AffineWeights, AlignConfig, AlignEngine, AlignMode, LaneWidth, LocalScores,
 };
 use race_logic::supervisor::{ScanControl, StopReason};
 use race_logic::AlignError;
@@ -313,7 +313,7 @@ fn cells_budget_stops_mid_scan_with_exact_accounting() {
 }
 
 #[test]
-fn supervised_batch_matches_unsupervised_batch() {
+fn supervised_batch_matches_sequential_loop() {
     let cfg = AlignConfig::new(RaceWeights::fig4());
     let mut rng = seeded_rng(23);
     // Mixed lengths: short pairs run per-pair, long ones stripe.
@@ -326,23 +326,24 @@ fn supervised_batch_matches_unsupervised_batch() {
             )
         })
         .collect();
-    let mut engine = BatchEngine::new(cfg);
-    let plain = engine.align_batch(&pairs);
+    let mut engine = AlignEngine::new(cfg);
+    let sequential: Vec<_> = pairs.iter().map(|(q, p)| engine.align(q, p)).collect();
+    let refs: Vec<_> = pairs.iter().map(|(q, p)| (q, p)).collect();
     let ctrl = ScanControl::new();
-    let report = engine.align_batch_supervised(&pairs, &ctrl);
+    let report = align_batch(&cfg, &refs, &ctrl);
     assert!(report.is_complete());
     assert_eq!(report.total_pairs(), pairs.len());
     assert_eq!(report.remaining_pairs(), 0);
     assert!(report.faults.is_empty());
     assert_eq!(report.stop, None);
-    for (supervised, unsupervised) in report.outcomes.iter().zip(&plain) {
-        assert_eq!(supervised.as_ref(), Some(unsupervised));
+    for (supervised, expected) in report.outcomes.iter().zip(&sequential) {
+        assert_eq!(supervised.as_ref(), Some(expected));
     }
 
     // A cancelled batch reports everything as remaining, typed, no panic.
     let cancelled = ScanControl::new();
     cancelled.cancel();
-    let report = engine.align_batch_supervised(&pairs, &cancelled);
+    let report = align_batch(&cfg, &refs, &cancelled);
     assert_eq!(report.stop, Some(StopReason::Cancelled));
     assert_eq!(report.completed_pairs, 0);
     assert_eq!(report.remaining_pairs(), pairs.len());

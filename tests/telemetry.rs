@@ -11,7 +11,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use race_logic::alignment::RaceWeights;
-use race_logic::engine::{AlignConfig, BatchEngine};
+use race_logic::engine::{align_batch, AlignConfig};
 use race_logic::service::{ScanRequest, ScanService, ServiceConfig};
 use race_logic::store::{
     build_store, scan_store_topk_resumable, PackedStore, StoreParams, StoreTarget,
@@ -144,6 +144,7 @@ fn traced_batch_is_result_invariant_and_populates_the_catalog() {
             )
         })
         .collect();
+    let refs: Vec<_> = pairs.iter().map(|(q, p)| (q, p)).collect();
     let cfg = AlignConfig::new(RaceWeights::fig4());
     let run = |on: bool| {
         let prior = telemetry::set_enabled(on);
@@ -151,7 +152,7 @@ fn traced_batch_is_result_invariant_and_populates_the_catalog() {
         if on {
             ctrl = ctrl.with_tracer(TraceHandle::new(u64::MAX));
         }
-        let report = BatchEngine::new(cfg).align_batch_supervised(&pairs, &ctrl);
+        let report = align_batch(&cfg, &refs, &ctrl);
         telemetry::set_enabled(prior);
         assert!(report.is_complete(), "unconstrained batch must complete");
         report.outcomes
