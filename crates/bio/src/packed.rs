@@ -99,24 +99,40 @@ impl<S: Symbol> PackedSeq<S> {
         Self::from_codes(seq.codes(), seq.len())
     }
 
-    /// Packs an iterator of symbol codes (each `< S::COUNT`).
+    /// Packs an iterator of symbol codes (each `< S::COUNT`), one whole
+    /// word of up to [`symbols_per_word`](PackedSeq::symbols_per_word)
+    /// codes at a time.
     ///
     /// # Panics
     ///
-    /// Panics if a code is out of range for the alphabet.
+    /// Panics if a code is out of range for the alphabet, or if the
+    /// iterator does not yield exactly `len` codes.
     pub fn from_codes(codes: impl IntoIterator<Item = u8>, len: usize) -> Self {
         let bits = S::bits();
         let per_word = Self::symbols_per_word();
-        let mut words = vec![0_u64; len.div_ceil(per_word)];
+        let mut words = Vec::with_capacity(len.div_ceil(per_word));
+        let mut codes = codes.into_iter();
         let mut n = 0;
-        for (i, code) in codes.into_iter().enumerate() {
-            assert!(
-                (code as usize) < S::COUNT,
-                "symbol code {code} out of range for {}",
-                S::NAME
-            );
-            words[i / per_word] |= u64::from(code) << ((i % per_word) as u32 * bits);
-            n += 1;
+        loop {
+            let mut word = 0_u64;
+            let mut filled = 0;
+            for code in codes.by_ref().take(per_word) {
+                assert!(
+                    (code as usize) < S::COUNT,
+                    "symbol code {code} out of range for {}",
+                    S::NAME
+                );
+                word |= u64::from(code) << (filled * bits);
+                filled += 1;
+            }
+            if filled == 0 {
+                break;
+            }
+            words.push(word);
+            n += filled as usize;
+            if (filled as usize) < per_word {
+                break;
+            }
         }
         assert_eq!(n, len, "code iterator length mismatch");
         PackedSeq {
@@ -643,6 +659,35 @@ mod tests {
             p.unpack_reversed_into(&mut rev);
             let fwd: Vec<u8> = p.codes().collect();
             prop_assert_eq!(rev.iter().rev().copied().collect::<Vec<u8>>(), fwd);
+        }
+
+        /// Word-at-a-time packing equals a per-symbol reference packer
+        /// at every length from 0 to 130 on both alphabets (2 bits × 32
+        /// and 5 bits × 12 per word): same words, zero padding bits, and
+        /// a `try_from_words` round trip.
+        #[test]
+        fn word_packing_matches_per_symbol_reference(codes in collection::vec(0_u8..20, 130..131)) {
+            fn check<S: Symbol>(codes: &[u8]) {
+                let bits = S::bits();
+                let per_word = PackedSeq::<S>::symbols_per_word();
+                let mut reference = vec![0_u64; codes.len().div_ceil(per_word)];
+                for (i, &c) in codes.iter().enumerate() {
+                    reference[i / per_word] |= u64::from(c) << ((i % per_word) as u32 * bits);
+                }
+                let packed = PackedSeq::<S>::from_codes(codes.iter().copied(), codes.len());
+                prop_assert_eq!(packed.words(), &reference[..]);
+                for (wi, &w) in packed.words().iter().enumerate() {
+                    let used = (codes.len() - wi * per_word).min(per_word) as u32 * bits;
+                    prop_assert!(used == 64 || w >> used == 0, "dirty padding in word {wi}");
+                }
+                let back = PackedSeq::<S>::try_from_words(packed.words().to_vec(), codes.len());
+                prop_assert_eq!(back, Ok(packed));
+            }
+            let dna: Vec<u8> = codes.iter().map(|c| c % 4).collect();
+            for len in 0..=130 {
+                check::<Dna>(&dna[..len]);
+                check::<AminoAcid>(&codes[..len]);
+            }
         }
 
         /// Packing is lossless for both alphabets.

@@ -57,6 +57,7 @@
 pub mod alignment;
 pub mod asynchronous;
 pub mod banded;
+mod bitpar;
 pub mod compiler;
 pub mod early_termination;
 pub mod engine;

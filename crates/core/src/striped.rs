@@ -50,6 +50,7 @@ use rayon::prelude::*;
 use rl_bio::{alphabet::Symbol, PackedSeq, StripedCodes};
 use rl_temporal::Time;
 
+use crate::bitpar::QueryMasks;
 use crate::engine::{
     applied_bias, classify_outcome, diag_range, raw_to_time, rotate_bufs, score_lower_bound,
     u8_bias_rate, AlignConfig, AlignEngine, AlignMode, BatchPlanStats, EngineOutcome,
@@ -124,12 +125,24 @@ pub(crate) fn grid_cells(n: usize, m: usize, band: Option<usize>) -> u64 {
     full - triangle(m.saturating_sub(k), n) - triangle(n.saturating_sub(k), m)
 }
 
-/// One schedulable unit of batch work: either a striped cohort sweep or
-/// a run of per-pair alignments. `members` are indices into the batch;
-/// `results`/`states` are filled by the worker and scattered back
-/// afterwards.
+/// How a work unit's members are swept.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum UnitKind {
+    /// One striped cohort sweep, each SIMD lane a different pair.
+    Striped,
+    /// One per-pair DP alignment after another.
+    PerPair,
+    /// One bit-parallel score after another, against the scan
+    /// segment's shared query masks ([`QueryMasks`]).
+    BitParallel,
+}
+
+/// One schedulable unit of batch work: a striped cohort sweep, a run of
+/// per-pair alignments, or a run of bit-parallel scores. `members` are
+/// indices into the batch; `results`/`states` are filled by the worker
+/// and scattered back afterwards.
 struct WorkUnit {
-    striped: bool,
+    kind: UnitKind,
     /// Stripe lane width, resolved **once** by the planner from the
     /// members' union shape — `run_stripe` must not re-resolve, so the
     /// shape the stripe was budgeted and chunked at is the shape it is
@@ -235,11 +248,12 @@ pub(crate) struct RunReport {
 }
 
 /// Per-worker scratch of one `run_units` pass: a per-pair fallback
-/// engine plus the striped-sweep arena, reused across the worker's
-/// units.
+/// engine, the striped-sweep arena and the bit-parallel state words,
+/// reused across the worker's units.
 struct WorkerScratch {
     engine: AlignEngine,
     stripe: StripeScratch,
+    bits: Vec<u64>,
 }
 
 /// The batch pipeline behind [`crate::engine::align_batch`]: worker
@@ -255,8 +269,8 @@ pub(crate) fn run_batch<S: Symbol>(
     let mut slots = vec![Slot::Pending; pairs.len()];
     let mut stop = None;
     if !pairs.is_empty() {
-        let units = plan_units_guarded(cfg, pairs, resolve_workers(None), &mut faults);
-        let mut report = run_units(cfg, pairs, units, None, None, ctrl, &mut slots);
+        let units = plan_units_guarded(cfg, pairs, resolve_workers(None), false, &mut faults);
+        let mut report = run_units(cfg, pairs, units, None, None, None, ctrl, &mut slots);
         faults.append(&mut report.faults);
         stop = report.stop;
     }
@@ -278,6 +292,12 @@ pub(crate) fn run_batch<S: Symbol>(
 /// as hits land — the scan accelerates as it goes — under panic
 /// isolation and cooperative stops. Score-only: abandoned entries
 /// report [`Time::NEVER`] with `early_terminated` set.
+///
+/// A segment whose configuration reduces to a bit-parallel recurrence
+/// ([`QueryMasks::for_scan`]: unbanded, `Auto`, LCS-reducible global or
+/// unit-edit-distance weights) builds the query's match masks once and
+/// sweeps every pair on the bit-parallel kernel instead of the striped
+/// and per-pair DP kernels.
 ///
 /// Runs over a pair *subset* (`pairs[pos]` is original database entry
 /// `ids[pos]`; a fresh scan passes the identity) under a ratchet
@@ -310,9 +330,25 @@ pub(crate) fn scan_topk_resume_impl<S: Symbol>(
     if pairs.is_empty() {
         return (slots, RunReport { faults, stop: None });
     }
-    let units = plan_units_guarded(cfg, pairs, resolve_workers(workers), &mut faults);
+    let masks = QueryMasks::for_scan(cfg, pairs);
+    let units = plan_units_guarded(
+        cfg,
+        pairs,
+        resolve_workers(workers),
+        masks.is_some(),
+        &mut faults,
+    );
     let ratchet = Ratchet::seeded(k, cfg.threshold, seed, ids.to_vec());
-    let mut report = run_units(cfg, pairs, units, Some(&ratchet), workers, ctrl, &mut slots);
+    let mut report = run_units(
+        cfg,
+        pairs,
+        units,
+        Some(&ratchet),
+        masks.as_ref(),
+        workers,
+        ctrl,
+        &mut slots,
+    );
     faults.append(&mut report.faults);
     (
         slots,
@@ -448,17 +484,20 @@ impl StripeThreshold {
 /// per worker) and scatters results back into input order. With a
 /// `ratchet`, each unit runs under the ratchet's threshold at the
 /// moment the unit starts, and finished scores feed back into it.
+/// Bit-parallel units need the ratchet and the segment's `masks`.
 ///
 /// The [`ScanControl`] is consulted before every work unit (and inside
 /// the per-pair kernels at row/diagonal granularity); units an early
 /// stop never reaches leave their slots `Pending`. Worker panics are
 /// isolated per unit: a poisoned stripe is quarantined and its members
 /// retried on the scalar fallback kernel (see [`run_striped_unit`]).
+#[allow(clippy::too_many_arguments)]
 fn run_units<S: Symbol>(
     cfg: &AlignConfig,
     pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
     units: Vec<WorkUnit>,
     ratchet: Option<&Ratchet>,
+    masks: Option<&QueryMasks>,
     workers: Option<usize>,
     ctrl: &ScanControl,
     out: &mut [Slot],
@@ -479,6 +518,7 @@ fn run_units<S: Symbol>(
             scratch: WorkerScratch {
                 engine: AlignEngine::new(*cfg),
                 stripe: StripeScratch::new(),
+                bits: Vec::new(),
             },
         })
         .collect();
@@ -499,48 +539,57 @@ fn run_units<S: Symbol>(
                 ledger.note_stop(stop);
                 break;
             }
-            let threshold = match ratchet {
-                Some(r) => match r.current() {
-                    Some(t) => StripeThreshold::Coarse(t),
-                    None => StripeThreshold::None,
-                },
-                None => match cfg.threshold {
-                    Some(t) => StripeThreshold::Exact(t),
-                    None => StripeThreshold::None,
-                },
-            };
-            if unit.striped {
-                // Under the ratchet, a stripe whose every member the
-                // length bound already proves out is abandoned whole,
-                // before a single cell is swept.
-                if let StripeThreshold::Coarse(t) = threshold {
-                    if unit
-                        .members
-                        .iter()
-                        .all(|&i| length_prunes(cfg, pairs[i], t))
-                    {
-                        unit.results.fill(PRUNED);
-                        unit.states.fill(SlotState::Done);
-                        telemetry::count(
-                            &telemetry::metrics::PAIRS_PRUNED,
-                            unit.members.len() as u64,
-                        );
-                        continue;
+            match unit.kind {
+                UnitKind::BitParallel => {
+                    let (Some(r), Some(masks)) = (ratchet, masks) else {
+                        unreachable!("bit-parallel units run only in a ratcheted scan with masks")
+                    };
+                    run_bitpar_unit(cfg, pairs, unit, masks, worker, r, ctrl, &ledger);
+                }
+                UnitKind::PerPair => {
+                    run_per_pair_unit(cfg, pairs, unit, worker, ratchet, ctrl, &ledger);
+                }
+                UnitKind::Striped => {
+                    let threshold = match ratchet {
+                        Some(r) => match r.current() {
+                            Some(t) => StripeThreshold::Coarse(t),
+                            None => StripeThreshold::None,
+                        },
+                        None => match cfg.threshold {
+                            Some(t) => StripeThreshold::Exact(t),
+                            None => StripeThreshold::None,
+                        },
+                    };
+                    // Under the ratchet, a stripe whose every member the
+                    // length bound already proves out is abandoned whole,
+                    // before a single cell is swept.
+                    if let StripeThreshold::Coarse(t) = threshold {
+                        if unit
+                            .members
+                            .iter()
+                            .all(|&i| length_prunes(cfg, pairs[i], t))
+                        {
+                            unit.results.fill(PRUNED);
+                            unit.states.fill(SlotState::Done);
+                            telemetry::count(
+                                &telemetry::metrics::PAIRS_PRUNED,
+                                unit.members.len() as u64,
+                            );
+                            continue;
+                        }
                     }
+                    let planned = || {
+                        unit.members
+                            .iter()
+                            .map(|&i| grid_cells(pairs[i].0.len(), pairs[i].1.len(), cfg.band))
+                            .sum()
+                    };
+                    if !ctrl.reserve(planned()) {
+                        ledger.note_stop(StopReason::BudgetExhausted);
+                        break;
+                    }
+                    run_striped_unit(cfg, pairs, unit, threshold, worker, ratchet, ctrl, &ledger);
                 }
-                let planned = || {
-                    unit.members
-                        .iter()
-                        .map(|&i| grid_cells(pairs[i].0.len(), pairs[i].1.len(), cfg.band))
-                        .sum()
-                };
-                if !ctrl.reserve(planned()) {
-                    ledger.note_stop(StopReason::BudgetExhausted);
-                    break;
-                }
-                run_striped_unit(cfg, pairs, unit, threshold, worker, ratchet, ctrl, &ledger);
-            } else {
-                run_per_pair_unit(cfg, pairs, unit, worker, ratchet, ctrl, &ledger);
             }
         }
     });
@@ -850,6 +899,83 @@ fn run_per_pair_unit<S: Symbol>(
     }
 }
 
+/// Executes one bit-parallel unit of a ratcheted scan. Per pair, in
+/// order: check the stop conditions, read the ratchet's current `t`,
+/// apply the length prune, reserve the pair's grid cells, sweep it on
+/// the bit-parallel kernel, charge the cells of the columns swept. A
+/// score above `t` — computed, or proved by the kernel's early stop —
+/// is reported as abandoned ([`Time::NEVER`], `early_terminated`), and
+/// every other score is observed by the ratchet exactly once.
+///
+/// A panic anywhere in the loop quarantines the unit: the members not
+/// yet `Done` are retried on the scalar rolling row
+/// ([`quarantine_and_retry`], site `bitpar-sweep`).
+#[allow(clippy::too_many_arguments)]
+fn run_bitpar_unit<S: Symbol>(
+    cfg: &AlignConfig,
+    pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
+    unit: &mut WorkUnit,
+    masks: &QueryMasks,
+    worker: &mut WorkerScratch,
+    ratchet: &Ratchet,
+    ctrl: &ScanControl,
+    ledger: &ExecLedger,
+) {
+    // AssertUnwindSafe: a panic leaves only the worker's bit-parallel
+    // state words stale, and the kernel re-initializes them per pair.
+    let sweep = catch_unwind(AssertUnwindSafe(|| {
+        for idx in 0..unit.members.len() {
+            let i = unit.members[idx];
+            if let Some(stop) = ctrl.should_stop() {
+                ledger.note_stop(stop);
+                return;
+            }
+            let t = ratchet.current();
+            if t.is_some_and(|t| length_prunes(cfg, pairs[i], t)) {
+                unit.results[idx] = PRUNED;
+                unit.states[idx] = SlotState::Done;
+                telemetry::count(&telemetry::metrics::PAIRS_PRUNED, 1);
+                continue;
+            }
+            let (q, p) = pairs[i];
+            let cells = grid_cells(q.len(), p.len(), None);
+            if !ctrl.reserve(cells) {
+                ledger.note_stop(StopReason::BudgetExhausted);
+                return;
+            }
+            fp_hit("bitpar-sweep");
+            let (score, columns) = masks.score(p, t, &mut worker.bits);
+            // The whole grid, `cells`, once every column is swept.
+            let swept = (q.len() as u64 + 1) * (columns as u64 + 1);
+            ctrl.charge(swept);
+            telemetry::count(&telemetry::metrics::BITPAR_PAIRS, 1);
+            let finished = score.filter(|&s| t.is_none_or(|t| s <= t));
+            unit.results[idx] = EngineOutcome {
+                score: finished.map_or(Time::NEVER, raw_to_time),
+                cells_computed: swept,
+                early_terminated: finished.is_none(),
+            };
+            unit.states[idx] = SlotState::Done;
+            if let Some(score) = finished {
+                observe_guarded(ratchet, score, i, ledger);
+            }
+        }
+    }));
+    if let Err(payload) = sweep {
+        quarantine_and_retry(
+            cfg,
+            pairs,
+            unit,
+            worker,
+            Some(ratchet),
+            ctrl,
+            ledger,
+            "bitpar-sweep",
+            panic_message(&*payload),
+        );
+    }
+}
+
 /// The outcome of a pair the length-bound prune rules out: abandoned,
 /// with no cell computed.
 const PRUNED: EngineOutcome = EngineOutcome {
@@ -925,13 +1051,20 @@ fn resolve_workers(workers: Option<usize>) -> usize {
 /// ([`pack_length_aware`]); pairs the kernel plan resolves to the rolling row,
 /// and stripes left under [`STRIPE_MIN_PAIRS`] members, fall back to
 /// per-pair runs split evenly across `workers` (the count
-/// [`resolve_workers`] gives the run).
+/// [`resolve_workers`] gives the run). A `bit_parallel` plan (a scan
+/// segment with query masks) instead splits every pair, in input order,
+/// evenly into bit-parallel units.
 fn plan_units<S: Symbol>(
     cfg: &AlignConfig,
     pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
     workers: usize,
+    bit_parallel: bool,
 ) -> Vec<WorkUnit> {
     fp_hit("packer");
+    if bit_parallel {
+        let all: Vec<usize> = (0..pairs.len()).collect();
+        return split_units(&all, workers, UnitKind::BitParallel);
+    }
     let mut eligible: Vec<(usize, usize, usize)> = Vec::new();
     let mut singles: Vec<usize> = Vec::new();
     for (i, (q, p)) in pairs.iter().enumerate() {
@@ -942,20 +1075,27 @@ fn plan_units<S: Symbol>(
         }
     }
     let mut units = pack_length_aware(cfg, &mut eligible, &mut singles);
-    if !singles.is_empty() {
-        singles.sort_unstable();
-        let per = singles.len().div_ceil(workers);
-        for chunk in singles.chunks(per) {
-            units.push(WorkUnit {
-                striped: false,
-                width: LaneWidth::U64,
-                members: chunk.to_vec(),
-                results: Vec::new(),
-                states: Vec::new(),
-            });
-        }
-    }
+    singles.sort_unstable();
+    units.extend(split_units(&singles, workers, UnitKind::PerPair));
     units
+}
+
+/// Splits `members` evenly, in order, into at most `workers` units of
+/// `kind` (none when `members` is empty).
+fn split_units(members: &[usize], workers: usize, kind: UnitKind) -> Vec<WorkUnit> {
+    if members.is_empty() {
+        return Vec::new();
+    }
+    members
+        .chunks(members.len().div_ceil(workers))
+        .map(|chunk| WorkUnit {
+            kind,
+            width: LaneWidth::U64,
+            members: chunk.to_vec(),
+            results: Vec::new(),
+            states: Vec::new(),
+        })
+        .collect()
 }
 
 /// Plans units under `catch_unwind`: an injected `packer` panic
@@ -965,29 +1105,18 @@ fn plan_units_guarded<S: Symbol>(
     cfg: &AlignConfig,
     pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
     workers: usize,
+    bit_parallel: bool,
     faults: &mut Vec<Fault>,
 ) -> Vec<WorkUnit> {
-    match catch_unwind(AssertUnwindSafe(|| plan_units(cfg, pairs, workers))) {
+    match catch_unwind(AssertUnwindSafe(|| {
+        plan_units(cfg, pairs, workers, bit_parallel)
+    })) {
         Ok(units) => units,
         Err(payload) => {
-            faults.push(Fault::new(
-                "packer",
-                (0..pairs.len()).collect::<Vec<_>>(),
-                true,
-                panic_message(&*payload),
-            ));
-            let per = pairs.len().div_ceil(workers);
-            let indices: Vec<usize> = (0..pairs.len()).collect();
-            indices
-                .chunks(per)
-                .map(|chunk| WorkUnit {
-                    striped: false,
-                    width: LaneWidth::U64,
-                    members: chunk.to_vec(),
-                    results: Vec::new(),
-                    states: Vec::new(),
-                })
-                .collect()
+            let all: Vec<usize> = (0..pairs.len()).collect();
+            let units = split_units(&all, workers, UnitKind::PerPair);
+            faults.push(Fault::new("packer", all, true, panic_message(&*payload)));
+            units
         }
     }
 }
@@ -1051,7 +1180,7 @@ fn pack_length_aware(
             .collect();
         if count >= STRIPE_MIN_PAIRS {
             units.push(WorkUnit {
-                striped: true,
+                kind: UnitKind::Striped,
                 width,
                 members,
                 results: Vec::new(),
@@ -1080,8 +1209,8 @@ pub(crate) fn plan_stats_impl<S: Symbol>(
             stats.wavefront_eligible += 1;
         }
     }
-    for unit in plan_units(cfg, pairs, resolve_workers(None)) {
-        if !unit.striped {
+    for unit in plan_units(cfg, pairs, resolve_workers(None), false) {
+        if unit.kind != UnitKind::Striped {
             continue;
         }
         stats.stripes += 1;
@@ -2767,8 +2896,8 @@ mod tests {
         // Three same-shape pairs < STRIPE_MIN_PAIRS: planner must not stripe.
         let pairs = random_pairs(STRIPE_MIN_PAIRS - 1, 64, 64);
         let cfg = AlignConfig::new(RaceWeights::fig4());
-        let units = plan_units(&cfg, &ref_pairs(&pairs), 1);
-        assert!(units.iter().all(|u| !u.striped));
+        let units = plan_units(&cfg, &ref_pairs(&pairs), 1, false);
+        assert!(units.iter().all(|u| u.kind != UnitKind::Striped));
         assert_batch_matches_sequential(&cfg, &pairs);
     }
 
@@ -2785,21 +2914,28 @@ mod tests {
             &AlignConfig::new(RaceWeights::fig4()),
             &ref_pairs(&pairs),
             1,
+            false,
         );
-        let u8_striped: Vec<_> = u8_units.iter().filter(|u| u.striped).collect();
+        let u8_striped: Vec<_> = u8_units
+            .iter()
+            .filter(|u| u.kind == UnitKind::Striped)
+            .collect();
         assert_eq!(u8_striped.len(), 1, "u8's 32 lanes hold all 20 pairs");
         assert_eq!(u8_striped[0].width, LaneWidth::U8);
         assert_eq!(u8_striped[0].members.len(), 20);
-        let units = plan_units(&base, &ref_pairs(&pairs), 1);
-        let striped: Vec<_> = units.iter().filter(|u| u.striped).collect();
+        let units = plan_units(&base, &ref_pairs(&pairs), 1, false);
+        let striped: Vec<_> = units
+            .iter()
+            .filter(|u| u.kind == UnitKind::Striped)
+            .collect();
         assert_eq!(striped.len(), 2);
         assert_eq!(striped[0].members.len(), 16);
         assert_eq!(striped[1].members.len(), 4);
         // Short pairs resolve to the rolling row and never stripe.
         let short = random_pairs(16, 8, 8);
-        assert!(plan_units(&base, &ref_pairs(&short), 1)
+        assert!(plan_units(&base, &ref_pairs(&short), 1, false)
             .iter()
-            .all(|u| !u.striped));
+            .all(|u| u.kind != UnitKind::Striped));
     }
 
     #[test]
@@ -2852,16 +2988,22 @@ mod tests {
 
         let mut over: Vec<_> = (0..7).map(|_| mk(39)).collect();
         over.push(mk(49));
-        let units = plan_units(&cfg, &ref_pairs(&over), 1);
-        let striped: Vec<_> = units.iter().filter(|u| u.striped).collect();
+        let units = plan_units(&cfg, &ref_pairs(&over), 1, false);
+        let striped: Vec<_> = units
+            .iter()
+            .filter(|u| u.kind == UnitKind::Striped)
+            .collect();
         assert_eq!(striped.len(), 1, "over-budget outlier must not merge");
         assert_eq!(striped[0].members.len(), 7);
         assert_batch_matches_sequential(&cfg, &over);
 
         let mut under: Vec<_> = (0..7).map(|_| mk(39)).collect();
         under.push(mk(44));
-        let units = plan_units(&cfg, &ref_pairs(&under), 1);
-        let striped: Vec<_> = units.iter().filter(|u| u.striped).collect();
+        let units = plan_units(&cfg, &ref_pairs(&under), 1, false);
+        let striped: Vec<_> = units
+            .iter()
+            .filter(|u| u.kind == UnitKind::Striped)
+            .collect();
         assert_eq!(striped.len(), 1, "within-budget outlier must merge");
         assert_eq!(striped[0].members.len(), 8);
         assert_batch_matches_sequential(&cfg, &under);
@@ -2886,11 +3028,16 @@ mod tests {
             pack(&Seq::random(&mut rng, 300)),
         ));
         let cfg = AlignConfig::new(RaceWeights::fig4());
-        let units = plan_units(&cfg, &ref_pairs(&pairs), 1);
-        let striped: Vec<_> = units.iter().filter(|u| u.striped).collect();
+        let units = plan_units(&cfg, &ref_pairs(&pairs), 1, false);
+        let striped: Vec<_> = units
+            .iter()
+            .filter(|u| u.kind == UnitKind::Striped)
+            .collect();
         assert_eq!(striped.len(), 1);
         assert_eq!(striped[0].members.len(), 16);
-        assert!(units.iter().any(|u| !u.striped && u.members.contains(&16)));
+        assert!(units
+            .iter()
+            .any(|u| u.kind != UnitKind::Striped && u.members.contains(&16)));
         assert_batch_matches_sequential(&cfg, &pairs);
     }
 
@@ -2976,8 +3123,11 @@ mod tests {
         let pairs = random_pairs(16, 64, 64);
         let cfg = AlignConfig::new(RaceWeights::fig4())
             .with_mode(AlignMode::GlobalAffine(AffineWeights { open: 1 }));
-        let units = plan_units(&cfg, &ref_pairs(&pairs), 1);
-        assert!(units.iter().any(|u| u.striped), "affine must stripe now");
+        let units = plan_units(&cfg, &ref_pairs(&pairs), 1, false);
+        assert!(
+            units.iter().any(|u| u.kind == UnitKind::Striped),
+            "affine must stripe now"
+        );
         assert_batch_matches_sequential(&cfg, &pairs);
     }
 
@@ -2988,8 +3138,11 @@ mod tests {
         // stripe, halving its swept cells, and stay byte-identical.
         let pairs = random_pairs(21, 64, 64);
         let cfg = AlignConfig::new(RaceWeights::fig4()).with_lane_floor(LaneWidth::U16);
-        let units = plan_units(&cfg, &ref_pairs(&pairs), 1);
-        let striped: Vec<_> = units.iter().filter(|u| u.striped).collect();
+        let units = plan_units(&cfg, &ref_pairs(&pairs), 1, false);
+        let striped: Vec<_> = units
+            .iter()
+            .filter(|u| u.kind == UnitKind::Striped)
+            .collect();
         assert_eq!(striped.len(), 2);
         assert_eq!(striped[0].width, LaneWidth::U16);
         assert_eq!(
@@ -3127,11 +3280,17 @@ mod tests {
         let mut faults = Vec::new();
         for workers in [1, 2, 3, 5, 12, 40] {
             let expected = pairs.len().div_ceil(pairs.len().div_ceil(workers));
-            let units = plan_units(&cfg, &ref_pairs(&pairs), workers);
-            assert!(units.iter().all(|u| !u.striped));
+            let units = plan_units(&cfg, &ref_pairs(&pairs), workers, false);
+            assert!(units.iter().all(|u| u.kind == UnitKind::PerPair));
             assert_eq!(units.len(), expected, "{workers} workers");
-            let guarded = plan_units_guarded(&cfg, &ref_pairs(&pairs), workers, &mut faults);
+            let guarded = plan_units_guarded(&cfg, &ref_pairs(&pairs), workers, false, &mut faults);
             assert_eq!(guarded.len(), expected, "{workers} workers (guarded)");
+            // A bit-parallel plan splits the same way, in input order.
+            let bits = plan_units(&cfg, &ref_pairs(&pairs), workers, true);
+            assert!(bits.iter().all(|u| u.kind == UnitKind::BitParallel));
+            assert_eq!(bits.len(), expected, "{workers} workers (bit-parallel)");
+            let order: Vec<usize> = bits.iter().flat_map(|u| u.members.clone()).collect();
+            assert_eq!(order, (0..pairs.len()).collect::<Vec<_>>());
         }
         assert!(faults.is_empty());
         assert_eq!(resolve_workers(Some(3)), 3);
@@ -3342,7 +3501,9 @@ mod tests {
         // second stripe on. The 63 random 200–256 bp entries pass the
         // length prune (their bound is exactly 256) and their
         // elapsed-time frontier only passes 256 near anti-diagonal 512;
-        // the remaining-cost bound proves them out far earlier.
+        // the remaining-cost bound proves them out far earlier. The
+        // Wavefront pin keeps the global scan on the striped kernel
+        // (`Auto` sweeps it bit-parallel).
         use crate::early_termination::{estimate_scan_cells, scan_packed_topk_with};
         use crate::engine::AffineWeights;
         let mut rng = rl_dag::generate::seeded_rng(0x5_CA17);
@@ -3354,7 +3515,9 @@ mod tests {
         let query = pack(&query);
         let affine = AlignMode::GlobalAffine(AffineWeights { open: 2 });
         for (label, mode, score) in [("global", AlignMode::Global, 256), ("affine", affine, 258)] {
-            let cfg = AlignConfig::new(RaceWeights::fig4()).with_mode(mode);
+            let cfg = AlignConfig::new(RaceWeights::fig4())
+                .with_mode(mode)
+                .with_strategy(KernelStrategy::Wavefront);
             let scan = scan_packed_topk_with(&cfg, &query, &db, 1, Some(1));
             assert_eq!(scan.hits, vec![(0, score)], "{label}");
             let planned = estimate_scan_cells(&cfg, &query, &db);

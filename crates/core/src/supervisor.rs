@@ -9,8 +9,9 @@
 //! - [`ScanControl`] — a shared handle carrying a cancellation flag, a
 //!   wall-clock deadline, a grid-cell budget, and an optional scratch
 //!   memory budget. Supervised entry points check it cooperatively: at
-//!   **anti-diagonal granularity** inside the per-pair kernels and at
-//!   **stripe-sweep granularity** in the batch pipeline.
+//!   **anti-diagonal granularity** inside the per-pair kernels, at
+//!   **stripe-sweep granularity** in the batch pipeline, and between
+//!   pairs in the bit-parallel scan units.
 //! - [`StopReason`] / [`Fault`] / [`ScanOutcome`] / [`BatchReport`] — the
 //!   typed partial-result surface. A stopped or faulted scan returns a
 //!   ledger of what completed, what faulted, and why, instead of
@@ -27,7 +28,8 @@
 //!   final top-k byte-identical to an uninterrupted run.
 //! - `failpoint` — a feature-gated (`failpoints`), zero-cost-when-off
 //!   registry of named injection sites (`packer`, `stripe-sweep`,
-//!   `ratchet`, `affine`, `simd-diag`, `service-*`) so the fault paths
+//!   `bitpar-sweep`, `ratchet`, `affine`, `simd-diag`, `service-*`) so
+//!   the fault paths
 //!   above — and the [`crate::service`] control plane on top of them —
 //!   are deterministically testable.
 //!
@@ -209,14 +211,14 @@ impl ScanControl {
         self.cells_spent.fetch_add(cells, Ordering::Relaxed);
     }
 
-    /// Reserves a striped unit's planned cells against the cell budget
-    /// before it sweeps, and reports whether the unit is admitted: only
-    /// while the cells reserved before it are still below the budget.
-    /// A sweep charges its cells only when it ends, so gating on
-    /// [`cells_spent`](ScanControl::cells_spent) alone would let every
-    /// worker's first unit start at zero; reserving up front bounds the
-    /// striped overshoot by one unit at any worker count. Always admits
-    /// without a budget.
+    /// Reserves a striped unit's (or a bit-parallel pair's) planned
+    /// cells against the cell budget before it sweeps, and reports
+    /// whether it is admitted: only while the cells reserved before it
+    /// are still below the budget. A sweep charges its cells only when
+    /// it ends, so gating on [`cells_spent`](ScanControl::cells_spent)
+    /// alone would let every worker's first unit start at zero;
+    /// reserving up front bounds the overshoot by one unit at any worker
+    /// count. Always admits without a budget.
     pub(crate) fn reserve(&self, cells: u64) -> bool {
         self.cells_budget
             .is_none_or(|budget| self.cells_reserved.fetch_add(cells, Ordering::Relaxed) < budget)
@@ -302,9 +304,9 @@ impl<'c> SupCursor<'c> {
 /// degradation) that the supervisor absorbed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Fault {
-    /// Where the fault surfaced: `packer`, `stripe-sweep`, `ratchet`,
-    /// `scratch-budget`, `per-pair`, or a `service-*` control-plane
-    /// site.
+    /// Where the fault surfaced: `packer`, `stripe-sweep`,
+    /// `bitpar-sweep`, `ratchet`, `scratch-budget`, `per-pair`, or a
+    /// `service-*` control-plane site.
     pub site: String,
     /// The database/batch indices of the pairs the fault touched.
     pub pairs: Vec<usize>,
@@ -628,6 +630,7 @@ pub mod failpoint {
     //! |------|----------|----------------------------------|
     //! | `packer` | top of the batch planner | degraded all-per-pair plan |
     //! | `stripe-sweep` | top of a striped work unit | stripe quarantine + per-pair retry |
+    //! | `bitpar-sweep` | each pair of a bit-parallel scan unit, before its sweep | unit quarantine + rolling-row retry of its unfinished members |
     //! | `ratchet` | top-k observation, before the heap lock | lost observation (sound: only loosens the ratchet) |
     //! | `affine` | top of the affine wavefront kernel | per-pair fallback on the rolling-row kernel |
     //! | `affine-stripe` | top of the striped three-plane affine sweep | stripe quarantine + per-pair Gotoh retry |

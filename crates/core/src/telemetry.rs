@@ -280,6 +280,11 @@ pub mod metrics {
         "rl_pairs_pruned_total",
         "pairs pruned by the length bound before any sweep",
     );
+    /// Pairs the ratcheted scan swept on the bit-parallel kernel.
+    pub static BITPAR_PAIRS: Counter = Counter::new(
+        "rl_bitpar_pairs_total",
+        "pairs swept on the bit-parallel kernel",
+    );
 
     /// Queries submitted to the service (accepted into the queue).
     pub static SERVICE_SUBMITTED: Counter = Counter::new(
@@ -409,6 +414,7 @@ pub fn catalog() -> Vec<Instrument> {
         C(&WORKER_FAULTS),
         C(&RATCHET_OBSERVATIONS),
         C(&PAIRS_PRUNED),
+        C(&BITPAR_PAIRS),
         C(&SERVICE_SUBMITTED),
         C(&SERVICE_REJECTED),
         C(&SERVICE_OVERLOADED),

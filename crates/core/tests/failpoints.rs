@@ -15,6 +15,7 @@ use race_logic::alignment::RaceWeights;
 use race_logic::early_termination::{scan, scan_packed_topk_with, ScanEntries};
 use race_logic::engine::{
     align_batch, align_batch_refs, AffineWeights, AlignConfig, AlignEngine, AlignMode,
+    KernelStrategy,
 };
 use race_logic::supervisor::failpoint::{self, Action};
 use race_logic::supervisor::{ScanControl, StopReason};
@@ -52,11 +53,18 @@ fn supervised(
     .map(|(outcome, _)| outcome)
 }
 
-/// Runs a supervised scan with `site` armed to panic once, and asserts
-/// the scan completes with the baseline's exact hits plus a recovered
-/// fault in the ledger.
-fn assert_recovered_identical(site: &'static str, seed: u64, workers: usize) {
-    let cfg = AlignConfig::new(RaceWeights::fig4());
+/// Fig4 global weights pinned to the wavefront family, so a scan still
+/// runs the striped and per-pair DP kernels (and reaches their
+/// `stripe-sweep` and `simd-diag` sites): under `Auto` these weights
+/// sweep bit-parallel.
+fn fig4_striped() -> AlignConfig {
+    AlignConfig::new(RaceWeights::fig4()).with_strategy(KernelStrategy::Wavefront)
+}
+
+/// Runs a supervised scan under `cfg` with `site` armed to panic once,
+/// and asserts the scan completes with the baseline's exact hits, a
+/// recovered fault and the injected panic in the ledger.
+fn assert_recovered_identical(site: &'static str, cfg: AlignConfig, seed: u64, workers: usize) {
     let (q, database) = db(seed, 24, 64);
     let baseline = scan_packed_topk_with(&cfg, &q, &database, 3, Some(1));
 
@@ -83,6 +91,14 @@ fn assert_recovered_identical(site: &'static str, seed: u64, workers: usize) {
         outcome
             .faults
             .iter()
+            .any(|f| f.message == format!("failpoint: {site}")),
+        "site {site}: the ledger must carry the injected panic: {:?}",
+        outcome.faults
+    );
+    assert!(
+        outcome
+            .faults
+            .iter()
             .all(|f| f.message.contains("failpoint") || f.site == "scratch-budget"),
         "unexpected fault messages: {:?}",
         outcome.faults
@@ -100,7 +116,24 @@ proptest! {
         let _guard = failpoint::lock_for_test();
         failpoint::quiet_failpoint_panics();
         for workers in [1, 4] {
-            assert_recovered_identical("stripe-sweep", seed, workers);
+            assert_recovered_identical("stripe-sweep", fig4_striped(), seed, workers);
+        }
+    }
+
+    /// A panic injected into a bit-parallel unit (site `bitpar-sweep`)
+    /// never changes the final top-k: the unit is quarantined and its
+    /// unfinished members retried on the scalar rolling row — under
+    /// both recurrences, at 1 and 4 workers.
+    #[test]
+    fn bitpar_panic_preserves_topk(seed in 0_u64..10_000) {
+        let _guard = failpoint::lock_for_test();
+        failpoint::quiet_failpoint_panics();
+        let levenshtein =
+            AlignConfig::new(RaceWeights::levenshtein()).with_mode(AlignMode::SemiGlobal);
+        for cfg in [AlignConfig::new(RaceWeights::fig4()), levenshtein] {
+            for workers in [1, 4] {
+                assert_recovered_identical("bitpar-sweep", cfg, seed, workers);
+            }
         }
     }
 }
@@ -109,7 +142,7 @@ proptest! {
 fn packer_panic_degrades_to_per_pair_plan() {
     let _guard = failpoint::lock_for_test();
     failpoint::quiet_failpoint_panics();
-    assert_recovered_identical("packer", 42, 2);
+    assert_recovered_identical("packer", AlignConfig::new(RaceWeights::fig4()), 42, 2);
 }
 
 #[test]
@@ -118,14 +151,14 @@ fn ratchet_panic_loses_only_an_observation() {
     failpoint::quiet_failpoint_panics();
     // A lost observation leaves the ratchet looser (fewer abandons) but
     // can never change which entries win.
-    assert_recovered_identical("ratchet", 7, 2);
+    assert_recovered_identical("ratchet", AlignConfig::new(RaceWeights::fig4()), 7, 2);
 }
 
 #[test]
 fn simd_diag_panic_recovers_on_rolling_row() {
     let _guard = failpoint::lock_for_test();
     failpoint::quiet_failpoint_panics();
-    assert_recovered_identical("simd-diag", 99, 1);
+    assert_recovered_identical("simd-diag", fig4_striped(), 99, 1);
 }
 
 #[test]
@@ -266,7 +299,7 @@ fn sleep_injection_expires_the_deadline() {
 
     // 40 pairs split across two u8 stripes (32 + 8), so at least one
     // unit remains when the first sleeping sweep blows the deadline.
-    let cfg = AlignConfig::new(RaceWeights::fig4());
+    let cfg = fig4_striped();
     let (q, database) = db(3, 40, 64);
     failpoint::arm("stripe-sweep", Action::Sleep(Duration::from_millis(50)));
     let ctrl = ScanControl::new().with_deadline_after(Duration::from_millis(10));
@@ -294,7 +327,7 @@ fn persistent_stripe_panics_still_complete_the_scan() {
     // Arm (not arm_times): EVERY stripe sweep panics; the whole striped
     // tier degrades to rolling-row retries and the scan still finishes
     // with the exact top-k.
-    let cfg = AlignConfig::new(RaceWeights::fig4());
+    let cfg = fig4_striped();
     let (q, database) = db(12, 24, 64);
     let baseline = scan_packed_topk_with(&cfg, &q, &database, 3, Some(1));
     failpoint::arm("stripe-sweep", Action::Panic);
@@ -335,7 +368,7 @@ fn budget_trip_during_quarantine_is_interrupted_not_lost() {
     let _guard = failpoint::lock_for_test();
     failpoint::quiet_failpoint_panics();
 
-    let cfg = AlignConfig::new(RaceWeights::fig4());
+    let cfg = fig4_striped();
     let (q, database) = db(21, 24, 64);
     let baseline = scan_packed_topk_with(&cfg, &q, &database, 3, Some(1));
 
@@ -474,7 +507,7 @@ fn service_retry_panic_finalizes_partial_after_watchdog() {
     let _guard = failpoint::lock_for_test();
     failpoint::quiet_failpoint_panics();
 
-    let cfg = AlignConfig::new(RaceWeights::fig4());
+    let cfg = fig4_striped();
     // 40 pairs = two u8 stripes: the first sweep sleeps through the
     // watchdog timeout, the second unit observes the trip and stops.
     // One worker, so the two units run one after the other.
@@ -560,25 +593,26 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// Satellite: resume determinism holds even when EVERY stripe sweep
-    /// panics — each budget-bounded segment degrades to the per-pair
-    /// fallback (sometimes cut off mid-quarantine), and the chained
-    /// resume still lands on the uninterrupted baseline top-k.
+    /// (or bit-parallel unit) panics — each budget-bounded segment
+    /// degrades to the per-pair fallback (sometimes cut off
+    /// mid-quarantine), and the chained resume still lands on the
+    /// uninterrupted baseline top-k.
     #[test]
     fn resume_chain_under_stripe_panics_matches_baseline(
         seed in 0_u64..1_000,
         budget_step in 12_000_u64..40_000,
         wide in 0_u32..2,
-        affine in 0_u32..2,
+        kernel in 0_u32..3,
     ) {
         let _guard = failpoint::lock_for_test();
         failpoint::quiet_failpoint_panics();
 
         let workers = Some(if wide == 1 { 4 } else { 1 });
-        let cfg = if affine == 1 {
-            AlignConfig::new(RaceWeights::fig4())
-                .with_mode(AlignMode::GlobalAffine(AffineWeights { open: 2 }))
-        } else {
-            AlignConfig::new(RaceWeights::fig4())
+        let cfg = match kernel {
+            0 => fig4_striped(),
+            1 => AlignConfig::new(RaceWeights::fig4())
+                .with_mode(AlignMode::GlobalAffine(AffineWeights { open: 2 })),
+            _ => AlignConfig::new(RaceWeights::fig4()),
         };
         let entries = 40_usize;
         let (q, database) = db(seed, entries, 48);
@@ -586,6 +620,7 @@ proptest! {
 
         failpoint::arm("stripe-sweep", Action::Panic);
         failpoint::arm("affine-stripe", Action::Panic);
+        failpoint::arm("bitpar-sweep", Action::Panic);
         let ctrl = ScanControl::new().with_cells_budget(budget_step);
         let (mut outcome, mut token) =
             scan_packed_topk_resumable(&cfg, &q, &database, 3, workers, &ctrl).unwrap();
@@ -627,7 +662,7 @@ fn service_soak_under_persistent_stripe_panics() {
     let _guard = failpoint::lock_for_test();
     failpoint::quiet_failpoint_panics();
 
-    let cfg = AlignConfig::new(RaceWeights::fig4());
+    let cfg = fig4_striped();
     let mut rng = seeded_rng(0xBA7C4 ^ 0x50AC);
     let jobs: Vec<_> = (0..QUERIES)
         .map(|_| {
@@ -1127,7 +1162,7 @@ proptest! {
             AlignConfig::new(RaceWeights::fig4())
                 .with_mode(AlignMode::GlobalAffine(AffineWeights { open: 2 }))
         } else {
-            AlignConfig::new(RaceWeights::fig4())
+            fig4_striped()
         };
         let (q, database) = db(seed, 40, 48);
 

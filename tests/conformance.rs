@@ -10,15 +10,21 @@
 //!
 //! Future kernels (new lane widths, new mode sweeps) plug into this
 //! matrix instead of growing bespoke tests: if a configuration is
-//! expressible, it is conformance-checked here.
+//! expressible, it is conformance-checked here. The bit-parallel scan
+//! kernel is checked the same way: `Auto` scans under its weights
+//! against the same scans pinned to the wavefront and rolling-row
+//! kernels.
 
 use race_logic::alignment::{AlignmentRace, RaceWeights};
-use race_logic::early_termination::scan_packed_topk_with;
+use race_logic::early_termination::{
+    estimate_scan_cells, scan, scan_packed_topk_with, ScanEntries,
+};
 use race_logic::engine::{
     align_batch, AffineWeights, AlignConfig, AlignEngine, AlignMode, KernelStrategy, LaneWidth,
     LocalScores,
 };
-use race_logic::supervisor::ScanControl;
+use race_logic::supervisor::{ScanControl, ScanOutcome, StopReason};
+use race_logic::telemetry::metrics::BITPAR_PAIRS;
 use rl_bio::alphabet::Symbol;
 use rl_bio::{AminoAcid, Dna, PackedSeq, Seq};
 use rl_dag::generate::seeded_rng;
@@ -370,11 +376,20 @@ fn assert_pruned_scan_matches_oracle(
 fn pruned_scans_match_the_sequential_oracle() {
     let affine = AlignMode::GlobalAffine(AffineWeights { open: 2 });
     let mut widths = Vec::new();
+    let wavefront = KernelStrategy::Wavefront;
     for (label, cfg) in [
         ("global", AlignConfig::new(RaceWeights::fig4())),
         (
+            "global/wavefront",
+            AlignConfig::new(RaceWeights::fig4()).with_strategy(wavefront),
+        ),
+        (
             "global/levenshtein",
             AlignConfig::new(RaceWeights::levenshtein()),
+        ),
+        (
+            "global/levenshtein/wavefront",
+            AlignConfig::new(RaceWeights::levenshtein()).with_strategy(wavefront),
         ),
         (
             "global/banded",
@@ -428,4 +443,161 @@ fn scan_conformance_across_workers() {
         0x5CA3,
         48,
     );
+}
+
+/// A fresh unconstrained scan of `query` over `database`.
+fn fresh_scan<S: Symbol>(
+    cfg: &AlignConfig,
+    query: &PackedSeq<S>,
+    database: &[PackedSeq<S>],
+    k: usize,
+    workers: usize,
+) -> ScanOutcome {
+    scan(
+        cfg,
+        query,
+        ScanEntries::Memory(database),
+        k,
+        None,
+        Some(workers),
+        &ScanControl::new(),
+    )
+    .expect("valid request")
+    .0
+}
+
+/// A scan database around a `len`-symbol query: entries of length 1,
+/// entries longer than four queries, windows of the query itself (under
+/// the LCS weights every window scores exactly `len`, so the ratchet's
+/// threshold sits on a tie), and random entries near the query's
+/// length.
+fn bitpar_database<S: Symbol>(seed: u64, len: usize) -> (PackedSeq<S>, Vec<PackedSeq<S>>) {
+    let mut rng = seeded_rng(seed);
+    let query = Seq::<S>::random(&mut rng, len);
+    let database = (0..18)
+        .map(|i| {
+            let entry = match i % 6 {
+                0 => Seq::random(&mut rng, 1),
+                1 => Seq::random(&mut rng, 4 * len + 1 + i),
+                2 | 3 if len >= 8 => query.as_slice()[i % 3..len - 1 - i % 4]
+                    .iter()
+                    .copied()
+                    .collect(),
+                _ => Seq::random(&mut rng, (len + i % 9).saturating_sub(4).max(1)),
+            };
+            PackedSeq::from_seq(&entry)
+        })
+        .collect();
+    (PackedSeq::from_seq(&query), database)
+}
+
+/// The bit-parallel scan conformance core: at every query length on
+/// both sides of the 64-bit word boundaries and at workers {1, 2, 4},
+/// the `Auto` scan (bit-parallel under these weights) and the same scan
+/// pinned to the wavefront and to the rolling row report identical
+/// `hits`, `completed_pairs` and `faulted_pairs`, and the hits are the
+/// top-k of the scalar rolling-row engine's scores.
+fn assert_bitpar_scan_conformance<S: Symbol>(label: &str, cfg: AlignConfig, seed: u64) {
+    const K: usize = 3;
+    let swept_before = BITPAR_PAIRS.get();
+    for len in [1, 63, 64, 65, 128, 129, 256] {
+        let (query, database) = bitpar_database::<S>(seed ^ len as u64, len);
+        let mut scalar_engine = AlignEngine::new(cfg.with_strategy(KernelStrategy::RollingRow));
+        let mut oracle: Vec<(usize, u64)> = database
+            .iter()
+            .enumerate()
+            .filter_map(|(i, p)| {
+                scalar_engine
+                    .align(&query, p)
+                    .finished_score()
+                    .map(|s| (i, s))
+            })
+            .collect();
+        oracle.sort_unstable_by_key(|&(i, s)| (s, i));
+        oracle.truncate(K);
+        for workers in [1, 2, 4] {
+            let auto = fresh_scan(&cfg, &query, &database, K, workers);
+            assert_eq!(
+                auto.hits, oracle,
+                "{label}: bit-parallel scan diverges from the scalar oracle \
+                 ({len} bp query, {workers} workers)"
+            );
+            for pin in [KernelStrategy::Wavefront, KernelStrategy::RollingRow] {
+                let pinned = fresh_scan(&cfg.with_strategy(pin), &query, &database, K, workers);
+                assert_eq!(
+                    (&auto.hits, auto.completed_pairs, auto.faulted_pairs),
+                    (&pinned.hits, pinned.completed_pairs, pinned.faulted_pairs),
+                    "{label}: auto and {pin} scans diverge ({len} bp query, {workers} workers)"
+                );
+            }
+        }
+    }
+    assert!(
+        BITPAR_PAIRS.get() > swept_before,
+        "{label}: the Auto scans must run the bit-parallel kernel"
+    );
+}
+
+#[test]
+fn bitpar_scans_match_the_dp_kernels() {
+    let levenshtein = AlignConfig::new(RaceWeights::levenshtein());
+    assert_bitpar_scan_conformance::<Dna>(
+        "dna/global/fig4",
+        AlignConfig::new(RaceWeights::fig4()),
+        0xB170,
+    );
+    assert_bitpar_scan_conformance::<Dna>(
+        "dna/global/fig2b",
+        AlignConfig::new(RaceWeights::fig2b()),
+        0xB171,
+    );
+    assert_bitpar_scan_conformance::<AminoAcid>(
+        "protein/global/fig2b",
+        AlignConfig::new(RaceWeights::fig2b()),
+        0xB172,
+    );
+    assert_bitpar_scan_conformance::<Dna>("dna/global/levenshtein", levenshtein, 0xB173);
+    assert_bitpar_scan_conformance::<Dna>(
+        "dna/semi-global/levenshtein",
+        levenshtein.with_mode(AlignMode::SemiGlobal),
+        0xB174,
+    );
+}
+
+/// A cell budget stops a bit-parallel scan with `BudgetExhausted`, and
+/// resuming the chain from its tokens lands on hits byte-identical to
+/// the uninterrupted scan.
+#[test]
+fn bitpar_budget_stop_resumes_byte_identically() {
+    for cfg in [
+        AlignConfig::new(RaceWeights::fig4()),
+        AlignConfig::new(RaceWeights::levenshtein()).with_mode(AlignMode::SemiGlobal),
+    ] {
+        let (query, database) = bitpar_database::<Dna>(0xB175, 64);
+        let entries = ScanEntries::Memory(&database);
+        let full = fresh_scan(&cfg, &query, &database, 3, 1);
+        let budget = estimate_scan_cells(&cfg, &query, &database) / 4;
+        let swept_before = BITPAR_PAIRS.get();
+        let ctrl = ScanControl::new().with_cells_budget(budget);
+        let (first, mut token) = scan(&cfg, &query, entries, 3, None, Some(1), &ctrl).unwrap();
+        assert_eq!(first.stop, Some(StopReason::BudgetExhausted), "{cfg:?}");
+        assert!(
+            BITPAR_PAIRS.get() > swept_before,
+            "{cfg:?}: swept bit-parallel"
+        );
+        let mut last = first;
+        let mut segments = 1;
+        while let Some(tok) = token {
+            assert!(
+                segments <= database.len(),
+                "{cfg:?}: the chain must progress"
+            );
+            let ctrl = ScanControl::new().with_cells_budget(budget);
+            (last, token) = scan(&cfg, &query, entries, 3, Some(tok), Some(1), &ctrl).unwrap();
+            segments += 1;
+        }
+        assert!(segments > 1, "{cfg:?}: the budget must cut the scan");
+        assert!(last.is_complete(), "{cfg:?}");
+        assert_eq!(last.hits, full.hits, "{cfg:?}: resumed hits");
+    }
 }

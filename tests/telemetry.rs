@@ -11,7 +11,8 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use race_logic::alignment::RaceWeights;
-use race_logic::engine::{align_batch, AlignConfig};
+use race_logic::early_termination::{scan, ScanEntries};
+use race_logic::engine::{align_batch, AffineWeights, AlignConfig, AlignMode};
 use race_logic::service::{ScanRequest, ScanService, ServiceConfig};
 use race_logic::store::{
     build_store, scan_store_topk_resumable, PackedStore, StoreParams, StoreTarget,
@@ -195,6 +196,48 @@ fn traced_batch_is_result_invariant_and_populates_the_catalog() {
         js.contains("\"counters\"") && js.contains("\"rl_unit_cells\""),
         "json exposition must render the catalog"
     );
+}
+
+/// `rl_bitpar_pairs_total` counts the pairs a scan sweeps on the
+/// bit-parallel kernel: it grows on fig4 global and Levenshtein
+/// semi-global scans, stays flat on an affine scan (striped DP
+/// kernels), and turning telemetry off leaves every scan's outcome and
+/// token byte-identical.
+#[test]
+fn bitpar_counter_grows_only_on_eligible_scans() {
+    let _g = registry_lock();
+    let (q, database) = db(0xB17, 24, 64);
+    let run = |cfg: &AlignConfig, on: bool| {
+        let prior = telemetry::set_enabled(on);
+        let before = telemetry::metrics::BITPAR_PAIRS.get();
+        let result = scan(
+            cfg,
+            &q,
+            ScanEntries::Memory(&database),
+            3,
+            None,
+            Some(1),
+            &ScanControl::new(),
+        )
+        .expect("valid request");
+        let swept = telemetry::metrics::BITPAR_PAIRS.get() - before;
+        telemetry::set_enabled(prior);
+        (result, swept)
+    };
+    let levenshtein = AlignConfig::new(RaceWeights::levenshtein()).with_mode(AlignMode::SemiGlobal);
+    let affine = AlignConfig::new(RaceWeights::fig4())
+        .with_mode(AlignMode::GlobalAffine(AffineWeights { open: 2 }));
+    for (cfg, eligible) in [
+        (AlignConfig::new(RaceWeights::fig4()), true),
+        (levenshtein, true),
+        (affine, false),
+    ] {
+        let (off, swept_off) = run(&cfg, false);
+        let (on, swept_on) = run(&cfg, true);
+        assert_eq!(on, off, "{cfg:?}: telemetry must not change the scan");
+        assert_eq!(swept_off, 0, "{cfg:?}: disabled telemetry records nothing");
+        assert_eq!(swept_on > 0, eligible, "{cfg:?}: swept {swept_on} pairs");
+    }
 }
 
 #[test]
