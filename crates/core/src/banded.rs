@@ -132,8 +132,7 @@ pub fn banded_race_with<S: Symbol>(
 /// one engine (one scratch set) serves every attempt via
 /// [`AlignEngine::set_config`], and the narrow early attempts — where
 /// the adaptive driver spends most of its time on similar pairs — ride
-/// the compacted banded wavefront kernel, O(band) state instead of
-/// O(n·m) grid.
+/// the banded wavefront kernel, O(band) state instead of O(n·m) grid.
 #[must_use]
 pub fn adaptive_race<S: Symbol>(q: &Seq<S>, p: &Seq<S>, weights: RaceWeights) -> BandedOutcome {
     adaptive_race_mode(q, p, weights, crate::engine::AlignMode::Global)

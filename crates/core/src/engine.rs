@@ -11,12 +11,12 @@
 //!   dependency) and the *wavefront* sweep (anti-diagonal order: every
 //!   cell of a diagonal is independent, exactly the parallelism the
 //!   Race Logic array exploits in hardware, vectorized through
-//!   [`crate::simd`]). The wavefront comes in two layouts — absolute
-//!   row indexing, and a *compacted* banded layout that stores only the
-//!   in-band span per diagonal (O(band) state, how narrow bands stay on
-//!   the wavefront) — and [`align_batch`] adds a third axis: the
-//!   *striped batch kernel*, one wavefront sweep whose SIMD lanes are
-//!   *different pairs* of a shape-compatible cohort.
+//!   [`crate::simd`]). The linear wavefront stores only each diagonal's
+//!   in-band span, relative to its first row (O(min(n, m, band)) state,
+//!   which is how narrow bands stay on the wavefront), and
+//!   [`align_batch`] adds a further axis: the *striped batch kernel*,
+//!   one wavefront sweep whose SIMD lanes are *different pairs* of a
+//!   shape-compatible cohort.
 //!   [`KernelStrategy::Auto`] picks by problem shape; the full decision
 //!   is [`AlignConfig::resolve_kernel`].
 //! - **Zero allocations per alignment.** An [`AlignEngine`] owns its
@@ -90,21 +90,11 @@ pub const NEVER: u64 = u64::MAX;
 /// SIMD lanes and the rolling row's cache behaviour wins.
 pub const WAVEFRONT_MIN_LEN: usize = 32;
 
-/// Ukkonen band half-widths **below** this run the wavefront kernel on
-/// the *compacted* diagonal layout (three `band + 3`-cell buffers with
-/// relative in-band indexing, resident in L1 at any sequence length);
-/// wider bands keep the absolute-row layout, whose spans are long enough
-/// to fill SIMD blocks without the per-diagonal re-indexing shifts.
-/// Before the compacted layout existed this constant was the band below
-/// which [`KernelStrategy::Auto`] fell back to the rolling row; narrow
-/// bands now stay on the wavefront.
-pub const WAVEFRONT_MIN_BAND: usize = 8;
-
 /// Smallest **effective segment length** — `min(n, m)`, further capped
 /// at `band + 1` when banded — at which the per-pair wavefront kernel
 /// drops to `u16` lanes when eligible. The crossover moved when the
 /// `u32` kernel gained its flat-loop form
-/// ([`crate::simd::KernelWord::FLAT_LOOP`]): flat `u32` now beats `u16`
+/// ([`crate::simd::KernelWord::FLAT_MIN_LEN`]): flat `u32` now beats `u16`
 /// per pair up to roughly this length (measured on x86-64-v2: `u32`
 /// ≈ 1.3× at 256, parity at 512, `u16` 1.36× ahead at 1024 — the
 /// per-diagonal overhead amortizes across `u16`'s doubled lanes only
@@ -141,10 +131,9 @@ pub const STRIPE_PAD_BUDGET_PCT: u64 = 25;
 /// `docs/KERNELS.md` for the full comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelStrategy {
-    /// Pick per problem: wavefront for long, un- or widely-banded pairs
-    /// (`min(n, m) ≥` [`WAVEFRONT_MIN_LEN`], band ≥
-    /// [`WAVEFRONT_MIN_BAND`] if any), rolling-row otherwise. This is
-    /// the default.
+    /// Pick per problem: wavefront for long pairs
+    /// (`min(n, m) ≥` [`WAVEFRONT_MIN_LEN`], whatever the band),
+    /// rolling-row otherwise. This is the default.
     #[default]
     Auto,
     /// Row-major sweep with two rolling rows. Minimal state, best cache
@@ -365,16 +354,12 @@ impl std::fmt::Display for LaneWidth {
 
 /// The fully resolved execution recipe for one `n × m` alignment:
 /// what [`AlignConfig::resolve_kernel`] returns once
-/// [`KernelStrategy::Auto`] and the lane-width/layout eligibility rules
-/// have been applied.
+/// [`KernelStrategy::Auto`] and the lane-width eligibility rules have
+/// been applied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KernelPlan {
     /// The concrete traversal order (never [`KernelStrategy::Auto`]).
     pub strategy: KernelStrategy,
-    /// `true` when the wavefront kernel uses the compacted banded
-    /// layout (relative in-band indexing over `band + 3`-cell buffers).
-    /// Always `false` for the rolling row.
-    pub compact: bool,
     /// The narrowest exact lane word the problem admits (≥ the
     /// configured floor). The rolling row always computes in `u64`.
     pub lanes: LaneWidth,
@@ -772,16 +757,15 @@ impl AlignConfig {
     }
 
     /// The complete execution recipe for an `n × m` alignment under this
-    /// configuration — strategy, diagonal layout, and lane width:
+    /// configuration — strategy and lane width:
     ///
     /// - [`KernelStrategy::Auto`] resolves to
     ///   [`KernelStrategy::Wavefront`] when the pair is long enough to
     ///   fill SIMD lanes (`min(n, m) ≥` [`WAVEFRONT_MIN_LEN`]),
     ///   otherwise to [`KernelStrategy::RollingRow`]. Explicit
-    ///   strategies resolve to themselves. (Bands no longer force the
-    ///   rolling row: narrow bands ride the compacted diagonal layout.)
-    /// - A wavefront runs **compacted** when a band narrower than
-    ///   [`WAVEFRONT_MIN_BAND`] is configured.
+    ///   strategies resolve to themselves. Bands do not force the
+    ///   rolling row: the linear wavefront stores only the in-band span
+    ///   of each diagonal.
     /// - The lane word is the narrowest width whose `+∞` sentinel no
     ///   finite cell value can reach (clamped from below by
     ///   [`AlignConfig::with_lane_floor`]); the rolling row always
@@ -792,7 +776,6 @@ impl AlignConfig {
         if strategy != KernelStrategy::Wavefront {
             return KernelPlan {
                 strategy,
-                compact: false,
                 lanes: LaneWidth::U64,
             };
         }
@@ -830,15 +813,7 @@ impl AlignConfig {
             // call.
             lanes = LaneWidth::U32;
         }
-        // The compacted layout exists only for the linear min-plus
-        // recurrence; local and affine narrow bands keep the absolute
-        // layout (O(rows) buffers — still cheap, just not O(band)).
-        let linear_min_plus = matches!(self.mode, AlignMode::Global | AlignMode::SemiGlobal);
-        KernelPlan {
-            strategy,
-            compact: linear_min_plus && self.band.is_some_and(|k| k < WAVEFRONT_MIN_BAND),
-            lanes,
-        }
+        KernelPlan { strategy, lanes }
     }
 
     /// The concrete traversal order an `n × m` alignment under this
@@ -1178,22 +1153,58 @@ pub fn raw_to_time(raw: u64) -> Time {
     }
 }
 
-/// The score-only wavefront kernel: three rotating anti-diagonal
-/// buffers indexed by absolute row `i`, inner loop vectorized through
-/// [`crate::simd::diag_update`].
+/// The end-of-sweep classification every kernel shares: a raw sink value
+/// above the threshold is reported as an abandon ([`Time::NEVER`] +
+/// `early_terminated`), identical to the verdict a mid-sweep frontier
+/// abandon would have produced.
+#[inline]
+pub(crate) fn classify_outcome(
+    score_raw: u64,
+    threshold: Option<u64>,
+    cells_computed: u64,
+) -> EngineOutcome {
+    let exceeded = threshold.is_some_and(|t| score_raw > t);
+    EngineOutcome {
+        score: if exceeded {
+            Time::NEVER
+        } else {
+            raw_to_time(score_raw)
+        },
+        cells_computed,
+        early_terminated: exceeded,
+    }
+}
+
+/// The score-only linear min-plus wavefront kernel, serving
+/// [`AlignMode::Global`] and [`AlignMode::SemiGlobal`] at every band:
+/// anti-diagonal order over three rotating buffers, inner loop
+/// vectorized through [`crate::simd::diag_update`]. Each diagonal stores
+/// only its in-band span, relative to the span's first row, so the
+/// buffers hold `min(n, m, k) + 4` cells (`k` unbounded without a band)
+/// and stay L1-resident at any sequence length under a narrow band.
 ///
 /// `p_rev` is `p`'s code sequence **reversed**: along an anti-diagonal
 /// `i + j = d`, the cell at row `i` compares `q[i − 1]` against
 /// `p[d − i − 1] = p_rev[m − d + i]`, so both streams are read forward
 /// and contiguously.
 ///
-/// Buffer hygiene: a buffer holds diagonal `d` and is read while
-/// computing diagonals `d + 1` (rows `lo(d+1) − 1 ..= hi(d+1)`) and
-/// `d + 2` (rows `lo(d+2) − 1 ..= hi(d+2) − 1`). Because `lo` and `hi`
-/// are non-decreasing in `d` and grow by at most one per diagonal,
-/// every such read lands in `lo(d) − 1 ..= hi(d) + 1` — so it suffices
-/// to reset that one-cell padding around the written span to `+∞`
-/// (stale values further out are never read).
+/// **Indexing and hygiene.** Cell `(i, d − i)` of diagonal `d` lives at
+/// buffer index `i − lo(d) + 1`, where `lo(d)` is the span's first row;
+/// index 0 and index `span + 1` are `+∞` guard cells, rewritten with
+/// every span. A neighbour on diagonal `d − a` (`a ∈ {1, 2}`) at row
+/// `i − b` then sits at relative index `(i − lo(d) + 1) + s_a − b` with
+/// `s_a = lo(d) − lo(d − a)`. Because `lo` and `hi` are non-decreasing in
+/// `d` and grow by at most one per diagonal, `s_1 ∈ {0, 1}` and
+/// `s_2 ∈ {0, 1, 2}`, and every neighbour read lands inside the span it
+/// reads or on one of that span's guards — stale values further out are
+/// never read.
+///
+/// **Band-empty diagonals.** At band `k ≥ 1` a diagonal is empty only
+/// once `d` has passed `2n + k` or `2m + k`; every later diagonal is
+/// empty too, so nothing reads its buffer again. At band 0 the odd
+/// diagonals are empty and are read by the even ones, whose buffers are
+/// exactly four cells. Resetting the first four cells to `+∞` covers
+/// both cases.
 ///
 /// **Semi-global** (`semi = true`) changes three things: top-row
 /// boundary cells `(0, d)` are injected at `0` instead of `d · indel`
@@ -1221,19 +1232,26 @@ fn wavefront_score<W: KernelWord>(
     let (n, m) = (q_codes.len(), p_rev.len());
     let lw: LaneWeights<W> = w.lanes();
     let t_w = threshold.map(W::clamp_raw);
+    // Span bound: hi − lo + 1 ≤ min(n, m, k) + 1; +1 guard on each side
+    // and +1 slack for the widest `s_2 = 2` read.
+    let cap = band.unwrap_or(usize::MAX).min(n).min(m) + 4;
     for b in bufs.iter_mut() {
         b.clear();
-        b.resize(n + 1, W::INF);
+        b.resize(cap, W::INF);
     }
 
-    // Diagonal 0 is the root cell (0, 0), always in band.
-    bufs[0][0] = W::ZERO;
+    // Diagonal 0: the root cell (0, 0) at relative index 1 (lo(0) = 0).
+    bufs[0][1] = W::ZERO;
     let mut cells = 1_u64;
-    let mut min1 = W::ZERO; // min over diagonal d − 1
-    let mut min2 = W::INF; // min over diagonal d − 2
-                           // Best bottom-row value so far (semi-global readout); for n == 0
-                           // the root cell itself is on the bottom row.
+    // Minima over diagonals d − 1 and d − 2.
+    let (mut min1, mut min2) = (W::ZERO, W::INF);
+    // Best bottom-row value so far (semi-global readout); for n == 0
+    // the root cell itself is on the bottom row.
     let mut best = if semi && n == 0 { W::ZERO } else { W::INF };
+    // lo of the two previous diagonals, tracked even across band-empty
+    // diagonals (the formula stays monotone there, keeping the shifts
+    // in range).
+    let (mut lo_prev1, mut lo_prev2) = (0_usize, 0_usize);
 
     for d in 1..=(n + m) {
         // Sound abandon: a root→sink path's cell indices i + j step by 1
@@ -1257,179 +1275,7 @@ fn wavefront_score<W: KernelWord>(
         let (cur, d1, d2) = rotate_bufs(bufs, d);
         let (lo, hi) = diag_range(d, n, m, band);
         if lo > hi {
-            // Band-excluded diagonal: reset the cells later diagonals
-            // may read so they see +∞, then move on.
-            let clo = lo.saturating_sub(1).min(n);
-            let chi = (hi + 1).min(n);
-            if clo <= chi {
-                cur[clo..=chi].fill(W::INF);
-            }
-            min2 = min1;
-            min1 = W::INF;
-            sup.tick(0)?;
-            continue;
-        }
-        // One-cell +∞ padding around the written span (see above).
-        if lo > 0 {
-            cur[lo - 1] = W::INF;
-        }
-        if hi < n {
-            cur[hi + 1] = W::INF;
-        }
-
-        let mut dmin = W::INF;
-        // Boundary cells: indel chains from the root — except the
-        // semi-global top row, which is a free injection point.
-        let boundary = W::clamp_raw((d as u64).saturating_mul(w.indel));
-        let top_boundary = if semi { W::ZERO } else { boundary };
-        if lo == 0 {
-            cur[0] = top_boundary; // cell (0, d), d ≤ m guaranteed by lo == 0
-            dmin = dmin.min(top_boundary);
-        }
-        if hi == d {
-            cur[d] = boundary; // cell (d, 0), d ≤ n guaranteed by hi == d
-            dmin = dmin.min(boundary);
-        }
-        // Interior cells (i ≥ 1, j = d − i ≥ 1): the SIMD segment.
-        let ilo = lo.max(1);
-        let ihi = hi.min(d - 1);
-        if ilo <= ihi {
-            let len = ihi - ilo + 1;
-            let seg_min = simd::diag_update(
-                &d1[ilo - 1..ilo - 1 + len], // up: (i − 1, j) on d − 1
-                &d1[ilo..ilo + len],         // left: (i, j − 1) on d − 1
-                &d2[ilo - 1..ilo - 1 + len], // diag: (i − 1, j − 1) on d − 2
-                &q_codes[ilo - 1..ilo - 1 + len],
-                &p_rev[m + ilo - d..m + ilo - d + len],
-                lw,
-                &mut cur[ilo..ilo + len],
-            );
-            dmin = dmin.min(seg_min);
-        }
-        if semi && lo <= n && n <= hi {
-            best = best.min(cur[n]); // bottom-row cell (n, d − n)
-        }
-        cells += (hi - lo + 1) as u64;
-        min2 = min1;
-        min1 = dmin;
-        sup.tick((hi - lo + 1) as u64)?;
-    }
-
-    let score_raw = if semi {
-        // The running bottom-row best is the whole readout; a band that
-        // excludes every bottom-row cell leaves it at +∞ naturally.
-        best.to_raw()
-    } else {
-        let (flo, fhi) = diag_range(n + m, n, m, band);
-        if flo <= fhi {
-            bufs[(n + m) % 3][n].to_raw()
-        } else {
-            NEVER // the band excludes the sink cell itself
-        }
-    };
-    Ok(classify_outcome(score_raw, threshold, cells))
-}
-
-/// The end-of-sweep classification every kernel shares: a raw sink value
-/// above the threshold is reported as an abandon ([`Time::NEVER`] +
-/// `early_terminated`), identical to the verdict a mid-sweep frontier
-/// abandon would have produced.
-#[inline]
-pub(crate) fn classify_outcome(
-    score_raw: u64,
-    threshold: Option<u64>,
-    cells_computed: u64,
-) -> EngineOutcome {
-    let exceeded = threshold.is_some_and(|t| score_raw > t);
-    EngineOutcome {
-        score: if exceeded {
-            Time::NEVER
-        } else {
-            raw_to_time(score_raw)
-        },
-        cells_computed,
-        early_terminated: exceeded,
-    }
-}
-
-/// The score-only **compacted** banded wavefront kernel: the same
-/// anti-diagonal sweep as [`wavefront_score`], but each diagonal stores
-/// only its in-band span, relative to the span's first row, in three
-/// rotating buffers of `min(n, m, k) + 4` cells — L1-resident at any
-/// sequence length, which is what lets [`KernelStrategy::Auto`] route
-/// narrow bands (`k <` [`WAVEFRONT_MIN_BAND`]) to the wavefront instead
-/// of the rolling row.
-///
-/// **Indexing.** Cell `(i, d − i)` of diagonal `d` lives at buffer index
-/// `i − lo(d) + 1`, where `lo(d)` is the span's first row; index 0 and
-/// index `span + 1` are permanent `+∞` guard cells. A neighbour on
-/// diagonal `d − a` (`a ∈ {1, 2}`) at row `i − b` then sits at relative
-/// index `(i − lo(d) + 1) + s_a − b` with `s_a = lo(d) − lo(d − a)`;
-/// because `lo` is non-decreasing and grows by at most one per diagonal,
-/// `s_1 ∈ {0, 1}` and `s_2 ∈ {0, 1, 2}`, and every neighbour read lands
-/// inside the previous spans or on their guards (proof mirrors the
-/// absolute kernel's hygiene argument, shifted into span space).
-/// Band-empty diagonals reset their whole (tiny) buffer to `+∞`.
-#[allow(clippy::too_many_arguments)]
-fn wavefront_score_compact<W: KernelWord>(
-    q_codes: &[u8],
-    p_rev: &[u8],
-    w: RawWeights,
-    k: usize,
-    threshold: Option<u64>,
-    semi: bool,
-    bufs: &mut [Vec<W>; 3],
-    sup: &mut SupCursor<'_>,
-) -> Result<EngineOutcome, StopReason> {
-    let (n, m) = (q_codes.len(), p_rev.len());
-    let band = Some(k);
-    let lw: LaneWeights<W> = w.lanes();
-    let t_w = threshold.map(W::clamp_raw);
-    // Span bound: hi − lo + 1 ≤ min(n, m, k) + 1; +1 guard on each side
-    // and +1 slack for the widest `s_2 = 2` read.
-    let cap = k.min(n).min(m) + 4;
-    for b in bufs.iter_mut() {
-        b.clear();
-        b.resize(cap, W::INF);
-    }
-
-    // Diagonal 0: the root cell (0, 0) at relative index 1 (lo(0) = 0).
-    bufs[0][1] = W::ZERO;
-    let mut cells = 1_u64;
-    let mut min1 = W::ZERO;
-    let mut min2 = W::INF;
-    // Semi-global: running best over bottom-row cells (see the absolute
-    // kernel for the injection/readout/abandon reasoning — identical
-    // here, only the indexing is span-relative).
-    let mut best = if semi && n == 0 { W::ZERO } else { W::INF };
-    // lo of the two previous diagonals, tracked even across band-empty
-    // diagonals (the formula stays monotone there, keeping the shifts
-    // in range).
-    let (mut lo_prev1, mut lo_prev2) = (0_usize, 0_usize);
-
-    for d in 1..=(n + m) {
-        // Identical abandon rule to the absolute kernel.
-        if let Some(t) = t_w {
-            let floor = if semi {
-                min1.min(min2).min(best)
-            } else {
-                min1.min(min2)
-            };
-            if floor > t {
-                return Ok(EngineOutcome {
-                    score: Time::NEVER,
-                    cells_computed: cells,
-                    early_terminated: true,
-                });
-            }
-        }
-        let (cur, d1, d2) = rotate_bufs(bufs, d);
-        let (lo, hi) = diag_range(d, n, m, band);
-        if lo > hi {
-            // Band-empty diagonal: everything later diagonals could read
-            // from this buffer must be +∞. The buffer is tiny — reset it
-            // wholesale.
-            cur.fill(W::INF);
+            cur[..4].fill(W::INF); // see "Band-empty diagonals" above
             min2 = min1;
             min1 = W::INF;
             (lo_prev2, lo_prev1) = (lo_prev1, lo);
@@ -1445,16 +1291,19 @@ fn wavefront_score_compact<W: KernelWord>(
         cur[span + 1] = W::INF;
 
         let mut dmin = W::INF;
+        // Boundary cells: indel chains from the root — except the
+        // semi-global top row, which is a free injection point.
         let boundary = W::clamp_raw((d as u64).saturating_mul(w.indel));
         let top_boundary = if semi { W::ZERO } else { boundary };
         if lo == 0 {
-            cur[1] = top_boundary; // cell (0, d)
+            cur[1] = top_boundary; // cell (0, d), d ≤ m guaranteed by lo == 0
             dmin = dmin.min(top_boundary);
         }
         if hi == d {
-            cur[d - lo + 1] = boundary; // cell (d, 0)
+            cur[d - lo + 1] = boundary; // cell (d, 0), d ≤ n guaranteed by hi == d
             dmin = dmin.min(boundary);
         }
+        // Interior cells (i ≥ 1, j = d − i ≥ 1): the SIMD segment.
         let ilo = lo.max(1);
         let ihi = hi.min(d - 1);
         if ilo <= ihi {
@@ -1482,6 +1331,8 @@ fn wavefront_score_compact<W: KernelWord>(
     }
 
     let score_raw = if semi {
+        // The running bottom-row best is the whole readout; a band that
+        // excludes every bottom-row cell leaves it at +∞ naturally.
         best.to_raw()
     } else {
         let (flo, fhi) = diag_range(n + m, n, m, band);
@@ -1495,9 +1346,19 @@ fn wavefront_score_compact<W: KernelWord>(
 }
 
 /// The score-only **local** (max-plus Smith–Waterman) wavefront kernel:
-/// the same three-buffer anti-diagonal sweep as [`wavefront_score`],
-/// racing the AND-type dual — max instead of min, saturating
-/// subtraction as the zero-reset ([`crate::simd::diag_update_local`]).
+/// the three-buffer anti-diagonal sweep of [`wavefront_score`], racing
+/// the AND-type dual — max instead of min, saturating subtraction as the
+/// zero-reset ([`crate::simd::diag_update_local`]).
+///
+/// Unlike [`wavefront_score`], the local and affine kernels index their
+/// buffers by **absolute row** `i` (`n + 1` cells each). Buffer hygiene:
+/// a buffer holds diagonal `d` and is read while computing diagonals
+/// `d + 1` (rows `lo(d+1) − 1 ..= hi(d+1)`) and `d + 2` (rows
+/// `lo(d+2) − 1 ..= hi(d+2) − 1`). Because `lo` and `hi` are
+/// non-decreasing in `d` and grow by at most one per diagonal, every
+/// such read lands in `lo(d) − 1 ..= hi(d) + 1` — so it suffices to
+/// reset that one-cell padding around the written span (stale values
+/// further out are never read).
 ///
 /// Boundary and padding values are `0`, not `+∞`: in Smith–Waterman a
 /// missing neighbour *is* a fresh start (`H ≥ 0` everywhere, and
@@ -1590,20 +1451,94 @@ fn wavefront_local<W: KernelWord>(
 /// width.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct AffineDiagScratch<W> {
-    m: [Vec<W>; 3],
-    x: [Vec<W>; 3],
-    y: [Vec<W>; 3],
+    pub(crate) m: [Vec<W>; 3],
+    pub(crate) x: [Vec<W>; 3],
+    pub(crate) y: [Vec<W>; 3],
+}
+
+/// Diagonal scratch at every lane word: the three rotating buffers of
+/// the linear and local kernels plus the affine planes, per word. Both
+/// the per-pair engine and the striped sweep own one; [`DiagWord`] picks
+/// a word's share.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DiagScratch {
+    b8: [Vec<u8>; 3],
+    b16: [Vec<u16>; 3],
+    b32: [Vec<u32>; 3],
+    b64: [Vec<u64>; 3],
+    a8: AffineDiagScratch<u8>,
+    a16: AffineDiagScratch<u16>,
+    a32: AffineDiagScratch<u32>,
+    a64: AffineDiagScratch<u64>,
+}
+
+impl DiagScratch {
+    /// `(capacity, bytes per word)` of every buffer, word by word.
+    fn capacities(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        fn word<'a, W>(
+            b: &'a [Vec<W>; 3],
+            a: &'a AffineDiagScratch<W>,
+        ) -> impl Iterator<Item = (usize, usize)> + 'a {
+            b.iter()
+                .chain(&a.m)
+                .chain(&a.x)
+                .chain(&a.y)
+                .map(|v| (v.capacity(), std::mem::size_of::<W>()))
+        }
+        word(&self.b8, &self.a8)
+            .chain(word(&self.b16, &self.a16))
+            .chain(word(&self.b32, &self.a32))
+            .chain(word(&self.b64, &self.a64))
+    }
+}
+
+/// A lane word with its own buffers in [`DiagScratch`]: the one place a
+/// word is mapped to its scratch, so kernel dispatch is one match on
+/// [`LaneWidth`] into code generic over the word.
+pub(crate) trait DiagWord: KernelWord {
+    /// `true` for the byte word, which the striped sweep runs under a
+    /// running bias ([`u8_bias_rate`]).
+    const BIASED: bool = false;
+    /// This word's linear/local buffers and affine planes.
+    fn split(s: &mut DiagScratch) -> (&mut [Vec<Self>; 3], &mut AffineDiagScratch<Self>);
+}
+
+impl DiagWord for u8 {
+    const BIASED: bool = true;
+    fn split(s: &mut DiagScratch) -> (&mut [Vec<u8>; 3], &mut AffineDiagScratch<u8>) {
+        (&mut s.b8, &mut s.a8)
+    }
+}
+
+impl DiagWord for u16 {
+    fn split(s: &mut DiagScratch) -> (&mut [Vec<u16>; 3], &mut AffineDiagScratch<u16>) {
+        (&mut s.b16, &mut s.a16)
+    }
+}
+
+impl DiagWord for u32 {
+    fn split(s: &mut DiagScratch) -> (&mut [Vec<u32>; 3], &mut AffineDiagScratch<u32>) {
+        (&mut s.b32, &mut s.a32)
+    }
+}
+
+impl DiagWord for u64 {
+    fn split(s: &mut DiagScratch) -> (&mut [Vec<u64>; 3], &mut AffineDiagScratch<u64>) {
+        (&mut s.b64, &mut s.a64)
+    }
 }
 
 /// The score-only **affine-gap** (Gotoh) wavefront kernel: the "three
 /// racing planes with cross-plane edges" layout — three diagonal-buffer
 /// rotations (one per plane) advanced in lockstep, with the cross-plane
 /// mins fused into one pass per diagonal
-/// ([`crate::simd::affine_diag_update`]). Every plane follows the same
-/// indexing, padding and hygiene rules as [`wavefront_score`]; the
-/// frontier minimum for early termination is taken across all three
-/// planes (sound: an alignment path visits exactly one plane state per
-/// crossed cell, and all weights including `open` are non-negative).
+/// ([`crate::simd::affine_diag_update`]). Every plane follows the
+/// absolute-row indexing, padding and hygiene rules of
+/// [`wavefront_local`], padding with `+∞`; the frontier minimum for
+/// early termination is taken across all three planes (sound for the
+/// reason [`wavefront_score`] gives, because an alignment path visits
+/// exactly one plane state per crossed cell, and all weights including
+/// `open` are non-negative).
 /// `cells_computed` counts grid *positions*, not plane states, so
 /// affine cell counts are comparable with the linear modes'.
 #[allow(clippy::too_many_arguments)]
@@ -1747,8 +1682,8 @@ fn wavefront_affine<W: KernelWord>(
 /// The scratch covers every kernel: two rolling rows (plus four more
 /// for the affine planes) and forward code buffers for
 /// [`KernelStrategy::RollingRow`]; three anti-diagonal buffers per lane
-/// width (shared between the absolute and compacted layouts, and by
-/// the local kernel) plus per-width three-plane affine buffers and a
+/// width (span-relative for the linear kernel, row-indexed for the
+/// local kernel) plus per-width three-plane affine buffers and a
 /// reversed-`p` code buffer for [`KernelStrategy::Wavefront`]. Only
 /// the buffers of the kernel actually selected for a call are touched.
 #[derive(Debug, Clone)]
@@ -1763,12 +1698,7 @@ pub struct AlignEngine {
     q_codes: Vec<u8>,
     p_codes: Vec<u8>,
     p_rev: Vec<u8>,
-    diag64: [Vec<u64>; 3],
-    diag32: [Vec<u32>; 3],
-    diag16: [Vec<u16>; 3],
-    aff64: AffineDiagScratch<u64>,
-    aff32: AffineDiagScratch<u32>,
-    aff16: AffineDiagScratch<u16>,
+    diag: DiagScratch,
 }
 
 impl AlignEngine {
@@ -1806,12 +1736,7 @@ impl AlignEngine {
             q_codes: Vec::new(),
             p_codes: Vec::new(),
             p_rev: Vec::new(),
-            diag64: [Vec::new(), Vec::new(), Vec::new()],
-            diag32: [Vec::new(), Vec::new(), Vec::new()],
-            diag16: [Vec::new(), Vec::new(), Vec::new()],
-            aff64: AffineDiagScratch::default(),
-            aff32: AffineDiagScratch::default(),
-            aff16: AffineDiagScratch::default(),
+            diag: DiagScratch::default(),
         }
     }
 
@@ -1848,18 +1773,7 @@ impl AlignEngine {
             self.p_codes.capacity(),
             self.p_rev.capacity(),
         ];
-        caps.extend(self.diag64.iter().map(Vec::capacity));
-        caps.extend(self.diag32.iter().map(Vec::capacity));
-        caps.extend(self.diag16.iter().map(Vec::capacity));
-        caps.extend(self.aff64.m.iter().map(Vec::capacity));
-        caps.extend(self.aff64.x.iter().map(Vec::capacity));
-        caps.extend(self.aff64.y.iter().map(Vec::capacity));
-        caps.extend(self.aff32.m.iter().map(Vec::capacity));
-        caps.extend(self.aff32.x.iter().map(Vec::capacity));
-        caps.extend(self.aff32.y.iter().map(Vec::capacity));
-        caps.extend(self.aff16.m.iter().map(Vec::capacity));
-        caps.extend(self.aff16.x.iter().map(Vec::capacity));
-        caps.extend(self.aff16.y.iter().map(Vec::capacity));
+        caps.extend(self.diag.capacities().map(|(cap, _)| cap));
         caps
     }
 
@@ -1879,30 +1793,16 @@ impl AlignEngine {
         ]
         .iter()
         .map(|v| v.capacity())
-        .sum::<usize>()
-            + self.diag64.iter().map(Vec::capacity).sum::<usize>()
-            + [&self.aff64.m, &self.aff64.x, &self.aff64.y]
-                .iter()
-                .flat_map(|p| p.iter().map(Vec::capacity))
-                .sum::<usize>();
-        let u32s = self.diag32.iter().map(Vec::capacity).sum::<usize>()
-            + [&self.aff32.m, &self.aff32.x, &self.aff32.y]
-                .iter()
-                .flat_map(|p| p.iter().map(Vec::capacity))
-                .sum::<usize>();
-        let u16s = self.diag16.iter().map(Vec::capacity).sum::<usize>()
-            + [&self.aff16.m, &self.aff16.x, &self.aff16.y]
-                .iter()
-                .flat_map(|p| p.iter().map(Vec::capacity))
-                .sum::<usize>();
+        .sum::<usize>();
         let u8s = self.q_codes.capacity() + self.p_codes.capacity() + self.p_rev.capacity();
-        u64s * 8 + u32s * 4 + u16s * 2 + u8s
+        let diag: usize = self.diag.capacities().map(|(cap, word)| cap * word).sum();
+        u64s * 8 + u8s + diag
     }
 
     /// Aligns packed `q` (rows) against packed `p` (columns) on the
     /// kernel [`AlignConfig::resolve_kernel`] selects: banding and
-    /// early termination are applied inside the sweep, and only O(rows)
-    /// (or, compacted, O(band)) state exists.
+    /// early termination are applied inside the sweep, and only a few
+    /// rows or diagonals of state exist.
     pub fn align<S: Symbol>(&mut self, q: &PackedSeq<S>, p: &PackedSeq<S>) -> EngineOutcome {
         match self.align_ctrl(q, p, None) {
             Ok(outcome) => outcome,
@@ -1986,121 +1886,39 @@ impl AlignEngine {
         }
     }
 
-    /// Dispatches the wavefront kernel at the planned lane width,
-    /// diagonal layout and alignment mode.
+    /// Dispatches the wavefront kernel at the planned lane width.
     fn wavefront_codes(
         &mut self,
         plan: KernelPlan,
         sup: &mut SupCursor<'_>,
     ) -> Result<EngineOutcome, StopReason> {
+        match plan.lanes {
+            // `LaneWidth::U8` exists only in the striped batch layout;
+            // `resolve_kernel` bumps per-pair plans to a wider word.
+            LaneWidth::U8 => unreachable!("per-pair planner bumps u8 to a wider word"),
+            LaneWidth::U16 => self.wavefront_at::<u16>(sup),
+            LaneWidth::U32 => self.wavefront_at::<u32>(sup),
+            LaneWidth::U64 => self.wavefront_at::<u64>(sup),
+        }
+    }
+
+    /// The configured mode's wavefront kernel in lane word `W`.
+    fn wavefront_at<W: DiagWord>(
+        &mut self,
+        sup: &mut SupCursor<'_>,
+    ) -> Result<EngineOutcome, StopReason> {
+        let (q, p_rev) = (&self.q_codes[..], &self.p_rev[..]);
+        let (bufs, affine) = W::split(&mut self.diag);
         let w = RawWeights::from_weights(self.cfg.weights);
         let (band, threshold) = (self.cfg.band, self.cfg.threshold);
-        // `LaneWidth::U8` exists only in the striped batch layout;
-        // `resolve_kernel` bumps per-pair plans to a wider word.
-        let unreachable_u8 = || unreachable!("per-pair planner bumps u8 to a wider word");
         match self.cfg.mode {
-            AlignMode::Local(s) => match plan.lanes {
-                LaneWidth::U8 => unreachable_u8(),
-                LaneWidth::U16 => {
-                    wavefront_local(&self.q_codes, &self.p_rev, s, band, &mut self.diag16, sup)
-                }
-                LaneWidth::U32 => {
-                    wavefront_local(&self.q_codes, &self.p_rev, s, band, &mut self.diag32, sup)
-                }
-                LaneWidth::U64 => {
-                    wavefront_local(&self.q_codes, &self.p_rev, s, band, &mut self.diag64, sup)
-                }
-            },
-            AlignMode::GlobalAffine(a) => match plan.lanes {
-                LaneWidth::U8 => unreachable_u8(),
-                LaneWidth::U16 => wavefront_affine(
-                    &self.q_codes,
-                    &self.p_rev,
-                    w,
-                    a.open,
-                    band,
-                    threshold,
-                    &mut self.aff16,
-                    sup,
-                ),
-                LaneWidth::U32 => wavefront_affine(
-                    &self.q_codes,
-                    &self.p_rev,
-                    w,
-                    a.open,
-                    band,
-                    threshold,
-                    &mut self.aff32,
-                    sup,
-                ),
-                LaneWidth::U64 => wavefront_affine(
-                    &self.q_codes,
-                    &self.p_rev,
-                    w,
-                    a.open,
-                    band,
-                    threshold,
-                    &mut self.aff64,
-                    sup,
-                ),
-            },
+            AlignMode::Local(s) => wavefront_local(q, p_rev, s, band, bufs, sup),
+            AlignMode::GlobalAffine(a) => {
+                wavefront_affine(q, p_rev, w, a.open, band, threshold, affine, sup)
+            }
             AlignMode::Global | AlignMode::SemiGlobal => {
                 let semi = self.cfg.mode == AlignMode::SemiGlobal;
-                #[allow(clippy::too_many_arguments)]
-                fn run<W: KernelWord>(
-                    q: &[u8],
-                    p_rev: &[u8],
-                    w: RawWeights,
-                    band: Option<usize>,
-                    threshold: Option<u64>,
-                    semi: bool,
-                    compact: bool,
-                    bufs: &mut [Vec<W>; 3],
-                    sup: &mut SupCursor<'_>,
-                ) -> Result<EngineOutcome, StopReason> {
-                    match (compact, band) {
-                        (true, Some(k)) => {
-                            wavefront_score_compact(q, p_rev, w, k, threshold, semi, bufs, sup)
-                        }
-                        _ => wavefront_score(q, p_rev, w, band, threshold, semi, bufs, sup),
-                    }
-                }
-                match plan.lanes {
-                    LaneWidth::U8 => unreachable_u8(),
-                    LaneWidth::U16 => run(
-                        &self.q_codes,
-                        &self.p_rev,
-                        w,
-                        band,
-                        threshold,
-                        semi,
-                        plan.compact,
-                        &mut self.diag16,
-                        sup,
-                    ),
-                    LaneWidth::U32 => run(
-                        &self.q_codes,
-                        &self.p_rev,
-                        w,
-                        band,
-                        threshold,
-                        semi,
-                        plan.compact,
-                        &mut self.diag32,
-                        sup,
-                    ),
-                    LaneWidth::U64 => run(
-                        &self.q_codes,
-                        &self.p_rev,
-                        w,
-                        band,
-                        threshold,
-                        semi,
-                        plan.compact,
-                        &mut self.diag64,
-                        sup,
-                    ),
-                }
+                wavefront_score(q, p_rev, w, band, threshold, semi, bufs, sup)
             }
         }
     }
@@ -2557,8 +2375,8 @@ mod tests {
         assert_eq!(cfg.resolve_strategy(256, 256), KernelStrategy::Wavefront);
         assert_eq!(cfg.resolve_strategy(8, 256), KernelStrategy::RollingRow);
         assert_eq!(cfg.resolve_strategy(8, 8), KernelStrategy::RollingRow);
-        // Narrow bands no longer force the rolling row: they ride the
-        // compacted wavefront.
+        // Narrow bands do not force the rolling row: they ride the
+        // wavefront.
         let narrow = cfg.with_band(4);
         assert_eq!(narrow.resolve_strategy(256, 256), KernelStrategy::Wavefront);
         let wide = cfg.with_band(64);
@@ -2567,7 +2385,7 @@ mod tests {
         assert_eq!(pinned.resolve_strategy(4, 4), KernelStrategy::Wavefront);
     }
 
-    /// The full Auto decision table — strategy, layout, and lane width —
+    /// The full Auto decision table — strategy and lane width —
     /// pinned in one place so re-tuning a threshold is a conscious,
     /// single-constant change.
     #[test]
@@ -2594,15 +2412,6 @@ mod tests {
                 "{n}x{m} band 4"
             );
         }
-
-        // Layout: bands below WAVEFRONT_MIN_BAND compact, others don't.
-        assert!(plan(base.with_band(WAVEFRONT_MIN_BAND - 1), 256, 256).compact);
-        assert!(!plan(base.with_band(WAVEFRONT_MIN_BAND), 256, 256).compact);
-        assert!(!plan(base, 256, 256).compact);
-        assert!(
-            !plan(base.with_band(1), 8, 8).compact,
-            "rolling row never compacts"
-        );
 
         // Lane width: narrowest exact word. fig4's max finite weight is 1,
         // so u16 needs n + m + 2 < u16::MAX / 2 = 32767.

@@ -20,7 +20,7 @@
 //! | [`compiler`] | §3, Fig. 3 | weighted DAG → gate-level race circuit (OR/AND type), plus execution |
 //! | [`functional`] | §3 | fast event-driven race simulation (no gates), the race as a discrete-event process |
 //! | [`alignment`] | §4, Fig. 4 | the DNA global-alignment race array, gate-level and functional |
-//! | [`engine`] | throughput | the batched zero-allocation alignment engine: four alignment modes (global, semi-global, local max-plus, three-plane affine) on fused kernels (rolling-row; SIMD wavefront in absolute and compacted-band layouts; banding + early termination) over packed sequences, plus `align_batch`, the one (always supervised) batch entry point, with its inter-pair striped batch kernel |
+//! | [`engine`] | throughput | the batched zero-allocation alignment engine: four alignment modes (global, semi-global, local max-plus, three-plane affine) on fused kernels (rolling-row; SIMD wavefront over in-band diagonal spans; banding + early termination) over packed sequences, plus `align_batch`, the one (always supervised) batch entry point, with its inter-pair striped batch kernel |
 //! | [`simd`] | throughput | portable lane operations (`u16`/`u32`/`u64` kernel words) behind the wavefront kernels' inner loops |
 //! | [`wavefront`] | §4.3, Fig. 6 | per-cycle wavefront traces of the propagating signal |
 //! | [`gating`] | §4.3, Fig. 7 | data-dependent clock gating over m×m multi-cell regions |

@@ -51,13 +51,6 @@
 /// narrower targets LLVM splits the block into several vector ops.
 pub const LANES: usize = 8;
 
-/// Shortest segment routed to the flat-loop form of [`diag_update`]
-/// for word types with [`KernelWord::FLAT_LOOP`]: the loop vectorizer's
-/// generated code only enters its vector body past roughly this trip
-/// count (below it, the flat form degrades to scalar, while the block
-/// form still uses vectors for every full [`LANES`] block).
-pub const FLAT_MIN_LEN: usize = 32;
-
 /// A fixed-width block of kernel words.
 pub type Block<W> = [W; LANES];
 
@@ -72,20 +65,23 @@ pub trait KernelWord: Copy + Ord + std::fmt::Debug {
     const INF: Self;
     /// The additive identity.
     const ZERO: Self;
-    /// `true` when [`diag_update`] should use the plain indexed loop
-    /// (LLVM's *loop* vectorizer) instead of the explicit
-    /// [`LANES`]-block form (the SLP vectorizer). Measured per word
-    /// type: the loop vectorizer produces the best `u16` **and** `u32`
-    /// code (clean widening compare + `pminuw`/`pminud`). The `u32`
-    /// flat loop was originally rejected — PR 3's LLVM refused the
-    /// `u8 → u32` widening select and fell back to scalar — but the
-    /// ROADMAP retry on the current toolchain vectorizes it cleanly:
-    /// per-pair wavefront at length 256 went 13.2k → 24.5k pairs/s
-    /// (≈ 1.9×) and at length 64 165k → 214k (≈ 1.3×) on the 1-core
-    /// bench container, so `u32` now keeps the flat form.
-    /// `u64` has no unsigned vector `min` on the x86-64-v2 floor, so
-    /// neither vectorizer helps and it stays on the block form.
-    const FLAT_LOOP: bool;
+    /// Shortest segment [`diag_update`] runs as a plain indexed loop
+    /// (LLVM's *loop* vectorizer); shorter segments take the explicit
+    /// [`LANES`]-block form (the SLP vectorizer). For the narrow words
+    /// this is 32: the loop vectorizer's code only enters its vector
+    /// body past roughly that trip count (below it the flat form
+    /// degrades to scalar, while the block form still uses vectors for
+    /// every full block), and routing shorter segments to the flat loop
+    /// made `u32` band-16 wavefronts (17-cell segments) 1.35× slower at
+    /// 256² and 1.37× at 1024². Above it the loop vectorizer produces
+    /// the best `u16` **and** `u32` code (clean widening compare +
+    /// `pminuw`/`pminud`): per-pair wavefront at length 256 went
+    /// 13.2k → 24.5k pairs/s (≈ 1.9×) and at length 64 165k → 214k
+    /// (≈ 1.3×) on a 1-core container. `u64` takes the flat loop at
+    /// every length: per-pair `u64` wavefronts ran in 0.33× the block
+    /// form's time at 256², 0.30× at 1024² and 0.36× at 1024² band 16
+    /// (0.86× at 256² band 16), on a 2-vCPU x86-64-v2 Xeon.
+    const FLAT_MIN_LEN: usize;
     /// Lowers a raw `u64` kernel value (where `u64::MAX` is `+∞`) into
     /// this representation, clamping to [`KernelWord::INF`].
     fn clamp_raw(raw: u64) -> Self;
@@ -112,7 +108,7 @@ pub trait KernelWord: Copy + Ord + std::fmt::Debug {
 impl KernelWord for u64 {
     const INF: Self = u64::MAX;
     const ZERO: Self = 0;
-    const FLAT_LOOP: bool = false;
+    const FLAT_MIN_LEN: usize = 0;
 
     #[inline(always)]
     fn clamp_raw(raw: u64) -> Self {
@@ -147,7 +143,7 @@ impl KernelWord for u64 {
 impl KernelWord for u32 {
     const INF: Self = u32::MAX / 2;
     const ZERO: Self = 0;
-    const FLAT_LOOP: bool = true;
+    const FLAT_MIN_LEN: usize = 32;
 
     #[inline(always)]
     fn clamp_raw(raw: u64) -> Self {
@@ -192,7 +188,7 @@ impl KernelWord for u32 {
 impl KernelWord for u16 {
     const INF: Self = u16::MAX / 2;
     const ZERO: Self = 0;
-    const FLAT_LOOP: bool = true;
+    const FLAT_MIN_LEN: usize = 32;
 
     #[inline(always)]
     fn clamp_raw(raw: u64) -> Self {
@@ -237,7 +233,7 @@ impl KernelWord for u16 {
 impl KernelWord for u8 {
     const INF: Self = u8::MAX / 2;
     const ZERO: Self = 0;
-    const FLAT_LOOP: bool = true;
+    const FLAT_MIN_LEN: usize = 32;
 
     #[inline(always)]
     fn clamp_raw(raw: u64) -> Self {
@@ -380,7 +376,7 @@ pub fn diag_update<W: KernelWord>(
     debug_assert_eq!(p.len(), len);
 
     let mut seg_min = W::INF;
-    if W::FLAT_LOOP && len >= FLAT_MIN_LEN {
+    if len >= W::FLAT_MIN_LEN {
         // Plain indexed loop: identical arithmetic, shaped for LLVM's
         // loop vectorizer (which emits the clean widened compare +
         // vector-min code for u16 that the SLP vectorizer misses).
@@ -547,7 +543,7 @@ pub fn diag_update_local<W: KernelWord>(
     // Flat indexed loop only: the body is branch-free max/saturating-sub
     // code the loop vectorizer handles at every width (saturating
     // unsigned subtraction is `psubus`-shaped on x86; `u64` falls back
-    // to scalar, as for the min-plus kernel). The diagonal term selects
+    // to scalar). The diagonal term selects
     // between *weights* — `(+matched, −0)` on a match, `(+0,
     // −mismatched)` on a mismatch — then applies one unconditional add
     // and one unconditional saturating sub: the same

@@ -53,9 +53,9 @@ use rl_temporal::Time;
 use crate::bitpar::QueryMasks;
 use crate::engine::{
     applied_bias, classify_outcome, diag_range, raw_to_time, rotate_bufs, score_lower_bound,
-    u8_bias_rate, AlignConfig, AlignEngine, AlignMode, BatchPlanStats, EngineOutcome,
-    KernelStrategy, LaneWidth, LocalScores, RawWeights, NEVER, STRIPE_MIN_PAIRS,
-    STRIPE_PAD_BUDGET_PCT,
+    u8_bias_rate, AffineDiagScratch, AlignConfig, AlignEngine, AlignMode, BatchPlanStats,
+    DiagScratch, DiagWord, EngineOutcome, KernelStrategy, LaneWidth, LocalScores, RawWeights,
+    NEVER, STRIPE_MIN_PAIRS, STRIPE_PAD_BUDGET_PCT,
 };
 use crate::simd::{self, KernelWord, LaneWeights};
 use crate::supervisor::{fp_hit, panic_message, BatchReport, Fault, ScanControl, StopReason};
@@ -1031,12 +1031,7 @@ fn stripe_scratch_bytes(
     width: LaneWidth,
     planes: usize,
 ) -> usize {
-    let word = match width {
-        LaneWidth::U8 => 1,
-        LaneWidth::U16 => 2,
-        LaneWidth::U32 => 4,
-        LaneWidth::U64 => 8,
-    };
+    let word = width.bits() as usize / 8;
     3 * planes * (nn + 1) * lanes * word + (nn + mm) * lanes
 }
 
@@ -1252,24 +1247,7 @@ struct StripeScratch {
     /// calls.
     q_key: Option<(usize, usize, usize)>,
     shapes: Vec<(usize, usize)>,
-    b8: [Vec<u8>; 3],
-    b16: [Vec<u16>; 3],
-    b32: [Vec<u32>; 3],
-    b64: [Vec<u64>; 3],
-    a8: AffinePlanes<u8>,
-    a16: AffinePlanes<u16>,
-    a32: AffinePlanes<u32>,
-    a64: AffinePlanes<u64>,
-}
-
-/// The striped affine sweep's nine rotating diagonal buffers: three
-/// rotations for each of the M / Ix / Iy planes, lane-interleaved like
-/// the linear sweep's buffers.
-#[derive(Default)]
-struct AffinePlanes<W> {
-    m: [Vec<W>; 3],
-    x: [Vec<W>; 3],
-    y: [Vec<W>; 3],
+    diag: DiagScratch,
 }
 
 impl StripeScratch {
@@ -1279,14 +1257,7 @@ impl StripeScratch {
             p_plane: StripedCodes::new(),
             q_key: None,
             shapes: Vec::new(),
-            b8: Default::default(),
-            b16: Default::default(),
-            b32: Default::default(),
-            b64: Default::default(),
-            a8: AffinePlanes::default(),
-            a16: AffinePlanes::default(),
-            a32: AffinePlanes::default(),
-            a64: AffinePlanes::default(),
+            diag: DiagScratch::default(),
         }
     }
 }
@@ -1336,263 +1307,62 @@ fn run_stripe<S: Symbol>(
         .p_plane
         .pack_lanes_reversed(members.iter().map(|&i| pairs[i].1), lanes, mm, P_PAD);
     let w = RawWeights::from_weights(cfg.weights);
-    let semi = cfg.mode == AlignMode::SemiGlobal;
-    // The u8 sweep runs biased (see `engine::u8_bias_rate`); wider words
-    // store raw values and the bias machinery compiles out at rate 0.
-    let bias_m2 = if width == LaneWidth::U8 {
-        u8_bias_rate(cfg.mode, w)
-    } else {
-        0
-    };
     // The remaining-cost bound rides the ratchet's coarse mode only: the
     // fixed-threshold path keeps the per-pair kernel's exact cell counts.
     let suffix = match threshold {
         StripeThreshold::Coarse(_) => SuffixBound::new(cfg.mode, w, nn, mm),
         StripeThreshold::None | StripeThreshold::Exact(_) => None,
     };
-    if let AlignMode::Local(s) = cfg.mode {
-        match (width, lanes) {
-            (LaneWidth::U8, HALF_U8_STRIPE_LANES) => {
-                stripe_sweep_local::<u8, HALF_U8_STRIPE_LANES>(
-                    &scratch.shapes,
-                    scratch.q_plane.as_slice(),
-                    scratch.p_plane.as_slice(),
-                    (nn, mm),
-                    s,
-                    cfg.band,
-                    &mut scratch.b8,
-                    results,
-                );
-            }
-            (LaneWidth::U8, _) => stripe_sweep_local::<u8, 32>(
-                &scratch.shapes,
-                scratch.q_plane.as_slice(),
-                scratch.p_plane.as_slice(),
-                (nn, mm),
-                s,
-                cfg.band,
-                &mut scratch.b8,
-                results,
-            ),
-            (LaneWidth::U16, HALF_STRIPE_LANES) => stripe_sweep_local::<u16, HALF_STRIPE_LANES>(
-                &scratch.shapes,
-                scratch.q_plane.as_slice(),
-                scratch.p_plane.as_slice(),
-                (nn, mm),
-                s,
-                cfg.band,
-                &mut scratch.b16,
-                results,
-            ),
-            (LaneWidth::U16, _) => stripe_sweep_local::<u16, 16>(
-                &scratch.shapes,
-                scratch.q_plane.as_slice(),
-                scratch.p_plane.as_slice(),
-                (nn, mm),
-                s,
-                cfg.band,
-                &mut scratch.b16,
-                results,
-            ),
-            (LaneWidth::U32, _) => stripe_sweep_local::<u32, 8>(
-                &scratch.shapes,
-                scratch.q_plane.as_slice(),
-                scratch.p_plane.as_slice(),
-                (nn, mm),
-                s,
-                cfg.band,
-                &mut scratch.b32,
-                results,
-            ),
-            (LaneWidth::U64, _) => stripe_sweep_local::<u64, 8>(
-                &scratch.shapes,
-                scratch.q_plane.as_slice(),
-                scratch.p_plane.as_slice(),
-                (nn, mm),
-                s,
-                cfg.band,
-                &mut scratch.b64,
-                results,
-            ),
+    // The one `(width, lanes)` → `(W, L)` table: u16 and u8 stripes of
+    // at most half their lanes run the half-width monomorphization.
+    let sweep = match (width, lanes) {
+        (LaneWidth::U8, HALF_U8_STRIPE_LANES) => sweep_at::<u8, HALF_U8_STRIPE_LANES>,
+        (LaneWidth::U8, _) => sweep_at::<u8, 32>,
+        (LaneWidth::U16, HALF_STRIPE_LANES) => sweep_at::<u16, HALF_STRIPE_LANES>,
+        (LaneWidth::U16, _) => sweep_at::<u16, 16>,
+        (LaneWidth::U32, _) => sweep_at::<u32, 8>,
+        (LaneWidth::U64, _) => sweep_at::<u64, 8>,
+    };
+    sweep(cfg, (nn, mm), threshold, suffix, scratch, results);
+}
+
+/// Runs the configured mode's striped sweep at lane word `W` and `L`
+/// lanes over the stripe packed into `scratch`.
+fn sweep_at<W: DiagWord, const L: usize>(
+    cfg: &AlignConfig,
+    union: (usize, usize),
+    threshold: StripeThreshold,
+    suffix: Option<SuffixBound>,
+    scratch: &mut StripeScratch,
+    results: &mut [EngineOutcome],
+) {
+    let (shapes, q, p) = (
+        &scratch.shapes[..],
+        scratch.q_plane.as_slice(),
+        scratch.p_plane.as_slice(),
+    );
+    let (bufs, affine) = W::split(&mut scratch.diag);
+    let w = RawWeights::from_weights(cfg.weights);
+    // The u8 sweep runs biased (see `engine::u8_bias_rate`); wider words
+    // store raw values and the bias machinery compiles out at rate 0.
+    let bias_m2 = if W::BIASED {
+        u8_bias_rate(cfg.mode, w)
+    } else {
+        0
+    };
+    match cfg.mode {
+        AlignMode::Local(s) => {
+            stripe_sweep_local::<W, L>(shapes, q, p, union, s, cfg.band, bufs, results);
         }
-        return;
-    }
-    if let AlignMode::GlobalAffine(a) = cfg.mode {
-        match (width, lanes) {
-            (LaneWidth::U8, HALF_U8_STRIPE_LANES) => {
-                stripe_sweep_affine::<u8, HALF_U8_STRIPE_LANES>(
-                    &scratch.shapes,
-                    scratch.q_plane.as_slice(),
-                    scratch.p_plane.as_slice(),
-                    (nn, mm),
-                    w,
-                    a.open,
-                    cfg.band,
-                    threshold,
-                    suffix,
-                    bias_m2,
-                    &mut scratch.a8,
-                    results,
-                );
-            }
-            (LaneWidth::U8, _) => stripe_sweep_affine::<u8, 32>(
-                &scratch.shapes,
-                scratch.q_plane.as_slice(),
-                scratch.p_plane.as_slice(),
-                (nn, mm),
-                w,
-                a.open,
-                cfg.band,
-                threshold,
-                suffix,
-                bias_m2,
-                &mut scratch.a8,
-                results,
-            ),
-            (LaneWidth::U16, HALF_STRIPE_LANES) => stripe_sweep_affine::<u16, HALF_STRIPE_LANES>(
-                &scratch.shapes,
-                scratch.q_plane.as_slice(),
-                scratch.p_plane.as_slice(),
-                (nn, mm),
-                w,
-                a.open,
-                cfg.band,
-                threshold,
-                suffix,
-                0,
-                &mut scratch.a16,
-                results,
-            ),
-            (LaneWidth::U16, _) => stripe_sweep_affine::<u16, 16>(
-                &scratch.shapes,
-                scratch.q_plane.as_slice(),
-                scratch.p_plane.as_slice(),
-                (nn, mm),
-                w,
-                a.open,
-                cfg.band,
-                threshold,
-                suffix,
-                0,
-                &mut scratch.a16,
-                results,
-            ),
-            (LaneWidth::U32, _) => stripe_sweep_affine::<u32, 8>(
-                &scratch.shapes,
-                scratch.q_plane.as_slice(),
-                scratch.p_plane.as_slice(),
-                (nn, mm),
-                w,
-                a.open,
-                cfg.band,
-                threshold,
-                suffix,
-                0,
-                &mut scratch.a32,
-                results,
-            ),
-            (LaneWidth::U64, _) => stripe_sweep_affine::<u64, 8>(
-                &scratch.shapes,
-                scratch.q_plane.as_slice(),
-                scratch.p_plane.as_slice(),
-                (nn, mm),
-                w,
-                a.open,
-                cfg.band,
-                threshold,
-                suffix,
-                0,
-                &mut scratch.a64,
-                results,
-            ),
+        AlignMode::GlobalAffine(a) => stripe_sweep_affine::<W, L>(
+            shapes, q, p, union, w, a.open, cfg.band, threshold, suffix, bias_m2, affine, results,
+        ),
+        AlignMode::Global | AlignMode::SemiGlobal => {
+            let semi = cfg.mode == AlignMode::SemiGlobal;
+            stripe_sweep::<W, L>(
+                shapes, q, p, union, w, cfg.band, threshold, suffix, semi, bias_m2, bufs, results,
+            );
         }
-        return;
-    }
-    match (width, lanes) {
-        (LaneWidth::U8, HALF_U8_STRIPE_LANES) => stripe_sweep::<u8, HALF_U8_STRIPE_LANES>(
-            &scratch.shapes,
-            scratch.q_plane.as_slice(),
-            scratch.p_plane.as_slice(),
-            (nn, mm),
-            w,
-            cfg.band,
-            threshold,
-            suffix,
-            semi,
-            bias_m2,
-            &mut scratch.b8,
-            results,
-        ),
-        (LaneWidth::U8, _) => stripe_sweep::<u8, 32>(
-            &scratch.shapes,
-            scratch.q_plane.as_slice(),
-            scratch.p_plane.as_slice(),
-            (nn, mm),
-            w,
-            cfg.band,
-            threshold,
-            suffix,
-            semi,
-            bias_m2,
-            &mut scratch.b8,
-            results,
-        ),
-        (LaneWidth::U16, HALF_STRIPE_LANES) => stripe_sweep::<u16, HALF_STRIPE_LANES>(
-            &scratch.shapes,
-            scratch.q_plane.as_slice(),
-            scratch.p_plane.as_slice(),
-            (nn, mm),
-            w,
-            cfg.band,
-            threshold,
-            suffix,
-            semi,
-            0,
-            &mut scratch.b16,
-            results,
-        ),
-        (LaneWidth::U16, _) => stripe_sweep::<u16, 16>(
-            &scratch.shapes,
-            scratch.q_plane.as_slice(),
-            scratch.p_plane.as_slice(),
-            (nn, mm),
-            w,
-            cfg.band,
-            threshold,
-            suffix,
-            semi,
-            0,
-            &mut scratch.b16,
-            results,
-        ),
-        (LaneWidth::U32, _) => stripe_sweep::<u32, 8>(
-            &scratch.shapes,
-            scratch.q_plane.as_slice(),
-            scratch.p_plane.as_slice(),
-            (nn, mm),
-            w,
-            cfg.band,
-            threshold,
-            suffix,
-            semi,
-            0,
-            &mut scratch.b32,
-            results,
-        ),
-        (LaneWidth::U64, _) => stripe_sweep::<u64, 8>(
-            &scratch.shapes,
-            scratch.q_plane.as_slice(),
-            scratch.p_plane.as_slice(),
-            (nn, mm),
-            w,
-            cfg.band,
-            threshold,
-            suffix,
-            semi,
-            0,
-            &mut scratch.b64,
-            results,
-        ),
     }
 }
 
@@ -2301,7 +2071,7 @@ fn stripe_sweep_affine<W: KernelWord, const L: usize>(
     threshold: StripeThreshold,
     suffix: Option<SuffixBound>,
     bias_m2: u64,
-    planes: &mut AffinePlanes<W>,
+    planes: &mut AffineDiagScratch<W>,
     out: &mut [EngineOutcome],
 ) {
     fp_hit("affine-stripe");

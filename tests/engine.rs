@@ -381,10 +381,10 @@ fn auto_boundary_shapes_agree() {
 }
 
 // ---------------------------------------------------------------------------
-// Striped (inter-pair SIMD) batch kernel, u16 lanes, compacted bands.
+// Striped (inter-pair SIMD) batch kernel, u16 lanes, narrow bands.
 // ---------------------------------------------------------------------------
 
-use race_logic::engine::{LaneWidth, WAVEFRONT_MIN_BAND};
+use race_logic::engine::{fill_grid_mode, LaneWidth};
 
 proptest! {
     /// The striped batch kernel is byte-identical to the sequential
@@ -594,13 +594,58 @@ fn u8_bias_holds_scores_across_byte_ceiling() {
     }
 }
 
-/// Deterministic regression for the band-compaction edge: every band
-/// half-width from 0 through just past the compaction threshold
-/// (`WAVEFRONT_MIN_BAND`), on shapes that exercise empty diagonals,
-/// alternating spans (band 0/1 parity) and the compact buffers' guard
-/// cells. The compacted wavefront must match the rolling row in score,
-/// cell count and verdict, and `Auto` must route the narrow bands to
-/// the wavefront.
+/// Cells a fig4 wavefront computes before its abandon rule fires, from
+/// the full arrival grid: every in-band cell of each diagonal `d` until
+/// the minima of diagonals `d − 1` and `d − 2` (and, semi-global, the
+/// best bottom-row value so far) all exceed `t`.
+fn diagonal_abandon_cells(
+    q: &Seq<Dna>,
+    p: &Seq<Dna>,
+    band: Option<usize>,
+    semi: bool,
+    t: u64,
+) -> u64 {
+    let (n, m) = (q.len(), p.len());
+    let mode = if semi {
+        AlignMode::SemiGlobal
+    } else {
+        AlignMode::Global
+    };
+    let (qc, pc): (Vec<u8>, Vec<u8>) = (q.codes().collect(), p.codes().collect());
+    let mut grid = Vec::new();
+    fill_grid_mode(&qc, &pc, RaceWeights::fig4(), band, mode, &mut grid);
+    let mut cells = 1;
+    let (mut min1, mut min2) = (0, u64::MAX);
+    let mut best = if semi && n == 0 { 0 } else { u64::MAX };
+    for d in 1..=n + m {
+        if min1.min(min2).min(best) > t {
+            break;
+        }
+        let mut dmin = u64::MAX;
+        for i in d.saturating_sub(m)..=d.min(n) {
+            if band.is_some_and(|k| i.abs_diff(d - i) > k) {
+                continue;
+            }
+            let v = grid[i * (m + 1) + d - i];
+            cells += 1;
+            dmin = dmin.min(v);
+            if semi && i == n {
+                best = best.min(v);
+            }
+        }
+        (min2, min1) = (min1, dmin);
+    }
+    cells
+}
+
+/// Deterministic regression for the span-relative wavefront layout at
+/// every band: no band, every half-width from 0 through 9 (empty
+/// diagonals, alternating band 0/1 spans, the buffers' guard cells), 64,
+/// and one wider than `n + m`; global and semi-global, each with and
+/// without a threshold; `u32` and `u64` (lane-floor pin) lanes, plus one
+/// shape long enough for per-pair `u16`. The wavefront must match the
+/// rolling row in score, cell count and verdict, and `Auto` must keep
+/// banded long pairs on the wavefront.
 #[test]
 fn band_compaction_edge_regression() {
     let w = RaceWeights::fig4();
@@ -612,46 +657,62 @@ fn band_compaction_edge_regression() {
             .parse()
             .unwrap()
     };
-    for band in 0..=(WAVEFRONT_MIN_BAND + 1) {
-        for (n, m) in [(40, 40), (40, 37), (33, 48), (64, 64), (35, 32)] {
-            let (q, p) = (make(n, 0), make(m, 2));
-            let cfg = AlignConfig::new(w).with_band(band);
+    let shapes = [(40, 40), (40, 37), (33, 48), (64, 64), (35, 32), (512, 530)];
+    for (n, m) in shapes {
+        let (q, p) = (make(n, 0), make(m, 2));
+        let bands = (0..=9).map(Some).chain([None, Some(64), Some(n + m + 1)]);
+        for band in bands {
+            let mut cfg = AlignConfig::new(w);
+            cfg.band = band;
             assert_eq!(
                 cfg.resolve_strategy(n, m),
                 KernelStrategy::Wavefront,
                 "Auto must keep banded long pairs on the wavefront"
             );
-            assert_eq!(
-                cfg.resolve_kernel(n, m).compact,
-                band < WAVEFRONT_MIN_BAND,
-                "compaction routing at band {band}"
-            );
-            let wave = engine_score(cfg.with_strategy(KernelStrategy::Wavefront), &q, &p);
-            let rolling = engine_score(cfg.with_strategy(KernelStrategy::RollingRow), &q, &p);
-            assert_eq!(wave.score, rolling.score, "band {band}, {n}x{m}");
-            assert_eq!(
-                wave.cells_computed, rolling.cells_computed,
-                "band {band}, {n}x{m}"
-            );
-            assert_eq!(
-                wave.early_terminated, rolling.early_terminated,
-                "band {band}, {n}x{m}"
-            );
-            // And against the standalone banded reference.
-            let reference = banded_race(&q, &p, w, band);
-            assert_eq!(wave.score, reference.score, "band {band}, {n}x{m}");
-            // Thresholded + banded, same edge.
-            let t_cfg = cfg.with_threshold(12);
-            let wave_t = engine_score(t_cfg.with_strategy(KernelStrategy::Wavefront), &q, &p);
-            let roll_t = engine_score(t_cfg.with_strategy(KernelStrategy::RollingRow), &q, &p);
-            assert_eq!(
-                wave_t.score, roll_t.score,
-                "banded+threshold {band}, {n}x{m}"
-            );
-            assert_eq!(
-                wave_t.early_terminated, roll_t.early_terminated,
-                "banded+threshold {band}, {n}x{m}"
-            );
+            // Per-pair u16 needs segments of U16_MIN_LEN (512) cells.
+            let narrowest = if n.min(m).min(band.map_or(usize::MAX, |k| k + 1)) >= 512 {
+                LaneWidth::U16
+            } else {
+                LaneWidth::U32
+            };
+            let floors: &[LaneWidth] = if n >= 512 {
+                &[LaneWidth::U8]
+            } else {
+                &[LaneWidth::U8, LaneWidth::U64]
+            };
+            for &floor in floors {
+                for mode in [AlignMode::Global, AlignMode::SemiGlobal] {
+                    for threshold in [None, Some(12)] {
+                        let mut cfg = cfg.with_lane_floor(floor).with_mode(mode);
+                        cfg.threshold = threshold;
+                        let wave_cfg = cfg.with_strategy(KernelStrategy::Wavefront);
+                        let want = narrowest.max(floor);
+                        assert_eq!(wave_cfg.resolve_kernel(n, m).lanes, want);
+                        let ctx = format!("{mode} band {band:?}, {n}x{m}, {want}, t {threshold:?}");
+                        let wave = engine_score(wave_cfg, &q, &p);
+                        let rolling =
+                            engine_score(cfg.with_strategy(KernelStrategy::RollingRow), &q, &p);
+                        assert_eq!(wave.score, rolling.score, "{ctx}");
+                        assert_eq!(wave.early_terminated, rolling.early_terminated, "{ctx}");
+                        // The two orders abandon at different points;
+                        // the full sweeps compute the same cells.
+                        if !rolling.early_terminated {
+                            assert_eq!(wave.cells_computed, rolling.cells_computed, "{ctx}");
+                        }
+                        let semi = mode == AlignMode::SemiGlobal;
+                        let t = threshold.unwrap_or(u64::MAX);
+                        assert_eq!(
+                            wave.cells_computed,
+                            diagonal_abandon_cells(&q, &p, band, semi, t),
+                            "{ctx}"
+                        );
+                        // And against the standalone banded reference.
+                        if let (AlignMode::Global, None, Some(k)) = (mode, threshold, band) {
+                            assert_eq!(wave.score, banded_race(&q, &p, w, k).score, "{ctx}");
+                        }
+                    }
+                }
+            }
         }
     }
 }
@@ -1089,8 +1150,8 @@ proptest! {
         }
     }
 
-    /// Banded and thresholded semi-global: wavefront (compacted below
-    /// band 8, absolute above) == rolling row, score and verdict — the
+    /// Banded and thresholded semi-global: wavefront == rolling row,
+    /// score and verdict — the
     /// cross-kernel contract in the mode where no standalone banded
     /// reference exists.
     #[test]
@@ -1357,19 +1418,15 @@ fn semi_global_scan_finds_planted_occurrences() {
     );
 }
 
-/// Modes obey the auto decision table too: affine never compacts, local
-/// lane eligibility follows the match bonus, semi-global thresholds
-/// fold into lane eligibility.
+/// Modes obey the auto decision table too: affine rides the wavefront
+/// on narrow bands, local lane eligibility follows the match bonus,
+/// semi-global thresholds fold into lane eligibility.
 #[test]
 fn mode_resolution_rules_are_pinned() {
     let w = RaceWeights::fig4();
     let affine = AlignConfig::new(w)
         .with_mode(AlignMode::GlobalAffine(AffineWeights { open: 3 }))
         .with_band(4);
-    assert!(
-        !affine.resolve_kernel(256, 256).compact,
-        "affine keeps the absolute layout on narrow bands"
-    );
     assert_eq!(
         affine.resolve_strategy(256, 256),
         KernelStrategy::Wavefront,
