@@ -171,11 +171,15 @@ impl<S: Symbol> PackedSeq<S> {
                 want,
             });
         }
+        // When the alphabet fills its code width (DNA: 4 symbols in 2
+        // bits), every code is in range and only the padding can be wrong.
         let mask = (1_u64 << bits) - 1;
-        for i in 0..len {
-            let code = ((words[i / per_word] >> ((i % per_word) as u32 * bits)) & mask) as u8;
-            if (code as usize) >= S::COUNT {
-                return Err(PackedWordsError::CodeOutOfRange { index: i, code });
+        if S::COUNT <= mask as usize {
+            for i in 0..len {
+                let code = ((words[i / per_word] >> ((i % per_word) as u32 * bits)) & mask) as u8;
+                if (code as usize) >= S::COUNT {
+                    return Err(PackedWordsError::CodeOutOfRange { index: i, code });
+                }
             }
         }
         // Dead bits must be zero: the tail of the last word past `len`,

@@ -224,14 +224,16 @@ impl From<ScanOutcome> for TopKScan {
 /// What a [`scan`] races the query against: a borrowed view over an
 /// in-memory packed database or a persistent [`StoreTarget`]. The view
 /// hides the two real differences between the sources — how pending
-/// entries are materialized (a borrow, or the store's quarantine ladder)
-/// and which content hash a [`ResumeToken`] is bound to.
+/// entries are materialized (a borrow from the slice, or a borrow from
+/// the shards the store's quarantine ladder served) and which content
+/// hash a [`ResumeToken`] is bound to.
 #[derive(Debug, Clone, Copy)]
 pub enum ScanEntries<'a, S: Symbol> {
     /// An in-memory packed database.
     Memory(&'a [PackedSeq<S>]),
-    /// A persistent store target: lazily verified chunks, corruption
-    /// quarantine, replica fallback, token↔DB content-hash binding.
+    /// A persistent store target: lazily verified and decoded shards,
+    /// corruption quarantine, replica fallback, token↔DB content-hash
+    /// binding.
     Store(&'a StoreTarget<S>),
 }
 
@@ -469,9 +471,10 @@ pub(crate) fn admit<S: Symbol>(
 /// remaining pairs — and merges the result with the token's carried
 /// state into a cumulative [`ScanOutcome`] plus the next checkpoint.
 /// Materialization is the only per-source step: an in-memory database
-/// lends its entries, a store walks its quarantine ladder
-/// (`store::materialize_pending`), whose lost pairs join the faulted
-/// set. Segment-local slot positions and fault indices are remapped to
+/// lends its entries, a store walks its quarantine ladder over whole
+/// shards (`store::materialize_pending`) and lends the entries out of
+/// the decoded shards it served; the lost pairs join the faulted set.
+/// Segment-local slot positions and fault indices are remapped to
 /// original database indices here.
 fn run_segment<S: Symbol>(
     cfg: &AlignConfig,
@@ -499,21 +502,27 @@ fn run_segment<S: Symbol>(
         f
     };
 
-    let materialized;
+    // Both sources lend the pending entries in ascending input order, so
+    // a store scan plans and sweeps the same units as an in-memory scan.
+    let served;
     let (ids, pairs): (Vec<usize>, Vec<_>) = match entries {
         ScanEntries::Memory(db) => {
             let pairs = pending.iter().map(|&i| (query, &db[i])).collect();
             (pending, pairs)
         }
         ScanEntries::Store(target) => {
-            let (seqs, store_faults, lost) =
+            let (shards, store_faults, lost) =
                 crate::store::materialize_pending(target, &pending, ctrl);
             all_faults.extend(store_faults.into_iter().map(stamp));
             faulted.extend(lost);
-            materialized = seqs;
-            materialized
+            served = shards;
+            pending
                 .iter()
-                .map(|(id, seq)| (*id, (query, seq)))
+                .filter_map(|&i| {
+                    let (shard, pos) = target.store().locate(i);
+                    let entries = served[shard].as_ref()?;
+                    Some((i, (query, &entries[pos])))
+                })
                 .unzip()
         }
     };
@@ -537,9 +546,9 @@ fn run_segment<S: Symbol>(
     }
     all_hits.sort_unstable_by_key(|&(idx, score)| (score, idx));
     all_hits.truncate(k);
-    // A store materializes shard group by shard group, not in ascending
-    // input order, so re-establish the token's ascending-index invariant.
-    remaining.sort_unstable();
+    // `remaining` follows the ascending `ids`; the faulted set merges the
+    // carried, quarantined and swept-but-faulted pairs, so re-establish
+    // the token's ascending-index invariant there.
     faulted.sort_unstable();
     all_faults.extend(report.faults.into_iter().map(|mut f| {
         for p in &mut f.pairs {

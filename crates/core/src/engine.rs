@@ -1838,22 +1838,15 @@ impl AlignEngine {
         p: &PackedSeq<S>,
         ctrl: Option<&ScanControl>,
     ) -> Result<EngineOutcome, StopReason> {
-        let mut sup = SupCursor::new(ctrl);
-        let plan = self.cfg.resolve_kernel(q.len(), p.len());
-        match plan.strategy {
-            KernelStrategy::Wavefront => {
-                q.unpack_into(&mut self.q_codes);
-                // The wavefront kernel wants p backwards (contiguous
-                // anti-diagonal reads); unpack it reversed directly.
-                p.unpack_reversed_into(&mut self.p_rev);
-                self.wavefront_codes(plan, &mut sup)
+        let fill = |q_codes: &mut Vec<u8>, p_codes: &mut Vec<u8>, reversed: bool| {
+            q.unpack_into(q_codes);
+            if reversed {
+                p.unpack_reversed_into(p_codes);
+            } else {
+                p.unpack_into(p_codes);
             }
-            _ => {
-                q.unpack_into(&mut self.q_codes);
-                p.unpack_into(&mut self.p_codes);
-                self.rolling_row_codes(&mut sup)
-            }
-        }
+        };
+        self.dispatch((q.len(), p.len()), fill, &mut SupCursor::new(ctrl))
     }
 
     /// Aligns plain sequences (convenience wrapper that packs nothing:
@@ -1863,26 +1856,39 @@ impl AlignEngine {
         q: &rl_bio::Seq<S>,
         p: &rl_bio::Seq<S>,
     ) -> EngineOutcome {
-        let mut sup = SupCursor::new(None);
-        self.q_codes.clear();
-        self.q_codes.extend(q.codes());
-        let plan = self.cfg.resolve_kernel(q.len(), p.len());
-        let outcome = match plan.strategy {
-            KernelStrategy::Wavefront => {
-                self.p_rev.clear();
-                self.p_rev.extend(p.codes());
-                self.p_rev.reverse();
-                self.wavefront_codes(plan, &mut sup)
-            }
-            _ => {
-                self.p_codes.clear();
-                self.p_codes.extend(p.codes());
-                self.rolling_row_codes(&mut sup)
+        let fill = |q_codes: &mut Vec<u8>, p_codes: &mut Vec<u8>, reversed: bool| {
+            q_codes.clear();
+            q_codes.extend(q.codes());
+            p_codes.clear();
+            p_codes.extend(p.codes());
+            if reversed {
+                p_codes.reverse();
             }
         };
-        match outcome {
+        match self.dispatch((q.len(), p.len()), fill, &mut SupCursor::new(None)) {
             Ok(outcome) => outcome,
             Err(_) => unreachable!("an unsupervised alignment cannot stop early"),
+        }
+    }
+
+    /// The one kernel dispatch of a single alignment: resolves the plan
+    /// for an `n × m` pair, has `fill(q_codes, p_codes, reversed)` write
+    /// the codes into the buffers that kernel reads, and runs it. The
+    /// wavefront kernel wants p backwards (contiguous anti-diagonal
+    /// reads), so it gets `p_rev` and `reversed = true`.
+    fn dispatch(
+        &mut self,
+        (n, m): (usize, usize),
+        fill: impl FnOnce(&mut Vec<u8>, &mut Vec<u8>, bool),
+        sup: &mut SupCursor<'_>,
+    ) -> Result<EngineOutcome, StopReason> {
+        let plan = self.cfg.resolve_kernel(n, m);
+        if plan.strategy == KernelStrategy::Wavefront {
+            fill(&mut self.q_codes, &mut self.p_rev, true);
+            self.wavefront_codes(plan, sup)
+        } else {
+            fill(&mut self.q_codes, &mut self.p_codes, false);
+            self.rolling_row_codes(sup)
         }
     }
 
@@ -2011,19 +2017,7 @@ impl AlignEngine {
         } else {
             self.prev[m]
         };
-        let exceeded = match self.cfg.threshold {
-            Some(t) => score_raw > t,
-            None => false,
-        };
-        Ok(EngineOutcome {
-            score: if exceeded {
-                Time::NEVER
-            } else {
-                raw_to_time(score_raw)
-            },
-            cells_computed: cells,
-            early_terminated: exceeded,
-        })
+        Ok(classify_outcome(score_raw, self.cfg.threshold, cells))
     }
 
     /// The max-plus (Smith–Waterman) rolling row: zero boundaries, the

@@ -201,8 +201,9 @@ impl BackoffTimer for SleepTimer {
 pub enum ScanSource<S: Symbol> {
     /// An in-memory packed database.
     Memory(Arc<Vec<PackedSeq<S>>>),
-    /// A persistent store target: lazily verified chunks, corruption
-    /// quarantine, replica fallback, token↔DB content-hash binding.
+    /// A persistent store target: lazily verified and decoded shards,
+    /// corruption quarantine, replica fallback, token↔DB content-hash
+    /// binding.
     Store(Arc<StoreTarget<S>>),
 }
 

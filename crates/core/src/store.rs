@@ -22,6 +22,14 @@
 //!   (hand-rolled [`xxh64`]; no new dependencies). [`PackedStore::open_validated`]
 //!   verifies the header and manifest *eagerly* but chunk checksums
 //!   *lazily at first touch* — cold opens are metadata-only.
+//! - **Decoded-shard cache** — the shard is the unit of decode. Its first
+//!   touch reads and checksums every chunk of the shard, decodes and
+//!   code-checks every entry once, and only then publishes the decoded
+//!   entries; a shard that fails is never cached, so the next touch
+//!   tries again. A scan borrows its pending entries out of the decoded
+//!   shards in input order, exactly as an in-memory scan borrows them
+//!   from its slice, so both plan and sweep the same units. A resumed
+//!   scan that needs one entry of a shard loads all of that shard.
 //! - **Manifest-costed admission** — the manifest records every entry's
 //!   length, so [`estimate_store_scan_cells`] (and therefore
 //!   [`crate::service::ScanService`] admission) prices a query without
@@ -40,7 +48,7 @@
 //!
 //! The layout is mmap-friendly (fixed header, aligned contiguous
 //! payload, self-contained trailer manifest). The reader here uses safe
-//! positioned reads with a chunk-granular lazy cache — the demand-paging
+//! positioned reads with a shard-granular lazy cache — the demand-paging
 //! access pattern of an mmap without `unsafe` (this crate forbids it);
 //! see `docs/ROBUSTNESS.md` for the full on-disk invariants.
 //!
@@ -311,11 +319,12 @@ impl From<std::io::Error> for StoreError {
 /// scan result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreParams {
-    /// Bytes per checksummed payload chunk (the unit of lazy
-    /// verification and of quarantine granularity *within* a shard).
+    /// Bytes per checksummed payload chunk (the unit of checksum
+    /// verification and of failure attribution: a shard's chunks are
+    /// read and verified together, at the shard's first touch).
     pub chunk_size: usize,
-    /// Entries per shard (the unit of quarantine: one corrupt chunk
-    /// quarantines its whole shard).
+    /// Entries per shard (the unit of lazy decode and of quarantine: one
+    /// corrupt chunk quarantines its whole shard).
     pub shard_entries: usize,
 }
 
@@ -584,18 +593,19 @@ impl<'a> Cursor<'a> {
     }
 }
 
-/// One slot of the lazy chunk cache: empty until the chunk's checksum
-/// has verified, then the shared verified bytes.
-type ChunkSlot = Mutex<Option<Arc<Vec<u8>>>>;
+/// One slot of the decoded-shard cache: empty until every chunk of the
+/// shard has verified and every entry has decoded, then the shard's
+/// entries in physical order.
+type ShardSlot<S> = Mutex<Option<Arc<[PackedSeq<S>]>>>;
 
 /// A validated, lazily verified read handle over a store file built by
 /// [`build_store`]; see the [module docs](self) for the design.
 ///
 /// `open_validated` is the only constructor: the superblock and the
 /// manifest are fully verified before it returns (checksums, structural
-/// invariants, content hash), while payload chunks are read and
-/// checksum-verified on first touch — so opening is cheap and
-/// admission-control never touches payload pages
+/// invariants, content hash), while a shard's payload chunks are read,
+/// checksum-verified and decoded on the shard's first touch — so opening
+/// is cheap and admission-control never touches payload pages
 /// ([`PackedStore::chunks_loaded`] stays 0 until a scan runs; tested).
 pub struct PackedStore<S: Symbol> {
     path: PathBuf,
@@ -609,12 +619,11 @@ pub struct PackedStore<S: Symbol> {
     max_len: usize,
     chunk_size: usize,
     content_hash: u64,
-    /// Lazily verified chunk cache, `[shard][chunk]`.
-    cache: Vec<Vec<ChunkSlot>>,
+    /// Lazily verified, decoded shards, `[shard]`.
+    cache: Vec<ShardSlot<S>>,
     chunks_loaded: AtomicU64,
     chunk_cache_hits: AtomicU64,
     verify_failures: AtomicU64,
-    _marker: std::marker::PhantomData<S>,
 }
 
 impl<S: Symbol> std::fmt::Debug for PackedStore<S> {
@@ -896,10 +905,7 @@ impl<S: Symbol> PackedStore<S> {
             })
             .collect::<Result<_, _>>()?;
 
-        let cache = shards
-            .iter()
-            .map(|s| (0..s.chunk_sums.len()).map(|_| Mutex::new(None)).collect())
-            .collect();
+        let cache = shards.iter().map(|_| Mutex::new(None)).collect();
         let max_len = lengths.iter().copied().max().unwrap_or(0);
         Ok(PackedStore {
             path: path.to_path_buf(),
@@ -914,7 +920,6 @@ impl<S: Symbol> PackedStore<S> {
             chunks_loaded: AtomicU64::new(0),
             chunk_cache_hits: AtomicU64::new(0),
             verify_failures: AtomicU64::new(0),
-            _marker: std::marker::PhantomData,
         })
     }
 
@@ -979,6 +984,12 @@ impl<S: Symbol> PackedStore<S> {
         self.input_map[input_index].0
     }
 
+    /// Entry `input_index`'s `(shard, position within the shard)`. A
+    /// replica shares the manifest, so the pair holds there too.
+    pub(crate) fn locate(&self, input_index: usize) -> (usize, usize) {
+        self.input_map[input_index]
+    }
+
     /// The original input indices of shard `shard`'s entries, in
     /// physical order — the pair set a quarantine of this shard faults.
     ///
@@ -1001,14 +1012,18 @@ impl<S: Symbol> PackedStore<S> {
 
     /// Payload chunks read (and checksum-verified) so far — the "page
     /// touches" counter the cold-admission regression test asserts on.
+    /// A shard's chunks are read together when the shard is first
+    /// touched, and again on each touch while it fails verification.
     #[must_use]
     pub fn chunks_loaded(&self) -> u64 {
         self.chunks_loaded.load(Ordering::Relaxed)
     }
 
-    /// Chunk reads served from the in-memory verified cache — the warm
-    /// complement of [`chunks_loaded`](PackedStore::chunks_loaded),
-    /// asserted by the cold-vs-warm store bench.
+    /// Shard touches served from the decoded-shard cache — the warm
+    /// complement of [`chunks_loaded`](PackedStore::chunks_loaded). A
+    /// scan counts one per shard it touches that an earlier touch already
+    /// decoded (0 on a cold scan); [`PackedStore::entry`] counts one per
+    /// call on a decoded shard.
     #[must_use]
     pub fn chunk_cache_hits(&self) -> u64 {
         self.chunk_cache_hits.load(Ordering::Relaxed)
@@ -1024,8 +1039,8 @@ impl<S: Symbol> PackedStore<S> {
 
     /// The absolute file byte range of chunk `chunk` of shard `shard` —
     /// the corruption-injection surface for tests and the soak bench
-    /// (flip a byte inside the range, the next first-touch read of that
-    /// chunk fails its checksum).
+    /// (flip a byte inside the range, and every later load of that
+    /// chunk's shard fails the chunk's checksum).
     ///
     /// # Panics
     ///
@@ -1039,92 +1054,114 @@ impl<S: Symbol> PackedStore<S> {
         (off, len)
     }
 
-    /// Loads (or returns the cached) chunk `chunk` of shard `shard`,
-    /// verifying its checksum at first touch. `store-chunk-read` faults
-    /// and real read errors surface as [`StoreError::Io`]; a checksum
-    /// mismatch as [`StoreError::Corrupt`]. A chunk is cached only
-    /// after verification, so corrupt bytes are never served.
-    fn chunk_data(&self, shard: usize, chunk: usize) -> Result<Arc<Vec<u8>>, StoreError> {
-        let mut slot = self.cache[shard][chunk]
+    /// The decoded entries of shard `shard`, in physical order: served
+    /// from the cache, or on first touch loaded in three steps — read
+    /// every chunk of the shard (each under the `store-chunk-read`
+    /// failpoint) and verify its checksum, decode every entry's words
+    /// and check its codes with [`PackedSeq::try_from_words`], and only
+    /// then publish the slice. The `store-mmap` failpoint sits before the
+    /// reads, once per decode. Injected faults and read errors surface as
+    /// [`StoreError::Io`] (or [`StoreError::Truncated`]), a checksum or
+    /// code mismatch as [`StoreError::Corrupt`]; a failed load publishes
+    /// nothing, so corrupt bytes are never served and the next touch
+    /// tries again.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard >= self.shard_count()`.
+    pub(crate) fn shard(&self, shard: usize) -> Result<Arc<[PackedSeq<S>]>, StoreError> {
+        let mut slot = self.cache[shard]
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(data) = &*slot {
+        if let Some(entries) = &*slot {
             self.chunk_cache_hits.fetch_add(1, Ordering::Relaxed);
             telemetry::count(&telemetry::metrics::STORE_CHUNK_CACHE_HITS, 1);
-            return Ok(Arc::clone(data));
+            return Ok(Arc::clone(entries));
         }
-        let (off, len) = self.chunk_file_range(shard, chunk);
-        let read = || -> Result<Vec<u8>, StoreError> {
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| fp_hit("store-mmap"))) {
+            return Err(StoreError::Io {
+                context: format!("store-mmap fault: {}", panic_message(&*payload)),
+            });
+        }
+        let meta = &self.shards[shard];
+        // The manifest was validated at open: the payload length fits
+        // the file and the entries tile it exactly.
+        let mut bytes = vec![0_u8; meta.payload_len as usize];
+        for (chunk, buf) in bytes.chunks_mut(self.chunk_size).enumerate() {
+            self.read_chunk(shard, chunk, buf)?;
+        }
+        let per_word = PackedSeq::<S>::symbols_per_word();
+        let entries = meta
+            .entries
+            .iter()
+            .map(|e| {
+                let start = e.byte_off as usize;
+                let end = start + e.len.div_ceil(per_word) * 8;
+                let words = bytes[start..end].chunks_exact(8).map(read_u64_le).collect();
+                PackedSeq::try_from_words(words, e.len).map_err(|_| {
+                    // A checksum-clean chunk decoding to invalid codes
+                    // means the manifest and payload disagree: attribute
+                    // it to the entry's first chunk like any other
+                    // payload corruption.
+                    let chunk = start / self.chunk_size;
+                    self.note_verify_failure(shard, chunk);
+                    StoreError::Corrupt { shard, chunk }
+                })
+            })
+            .collect::<Result<Arc<[_]>, _>>()?;
+        *slot = Some(Arc::clone(&entries));
+        Ok(entries)
+    }
+
+    /// Reads chunk `chunk` of shard `shard` into `buf` (exactly the
+    /// chunk's length) and verifies its checksum. `store-chunk-read`
+    /// faults and real read errors surface as [`StoreError::Io`]; a
+    /// checksum mismatch as [`StoreError::Corrupt`].
+    fn read_chunk(&self, shard: usize, chunk: usize, buf: &mut [u8]) -> Result<(), StoreError> {
+        let (off, _) = self.chunk_file_range(shard, chunk);
+        let read = || -> Result<(), StoreError> {
             fp_hit("store-chunk-read");
-            let mut buf = vec![0_u8; len];
             let mut file = self
                 .file
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             file.seek(SeekFrom::Start(off))?;
-            file.read_exact(&mut buf)
-                .map_err(|_| StoreError::Truncated {
-                    context: format!("shard {shard} chunk {chunk}"),
-                })?;
-            Ok(buf)
+            file.read_exact(buf).map_err(|_| StoreError::Truncated {
+                context: format!("shard {shard} chunk {chunk}"),
+            })
         };
-        let buf = match catch_unwind(AssertUnwindSafe(read)) {
+        match catch_unwind(AssertUnwindSafe(read)) {
             Ok(res) => res?,
             Err(payload) => {
                 return Err(StoreError::Io {
                     context: format!("store-chunk-read fault: {}", panic_message(&*payload)),
                 })
             }
-        };
-        if xxh64(&buf, CHUNK_SEED) != self.shards[shard].chunk_sums[chunk] {
+        }
+        if xxh64(buf, CHUNK_SEED) != self.shards[shard].chunk_sums[chunk] {
             self.note_verify_failure(shard, chunk);
             return Err(StoreError::Corrupt { shard, chunk });
         }
         self.chunks_loaded.fetch_add(1, Ordering::Relaxed);
         telemetry::count(&telemetry::metrics::STORE_CHUNKS_LOADED, 1);
-        let data = Arc::new(buf);
-        *slot = Some(Arc::clone(&data));
-        Ok(data)
+        Ok(())
     }
 
-    /// Materializes entry `input_index` as a validated [`PackedSeq`],
-    /// loading (and verifying) exactly the chunks its bytes span. The
-    /// `store-mmap` failpoint sits at the top — the mapping-failure
-    /// injection site.
+    /// Entry `input_index` as a validated [`PackedSeq`]: a clone out of
+    /// its decoded shard, so the first call on a shard loads, verifies
+    /// and decodes the whole shard (see the [module docs](self)).
+    ///
+    /// # Errors
+    ///
+    /// The shard load's [`StoreError`]: an I/O or injected fault, a
+    /// truncated file, or a chunk that failed its checksum.
     ///
     /// # Panics
     ///
     /// Panics if `input_index >= self.len()`.
     pub fn entry(&self, input_index: usize) -> Result<PackedSeq<S>, StoreError> {
         let (shard, pos) = self.input_map[input_index];
-        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| fp_hit("store-mmap"))) {
-            return Err(StoreError::Io {
-                context: format!("store-mmap fault: {}", panic_message(&*payload)),
-            });
-        }
-        let meta = &self.shards[shard].entries[pos];
-        let per_word = PackedSeq::<S>::symbols_per_word();
-        let word_count = meta.len.div_ceil(per_word);
-        let start = meta.byte_off as usize;
-        let mut bytes = Vec::with_capacity(word_count * 8);
-        let mut chunk = start / self.chunk_size;
-        let mut pos_in = start % self.chunk_size;
-        while bytes.len() < word_count * 8 {
-            let data = self.chunk_data(shard, chunk)?;
-            let take = (word_count * 8 - bytes.len()).min(data.len() - pos_in);
-            bytes.extend_from_slice(&data[pos_in..pos_in + take]);
-            chunk += 1;
-            pos_in = 0;
-        }
-        let words: Vec<u64> = bytes.chunks_exact(8).map(read_u64_le).collect();
-        PackedSeq::try_from_words(words, meta.len).map_err(|_| {
-            // A checksum-clean chunk decoding to invalid codes means the
-            // manifest and payload disagree: attribute it to the entry's
-            // first chunk like any other payload corruption.
-            let chunk = start / self.chunk_size;
-            self.note_verify_failure(shard, chunk);
-            StoreError::Corrupt { shard, chunk }
-        })
+        Ok(self.shard(shard)?[pos].clone())
     }
 
     /// Accounts one integrity failure: the per-store counter, the global
@@ -1235,90 +1272,81 @@ pub fn scan_store_topk_resumable<S: Symbol>(
     )
 }
 
-/// What [`materialize_pending`] hands back: the materialized
-/// `(input index, sequence)` pairs, the ledger faults, and the input
-/// indices lost to quarantine.
-type Materialized<S> = (Vec<(usize, PackedSeq<S>)>, Vec<Fault>, Vec<usize>);
+/// What [`materialize_pending`] hands back: per shard, the decoded
+/// entries that serve its pending pairs (`None` for a shard with no
+/// pending pair or one lost to quarantine), the ledger faults, and the
+/// input indices lost to quarantine.
+type Materialized<S> = (Vec<Option<Arc<[PackedSeq<S>]>>>, Vec<Fault>, Vec<usize>);
 
-/// Materializes the pending entries of one scan segment, shard group by
-/// shard group, applying the quarantine ladder: primary → first healthy
-/// replica → faulted (retryable). Each group's load is traced (with the
+/// Materializes the shards that hold the pending entries of one scan
+/// segment, in shard order, applying the quarantine ladder to each:
+/// primary → first healthy replica → faulted (retryable). A replica
+/// shares the primary's manifest, so the served shard is indexed by the
+/// same `(shard, position)`. Each shard's load is traced (with the
 /// chunk-load / cache-hit deltas it caused) into `ctrl`'s timeline, and
 /// an unrecovered quarantine triggers a flight-recorder dump. The
-/// store-specific step of [`scan`]'s segment runner.
+/// store-specific step of [`scan`]'s segment runner, which then borrows
+/// the pending entries out of the served shards in input order.
 pub(crate) fn materialize_pending<S: Symbol>(
     target: &StoreTarget<S>,
     ids: &[usize],
     ctrl: &ScanControl,
 ) -> Materialized<S> {
-    let mut out: Vec<(usize, PackedSeq<S>)> = Vec::with_capacity(ids.len());
+    let store = target.store();
+    let mut served = vec![None; store.shard_count()];
     let mut faults: Vec<Fault> = Vec::new();
     let mut lost: Vec<usize> = Vec::new();
 
-    // Group the pending ids by primary shard so one corrupt chunk
-    // quarantines exactly its shard's pending pairs, with one ledger
-    // entry per shard (BTreeMap: deterministic shard order).
-    let mut groups: std::collections::BTreeMap<usize, Vec<usize>> =
-        std::collections::BTreeMap::new();
+    // Pending entries per shard: one corrupt chunk quarantines exactly
+    // its shard's pending pairs, with one ledger entry per shard.
+    let mut pending = vec![0_usize; store.shard_count()];
     for &id in ids {
-        groups
-            .entry(target.store().shard_of(id))
-            .or_default()
-            .push(id);
+        pending[store.shard_of(id)] += 1;
     }
 
-    for (shard, members) in groups {
-        let loads_before = target.store().chunks_loaded();
-        let hits_before = target.store().chunk_cache_hits();
-        let mut group_out = Vec::with_capacity(members.len());
-        let mut primary_err = None;
-        for &id in &members {
-            match target.store().entry(id) {
-                Ok(seq) => group_out.push((id, seq)),
-                Err(e) => {
-                    primary_err = Some(e);
-                    break;
-                }
-            }
-        }
-        let Some(err) = primary_err else {
-            ctrl.trace(|| TraceEvent::StoreShardLoaded {
-                shard: shard as u64,
-                entries: group_out.len() as u64,
-                chunks_loaded: target.store().chunks_loaded() - loads_before,
-                cache_hits: target.store().chunk_cache_hits() - hits_before,
-            });
-            out.append(&mut group_out);
+    for (shard, &count) in pending.iter().enumerate() {
+        if count == 0 {
             continue;
+        }
+        let loads_before = store.chunks_loaded();
+        let hits_before = store.chunk_cache_hits();
+        let err = match store.shard(shard) {
+            Ok(entries) => {
+                ctrl.trace(|| TraceEvent::StoreShardLoaded {
+                    shard: shard as u64,
+                    entries: count as u64,
+                    chunks_loaded: store.chunks_loaded() - loads_before,
+                    cache_hits: store.chunk_cache_hits() - hits_before,
+                });
+                served[shard] = Some(entries);
+                continue;
+            }
+            Err(e) => e,
         };
         telemetry::count(&telemetry::metrics::STORE_QUARANTINES, 1);
-        // Quarantine: discard everything this shard already yielded
-        // (its payload is suspect as a unit) and try each replica for
-        // the whole group.
-        let mut served = None;
-        for (ri, replica) in target.replicas.iter().enumerate() {
-            let attempt: Result<Vec<_>, StoreError> = members
-                .iter()
-                .map(|&id| replica.entry(id).map(|seq| (id, seq)))
-                .collect();
-            if let Ok(seqs) = attempt {
-                served = Some((ri, seqs));
-                break;
-            }
-        }
-        match served {
-            Some((ri, mut seqs)) => {
+        let members: Vec<usize> = ids
+            .iter()
+            .copied()
+            .filter(|&id| store.shard_of(id) == shard)
+            .collect();
+        let replica = target
+            .replicas
+            .iter()
+            .enumerate()
+            .find_map(|(ri, replica)| replica.shard(shard).ok().map(|entries| (ri, entries)));
+        match replica {
+            Some((ri, entries)) => {
                 ctrl.trace(|| TraceEvent::StoreQuarantine {
                     shard: shard as u64,
                     recovered: true,
                 });
                 faults.push(Fault::new(
                     "store-chunk-read",
-                    members.clone(),
+                    members,
                     true,
                     format!("shard {shard} quarantined ({err}); served by replica {ri}"),
                 ));
-                out.append(&mut seqs);
+                served[shard] = Some(entries);
             }
             None => {
                 ctrl.trace(|| TraceEvent::StoreQuarantine {
@@ -1337,7 +1365,7 @@ pub(crate) fn materialize_pending<S: Symbol>(
             }
         }
     }
-    (out, faults, lost)
+    (served, faults, lost)
 }
 
 #[cfg(test)]

@@ -641,8 +641,8 @@ pub mod failpoint {
     //! | `watchdog-heartbeat` | service worker, before each segment | heartbeat stall → watchdog trip → `StopReason::Watchdog` |
     //! | `store-write` | store build, between payload and manifest write | torn write: temp file abandoned, destination untouched |
     //! | `store-open` | top of `PackedStore::open_validated` | EIO on open → typed `StoreError::Io` |
-    //! | `store-chunk-read` | lazy chunk load, before the file read | EIO on read → shard quarantine → replica/retry ladder |
-    //! | `store-mmap` | entry materialization, before chunk mapping | mapping failure → shard quarantine → replica/retry ladder |
+    //! | `store-chunk-read` | lazy shard load, before each chunk's file read | EIO on read → shard quarantine → replica/retry ladder |
+    //! | `store-mmap` | lazy shard load, once per shard decode, before its chunk reads | mapping failure → shard quarantine → replica/retry ladder |
     //!
     //! The registry is process-global: tests that arm sites must
     //! serialize on [`lock_for_test`] and disarm in every exit path

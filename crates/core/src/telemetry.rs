@@ -765,15 +765,16 @@ pub enum TraceEvent {
         /// Pairs pending at resume time.
         pending: u64,
     },
-    /// A store shard group was materialized for a segment.
+    /// A store shard served a segment's pending entries.
     StoreShardLoaded {
         /// Shard index.
         shard: u64,
-        /// Entries decoded from the shard in this group.
+        /// The segment's pending entries the shard serves.
         entries: u64,
-        /// Chunks decoded from disk during the load.
+        /// Chunks read and verified from disk during the load (0 when
+        /// the decoded shard was cached).
         chunks_loaded: u64,
-        /// Chunk reads served from the cache during the load.
+        /// Decoded-shard cache hits during the load (1 when cached).
         cache_hits: u64,
     },
     /// A store chunk failed checksum verification.

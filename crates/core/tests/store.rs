@@ -86,7 +86,7 @@ fn flip_byte(path: &std::path::Path, offset: u64, mask: u8) {
     f.write_all(&b).unwrap();
 }
 
-/// Cold (first scan after open) and warm (chunk cache populated) store
+/// Cold (first scan after open) and warm (decoded shards cached) store
 /// scans both return the in-memory scan's hits; opening touches no
 /// payload, the warm scan is served from the cache, and a pristine
 /// store never fails verification.
@@ -137,6 +137,175 @@ fn store_scan_is_byte_identical_to_in_memory_scan() {
             assert_eq!(&target.store().entry(i).expect("entry"), e);
         }
     }
+}
+
+/// A healthy store scan lends the same entries in the same (input)
+/// order as the in-memory scan, so it plans and sweeps the same units.
+/// Small chunks make entries straddle chunk boundaries. At one worker
+/// the whole `ScanOutcome` is equal: hits, completed pairs, abandons,
+/// cells and the (empty) ledger. This holds under fig4 global,
+/// bit-parallel Levenshtein semi-global and global affine. At 2 and 4
+/// workers, interleaving decides which non-hits abandon, so only the
+/// hits and completed pairs are compared.
+#[test]
+fn store_scan_sweeps_like_the_in_memory_scan() {
+    let params = StoreParams {
+        chunk_size: 32,
+        shard_entries: 5,
+    };
+    let cfgs = [
+        AlignConfig::new(RaceWeights::fig4()),
+        AlignConfig::new(RaceWeights::levenshtein()).with_mode(AlignMode::SemiGlobal),
+        AlignConfig::new(RaceWeights::fig4())
+            .with_mode(AlignMode::GlobalAffine(AffineWeights { open: 2 })),
+    ];
+    for (mi, cfg) in cfgs.iter().enumerate() {
+        let (query, database) = ragged_db(200 + mi as u64, 23, 40);
+        let (path, _guard) = tmp_store("same_units");
+        build_store(&path, &database, &params).expect("build");
+        let target = StoreTarget::new(Arc::new(
+            PackedStore::<Dna>::open_validated(&path).expect("open"),
+        ));
+        for workers in [1, 2, 4] {
+            let run = |entries| {
+                scan(
+                    cfg,
+                    &query,
+                    entries,
+                    4,
+                    None,
+                    Some(workers),
+                    &ScanControl::new(),
+                )
+                .expect("valid request")
+            };
+            let (memory, _) = run(ScanEntries::Memory(&database));
+            let (stored, token) = run(ScanEntries::Store(&target));
+            assert!(token.is_none(), "mode {mi} workers {workers}");
+            assert!(stored.is_complete(), "mode {mi} workers {workers}");
+            if workers == 1 {
+                assert_eq!(stored, memory, "mode {mi}");
+            } else {
+                assert_eq!(stored.hits, memory.hits, "mode {mi} workers {workers}");
+                assert_eq!(
+                    stored.completed_pairs, memory.completed_pairs,
+                    "mode {mi} workers {workers}"
+                );
+            }
+        }
+    }
+}
+
+/// The decoded-shard cache. A cold full scan loads every chunk once and
+/// hits nothing; a warm one loads nothing and hits once per shard. A
+/// shard with a flipped chunk is never published: each scan re-reads its
+/// verified chunks, fails the bad one once and ledgers a quarantine. A
+/// pristine replica then serves that shard, and only that shard, with
+/// the in-memory hits.
+#[test]
+fn decoded_shard_cache_publishes_only_verified_shards() {
+    let (query, database) = ragged_db(52, 20, 40);
+    let params = StoreParams {
+        chunk_size: 16,
+        shard_entries: 4,
+    };
+    let (path, _guard) = tmp_store("decoded_primary");
+    let (rpath, _rguard) = tmp_store("decoded_replica");
+    build_store(&path, &database, &params).expect("build");
+    std::fs::copy(&path, &rpath).expect("copy replica");
+    let cfg = AlignConfig::new(RaceWeights::fig4());
+    let baseline = scan_packed_topk_with(&cfg, &query, &database, 3, Some(2));
+    let run = |target: &StoreTarget<Dna>| {
+        scan_store_topk_resumable(&cfg, &query, target, 3, Some(2), &ScanControl::new())
+            .expect("valid request")
+            .0
+    };
+
+    let healthy = StoreTarget::new(Arc::new(
+        PackedStore::<Dna>::open_validated(&path).expect("open"),
+    ));
+    let store = healthy.store();
+    let shards = store.shard_count();
+    let chunks: u64 = (0..shards).map(|s| store.shard_chunk_count(s) as u64).sum();
+    assert_eq!(run(&healthy).hits, baseline.hits);
+    assert_eq!(store.chunks_loaded(), chunks, "cold: every chunk once");
+    assert_eq!(store.chunk_cache_hits(), 0, "cold: nothing decoded yet");
+    assert_eq!(run(&healthy).hits, baseline.hits);
+    assert_eq!(store.chunks_loaded(), chunks, "warm: no chunk re-read");
+    assert_eq!(
+        store.chunk_cache_hits(),
+        shards as u64,
+        "warm: one hit per shard"
+    );
+
+    // Flip the last chunk of the longest shard, so its earlier chunks
+    // verify before the bad one fails.
+    let bad_shard = shards - 1;
+    let bad_chunks = store.shard_chunk_count(bad_shard);
+    assert!(bad_chunks >= 2, "the shard must span several chunks");
+    let mut victims: Vec<usize> = store.shard_members(bad_shard).collect();
+    victims.sort_unstable();
+    let (off, _) = store.chunk_file_range(bad_shard, bad_chunks - 1);
+    flip_byte(&path, off, 0x01);
+
+    let corrupt = StoreTarget::new(Arc::new(
+        PackedStore::<Dna>::open_validated(&path).expect("reopen"),
+    ));
+    let store = corrupt.store();
+    for round in 0..2 {
+        let (loaded, failures) = (store.chunks_loaded(), store.verify_failures());
+        let outcome = run(&corrupt);
+        assert_eq!(store.verify_failures() - failures, 1, "round {round}");
+        let healthy_chunks = if round == 0 {
+            chunks - bad_chunks as u64
+        } else {
+            0
+        };
+        assert_eq!(
+            store.chunks_loaded() - loaded,
+            healthy_chunks + bad_chunks as u64 - 1,
+            "round {round}: the bad shard's verified chunks are re-read, never cached"
+        );
+        assert_eq!(outcome.faulted_pairs, victims.len(), "round {round}");
+        let quarantines: Vec<_> = outcome
+            .faults
+            .iter()
+            .filter(|f| f.site == "store-chunk-read")
+            .collect();
+        assert_eq!(quarantines.len(), 1, "round {round}");
+        assert!(!quarantines[0].recovered);
+        assert_eq!(quarantines[0].pairs, victims);
+    }
+
+    let replica = Arc::new(PackedStore::<Dna>::open_validated(&rpath).expect("open replica"));
+    let recovered = StoreTarget::new(Arc::new(
+        PackedStore::<Dna>::open_validated(&path).expect("reopen"),
+    ))
+    .with_replica(Arc::clone(&replica))
+    .expect("same content hash");
+    for round in 0..2 {
+        let outcome = run(&recovered);
+        assert!(outcome.is_complete(), "round {round}");
+        assert_eq!(outcome.hits, baseline.hits, "round {round}");
+        let fault = outcome
+            .faults
+            .iter()
+            .find(|f| f.site == "store-chunk-read")
+            .expect("recovered quarantine ledgered");
+        assert!(fault.recovered);
+        assert_eq!(fault.pairs, victims);
+    }
+    assert_eq!(
+        replica.chunks_loaded(),
+        bad_chunks as u64,
+        "the replica decodes only the quarantined shard"
+    );
+    assert_eq!(
+        replica.chunk_cache_hits(),
+        1,
+        "and serves it warm the second time"
+    );
+    assert_eq!(recovered.store().verify_failures(), 2);
 }
 
 #[test]
