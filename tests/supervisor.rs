@@ -13,7 +13,8 @@ use race_logic::early_termination::{
     scan, scan_packed_topk_resumable, scan_packed_topk_with, ScanEntries, TopKScan,
 };
 use race_logic::engine::{
-    align_batch, AffineWeights, AlignConfig, AlignEngine, AlignMode, LaneWidth, LocalScores,
+    align_batch, AffineWeights, AlignConfig, AlignEngine, AlignMode, KernelStrategy, LaneWidth,
+    LocalScores,
 };
 use race_logic::supervisor::{ScanControl, StopReason};
 use race_logic::AlignError;
@@ -309,6 +310,89 @@ fn cells_budget_stops_mid_scan_with_exact_accounting() {
             outcome.completed_pairs + outcome.faulted_pairs + outcome.remaining_pairs(),
             outcome.total_pairs
         );
+    }
+}
+
+/// In-band cells of each anti-diagonal `d = 1 ..= n + m` of an `n × m`
+/// grid (`|i − j| ≤ band` when banded), counted cell by cell.
+fn diagonal_cells(n: usize, m: usize, band: Option<usize>) -> Vec<u64> {
+    (1..=n + m)
+        .map(|d| {
+            (0..=n.min(d))
+                .filter(|&i| d - i <= m && band.is_none_or(|k| i.abs_diff(d - i) <= k))
+                .count() as u64
+        })
+        .collect()
+}
+
+/// The per-pair wavefront's checkpoint contract, in every mode it
+/// serves: one checkpoint per anti-diagonal, after the diagonal is
+/// computed, charging its in-band cells (the root cell on diagonal 0 is
+/// never charged). A cells budget `b` therefore stops the call at the
+/// first diagonal whose prefix sum reaches `b`, with exactly that sum
+/// spent, and a cancelled control stops at the first checkpoint,
+/// before the second diagonal.
+#[test]
+fn per_pair_wavefront_checkpoints_every_diagonal() {
+    let mut rng = seeded_rng(0xC4EC);
+    let (n, m) = (40, 47);
+    let q = PackedSeq::from_seq(&Seq::<Dna>::random(&mut rng, n));
+    let p = PackedSeq::from_seq(&Seq::<Dna>::random(&mut rng, m));
+    let modes = [
+        AlignMode::Global,
+        AlignMode::Local(LocalScores::unit()),
+        AlignMode::GlobalAffine(AffineWeights { open: 2 }),
+    ];
+    for mode in modes {
+        for band in [None, Some(16)] {
+            for floor in [LaneWidth::U8, LaneWidth::U64] {
+                let mut cfg = AlignConfig::new(RaceWeights::fig4())
+                    .with_mode(mode)
+                    .with_strategy(KernelStrategy::Wavefront)
+                    .with_lane_floor(floor);
+                if let Some(k) = band {
+                    cfg = cfg.with_band(k);
+                }
+                let label = format!("{mode} band {band:?} floor {floor}");
+                let per_diag = diagonal_cells(n, m, band);
+                let prefix: Vec<u64> = per_diag
+                    .iter()
+                    .scan(0, |s, &c| {
+                        *s += c;
+                        Some(*s)
+                    })
+                    .collect();
+                let total = *prefix.last().expect("non-empty grid");
+                let mut engine = AlignEngine::new(cfg);
+
+                let free = ScanControl::new();
+                let done = engine.align_supervised(&q, &p, &free).expect(&label);
+                assert_eq!(done.cells_computed, total + 1, "{label}");
+                assert_eq!(free.cells_spent(), total, "{label}");
+
+                for b in [1, 2, per_diag[0] + 1, total / 3, total / 2 + 1, total] {
+                    let ctrl = ScanControl::new().with_cells_budget(b);
+                    assert_eq!(
+                        engine.align_supervised(&q, &p, &ctrl),
+                        Err(AlignError::BudgetExhausted),
+                        "{label} budget {b}"
+                    );
+                    let reached = prefix.iter().find(|&&s| s >= b).expect("budget ≤ total");
+                    assert_eq!(ctrl.cells_spent(), *reached, "{label} budget {b}");
+                }
+
+                let cancelled = ScanControl::new();
+                cancelled.cancel();
+                assert_eq!(
+                    engine.align_supervised(&q, &p, &cancelled),
+                    Err(AlignError::Interrupted {
+                        reason: StopReason::Cancelled
+                    }),
+                    "{label}"
+                );
+                assert_eq!(cancelled.cells_spent(), per_diag[0], "{label}");
+            }
+        }
     }
 }
 
