@@ -11,6 +11,10 @@
 //! - `align_batch`: the inter-pair **striped batch kernel** (each SIMD
 //!   lane a different pair) fanned out across cores.
 //!
+//! Two more groups sweep the alignment modes: the striped batch at
+//! 64 bp, and the per-pair wavefront at 256² and 1024², unbanded and at
+//! band 16 (`per_pair_wavefront`).
+//!
 //! Every path computes identical scores (`tests/conformance.rs`); the
 //! kernels and their layouts are described in `docs/KERNELS.md`.
 
@@ -158,10 +162,75 @@ fn bench_mode_sweep(c: &mut Criterion) {
     group.finish();
 }
 
+/// Per-pair wavefront: pinned-`Wavefront` `AlignEngine::align` at a
+/// `u32` lane floor on 64 random DNA pairs of shape `n × (n + 7)`, per
+/// mode, unbanded and at band 16 (affine at 256² also under a
+/// threshold of 300) — the per-pair table of `docs/KERNELS.md`. Local
+/// and affine pairs run the 1-lane stripe sweep, linear ones the
+/// span-relative kernel.
+fn bench_per_pair_wavefront(c: &mut Criterion) {
+    use race_logic::engine::{AffineWeights, AlignMode, LaneWidth, LocalScores};
+    const PER_PAIR: usize = 64;
+
+    for n in [256_usize, 1024] {
+        let mut rng = seeded_rng(0xF164 ^ n as u64);
+        let packed: Vec<(PackedSeq<Dna>, PackedSeq<Dna>)> = (0..PER_PAIR)
+            .map(|_| {
+                (
+                    PackedSeq::from_seq(&Seq::<Dna>::random(&mut rng, n)),
+                    PackedSeq::from_seq(&Seq::<Dna>::random(&mut rng, n + 7)),
+                )
+            })
+            .collect();
+        let mut group = c.benchmark_group(format!("per_pair_wavefront/{PER_PAIR}x{n}x{}", n + 7));
+        group.sample_size(10);
+        group.throughput(Throughput::Elements(PER_PAIR as u64));
+        for mode in [
+            AlignMode::Global,
+            AlignMode::Local(LocalScores::unit()),
+            AlignMode::GlobalAffine(AffineWeights { open: 2 }),
+        ] {
+            let thresholds: &[Option<u64>] = match mode {
+                AlignMode::GlobalAffine(_) if n == 256 => &[None, Some(300)],
+                _ => &[None],
+            };
+            for band in [None, Some(16)] {
+                for &threshold in thresholds {
+                    let mut cfg = AlignConfig::new(RaceWeights::fig4())
+                        .with_mode(mode)
+                        .with_strategy(KernelStrategy::Wavefront)
+                        .with_lane_floor(LaneWidth::U32);
+                    let mut label = mode.to_string();
+                    if let Some(k) = band {
+                        cfg = cfg.with_band(k);
+                        label += &format!("/band={k}");
+                    }
+                    if let Some(t) = threshold {
+                        cfg = cfg.with_threshold(t);
+                        label += &format!("/threshold={t}");
+                    }
+                    group.bench_function(label, |b| {
+                        let mut engine = AlignEngine::new(cfg);
+                        b.iter(|| {
+                            let mut acc = 0_u64;
+                            for (q, p) in &packed {
+                                acc += engine.align(q, p).cells_computed;
+                            }
+                            black_box(acc)
+                        });
+                    });
+                }
+            }
+        }
+        group.finish();
+    }
+}
+
 criterion_group!(
     benches,
     bench_batch_throughput,
     bench_ragged,
-    bench_mode_sweep
+    bench_mode_sweep,
+    bench_per_pair_wavefront
 );
 criterion_main!(benches);

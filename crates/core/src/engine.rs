@@ -79,6 +79,7 @@ use rl_temporal::Time;
 use crate::alignment::RaceWeights;
 use crate::error::AlignError;
 use crate::simd::{self, KernelWord, LaneWeights};
+use crate::striped::{stripe_sweep_affine, stripe_sweep_local, StripeThreshold};
 use crate::supervisor::{ScanControl, StopReason, SupCursor};
 
 /// `+∞` in the kernel's raw representation (identical to the bit pattern
@@ -168,7 +169,7 @@ impl std::fmt::Display for KernelStrategy {
 /// (max instead of min) with unsigned *saturating subtraction* as the
 /// zero-reset. The same kernel words, buffers and traversal orders
 /// apply; only the per-cell arithmetic flips
-/// ([`crate::simd::diag_update_local`]).
+/// ([`crate::simd::diag_update_local_lanes`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LocalScores {
     /// Bonus added on a matching diagonal step.
@@ -1345,110 +1346,9 @@ fn wavefront_score<W: KernelWord>(
     Ok(classify_outcome(score_raw, threshold, cells))
 }
 
-/// The score-only **local** (max-plus Smith–Waterman) wavefront kernel:
-/// the three-buffer anti-diagonal sweep of [`wavefront_score`], racing
-/// the AND-type dual — max instead of min, saturating subtraction as the
-/// zero-reset ([`crate::simd::diag_update_local`]).
-///
-/// Unlike [`wavefront_score`], the local and affine kernels index their
-/// buffers by **absolute row** `i` (`n + 1` cells each). Buffer hygiene:
-/// a buffer holds diagonal `d` and is read while computing diagonals
-/// `d + 1` (rows `lo(d+1) − 1 ..= hi(d+1)`) and `d + 2` (rows
-/// `lo(d+2) − 1 ..= hi(d+2) − 1`). Because `lo` and `hi` are
-/// non-decreasing in `d` and grow by at most one per diagonal, every
-/// such read lands in `lo(d) − 1 ..= hi(d) + 1` — so it suffices to
-/// reset that one-cell padding around the written span (stale values
-/// further out are never read).
-///
-/// Boundary and padding values are `0`, not `+∞`: in Smith–Waterman a
-/// missing neighbour *is* a fresh start (`H ≥ 0` everywhere, and
-/// reading an out-of-band cell as `0` is exactly the textbook banded
-/// convention of treating unbuilt cells as empty alignments), so the
-/// same one-cell padding discipline holds with `ZERO` in `INF`'s place.
-/// The readout is the running **maximum** over every computed cell —
-/// the best-cell register the hardware's paper-§6 threshold comparator
-/// would watch, accumulated per segment by `diag_update_local`. No
-/// early termination: an abandon is a lower-bound proof, which the
-/// max-plus dual has no analogue of (callers gate on the returned best
-/// instead).
-fn wavefront_local<W: KernelWord>(
-    q_codes: &[u8],
-    p_rev: &[u8],
-    s: LocalScores,
-    band: Option<usize>,
-    bufs: &mut [Vec<W>; 3],
-    sup: &mut SupCursor<'_>,
-) -> Result<EngineOutcome, StopReason> {
-    let (n, m) = (q_codes.len(), p_rev.len());
-    let lw = LaneWeights {
-        matched: W::clamp_raw(s.matched),
-        mismatched: W::clamp_raw(s.mismatched),
-        indel: W::clamp_raw(s.gap),
-    };
-    for b in bufs.iter_mut() {
-        b.clear();
-        b.resize(n + 1, W::ZERO);
-    }
-
-    let mut cells = 1_u64; // the root cell (0, 0), value 0
-    let mut best = W::ZERO;
-
-    for d in 1..=(n + m) {
-        let (cur, d1, d2) = rotate_bufs(bufs, d);
-        let (lo, hi) = diag_range(d, n, m, band);
-        if lo > hi {
-            // Band-empty diagonal: later reads must see fresh starts.
-            let clo = lo.saturating_sub(1).min(n);
-            let chi = (hi + 1).min(n);
-            if clo <= chi {
-                cur[clo..=chi].fill(W::ZERO);
-            }
-            sup.tick(0)?;
-            continue;
-        }
-        // One-cell zero padding around the written span.
-        if lo > 0 {
-            cur[lo - 1] = W::ZERO;
-        }
-        if hi < n {
-            cur[hi + 1] = W::ZERO;
-        }
-        // Boundary cells: empty local alignments, value 0.
-        if lo == 0 {
-            cur[0] = W::ZERO;
-        }
-        if hi == d {
-            cur[d] = W::ZERO;
-        }
-        let ilo = lo.max(1);
-        let ihi = hi.min(d - 1);
-        if ilo <= ihi {
-            let len = ihi - ilo + 1;
-            let seg_max = simd::diag_update_local(
-                &d1[ilo - 1..ilo - 1 + len],
-                &d1[ilo..ilo + len],
-                &d2[ilo - 1..ilo - 1 + len],
-                &q_codes[ilo - 1..ilo - 1 + len],
-                &p_rev[m + ilo - d..m + ilo - d + len],
-                lw,
-                &mut cur[ilo..ilo + len],
-            );
-            best = best.max(seg_max);
-        }
-        cells += (hi - lo + 1) as u64;
-        sup.tick((hi - lo + 1) as u64)?;
-    }
-
-    Ok(EngineOutcome {
-        score: raw_to_time(best.to_raw()),
-        cells_computed: cells,
-        early_terminated: false,
-    })
-}
-
-/// Per-plane diagonal scratch of the affine wavefront kernel: three
-/// rotating buffers for each of the M / Ix / Iy planes at one lane
-/// width.
+/// Per-plane diagonal scratch of the affine stripe sweep (a per-pair
+/// affine wavefront is its 1-lane form): three rotating buffers for
+/// each of the M / Ix / Iy planes at one lane width.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct AffineDiagScratch<W> {
     pub(crate) m: [Vec<W>; 3],
@@ -1528,164 +1428,18 @@ impl DiagWord for u64 {
     }
 }
 
-/// The score-only **affine-gap** (Gotoh) wavefront kernel: the "three
-/// racing planes with cross-plane edges" layout — three diagonal-buffer
-/// rotations (one per plane) advanced in lockstep, with the cross-plane
-/// mins fused into one pass per diagonal
-/// ([`crate::simd::affine_diag_update`]). Every plane follows the
-/// absolute-row indexing, padding and hygiene rules of
-/// [`wavefront_local`], padding with `+∞`; the frontier minimum for
-/// early termination is taken across all three planes (sound for the
-/// reason [`wavefront_score`] gives, because an alignment path visits
-/// exactly one plane state per crossed cell, and all weights including
-/// `open` are non-negative).
-/// `cells_computed` counts grid *positions*, not plane states, so
-/// affine cell counts are comparable with the linear modes'.
-#[allow(clippy::too_many_arguments)]
-fn wavefront_affine<W: KernelWord>(
-    q_codes: &[u8],
-    p_rev: &[u8],
-    w: RawWeights,
-    open: u64,
-    band: Option<usize>,
-    threshold: Option<u64>,
-    scratch: &mut AffineDiagScratch<W>,
-    sup: &mut SupCursor<'_>,
-) -> Result<EngineOutcome, StopReason> {
-    crate::supervisor::fp_hit("affine");
-    let (n, m) = (q_codes.len(), p_rev.len());
-    let lw = simd::AffineLaneWeights {
-        matched: W::clamp_raw(w.matched),
-        mismatched: W::clamp_raw(w.mismatched),
-        indel: W::clamp_raw(w.indel),
-        open: W::clamp_raw(open),
-    };
-    let t_w = threshold.map(W::clamp_raw);
-    for b in scratch
-        .m
-        .iter_mut()
-        .chain(scratch.x.iter_mut())
-        .chain(scratch.y.iter_mut())
-    {
-        b.clear();
-        b.resize(n + 1, W::INF);
-    }
-
-    // Diagonal 0: only the substitution plane holds the root.
-    scratch.m[0][0] = W::ZERO;
-    let mut cells = 1_u64;
-    let mut min1 = W::ZERO;
-    let mut min2 = W::INF;
-
-    for d in 1..=(n + m) {
-        if let Some(t) = t_w {
-            if min1.min(min2) > t {
-                return Ok(EngineOutcome {
-                    score: Time::NEVER,
-                    cells_computed: cells,
-                    early_terminated: true,
-                });
-            }
-        }
-        let (mc, m1, m2) = rotate_bufs(&mut scratch.m, d);
-        let (xc, x1, x2) = rotate_bufs(&mut scratch.x, d);
-        let (yc, y1, y2) = rotate_bufs(&mut scratch.y, d);
-        let (lo, hi) = diag_range(d, n, m, band);
-        if lo > hi {
-            let clo = lo.saturating_sub(1).min(n);
-            let chi = (hi + 1).min(n);
-            if clo <= chi {
-                mc[clo..=chi].fill(W::INF);
-                xc[clo..=chi].fill(W::INF);
-                yc[clo..=chi].fill(W::INF);
-            }
-            min2 = min1;
-            min1 = W::INF;
-            sup.tick(0)?;
-            continue;
-        }
-        for plane in [&mut *mc, &mut *xc, &mut *yc] {
-            if lo > 0 {
-                plane[lo - 1] = W::INF;
-            }
-            if hi < n {
-                plane[hi + 1] = W::INF;
-            }
-        }
-
-        let mut dmin = W::INF;
-        // Boundary cells: a single gap run from the root — one open
-        // plus d extensions, in the plane that gap lives in.
-        let boundary = W::clamp_raw(open.saturating_add((d as u64).saturating_mul(w.indel)));
-        if lo == 0 {
-            // Cell (0, d): a run of horizontal gaps (Iy consumes P).
-            mc[0] = W::INF;
-            xc[0] = W::INF;
-            yc[0] = boundary;
-            dmin = dmin.min(boundary);
-        }
-        if hi == d {
-            // Cell (d, 0): a run of vertical gaps (Ix consumes Q).
-            mc[d] = W::INF;
-            xc[d] = boundary;
-            yc[d] = W::INF;
-            dmin = dmin.min(boundary);
-        }
-        let ilo = lo.max(1);
-        let ihi = hi.min(d - 1);
-        if ilo <= ihi {
-            let len = ihi - ilo + 1;
-            let (ua, ub) = (ilo - 1, ilo - 1 + len); // up neighbours on d − 1
-            let (la, lb) = (ilo, ilo + len); // left neighbours on d − 1
-            let seg_min = simd::affine_diag_update(
-                &m1[ua..ub],
-                &x1[ua..ub],
-                &y1[ua..ub],
-                &m1[la..lb],
-                &x1[la..lb],
-                &y1[la..lb],
-                &m2[ua..ub],
-                &x2[ua..ub],
-                &y2[ua..ub],
-                &q_codes[ilo - 1..ilo - 1 + len],
-                &p_rev[m + ilo - d..m + ilo - d + len],
-                lw,
-                &mut mc[ilo..ilo + len],
-                &mut xc[ilo..ilo + len],
-                &mut yc[ilo..ilo + len],
-            );
-            dmin = dmin.min(seg_min);
-        }
-        cells += (hi - lo + 1) as u64;
-        min2 = min1;
-        min1 = dmin;
-        sup.tick((hi - lo + 1) as u64)?;
-    }
-
-    let (flo, fhi) = diag_range(n + m, n, m, band);
-    let score_raw = if flo <= fhi {
-        let r = (n + m) % 3;
-        scratch.m[r][n]
-            .min(scratch.x[r][n])
-            .min(scratch.y[r][n])
-            .to_raw()
-    } else {
-        NEVER
-    };
-    Ok(classify_outcome(score_raw, threshold, cells))
-}
-
 /// A reusable alignment engine: configuration plus owned scratch
 /// buffers. Create once, call [`AlignEngine::align`] many times — after
 /// warm-up no call allocates.
 ///
 /// The scratch covers every kernel: two rolling rows (plus four more
 /// for the affine planes) and forward code buffers for
-/// [`KernelStrategy::RollingRow`]; three anti-diagonal buffers per lane
-/// width (span-relative for the linear kernel, row-indexed for the
-/// local kernel) plus per-width three-plane affine buffers and a
-/// reversed-`p` code buffer for [`KernelStrategy::Wavefront`]. Only
-/// the buffers of the kernel actually selected for a call are touched.
+/// [`KernelStrategy::RollingRow`]; for [`KernelStrategy::Wavefront`], a
+/// reversed-`p` code buffer and, per lane width, three anti-diagonal
+/// buffers (span-relative for the linear kernel; `n + 1` cells for the
+/// local kernel, the 1-lane stripe) plus the 1-lane stripe's
+/// three-plane affine buffers. Only the buffers of the kernel actually
+/// selected for a call are touched.
 #[derive(Debug, Clone)]
 pub struct AlignEngine {
     cfg: AlignConfig,
@@ -1908,7 +1662,10 @@ impl AlignEngine {
         }
     }
 
-    /// The configured mode's wavefront kernel in lane word `W`.
+    /// The configured mode's wavefront kernel in lane word `W`. Local
+    /// and affine pairs run the striped sweep at one lane, whose code
+    /// planes are exactly `q_codes` and `p_rev`; the linear modes run
+    /// the span-relative [`wavefront_score`].
     fn wavefront_at<W: DiagWord>(
         &mut self,
         sup: &mut SupCursor<'_>,
@@ -1917,16 +1674,27 @@ impl AlignEngine {
         let (bufs, affine) = W::split(&mut self.diag);
         let w = RawWeights::from_weights(self.cfg.weights);
         let (band, threshold) = (self.cfg.band, self.cfg.threshold);
+        let shape = [(q.len(), p_rev.len())];
+        let mut out = [EngineOutcome::default()];
         match self.cfg.mode {
-            AlignMode::Local(s) => wavefront_local(q, p_rev, s, band, bufs, sup),
+            AlignMode::Local(s) => {
+                stripe_sweep_local::<W, 1>(
+                    &shape, q, p_rev, shape[0], s, band, bufs, &mut out, sup,
+                )?;
+            }
             AlignMode::GlobalAffine(a) => {
-                wavefront_affine(q, p_rev, w, a.open, band, threshold, affine, sup)
+                crate::supervisor::fp_hit("affine");
+                let t = threshold.map_or(StripeThreshold::None, StripeThreshold::Exact);
+                stripe_sweep_affine::<W, 1>(
+                    &shape, q, p_rev, shape[0], w, a.open, band, t, None, 0, affine, &mut out, sup,
+                )?;
             }
             AlignMode::Global | AlignMode::SemiGlobal => {
                 let semi = self.cfg.mode == AlignMode::SemiGlobal;
-                wavefront_score(q, p_rev, w, band, threshold, semi, bufs, sup)
+                return wavefront_score(q, p_rev, w, band, threshold, semi, bufs, sup);
             }
         }
+        Ok(out[0])
     }
 
     fn rolling_row_codes(&mut self, sup: &mut SupCursor<'_>) -> Result<EngineOutcome, StopReason> {
@@ -2021,7 +1789,7 @@ impl AlignEngine {
     }
 
     /// The max-plus (Smith–Waterman) rolling row: zero boundaries, the
-    /// [`crate::simd::diag_update_local`] arithmetic one cell at a time
+    /// [`crate::simd::diag_update_local_lanes`] arithmetic one cell at a time
     /// (the rolling row is serial either way), best-cell maximum
     /// readout. Banded rows treat out-of-band neighbours as fresh
     /// starts (value 0), matching the wavefront local kernel.

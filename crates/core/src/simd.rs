@@ -513,65 +513,17 @@ pub fn diag_update_lanes<W: KernelWord, const L: usize>(
 /// candidate is already clamped at zero and no explicit reset term is
 /// needed. Weights are interpreted as `matched` = match **bonus**,
 /// `mismatched` = mismatch **penalty**, `indel` = gap **penalty** (all
-/// magnitudes). Returns the segment **maximum** — the running best-cell
-/// score local mode tracks. Values never reach [`KernelWord::INF`]: the
-/// caller proves `(n + m + 2) · matched < INF` before choosing a word,
-/// and penalties only shrink values, so the plain-add path stays in
-/// domain at every width.
-#[inline]
-pub fn diag_update_local<W: KernelWord>(
-    up: &[W],
-    left: &[W],
-    diag: &[W],
-    q: &[u8],
-    p: &[u8],
-    w: LaneWeights<W>,
-    out: &mut [W],
-) -> W {
-    let LaneWeights {
-        matched,
-        mismatched,
-        indel,
-    } = w;
-    let len = out.len();
-    debug_assert_eq!(up.len(), len);
-    debug_assert_eq!(left.len(), len);
-    debug_assert_eq!(diag.len(), len);
-    debug_assert_eq!(q.len(), len);
-    debug_assert_eq!(p.len(), len);
-
-    // Flat indexed loop only: the body is branch-free max/saturating-sub
-    // code the loop vectorizer handles at every width (saturating
-    // unsigned subtraction is `psubus`-shaped on x86; `u64` falls back
-    // to scalar). The diagonal term selects
-    // between *weights* — `(+matched, −0)` on a match, `(+0,
-    // −mismatched)` on a mismatch — then applies one unconditional add
-    // and one unconditional saturating sub: the same
-    // select-a-weight-then-operate shape as [`diag_update`], which is
-    // what the loop vectorizer lowers to clean compare + blend + vector
-    // ops (selecting between two computed *expressions* instead was
-    // measured ≈ 5× slower on the striped layout).
-    let mut seg_max = W::ZERO;
-    for i in 0..len {
-        let eq = q[i] == p[i];
-        let aw = if eq { matched } else { W::ZERO };
-        let sw = if eq { W::ZERO } else { mismatched };
-        let d = diag[i].add_weight(aw).sub_weight(sw);
-        let cell = up[i]
-            .sub_weight(indel)
-            .max(left[i].sub_weight(indel))
-            .max(d);
-        out[i] = cell;
-        seg_max = seg_max.max(cell);
-    }
-    seg_max
-}
-
-/// [`diag_update_local`] for the **striped** (lane-interleaved) layout:
-/// the segment is `rows × L` cells with lane `l` of every row at offset
-/// `t ≡ l (mod L)`, and the per-lane running maxima are accumulated
-/// **inside** the update loop into `best` — fusing what would otherwise
-/// be a second full pass over the diagonal.
+/// magnitudes). Values never reach [`KernelWord::INF`]: the caller
+/// proves `(n + m + 2) · matched < INF` before choosing a word, and
+/// penalties only shrink values, so the plain-add path stays in domain
+/// at every width.
+///
+/// The segment is striped (lane-interleaved): `rows × L` cells with lane
+/// `l` of every row at offset `t ≡ l (mod L)`; the per-pair local
+/// wavefront is `L = 1`. The per-lane running maxima — the best-cell
+/// scores local mode tracks — are accumulated **inside** the update
+/// loop into `best`, fusing what would otherwise be a second full pass
+/// over the diagonal.
 ///
 /// **Codegen shape matters here.** The row dimension iterates via
 /// `chunks_exact(L)` so every inner access is against an exactly
@@ -615,6 +567,12 @@ pub fn diag_update_local_lanes<W: KernelWord, const L: usize>(
         .zip(q.chunks_exact(L).zip(p.chunks_exact(L)))
     {
         for l in 0..L {
+            // The diagonal term selects between *weights* — `(+matched,
+            // −0)` on a match, `(+0, −mismatched)` on a mismatch — then
+            // applies one unconditional add and one saturating sub, which
+            // the loop vectorizer lowers to compare + blend + vector ops
+            // (selecting between two computed *expressions* instead was
+            // measured ≈ 5× slower on the striped layout).
             let eq = qq[l] == pp[l];
             let aw = if eq { matched } else { W::ZERO };
             let sw = if eq { W::ZERO } else { mismatched };
@@ -657,83 +615,15 @@ pub struct AffineLaneWeights<W> {
 /// `d − 2` — each plane reads the same fixed offsets as the linear
 /// kernel, so the cross-plane edges cost three extra mins, not a new
 /// memory layout. All adds clamp to [`KernelWord::INF`]. Returns the
-/// minimum value written **across all three planes** — the frontier
-/// minimum the fused early termination tests against (sound for the
-/// same reason as the linear kernel: every alignment path visits one
-/// state per crossed cell, and weights are non-negative).
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn affine_diag_update<W: KernelWord>(
-    m1_up: &[W],
-    x1_up: &[W],
-    y1_up: &[W],
-    m1_left: &[W],
-    x1_left: &[W],
-    y1_left: &[W],
-    m2: &[W],
-    x2: &[W],
-    y2: &[W],
-    q: &[u8],
-    p: &[u8],
-    w: AffineLaneWeights<W>,
-    m_out: &mut [W],
-    x_out: &mut [W],
-    y_out: &mut [W],
-) -> W {
-    let len = m_out.len();
-    debug_assert!(
-        [
-            m1_up.len(),
-            x1_up.len(),
-            y1_up.len(),
-            m1_left.len(),
-            x1_left.len(),
-            y1_left.len(),
-            m2.len(),
-            x2.len(),
-            y2.len(),
-            q.len(),
-            p.len(),
-            x_out.len(),
-            y_out.len(),
-        ]
-        .iter()
-        .all(|&l| l == len),
-        "affine segment slices must agree"
-    );
-    let open_ext = w.open.add_weight(w.indel).min(W::INF);
-    let mut seg_min = W::INF;
-    for i in 0..len {
-        let dw = if q[i] == p[i] {
-            w.matched
-        } else {
-            w.mismatched
-        };
-        let best2 = m2[i].min(x2[i]).min(y2[i]);
-        let m = best2.add_weight(dw).min(W::INF);
-        let x = m1_up[i]
-            .min(y1_up[i])
-            .add_weight(open_ext)
-            .min(x1_up[i].add_weight(w.indel))
-            .min(W::INF);
-        let y = m1_left[i]
-            .min(x1_left[i])
-            .add_weight(open_ext)
-            .min(y1_left[i].add_weight(w.indel))
-            .min(W::INF);
-        m_out[i] = m;
-        x_out[i] = x;
-        y_out[i] = y;
-        seg_min = seg_min.min(m).min(x).min(y);
-    }
-    seg_min
-}
-
-/// [`affine_diag_update`] for the **striped** (lane-interleaved) layout:
-/// the segment is `rows × L` cells per plane with lane `l` of every row
-/// at offset `t ≡ l (mod L)`. Identical recurrence, identical clamp
-/// discipline; returns the minimum written across all three planes (the
-/// stripe's coarse frontier minimum).
+/// minimum value written **across all three planes** and every lane —
+/// the frontier minimum the fused early termination tests against
+/// (sound for the same reason as the linear kernel: every alignment
+/// path visits one state per crossed cell, and weights are
+/// non-negative).
+///
+/// The segment is striped (lane-interleaved): `rows × L` cells per plane
+/// with lane `l` of every row at offset `t ≡ l (mod L)`; the per-pair
+/// affine wavefront is `L = 1`.
 ///
 /// Codegen shape: the row dimension advances in exact `L`-sized array
 /// chunks (`try_into` per row, like [`diag_update`]'s block form) so the
@@ -995,9 +885,10 @@ mod tests {
                 indel: 1,
             };
             let mut out = vec![0_u64; len];
-            let best = diag_update_local(&up, &left, &diag, &q, &p, w, &mut out);
+            let mut best = [0_u64];
+            diag_update_local_lanes::<u64, 1>(&up, &left, &diag, &q, &p, w, &mut out, &mut best);
             assert_eq!(out, want, "len {len}");
-            assert_eq!(best, want_best, "len {len}");
+            assert_eq!(best[0], want_best, "len {len}");
 
             // Narrow words agree in domain (values stay far below INF).
             let up16: Vec<u16> = up.iter().map(|&v| v as u16).collect();
@@ -1009,13 +900,23 @@ mod tests {
                 indel: 1,
             };
             let mut out16 = vec![0_u16; len];
-            let best16 = diag_update_local(&up16, &left16, &diag16, &q, &p, w16, &mut out16);
+            let mut best16 = [0_u16];
+            diag_update_local_lanes::<u16, 1>(
+                &up16,
+                &left16,
+                &diag16,
+                &q,
+                &p,
+                w16,
+                &mut out16,
+                &mut best16,
+            );
             assert_eq!(
                 out16.iter().map(|&v| u64::from(v)).collect::<Vec<_>>(),
                 want,
                 "u16 len {len}"
             );
-            assert_eq!(u64::from(best16), want_best, "u16 len {len}");
+            assert_eq!(u64::from(best16[0]), want_best, "u16 len {len}");
         }
     }
 
@@ -1027,19 +928,20 @@ mod tests {
         assert_eq!(9_u16.sub_weight(5), 4);
     }
 
-    #[test]
-    fn affine_diag_update_matches_scalar_reference() {
-        let w = AffineLaneWeights {
-            matched: 1_u64,
-            mismatched: 2,
-            indel: 1,
-            open: 3,
-        };
-        let len = 2 * LANES + 3;
+    const AFFINE_W: AffineLaneWeights<u64> = AffineLaneWeights {
+        matched: 1,
+        mismatched: 2,
+        indel: 1,
+        open: 3,
+    };
+
+    /// Nine `u64` neighbour planes of length `len` (`M₁ᵤ X₁ᵤ Y₁ᵤ M₁ₗ X₁ₗ
+    /// Y₁ₗ M₂ X₂ Y₂`), `+∞` wherever `i % inf_mod == inf_at`.
+    fn affine_planes(len: usize, inf_mod: usize, inf_at: usize) -> [Vec<u64>; 9] {
         let gen = |k: u64, m: u64| -> Vec<u64> {
             (0..len)
                 .map(|i| {
-                    if i % 7 == 3 {
+                    if i % inf_mod == inf_at {
                         u64::INF
                     } else {
                         (i as u64 * k) % m
@@ -1047,22 +949,29 @@ mod tests {
                 })
                 .collect()
         };
-        let (m1u, x1u, y1u) = (gen(7, 23), gen(5, 19), gen(3, 29));
-        let (m1l, x1l, y1l) = (gen(11, 31), gen(13, 17), gen(2, 13));
-        let (m2, x2, y2) = (gen(9, 27), gen(4, 21), gen(6, 25));
-        let q: Vec<u8> = (0..len).map(|i| (i % 4) as u8).collect();
-        let p: Vec<u8> = (0..len).map(|i| ((i * 3) % 4) as u8).collect();
+        [
+            gen(7, 23),
+            gen(5, 19),
+            gen(3, 29),
+            gen(11, 31),
+            gen(13, 17),
+            gen(2, 13),
+            gen(9, 27),
+            gen(4, 21),
+            gen(6, 25),
+        ]
+    }
 
-        let (mut mo, mut xo, mut yo) = (vec![0_u64; len], vec![0_u64; len], vec![0_u64; len]);
-        let seg_min = affine_diag_update(
-            &m1u, &x1u, &y1u, &m1l, &x1l, &y1l, &m2, &x2, &y2, &q, &p, w, &mut mo, &mut xo, &mut yo,
-        );
-
-        let mut want_min = u64::INF;
-        for i in 0..len {
-            // (For u64 the `min(INF)` clamp of the generic kernel is the
-            // identity — saturation already pins +∞ — so the reference
-            // omits it.)
+    /// Scalar reference for the three-plane affine update under
+    /// [`AFFINE_W`]: the `M`, `X`, `Y` outputs and their joint minimum.
+    /// (For `u64` the `min(INF)` clamp of the generic kernel is the
+    /// identity — saturation already pins +∞ — so the reference omits
+    /// it.)
+    fn affine_reference(n: &[Vec<u64>; 9], q: &[u8], p: &[u8]) -> ([Vec<u64>; 3], u64) {
+        let [m1u, x1u, y1u, m1l, x1l, y1l, m2, x2, y2] = n;
+        let mut planes = [Vec::new(), Vec::new(), Vec::new()];
+        let mut seg_min = u64::INF;
+        for i in 0..q.len() {
             let dw = if q[i] == p[i] { 1 } else { 2 };
             let m = m2[i].min(x2[i]).min(y2[i]).saturating_add(dw);
             let x = m1u[i]
@@ -1073,12 +982,53 @@ mod tests {
                 .min(x1l[i])
                 .saturating_add(4)
                 .min(y1l[i].saturating_add(1));
-            assert_eq!(mo[i], m, "M at {i}");
-            assert_eq!(xo[i], x, "X at {i}");
-            assert_eq!(yo[i], y, "Y at {i}");
-            want_min = want_min.min(m).min(x).min(y);
+            planes[0].push(m);
+            planes[1].push(x);
+            planes[2].push(y);
+            seg_min = seg_min.min(m).min(x).min(y);
         }
-        assert_eq!(seg_min, want_min);
+        (planes, seg_min)
+    }
+
+    /// Runs `affine_diag_update_lanes::<W, L>` over `n` lowered to `W`,
+    /// returning the planes and the segment minimum raised back to `u64`.
+    fn affine_lanes<W: KernelWord, const L: usize>(
+        n: &[Vec<u64>; 9],
+        q: &[u8],
+        p: &[u8],
+    ) -> ([Vec<u64>; 3], u64) {
+        let w: [Vec<W>; 9] = n
+            .clone()
+            .map(|v| v.into_iter().map(W::clamp_raw).collect::<Vec<W>>());
+        let lw = AffineLaneWeights {
+            matched: W::clamp_raw(AFFINE_W.matched),
+            mismatched: W::clamp_raw(AFFINE_W.mismatched),
+            indel: W::clamp_raw(AFFINE_W.indel),
+            open: W::clamp_raw(AFFINE_W.open),
+        };
+        let len = q.len();
+        let (mut mo, mut xo, mut yo) = (vec![W::ZERO; len], vec![W::ZERO; len], vec![W::ZERO; len]);
+        let seg_min = affine_diag_update_lanes::<W, L>(
+            &w[0], &w[1], &w[2], &w[3], &w[4], &w[5], &w[6], &w[7], &w[8], q, p, lw, &mut mo,
+            &mut xo, &mut yo,
+        );
+        let raise = |v: Vec<W>| -> Vec<u64> { v.into_iter().map(W::to_raw).collect() };
+        ([raise(mo), raise(xo), raise(yo)], seg_min.to_raw())
+    }
+
+    #[test]
+    fn affine_diag_update_matches_scalar_reference() {
+        // One lane: the per-pair affine wavefront's update.
+        let len = 2 * LANES + 3;
+        let planes = affine_planes(len, 7, 3);
+        let q: Vec<u8> = (0..len).map(|i| (i % 4) as u8).collect();
+        let p: Vec<u8> = (0..len).map(|i| ((i * 3) % 4) as u8).collect();
+        let (got, got_min) = affine_lanes::<u64, 1>(&planes, &q, &p);
+        let (want, want_min) = affine_reference(&planes, &q, &p);
+        for (plane, (g, w)) in ["M", "X", "Y"].iter().zip(got.iter().zip(&want)) {
+            assert_eq!(g, w, "{plane}");
+        }
+        assert_eq!(got_min, want_min);
     }
 
     #[test]
@@ -1169,76 +1119,15 @@ mod tests {
     #[test]
     fn affine_diag_update_lanes_matches_unstriped() {
         // The striped form over rows × L cells must agree with the
-        // per-row unstriped kernel on every plane and on the seg min.
+        // scalar reference on every plane and on the seg min, in the
+        // u64 and the u16 representation.
         const L: usize = 4;
-        let rows = 5;
-        let len = rows * L;
-        let gen = |k: u64, m: u64| -> Vec<u64> {
-            (0..len)
-                .map(|i| {
-                    if i % 6 == 4 {
-                        <u64 as KernelWord>::INF
-                    } else {
-                        (i as u64 * k) % m
-                    }
-                })
-                .collect()
-        };
-        let (m1u, x1u, y1u) = (gen(7, 23), gen(5, 19), gen(3, 29));
-        let (m1l, x1l, y1l) = (gen(11, 31), gen(13, 17), gen(2, 13));
-        let (m2, x2, y2) = (gen(9, 27), gen(4, 21), gen(6, 25));
+        let len = 5 * L;
+        let planes = affine_planes(len, 6, 4);
         let q: Vec<u8> = (0..len).map(|i| (i % 4) as u8).collect();
         let p: Vec<u8> = (0..len).map(|i| ((i * 3) % 4) as u8).collect();
-        let w = AffineLaneWeights {
-            matched: 1_u64,
-            mismatched: 2,
-            indel: 1,
-            open: 3,
-        };
-
-        let (mut mo, mut xo, mut yo) = (vec![0_u64; len], vec![0_u64; len], vec![0_u64; len]);
-        let got_min = affine_diag_update_lanes::<u64, L>(
-            &m1u, &x1u, &y1u, &m1l, &x1l, &y1l, &m2, &x2, &y2, &q, &p, w, &mut mo, &mut xo, &mut yo,
-        );
-
-        let (mut mw, mut xw, mut yw) = (vec![0_u64; len], vec![0_u64; len], vec![0_u64; len]);
-        let want_min = affine_diag_update(
-            &m1u, &x1u, &y1u, &m1l, &x1l, &y1l, &m2, &x2, &y2, &q, &p, w, &mut mw, &mut xw, &mut yw,
-        );
-        assert_eq!(mo, mw);
-        assert_eq!(xo, xw);
-        assert_eq!(yo, yw);
-        assert_eq!(got_min, want_min);
-
-        // Same agreement in the u16 representation.
-        let to16 = |v: &[u64]| -> Vec<u16> { v.iter().map(|&x| u16::clamp_raw(x)).collect() };
-        let w16 = AffineLaneWeights {
-            matched: 1_u16,
-            mismatched: 2,
-            indel: 1,
-            open: 3,
-        };
-        let (mut mo16, mut xo16, mut yo16) = (vec![0_u16; len], vec![0_u16; len], vec![0_u16; len]);
-        let min16 = affine_diag_update_lanes::<u16, L>(
-            &to16(&m1u),
-            &to16(&x1u),
-            &to16(&y1u),
-            &to16(&m1l),
-            &to16(&x1l),
-            &to16(&y1l),
-            &to16(&m2),
-            &to16(&x2),
-            &to16(&y2),
-            &q,
-            &p,
-            w16,
-            &mut mo16,
-            &mut xo16,
-            &mut yo16,
-        );
-        assert_eq!(mo16.iter().map(|&x| x.to_raw()).collect::<Vec<_>>(), mw);
-        assert_eq!(xo16.iter().map(|&x| x.to_raw()).collect::<Vec<_>>(), xw);
-        assert_eq!(yo16.iter().map(|&x| x.to_raw()).collect::<Vec<_>>(), yw);
-        assert_eq!(min16.to_raw(), want_min.to_raw());
+        let want = affine_reference(&planes, &q, &p);
+        assert_eq!(affine_lanes::<u64, L>(&planes, &q, &p), want);
+        assert_eq!(affine_lanes::<u16, L>(&planes, &q, &p), want);
     }
 }

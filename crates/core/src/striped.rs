@@ -4,7 +4,10 @@
 //! The Race Logic array's economics come from evaluating many
 //! independent race cells per clock. The per-pair wavefront kernel
 //! ([`crate::engine`]) captures the *intra*-pair version of that claim —
-//! the cells of one anti-diagonal are SIMD lanes. This module captures
+//! the cells of one anti-diagonal are SIMD lanes. For the local and
+//! affine modes that per-pair kernel is this module's sweep at one lane
+//! ([`stripe_sweep_local`], [`stripe_sweep_affine`] with `L = 1`, called
+//! from [`AlignEngine::align`]). This module captures
 //! the *inter*-pair version: a cohort of shape-compatible pairs is
 //! transposed into interleaved code planes
 //! ([`rl_bio::StripedCodes`]) and swept by **one** wavefront in which
@@ -58,7 +61,9 @@ use crate::engine::{
     NEVER, STRIPE_MIN_PAIRS, STRIPE_PAD_BUDGET_PCT,
 };
 use crate::simd::{self, KernelWord, LaneWeights};
-use crate::supervisor::{fp_hit, panic_message, BatchReport, Fault, ScanControl, StopReason};
+use crate::supervisor::{
+    fp_hit, panic_message, BatchReport, Fault, ScanControl, StopReason, SupCursor,
+};
 use crate::telemetry::{self, flight, TraceEvent};
 
 /// Sentinel code for padded query-plane cells; outside every alphabet's
@@ -444,16 +449,18 @@ impl Ratchet {
 
 /// How a striped sweep applies an early-termination threshold.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum StripeThreshold {
+pub(crate) enum StripeThreshold {
     /// No abandoning; every lane runs to its final diagonal.
     None,
     /// The byte-identical contract: per-lane frontier minima masked to
     /// each lane's own in-band cells, per-lane abandon at exactly the
     /// diagonal the per-pair kernel would. Costs a second pass over
-    /// every interior cell each diagonal.
+    /// every interior cell each diagonal, except in the 1-lane affine
+    /// sweep, whose fused interior minimum is already exact.
     Exact(u64),
     /// The ratchet's mode: one **whole-stripe** lower bound per
-    /// diagonal — the unmasked interior minimum [`simd::diag_update`]
+    /// diagonal — the unmasked interior minimum
+    /// [`simd::diag_update_lanes`] or [`simd::affine_diag_update_lanes`]
     /// already returns (a min over a *superset* of every lane's in-band
     /// cells, so it is ≤ every lane's true frontier minimum and
     /// `bound > t` soundly proves `score > t` for **all** live lanes at
@@ -1350,20 +1357,29 @@ fn sweep_at<W: DiagWord, const L: usize>(
     } else {
         0
     };
-    match cfg.mode {
+    // Striped units are charged per unit (reserve, then charge), so the
+    // sweeps run free here; only per-pair alignments checkpoint inside.
+    let free = &mut SupCursor::new(None);
+    let swept = match cfg.mode {
         AlignMode::Local(s) => {
-            stripe_sweep_local::<W, L>(shapes, q, p, union, s, cfg.band, bufs, results);
+            stripe_sweep_local::<W, L>(shapes, q, p, union, s, cfg.band, bufs, results, free)
         }
-        AlignMode::GlobalAffine(a) => stripe_sweep_affine::<W, L>(
-            shapes, q, p, union, w, a.open, cfg.band, threshold, suffix, bias_m2, affine, results,
-        ),
+        AlignMode::GlobalAffine(a) => {
+            fp_hit("affine-stripe");
+            stripe_sweep_affine::<W, L>(
+                shapes, q, p, union, w, a.open, cfg.band, threshold, suffix, bias_m2, affine,
+                results, free,
+            )
+        }
         AlignMode::Global | AlignMode::SemiGlobal => {
             let semi = cfg.mode == AlignMode::SemiGlobal;
             stripe_sweep::<W, L>(
                 shapes, q, p, union, w, cfg.band, threshold, suffix, semi, bias_m2, bufs, results,
             );
+            Ok(())
         }
-    }
+    };
+    swept.expect("a free-running sweep cannot stop early");
 }
 
 /// One striped anti-diagonal sweep over a cohort: lane `l` of every
@@ -1766,15 +1782,7 @@ fn stripe_sweep<W: KernelWord, const L: usize>(
             }
         }
 
-        // Per-lane cell accounting over the lane's *own* band range.
-        for (l, &(n, m)) in shapes.iter().enumerate() {
-            if !done[l] && d <= n + m {
-                let (llo, lhi) = diag_range(d, n, m, band);
-                if llo <= lhi {
-                    cells[l] += (lhi - llo + 1) as u64;
-                }
-            }
-        }
+        count_lane_cells(&mut cells, (hi - lo + 1) as u64, d, shapes, &done, band);
 
         // Retire lanes whose final diagonal this was. Semi-global lanes
         // read their best register (which has already folded this
@@ -1864,7 +1872,7 @@ const SUFFIX_EXIT_ROWS: usize = 8;
 /// no division and `|δ| ≤ s` as the in-shape test. All lane arithmetic
 /// is `i32`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SuffixBound {
+pub(crate) struct SuffixBound {
     /// `lb(1, 1)`: the cost of each paired suffix residue.
     step: i32,
     /// `2 · lb(1, 0) − lb(1, 1)`: the doubled cost of each residue by
@@ -2042,14 +2050,17 @@ fn raise_raw<W: KernelWord>(s: W, bias: u64) -> u64 {
 /// The **striped three-plane affine** (Gotoh) sweep: the
 /// [`stripe_sweep`] lane-interleaved layout applied to the M / Ix / Iy
 /// planes of [`crate::simd::affine_diag_update_lanes`] — nine rotating
-/// diagonal buffers advanced in lockstep, each lane mirroring the
-/// per-pair affine wavefront kernel over its own `(n_l, m_l)` geometry.
+/// diagonal buffers advanced in lockstep, each lane racing Gotoh's
+/// recurrence over its own `(n_l, m_l)` geometry. Every plane follows
+/// the absolute-row padding and hygiene rules of
+/// [`stripe_sweep_local`], padding with `+∞`.
 ///
 /// Everything lane-shaped is inherited from the linear sweep: per-lane
 /// frontier minima masked to each lane's own in-band cells (taken
-/// across all three planes — sound and exact for the same reason the
-/// per-pair affine frontier minimum is), per-lane abandon at exactly
-/// the per-pair kernel's diagonal, per-lane cell accounting over grid
+/// across all three planes — sound because an alignment path visits
+/// exactly one plane state per crossed cell and every weight, `open`
+/// included, is non-negative), the per-lane abandon rule before each
+/// diagonal, per-lane cell accounting over grid
 /// *positions* (not plane states, keeping counts comparable across
 /// modes), independent lane retirement reading `min(M, Ix, Iy)` at the
 /// lane's sink, and the coarse-mode residue reset — which here must
@@ -2059,8 +2070,16 @@ fn raise_raw<W: KernelWord>(s: W, bias: u64) -> u64 {
 /// schedule applies unchanged: gap opens only *add* cost, so the
 /// per-diagonal lower bound behind [`crate::engine::applied_bias`]
 /// holds on every plane.
+///
+/// At `L = 1` this is the per-pair affine wavefront
+/// ([`AlignEngine::align`]): the lane's shape is the union shape, so its
+/// exact frontier minimum is the interior minimum
+/// [`simd::affine_diag_update_lanes`] returns plus the boundary cells,
+/// and the masked second pass is skipped. `sup` checkpoints once per
+/// diagonal: `tick(0)` on a band-empty one, `tick(span)` after each
+/// computed one.
 #[allow(clippy::too_many_arguments)]
-fn stripe_sweep_affine<W: KernelWord, const L: usize>(
+pub(crate) fn stripe_sweep_affine<W: KernelWord, const L: usize>(
     shapes: &[(usize, usize)],
     q_plane: &[u8],
     p_plane: &[u8],
@@ -2073,8 +2092,8 @@ fn stripe_sweep_affine<W: KernelWord, const L: usize>(
     bias_m2: u64,
     planes: &mut AffineDiagScratch<W>,
     out: &mut [EngineOutcome],
-) {
-    fp_hit("affine-stripe");
+    sup: &mut SupCursor<'_>,
+) -> Result<(), StopReason> {
     let lanes = shapes.len();
     assert!(lanes <= L && lanes == out.len());
     let lw = simd::AffineLaneWeights {
@@ -2253,6 +2272,7 @@ fn stripe_sweep_affine<W: KernelWord, const L: usize>(
                     }
                 }
             }
+            sup.tick(0)?;
             continue;
         }
         // One-row +∞ padding around the written span, per plane.
@@ -2306,18 +2326,21 @@ fn stripe_sweep_affine<W: KernelWord, const L: usize>(
                 &mut yc[a..b],
             );
         }
+        let mut gdmin = interior_min;
+        if lo == 0 || hi == d {
+            gdmin = gdmin.min(boundary);
+        }
         if t_c.is_some() {
-            let mut gdmin = interior_min;
-            if lo == 0 || hi == d {
-                gdmin = gdmin.min(boundary);
-            }
             (gmin2, gmin1) = (gmin1, gdmin);
         }
 
         // Per-lane frontier minima across the three planes, masked to
         // each lane's own in-band cells — consumed only by the exact
-        // abandon rule.
-        if t_w.is_some() {
+        // abandon rule. One lane's in-band cells are the whole diagonal,
+        // so its exact minimum is the fused one.
+        if L == 1 && t_w.is_some() {
+            (min2, min1) = (min1, [gdmin; L]);
+        } else if t_w.is_some() {
             let mut dmin = [W::INF; L];
             let du = u32::try_from(d).expect("diagonal fits u32");
             if lo == 0 {
@@ -2377,16 +2400,8 @@ fn stripe_sweep_affine<W: KernelWord, const L: usize>(
             min1 = dmin;
         }
 
-        // Per-lane cell accounting over the lane's own band range
-        // (grid positions, like the per-pair affine kernel).
-        for (l, &(n, m)) in shapes.iter().enumerate() {
-            if !done[l] && d <= n + m {
-                let (llo, lhi) = diag_range(d, n, m, band);
-                if llo <= lhi {
-                    cells[l] += (lhi - llo + 1) as u64;
-                }
-            }
-        }
+        let span = (hi - lo + 1) as u64;
+        count_lane_cells(&mut cells, span, d, shapes, &done, band);
 
         // Retire lanes whose final diagonal this was: the sink value is
         // the minimum across all three planes, raised by the bias.
@@ -2413,28 +2428,46 @@ fn stripe_sweep_affine<W: KernelWord, const L: usize>(
                 }
             }
         }
+        sup.tick(span)?;
     }
     debug_assert_eq!(live, 0, "every lane must retire by the last diagonal");
+    Ok(())
 }
 
 /// The **local** (max-plus Smith–Waterman) striped sweep: the same
 /// lane-interleaved anti-diagonal layout as [`stripe_sweep`], racing
 /// the AND-type dual with per-lane **best-score (maximum) registers**.
 ///
-/// Boundary and padding values are `0` (fresh local starts — see the
-/// per-pair local kernel), and the per-lane maxima are accumulated
-/// **unmasked**: a lane's out-of-shape and padded cells can never
-/// exceed its true in-shape best, because padding sentinels never
-/// compare equal to any code (no match bonus is reachable) and every
-/// other operation is non-increasing — so by induction every
+/// The buffers hold `(nn + 1) × L` words by absolute row `i`. A buffer
+/// holding diagonal `d` is read while computing diagonals `d + 1` (rows
+/// `lo(d+1) − 1 ..= hi(d+1)`) and `d + 2` (rows `lo(d+2) − 1 ..=
+/// hi(d+2) − 1`). Because `lo` and `hi` are non-decreasing in `d` and
+/// grow by at most one per diagonal, every such read lands in
+/// `lo(d) − 1 ..= hi(d) + 1`, so resetting that one-row padding around
+/// the written span suffices (stale values further out are never read).
+///
+/// Boundary and padding values are `0`, not `+∞`: in Smith–Waterman a
+/// missing neighbour *is* a fresh start (`H ≥ 0` everywhere, and
+/// reading an out-of-band cell as `0` is the textbook banded convention
+/// of treating unbuilt cells as empty alignments). The per-lane maxima
+/// are accumulated **unmasked**: a lane's out-of-shape and padded cells
+/// can never exceed its true in-shape best, because padding sentinels
+/// never compare equal to any code (no match bonus is reachable) and
+/// every other operation is non-increasing — so by induction every
 /// out-of-shape value is bounded by an earlier in-shape value already
 /// folded into the register. That makes the unmasked per-diagonal max
 /// pass exact, not just conservative (property-tested: striped local
-/// == sequential per-pair local, byte-identical). No thresholds: local
-/// mode has no sound frontier abandon, so lanes only retire at their
-/// final diagonal.
+/// == sequential [`AlignEngine::align`], byte-identical). No
+/// thresholds: local mode has no sound frontier abandon, so lanes only
+/// retire at their final diagonal.
+///
+/// The readout is each lane's running maximum over its computed cells:
+/// the best-cell register the hardware's paper-§6 threshold comparator
+/// would watch. At `L = 1` this is the per-pair local wavefront
+/// ([`AlignEngine::align`]), and `sup` checkpoints once per diagonal:
+/// `tick(0)` on a band-empty one, `tick(span)` after each computed one.
 #[allow(clippy::too_many_arguments)]
-fn stripe_sweep_local<W: KernelWord, const L: usize>(
+pub(crate) fn stripe_sweep_local<W: KernelWord, const L: usize>(
     shapes: &[(usize, usize)],
     q_plane: &[u8],
     p_plane: &[u8],
@@ -2443,7 +2476,8 @@ fn stripe_sweep_local<W: KernelWord, const L: usize>(
     band: Option<usize>,
     bufs: &mut [Vec<W>; 3],
     out: &mut [EngineOutcome],
-) {
+    sup: &mut SupCursor<'_>,
+) -> Result<(), StopReason> {
     let lanes = shapes.len();
     assert!(lanes <= L && lanes == out.len());
     let lw = LaneWeights {
@@ -2497,6 +2531,7 @@ fn stripe_sweep_local<W: KernelWord, const L: usize>(
                     live -= 1;
                 }
             }
+            sup.tick(0)?;
             continue;
         }
         // One-row zero padding around the written span.
@@ -2533,15 +2568,8 @@ fn stripe_sweep_local<W: KernelWord, const L: usize>(
             );
         }
 
-        // Per-lane cell accounting over the lane's own band range.
-        for (l, &(n, m)) in shapes.iter().enumerate() {
-            if !done[l] && d <= n + m {
-                let (llo, lhi) = diag_range(d, n, m, band);
-                if llo <= lhi {
-                    cells[l] += (lhi - llo + 1) as u64;
-                }
-            }
-        }
+        let span = (hi - lo + 1) as u64;
+        count_lane_cells(&mut cells, span, d, shapes, &done, band);
 
         // Retire lanes at their final diagonal.
         for (l, &(n, m)) in shapes.iter().enumerate() {
@@ -2555,8 +2583,36 @@ fn stripe_sweep_local<W: KernelWord, const L: usize>(
                 live -= 1;
             }
         }
+        sup.tick(span)?;
     }
     debug_assert_eq!(live, 0, "every lane must retire by the last diagonal");
+    Ok(())
+}
+
+/// Per-lane cell accounting for one computed diagonal, over each live
+/// lane's own band range (grid positions). A single lane's shape is the
+/// union shape, so at `L = 1` its count is the union `span` and the
+/// per-lane [`diag_range`] is skipped.
+fn count_lane_cells<const L: usize>(
+    cells: &mut [u64; L],
+    span: u64,
+    d: usize,
+    shapes: &[(usize, usize)],
+    done: &[bool; L],
+    band: Option<usize>,
+) {
+    if L == 1 {
+        cells[0] += span;
+        return;
+    }
+    for (l, &(n, m)) in shapes.iter().enumerate() {
+        if !done[l] && d <= n + m {
+            let (llo, lhi) = diag_range(d, n, m, band);
+            if llo <= lhi {
+                cells[l] += (lhi - llo + 1) as u64;
+            }
+        }
+    }
 }
 
 #[cfg(test)]

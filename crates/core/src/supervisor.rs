@@ -632,9 +632,9 @@ pub mod failpoint {
     //! | `stripe-sweep` | top of a striped work unit | stripe quarantine + per-pair retry |
     //! | `bitpar-sweep` | each pair of a bit-parallel scan unit, before its sweep | unit quarantine + rolling-row retry of its unfinished members |
     //! | `ratchet` | top-k observation, before the heap lock | lost observation (sound: only loosens the ratchet) |
-    //! | `affine` | top of the affine wavefront kernel | per-pair fallback on the rolling-row kernel |
-    //! | `affine-stripe` | top of the striped three-plane affine sweep | stripe quarantine + per-pair Gotoh retry |
-    //! | `simd-diag` | top of the wavefront diagonal update | per-pair fallback on the rolling-row kernel |
+    //! | `affine` | `AlignEngine`'s per-pair affine wavefront, before its 1-lane sweep | per-pair fallback on the rolling-row kernel |
+    //! | `affine-stripe` | a striped affine unit, before its three-plane sweep (never per pair) | stripe quarantine + per-pair Gotoh retry |
+    //! | `simd-diag` | top of the linear wavefront diagonal update | per-pair fallback on the rolling-row kernel |
     //! | `service-enqueue` | service admission, before validation | typed `Rejected` backpressure, queue stays intact |
     //! | `service-retry` | service retry decision, before the backoff | finalize-with-partial instead of a wedged query |
     //! | `service-resume` | service resume segment, before the scan | failed attempt → backoff → clean re-resume |
