@@ -13,7 +13,11 @@
 //!
 //! Two more groups sweep the alignment modes: the striped batch at
 //! 64 bp, and the per-pair wavefront at 256² and 1024², unbanded and at
-//! band 16 (`per_pair_wavefront`).
+//! band 16 (`per_pair_wavefront`). The `short_pairs` group times the
+//! routing of pairs under 32 symbols, per pair and in batches.
+//!
+//! Pass a name filter to time one group or row:
+//! `cargo bench -p rl-bench --bench batch_throughput -- short_pairs`.
 //!
 //! Every path computes identical scores (`tests/conformance.rs`); the
 //! kernels and their layouts are described in `docs/KERNELS.md`.
@@ -226,11 +230,106 @@ fn bench_per_pair_wavefront(c: &mut Criterion) {
     }
 }
 
+/// Short pairs, where `KernelStrategy::Auto`'s routing is decided, on
+/// 256 random DNA pairs per row, in every alignment mode:
+/// - `short_pairs/per_pair/…`: pinned-`Wavefront` against
+///   pinned-`RollingRow` `AlignEngine::align` at `n × n`. The smallest
+///   `n` at which the wavefront wins in every mode is
+///   `WAVEFRONT_MIN_LEN`.
+/// - `short_pairs/batch/…`: `align_batch` under `Auto` (every pair on
+///   stripes) against the `RollingRow` pin (every pair on the rolling
+///   row), at fixed shapes from 1 × 1 and on ragged 1–31 bp pairs.
+///
+/// `cargo bench -p rl-bench --bench batch_throughput -- short_pairs`
+/// runs this group alone (about 20 s); 30 samples per row, because a
+/// short row is a few milliseconds. Set `RAYON_NUM_THREADS=1`
+/// and pin the process to one CPU for the per-core tables of
+/// `docs/KERNELS.md`.
+fn bench_short_pairs(c: &mut Criterion) {
+    use race_logic::engine::{AffineWeights, AlignMode, LocalScores};
+    use rand::Rng;
+    const SHORT: usize = 256;
+
+    let modes = [
+        AlignMode::Global,
+        AlignMode::SemiGlobal,
+        AlignMode::GlobalAffine(AffineWeights { open: 2 }),
+        AlignMode::Local(LocalScores::unit()),
+    ];
+    let strategies = [KernelStrategy::Wavefront, KernelStrategy::RollingRow];
+    let random = |seed: u64, shape: &dyn Fn(&mut rand::rngs::StdRng) -> (usize, usize)| {
+        let mut rng = seeded_rng(seed);
+        (0..SHORT)
+            .map(|_| {
+                let (n, m) = shape(&mut rng);
+                (
+                    PackedSeq::from_seq(&Seq::<Dna>::random(&mut rng, n)),
+                    PackedSeq::from_seq(&Seq::<Dna>::random(&mut rng, m)),
+                )
+            })
+            .collect::<Vec<(PackedSeq<Dna>, PackedSeq<Dna>)>>()
+    };
+
+    for n in [4_usize, 6, 8, 10, 12, 16] {
+        let packed = random(0x5407 ^ n as u64, &|_| (n, n));
+        let mut group = c.benchmark_group(format!("short_pairs/per_pair/{SHORT}x{n}x{n}"));
+        group.sample_size(30);
+        group.throughput(Throughput::Elements(SHORT as u64));
+        for mode in modes {
+            for strategy in strategies {
+                let cfg = AlignConfig::new(RaceWeights::fig4())
+                    .with_mode(mode)
+                    .with_strategy(strategy);
+                group.bench_function(format!("{mode}/{strategy}"), |b| {
+                    let mut engine = AlignEngine::new(cfg);
+                    b.iter(|| {
+                        let mut acc = 0_u64;
+                        for (q, p) in &packed {
+                            acc += engine.align(q, p).cells_computed;
+                        }
+                        black_box(acc)
+                    });
+                });
+            }
+        }
+        group.finish();
+    }
+
+    let fixed = |n: usize, m: usize| (format!("{n}x{m}"), random(0x5408, &move |_| (n, m)));
+    let ragged = (
+        "ragged1-31".to_string(),
+        random(0x5409, &|rng| {
+            (rng.random_range(1..=31), rng.random_range(1..=31))
+        }),
+    );
+    for (shape, packed) in [fixed(1, 1), fixed(4, 4), fixed(8, 8), fixed(24, 64), ragged] {
+        let mut group = c.benchmark_group(format!(
+            "short_pairs/batch/{SHORT}x{shape}/threads={}",
+            rayon::current_num_threads()
+        ));
+        group.sample_size(30);
+        group.throughput(Throughput::Elements(SHORT as u64));
+        let refs = refs(&packed);
+        for mode in modes {
+            for strategy in [KernelStrategy::Auto, KernelStrategy::RollingRow] {
+                let cfg = AlignConfig::new(RaceWeights::fig4())
+                    .with_mode(mode)
+                    .with_strategy(strategy);
+                group.bench_function(format!("{mode}/{strategy}"), |b| {
+                    b.iter(|| black_box(align_batch(&cfg, &refs, &ScanControl::new())));
+                });
+            }
+        }
+        group.finish();
+    }
+}
+
 criterion_group!(
     benches,
     bench_batch_throughput,
     bench_ragged,
     bench_mode_sweep,
-    bench_per_pair_wavefront
+    bench_per_pair_wavefront,
+    bench_short_pairs
 );
 criterion_main!(benches);

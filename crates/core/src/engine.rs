@@ -45,7 +45,7 @@
 //!   threshold — sound because weights are non-negative, so any
 //!   root→sink path costs at least the minimum of the frontier it
 //!   crosses). Both are fused into both kernels.
-//! - **Batching.** [`align_batch`] packs wavefront-eligible pairs into
+//! - **Batching.** [`align_batch`] packs pairs of any length into
 //!   stripes — sorted by `(n, m)`, greedily merged across lengths under
 //!   a padding budget ([`STRIPE_PAD_BUDGET_PCT`]) — and sweeps each
 //!   stripe with the inter-pair striped kernel (every SIMD lane a
@@ -86,10 +86,19 @@ use crate::supervisor::{ScanControl, StopReason, SupCursor};
 /// of [`Time::NEVER`]).
 pub const NEVER: u64 = u64::MAX;
 
-/// Smallest `min(n, m)` at which [`KernelStrategy::Auto`] picks the
-/// wavefront kernel: below this, anti-diagonals are too short to fill
-/// SIMD lanes and the rolling row's cache behaviour wins.
-pub const WAVEFRONT_MIN_LEN: usize = 32;
+/// Smallest `min(n, m)` at which [`KernelStrategy::Auto`] runs an
+/// unthresholded pair that aligns **alone** (a direct
+/// [`AlignEngine::align`] call, or a batch pair left over from a stripe
+/// of fewer than [`STRIPE_MIN_PAIRS`] members) on the wavefront kernel.
+/// Below it, a 1-lane diagonal is too short to pay for the wavefront's
+/// per-diagonal setup and the serial rolling row is faster: the
+/// `short_pairs/per_pair` rows of
+/// `crates/bench/benches/batch_throughput.rs` put the wavefront at
+/// 0.55–0.89× the rolling row's time at 10 × 10 in all four modes,
+/// 0.90–1.18× at 8 × 8 and about 2× at 4 × 4 (`docs/KERNELS.md`). The
+/// batch planner does not use this constant: a stripe beats the rolling
+/// row at every shape.
+pub const WAVEFRONT_MIN_LEN: usize = 10;
 
 /// Smallest **effective segment length** — `min(n, m)`, further capped
 /// at `band + 1` when banded — at which the per-pair wavefront kernel
@@ -109,8 +118,9 @@ pub const U16_MIN_LEN: usize = 512;
 /// Smallest number of pairs worth launching as one striped
 /// (inter-pair SIMD) sweep in [`align_batch`]: a stripe's cost is nearly
 /// independent of how many of its lanes are live, so below this
-/// occupancy the per-pair wavefront kernel is cheaper. Leftover pairs
-/// of a partially filled stripe run per pair.
+/// occupancy the per-pair kernels are cheaper. Leftover pairs of a
+/// partially filled stripe run per pair, each on the kernel
+/// [`AlignConfig::resolve_strategy`] picks for it.
 pub const STRIPE_MIN_PAIRS: usize = 4;
 
 /// Padding budget of the length-aware stripe packer, in percent: a
@@ -132,9 +142,13 @@ pub const STRIPE_PAD_BUDGET_PCT: u64 = 25;
 /// `docs/KERNELS.md` for the full comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum KernelStrategy {
-    /// Pick per problem: wavefront for long pairs
-    /// (`min(n, m) ≥` [`WAVEFRONT_MIN_LEN`], whatever the band),
-    /// rolling-row otherwise. This is the default.
+    /// Pick per problem. This is the default. In [`align_batch`] every
+    /// pair is a stripe candidate, whatever its length. A pair that
+    /// aligns alone (a direct [`AlignEngine::align`] call, or a batch
+    /// pair its stripe left over) runs the wavefront when
+    /// `min(n, m) ≥` [`WAVEFRONT_MIN_LEN`], whatever the band, or when
+    /// a threshold is set, and the rolling row otherwise
+    /// ([`AlignConfig::resolve_strategy`]).
     #[default]
     Auto,
     /// Row-major sweep with two rolling rows. Minimal state, best cache
@@ -760,13 +774,11 @@ impl AlignConfig {
     /// The complete execution recipe for an `n × m` alignment under this
     /// configuration — strategy and lane width:
     ///
-    /// - [`KernelStrategy::Auto`] resolves to
-    ///   [`KernelStrategy::Wavefront`] when the pair is long enough to
-    ///   fill SIMD lanes (`min(n, m) ≥` [`WAVEFRONT_MIN_LEN`]),
-    ///   otherwise to [`KernelStrategy::RollingRow`]. Explicit
-    ///   strategies resolve to themselves. Bands do not force the
-    ///   rolling row: the linear wavefront stores only the in-band span
-    ///   of each diagonal.
+    /// - The strategy is [`AlignConfig::resolve_strategy`]'s: under
+    ///   [`KernelStrategy::Auto`], the wavefront from `min(n, m) ≥`
+    ///   [`WAVEFRONT_MIN_LEN`] up or under a threshold, and the rolling
+    ///   row otherwise. This is the per-pair plan; the batch planner
+    ///   stripes short pairs anyway.
     /// - The lane word is the narrowest width whose `+∞` sentinel no
     ///   finite cell value can reach (clamped from below by
     ///   [`AlignConfig::with_lane_floor`]); the rolling row always
@@ -817,14 +829,26 @@ impl AlignConfig {
         KernelPlan { strategy, lanes }
     }
 
-    /// The concrete traversal order an `n × m` alignment under this
-    /// configuration runs on — [`AlignConfig::resolve_kernel`] without
-    /// the layout/lane detail, in O(1) (no lane-width eligibility
-    /// check), which is all the batch planner needs per pair.
+    /// The traversal order an `n × m` pair runs on when it aligns
+    /// alone — [`AlignConfig::resolve_kernel`] without the lane detail,
+    /// in O(1). [`KernelStrategy::Auto`] resolves to
+    /// [`KernelStrategy::Wavefront`] when `min(n, m) ≥`
+    /// [`WAVEFRONT_MIN_LEN`] (whatever the band: the linear wavefront
+    /// stores only the in-band span of each diagonal) or when a
+    /// threshold is set, otherwise to [`KernelStrategy::RollingRow`].
+    /// The threshold rule keeps [`align_batch`] equal to a sequential
+    /// loop: the rolling row abandons row by row and the wavefront (and
+    /// so the stripe) diagonal by diagonal, so an abandoned pair's
+    /// `cells_computed` depends on the order. Explicit strategies
+    /// resolve to themselves. The batch planner does not ask: it puts
+    /// every pair on stripes unless the config pins the rolling row,
+    /// and only the pairs a stripe leaves over resolve here.
     #[must_use]
     pub fn resolve_strategy(&self, n: usize, m: usize) -> KernelStrategy {
         match self.strategy {
-            KernelStrategy::Auto if n.min(m) >= WAVEFRONT_MIN_LEN => KernelStrategy::Wavefront,
+            KernelStrategy::Auto if self.threshold.is_some() || n.min(m) >= WAVEFRONT_MIN_LEN => {
+                KernelStrategy::Wavefront
+            }
             KernelStrategy::Auto => KernelStrategy::RollingRow,
             s => s,
         }
@@ -1958,11 +1982,14 @@ impl AlignEngine {
 pub struct BatchPlanStats {
     /// Pairs in the batch.
     pub pairs: usize,
-    /// Pairs whose kernel plan resolves to the wavefront (the striping
-    /// candidates; the rest run the rolling row per pair).
+    /// Stripe candidates: every pair, unless the config pins
+    /// [`KernelStrategy::RollingRow`] (then none, and every pair runs
+    /// the rolling row per pair).
     pub wavefront_eligible: usize,
-    /// Wavefront-eligible pairs actually placed on stripes (the rest
-    /// fall back to per-pair wavefront runs).
+    /// Candidates actually placed on stripes. The rest are left over
+    /// from stripes of fewer than [`STRIPE_MIN_PAIRS`] members and run
+    /// per pair, each on the kernel [`AlignConfig::resolve_strategy`]
+    /// picks for its shape.
     pub striped_pairs: usize,
     /// Planned stripe count.
     pub stripes: usize,
@@ -1979,8 +2006,8 @@ pub struct BatchPlanStats {
 }
 
 impl BatchPlanStats {
-    /// Fraction of wavefront-eligible pairs riding stripes (1.0 when
-    /// there are none).
+    /// Fraction of stripe candidates riding stripes (1.0 when there are
+    /// none, as under the rolling-row pin).
     #[must_use]
     pub fn striped_fraction(&self) -> f64 {
         if self.wavefront_eligible == 0 {
@@ -2018,16 +2045,17 @@ pub fn batch_plan_stats<S: Symbol>(
 ///
 /// Two levels of parallelism are fused. Across cores, work is chunked
 /// with rayon, one scratch set per worker chunk. Within a core, pairs
-/// whose plan resolves to the wavefront kernel are sorted by `(n, m)`
-/// and consecutive pairs greedily share a stripe while padding stays
+/// of any length (unless the config pins
+/// [`KernelStrategy::RollingRow`]) are sorted by `(n, m)` and
+/// consecutive pairs greedily share a stripe while padding stays
 /// under [`STRIPE_PAD_BUDGET_PCT`]; each stripe is swept by the
 /// **striped batch kernel** (`race_logic`'s inter-pair SIMD path): each
 /// SIMD lane of one anti-diagonal sweep is a *different pair*, with
 /// per-lane banding masks and per-lane early termination, lanes
 /// retiring independently — the software analogue of tiling many small
 /// alignments onto one Race Logic array. Stripes with fewer than
-/// [`STRIPE_MIN_PAIRS`] live lanes, and pairs that resolve to the
-/// rolling row, run per pair.
+/// [`STRIPE_MIN_PAIRS`] live lanes, and every pair of a
+/// rolling-row-pinned batch, run per pair.
 ///
 /// The batch is always supervised. It checkpoints `ctrl` between work
 /// units (and inside the per-pair kernels), isolates worker panics per
@@ -2135,8 +2163,15 @@ mod tests {
     fn auto_selection_follows_shape() {
         let cfg = AlignConfig::new(RaceWeights::fig4());
         assert_eq!(cfg.resolve_strategy(256, 256), KernelStrategy::Wavefront);
-        assert_eq!(cfg.resolve_strategy(8, 256), KernelStrategy::RollingRow);
+        assert_eq!(cfg.resolve_strategy(10, 10), KernelStrategy::Wavefront);
+        assert_eq!(cfg.resolve_strategy(10, 256), KernelStrategy::Wavefront);
+        assert_eq!(cfg.resolve_strategy(9, 256), KernelStrategy::RollingRow);
+        assert_eq!(cfg.resolve_strategy(256, 9), KernelStrategy::RollingRow);
         assert_eq!(cfg.resolve_strategy(8, 8), KernelStrategy::RollingRow);
+        assert_eq!(
+            cfg.with_threshold(3).resolve_strategy(8, 8),
+            KernelStrategy::Wavefront
+        );
         // Narrow bands do not force the rolling row: they ride the
         // wavefront.
         let narrow = cfg.with_band(4);
@@ -2156,6 +2191,9 @@ mod tests {
         let base = AlignConfig::new(RaceWeights::fig4());
 
         // Strategy: min(n, m) against WAVEFRONT_MIN_LEN, band-independent.
+        // The crossover is the measured one (`short_pairs/per_pair` in
+        // batch_throughput): re-measure before moving it.
+        assert_eq!(WAVEFRONT_MIN_LEN, 10);
         for (n, m, want) in [
             (
                 WAVEFRONT_MIN_LEN,
@@ -2172,6 +2210,13 @@ mod tests {
                 plan(base.with_band(4), n, m).strategy,
                 want,
                 "{n}x{m} band 4"
+            );
+            // A threshold keeps every pair on the wavefront's
+            // abandonment order, the one its stripe would follow.
+            assert_eq!(
+                plan(base.with_threshold(5), n, m).strategy,
+                KernelStrategy::Wavefront,
+                "{n}x{m} threshold 5"
             );
         }
 

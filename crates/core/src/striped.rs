@@ -24,7 +24,7 @@
 //! from the planes by construction.
 //!
 //! **Packing** is the throughput lever on ragged batches. The
-//! length-aware packer sorts wavefront-eligible pairs by `(n, m)` and
+//! length-aware packer sorts the batch's pairs by `(n, m)` and
 //! greedily grows each stripe while the padding stays under
 //! [`STRIPE_PAD_BUDGET_PCT`] of the members' own (banded) cell counts —
 //! so pairs of *different* lengths share a sweep, shorter lanes
@@ -1049,13 +1049,24 @@ fn resolve_workers(workers: Option<usize>) -> usize {
     workers.unwrap_or_else(rayon::current_num_threads).max(1)
 }
 
+/// Whether the planner may put pairs on stripes under `cfg`: always,
+/// unless the config pins [`KernelStrategy::RollingRow`]. A stripe beats
+/// the rolling row at every shape, down to 1 × 1 (`short_pairs` in
+/// `crates/bench/benches/batch_throughput.rs`), so no pair length keeps
+/// a pair off the stripes.
+fn stripes_allowed(cfg: &AlignConfig) -> bool {
+    cfg.strategy != KernelStrategy::RollingRow
+}
+
 /// Groups the batch into work units with the length-aware packer
-/// ([`pack_length_aware`]); pairs the kernel plan resolves to the rolling row,
-/// and stripes left under [`STRIPE_MIN_PAIRS`] members, fall back to
+/// ([`pack_length_aware`]), which takes every pair unless the config
+/// pins the rolling row. Stripes left under [`STRIPE_MIN_PAIRS`]
+/// members, and every pair of a rolling-row-pinned plan, fall back to
 /// per-pair runs split evenly across `workers` (the count
-/// [`resolve_workers`] gives the run). A `bit_parallel` plan (a scan
-/// segment with query masks) instead splits every pair, in input order,
-/// evenly into bit-parallel units.
+/// [`resolve_workers`] gives the run); those resolve their kernel per
+/// pair ([`AlignConfig::resolve_kernel`]). A `bit_parallel` plan (a
+/// scan segment with query masks) instead splits every pair, in input
+/// order, evenly into bit-parallel units.
 fn plan_units<S: Symbol>(
     cfg: &AlignConfig,
     pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
@@ -1063,19 +1074,21 @@ fn plan_units<S: Symbol>(
     bit_parallel: bool,
 ) -> Vec<WorkUnit> {
     fp_hit("packer");
-    if bit_parallel {
-        let all: Vec<usize> = (0..pairs.len()).collect();
-        return split_units(&all, workers, UnitKind::BitParallel);
-    }
-    let mut eligible: Vec<(usize, usize, usize)> = Vec::new();
-    let mut singles: Vec<usize> = Vec::new();
-    for (i, (q, p)) in pairs.iter().enumerate() {
-        if cfg.resolve_strategy(q.len(), p.len()) == KernelStrategy::Wavefront {
-            eligible.push((q.len(), p.len(), i));
+    if bit_parallel || !stripes_allowed(cfg) {
+        let kind = if bit_parallel {
+            UnitKind::BitParallel
         } else {
-            singles.push(i);
-        }
+            UnitKind::PerPair
+        };
+        let all: Vec<usize> = (0..pairs.len()).collect();
+        return split_units(&all, workers, kind);
     }
+    let mut eligible: Vec<(usize, usize, usize)> = pairs
+        .iter()
+        .enumerate()
+        .map(|(i, (q, p))| (q.len(), p.len(), i))
+        .collect();
+    let mut singles: Vec<usize> = Vec::new();
     let mut units = pack_length_aware(cfg, &mut eligible, &mut singles);
     singles.sort_unstable();
     units.extend(split_units(&singles, workers, UnitKind::PerPair));
@@ -1206,10 +1219,8 @@ pub(crate) fn plan_stats_impl<S: Symbol>(
         pairs: pairs.len(),
         ..BatchPlanStats::default()
     };
-    for (q, p) in pairs {
-        if cfg.resolve_strategy(q.len(), p.len()) == KernelStrategy::Wavefront {
-            stats.wavefront_eligible += 1;
-        }
+    if stripes_allowed(cfg) {
+        stats.wavefront_eligible = pairs.len();
     }
     for unit in plan_units(cfg, pairs, resolve_workers(None), false) {
         if unit.kind != UnitKind::Striped {
@@ -2757,11 +2768,17 @@ mod tests {
         assert_eq!(striped.len(), 2);
         assert_eq!(striped[0].members.len(), 16);
         assert_eq!(striped[1].members.len(), 4);
-        // Short pairs resolve to the rolling row and never stripe.
+        // Short pairs stripe too: one full 16-lane stripe of 8×8 pairs.
+        // Under the rolling-row pin they never stripe.
         let short = random_pairs(16, 8, 8);
-        assert!(plan_units(&base, &ref_pairs(&short), 1, false)
+        let units = plan_units(&base, &ref_pairs(&short), 1, false);
+        assert_eq!(units.len(), 1);
+        assert_eq!(units[0].kind, UnitKind::Striped);
+        assert_eq!(units[0].members.len(), 16);
+        let pinned = base.with_strategy(KernelStrategy::RollingRow);
+        assert!(plan_units(&pinned, &ref_pairs(&short), 1, false)
             .iter()
-            .all(|u| u.kind != UnitKind::Striped));
+            .all(|u| u.kind == UnitKind::PerPair));
     }
 
     #[test]
@@ -2942,7 +2959,7 @@ mod tests {
 
     #[test]
     fn affine_mode_plans_stripes() {
-        // Affine pairs stripe like any other wavefront-eligible pairs
+        // Affine pairs stripe like any other pairs
         // since the three-plane Gotoh sweep landed — and stay
         // byte-identical to the sequential per-pair Gotoh path.
         use crate::engine::{AffineWeights, AlignMode};
@@ -3097,12 +3114,12 @@ mod tests {
 
     #[test]
     fn per_pair_split_follows_the_run_worker_count() {
-        // Short pairs resolve to the rolling row, so the whole batch is
-        // per-pair units, split into even chunks for the workers the run
-        // will use, whatever the host's thread count (and
-        // `RAYON_NUM_THREADS`) says.
+        // The rolling-row pin keeps every pair off the stripes, so the
+        // whole batch is per-pair units, split into even chunks for the
+        // workers the run will use, whatever the host's thread count
+        // (and `RAYON_NUM_THREADS`) says.
         let pairs = random_pairs(12, 8, 12);
-        let cfg = AlignConfig::new(RaceWeights::fig4());
+        let cfg = AlignConfig::new(RaceWeights::fig4()).with_strategy(KernelStrategy::RollingRow);
         let mut faults = Vec::new();
         for workers in [1, 2, 3, 5, 12, 40] {
             let expected = pairs.len().div_ceil(pairs.len().div_ceil(workers));

@@ -6,6 +6,10 @@
 //! and `Bencher::iter`. Measurement is a plain calibrated wall-clock
 //! loop (median of `sample_size` samples) — good enough to compare
 //! engines and track regressions, with none of criterion's statistics.
+//!
+//! Like criterion, the bench binary takes a name filter:
+//! `cargo bench --bench <file> -- <filter>` runs only the benchmarks
+//! whose full `group/name` id contains `<filter>` (see [`name_filter`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -105,12 +109,32 @@ fn human(seconds: f64) -> String {
     }
 }
 
+/// The benchmark name filter in a bench binary's arguments (program
+/// name first, as [`std::env::args`] gives them): the first argument
+/// that is not a flag. Flags — `--bench`, which `cargo bench` always
+/// passes, and anything else starting with `-` — are ignored.
+pub fn name_filter(args: impl IntoIterator<Item = String>) -> Option<String> {
+    args.into_iter().skip(1).find(|a| !a.starts_with('-'))
+}
+
+/// Whether the benchmark with full id `id` (`group/name`) runs under
+/// `filter`: every benchmark runs without one, otherwise those whose id
+/// contains it.
+#[must_use]
+pub fn selected(filter: Option<&str>, id: &str) -> bool {
+    filter.is_none_or(|f| id.contains(f))
+}
+
 fn run_one(
+    filter: Option<&str>,
     name: &str,
     samples: usize,
     throughput: Option<Throughput>,
     f: impl FnOnce(&mut Bencher),
 ) {
+    if !selected(filter, name) {
+        return;
+    }
     let mut b = Bencher {
         samples,
         per_iter: 0.0,
@@ -135,7 +159,7 @@ pub struct BenchmarkGroup<'c> {
     name: String,
     samples: usize,
     throughput: Option<Throughput>,
-    _parent: &'c mut Criterion,
+    parent: &'c mut Criterion,
 }
 
 impl BenchmarkGroup<'_> {
@@ -154,6 +178,7 @@ impl BenchmarkGroup<'_> {
     /// Benchmarks `routine` under `id`.
     pub fn bench_function<F: FnOnce(&mut Bencher)>(&mut self, id: impl Display, routine: F) {
         run_one(
+            self.parent.filter.as_deref(),
             &format!("{}/{}", self.name, id),
             self.samples,
             self.throughput,
@@ -167,6 +192,7 @@ impl BenchmarkGroup<'_> {
         F: FnOnce(&mut Bencher, &I),
     {
         run_one(
+            self.parent.filter.as_deref(),
             &format!("{}/{}", self.name, id),
             self.samples,
             self.throughput,
@@ -180,12 +206,23 @@ impl BenchmarkGroup<'_> {
 
 /// The benchmark harness entry point.
 #[derive(Debug, Default)]
-pub struct Criterion {}
+pub struct Criterion {
+    /// Runs only the benchmarks whose id contains this (all when `None`).
+    filter: Option<String>,
+}
 
 impl Criterion {
+    /// Takes the name filter from the process arguments
+    /// ([`name_filter`]).
+    #[must_use]
+    pub fn configure_from_args(mut self) -> Self {
+        self.filter = name_filter(std::env::args());
+        self
+    }
+
     /// Benchmarks a single function.
     pub fn bench_function<F: FnOnce(&mut Bencher)>(&mut self, name: &str, routine: F) -> &mut Self {
-        run_one(name, 10, None, routine);
+        run_one(self.filter.as_deref(), name, 10, None, routine);
         self
     }
 
@@ -195,7 +232,7 @@ impl Criterion {
             name: name.into(),
             samples: 10,
             throughput: None,
-            _parent: self,
+            parent: self,
         }
     }
 }
@@ -205,7 +242,7 @@ impl Criterion {
 macro_rules! criterion_group {
     ($name:ident, $($target:path),+ $(,)?) => {
         fn $name() {
-            let mut c = $crate::Criterion::default();
+            let mut c = $crate::Criterion::default().configure_from_args();
             $($target(&mut c);)+
         }
     };
@@ -216,7 +253,7 @@ macro_rules! criterion_group {
 macro_rules! criterion_main {
     ($($group:path),+ $(,)?) => {
         fn main() {
-            // Cargo passes harness flags (e.g. --bench); ignore them.
+            // Each group reads the name filter from the arguments.
             $($group();)+
         }
     };
@@ -236,6 +273,50 @@ mod tests {
             b.iter(|| (0..n).sum::<u64>())
         });
         g.finish();
+    }
+
+    #[test]
+    fn name_filter_is_the_first_non_flag_argument() {
+        let args = |a: &[&str]| a.iter().map(|s| (*s).to_string()).collect::<Vec<_>>();
+        assert_eq!(name_filter(args(&["bench"])), None);
+        assert_eq!(name_filter(args(&["bench", "--bench"])), None);
+        assert_eq!(
+            name_filter(args(&["bench", "short_pairs", "--bench"])),
+            Some("short_pairs".to_string())
+        );
+        assert_eq!(
+            name_filter(args(&["bench", "--bench", "-q", "per_pair", "x"])),
+            Some("per_pair".to_string())
+        );
+    }
+
+    #[test]
+    fn filter_matches_a_substring_of_the_full_id() {
+        assert!(selected(None, "g/f/4"));
+        assert!(selected(Some("g/f"), "g/f/4"));
+        assert!(selected(Some("f/4"), "g/f/4"));
+        assert!(!selected(Some("h"), "g/f/4"));
+        assert!(!selected(Some("g/f/44"), "g/f/4"));
+    }
+
+    #[test]
+    fn filtered_benchmarks_never_run() {
+        let mut c = Criterion {
+            filter: Some("keep".to_string()),
+        };
+        let mut ran = Vec::new();
+        let mut g = c.benchmark_group("g");
+        g.sample_size(1);
+        g.bench_function("keep", |b| {
+            ran.push("keep");
+            b.iter(|| 1)
+        });
+        g.bench_function("skip", |b| {
+            ran.push("skip");
+            b.iter(|| 1)
+        });
+        g.finish();
+        assert_eq!(ran, ["keep"]);
     }
 
     #[test]

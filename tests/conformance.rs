@@ -20,8 +20,8 @@ use race_logic::early_termination::{
     estimate_scan_cells, scan, scan_packed_topk_with, ScanEntries,
 };
 use race_logic::engine::{
-    align_batch, AffineWeights, AlignConfig, AlignEngine, AlignMode, KernelStrategy, LaneWidth,
-    LocalScores,
+    align_batch, batch_plan_stats, AffineWeights, AlignConfig, AlignEngine, AlignMode,
+    KernelStrategy, LaneWidth, LocalScores,
 };
 use race_logic::supervisor::{ScanControl, ScanOutcome, StopReason};
 use race_logic::telemetry::metrics::BITPAR_PAIRS;
@@ -36,10 +36,12 @@ const LANE_FLOORS: [LaneWidth; 4] = [
     LaneWidth::U64,
 ];
 
-/// Mixed-length pairs in `lo..=hi` bp — long enough to stripe, ragged
-/// enough to exercise the length-aware packer's cross-length stripes,
-/// plus two short pairs that resolve to the per-pair rolling row so
-/// every batch plan mixes striped and per-pair units.
+/// Mixed-length pairs in `lo..=hi` bp — ragged enough to exercise the
+/// length-aware packer's cross-length stripes — plus two short pairs.
+/// The short two are too far from the rest to share their stripes
+/// within the padding budget and too few to fill a stripe of their own,
+/// so they run per pair, and every batch plan mixes striped and
+/// per-pair units (`pairs_helper_mixes_striped_and_per_pair_units`).
 fn pairs<S: Symbol>(
     seed: u64,
     count: usize,
@@ -291,6 +293,88 @@ fn conformance_protein_local() {
         AlignConfig::new(RaceWeights::fig2b()).with_mode(AlignMode::Local(LocalScores::blast()));
     for (variant, cfg) in mode_variants(base, None) {
         assert_conformance(&format!("protein/local/{variant}"), cfg, &pairs);
+    }
+}
+
+#[test]
+fn pairs_helper_mixes_striped_and_per_pair_units() {
+    for (seed, count, lo, hi) in [(0xC0F0, 14, 40, 64), (0xC0F4, 14, 32, 36)] {
+        let pairs = pairs::<Dna>(seed, count, lo, hi);
+        let stats = batch_plan_stats(&AlignConfig::new(RaceWeights::fig4()), &pairs);
+        assert_eq!(stats.striped_pairs, count, "{lo}..={hi}");
+        assert_eq!(stats.pairs, count + 2, "{lo}..={hi}");
+    }
+}
+
+/// Short and empty pairs ride stripes: ragged shapes of 0–31 symbols,
+/// four pairs per shape so each shape can fill a stripe, in every mode,
+/// unbanded and at bands 0 and 2, at every lane floor. The batch must
+/// plan stripes, and every outcome must equal the per-pair rolling row
+/// exactly (no threshold is set, so the two traversal orders compute
+/// the same cells) and pass [`assert_conformance`].
+#[test]
+fn short_and_empty_pairs_ride_stripes() {
+    let shapes = [
+        (0, 0),
+        (0, 5),
+        (6, 0),
+        (1, 1),
+        (1, 4),
+        (3, 2),
+        (4, 4),
+        (5, 9),
+        (8, 8),
+        (9, 12),
+        (11, 10),
+        (16, 16),
+        (13, 21),
+        (24, 31),
+        (31, 31),
+        (31, 17),
+    ];
+    let mut rng = seeded_rng(0x5407);
+    let pairs: Vec<(PackedSeq<Dna>, PackedSeq<Dna>)> = shapes
+        .iter()
+        .flat_map(|&shape| std::iter::repeat_n(shape, 4))
+        .map(|(n, m)| {
+            (
+                PackedSeq::from_seq(&Seq::random(&mut rng, n)),
+                PackedSeq::from_seq(&Seq::random(&mut rng, m)),
+            )
+        })
+        .collect();
+    let refs: Vec<_> = pairs.iter().map(|(q, p)| (q, p)).collect();
+    let modes = [
+        AlignMode::Global,
+        AlignMode::SemiGlobal,
+        AlignMode::Local(LocalScores::blast()),
+        AlignMode::GlobalAffine(AffineWeights { open: 2 }),
+    ];
+    for mode in modes {
+        for band in [None, Some(0), Some(2)] {
+            let mut cfg = AlignConfig::new(RaceWeights::fig4()).with_mode(mode);
+            if let Some(k) = band {
+                cfg = cfg.with_band(k);
+            }
+            let label = format!("short/{mode}/band {band:?}");
+            let mut rolling = AlignEngine::new(cfg.with_strategy(KernelStrategy::RollingRow));
+            let expected: Vec<_> = pairs.iter().map(|(q, p)| rolling.align(q, p)).collect();
+            for floor in LANE_FLOORS {
+                let fcfg = cfg.with_lane_floor(floor);
+                let stats = batch_plan_stats(&fcfg, &pairs);
+                assert!(
+                    stats.striped_pairs > 0,
+                    "{label}: no short pair striped at floor {floor:?}"
+                );
+                let batch = align_batch(&fcfg, &refs, &ScanControl::new()).expect_complete();
+                assert_eq!(
+                    batch, expected,
+                    "{label}: striped batch diverges from the per-pair rolling row \
+                     at floor {floor:?}"
+                );
+            }
+            assert_conformance(&label, cfg, &pairs);
+        }
     }
 }
 

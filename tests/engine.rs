@@ -389,8 +389,8 @@ use race_logic::engine::{fill_grid_mode, LaneWidth};
 proptest! {
     /// The striped batch kernel is byte-identical to the sequential
     /// engine loop — scores, cell counts AND early-termination /
-    /// threshold verdicts — across mixed-length cohorts (every pair is
-    /// wavefront-eligible, so the batch actually stripes), with and
+    /// threshold verdicts — across mixed-length cohorts (long enough
+    /// that a sequential loop runs the wavefront too), with and
     /// without bands and thresholds.
     #[test]
     fn striped_batch_equals_sequential(
@@ -901,7 +901,7 @@ fn ratcheted_topk_deterministic_across_worker_counts() {
     );
 }
 
-/// On a ragged log-normal workload most wavefront-eligible pairs must
+/// On a ragged log-normal workload most stripe candidates must
 /// ride stripes under the length-aware packer (the acceptance-criterion
 /// floor, pinned well below the measured value), and repeated batches
 /// are byte-identical. A far wider spread checks the batch at two lane
