@@ -3090,6 +3090,168 @@ mod tests {
         );
     }
 
+    /// `(mode, lane width, members, band)` → `(total cells, abandoned
+    /// lanes)` of one fixed-`Coarse` stripe: the work counts
+    /// [`coarse_threshold_work_counts_are_pinned`] holds fixed.
+    #[allow(clippy::type_complexity)]
+    const COARSE_WORK: [(&str, LaneWidth, usize, Option<usize>, u64, usize); 72] = {
+        use LaneWidth::{U16, U32, U64, U8};
+        [
+            ("global", U8, 12, None, 9510, 8),
+            ("global", U8, 12, Some(0), 234, 11),
+            ("global", U8, 12, Some(3), 1687, 9),
+            ("global", U8, 12, Some(16), 6230, 8),
+            ("global", U8, 24, None, 18230, 16),
+            ("global", U8, 24, Some(0), 441, 24),
+            ("global", U8, 24, Some(3), 3311, 23),
+            ("global", U8, 24, Some(16), 12510, 16),
+            ("global", U16, 6, None, 4524, 4),
+            ("global", U16, 6, Some(0), 110, 6),
+            ("global", U16, 6, Some(3), 878, 4),
+            ("global", U16, 6, Some(16), 3237, 4),
+            ("global", U16, 12, None, 9253, 8),
+            ("global", U16, 12, Some(0), 203, 12),
+            ("global", U16, 12, Some(3), 1642, 10),
+            ("global", U16, 12, Some(16), 6109, 8),
+            ("global", U32, 8, None, 6368, 5),
+            ("global", U32, 8, Some(0), 146, 8),
+            ("global", U32, 8, Some(3), 1124, 8),
+            ("global", U32, 8, Some(16), 4226, 5),
+            ("global", U64, 8, None, 6315, 5),
+            ("global", U64, 8, Some(0), 168, 8),
+            ("global", U64, 8, Some(3), 1205, 6),
+            ("global", U64, 8, Some(16), 4481, 5),
+            ("semi", U8, 12, None, 14289, 7),
+            ("semi", U8, 12, Some(0), 234, 11),
+            ("semi", U8, 12, Some(3), 1841, 9),
+            ("semi", U8, 12, Some(16), 8422, 7),
+            ("semi", U8, 24, None, 24040, 12),
+            ("semi", U8, 24, Some(0), 441, 24),
+            ("semi", U8, 24, Some(3), 3638, 23),
+            ("semi", U8, 24, Some(16), 16370, 12),
+            ("semi", U16, 6, None, 5693, 2),
+            ("semi", U16, 6, Some(0), 110, 6),
+            ("semi", U16, 6, Some(3), 944, 4),
+            ("semi", U16, 6, Some(16), 4019, 2),
+            ("semi", U16, 12, None, 13023, 8),
+            ("semi", U16, 12, Some(0), 203, 12),
+            ("semi", U16, 12, Some(3), 1750, 10),
+            ("semi", U16, 12, Some(16), 7794, 8),
+            ("semi", U32, 8, None, 9170, 4),
+            ("semi", U32, 8, Some(0), 146, 8),
+            ("semi", U32, 8, Some(3), 1209, 8),
+            ("semi", U32, 8, Some(16), 5442, 4),
+            ("semi", U64, 8, None, 8697, 4),
+            ("semi", U64, 8, Some(0), 168, 8),
+            ("semi", U64, 8, Some(3), 1284, 6),
+            ("semi", U64, 8, Some(16), 5423, 4),
+            ("affine", U8, 12, None, 8132, 8),
+            ("affine", U8, 12, Some(0), 234, 11),
+            ("affine", U8, 12, Some(3), 1543, 9),
+            ("affine", U8, 12, Some(16), 5637, 8),
+            ("affine", U8, 24, None, 17374, 16),
+            ("affine", U8, 24, Some(0), 441, 24),
+            ("affine", U8, 24, Some(3), 3199, 23),
+            ("affine", U8, 24, Some(16), 12028, 16),
+            ("affine", U16, 6, None, 3795, 4),
+            ("affine", U16, 6, Some(0), 110, 6),
+            ("affine", U16, 6, Some(3), 750, 4),
+            ("affine", U16, 6, Some(16), 2817, 4),
+            ("affine", U16, 12, None, 7177, 8),
+            ("affine", U16, 12, Some(0), 203, 12),
+            ("affine", U16, 12, Some(3), 1418, 10),
+            ("affine", U16, 12, Some(16), 5095, 8),
+            ("affine", U32, 8, None, 5497, 5),
+            ("affine", U32, 8, Some(0), 146, 8),
+            ("affine", U32, 8, Some(3), 1034, 8),
+            ("affine", U32, 8, Some(16), 3818, 5),
+            ("affine", U64, 8, None, 5719, 5),
+            ("affine", U64, 8, Some(0), 168, 8),
+            ("affine", U64, 8, Some(3), 1135, 6),
+            ("affine", U64, 8, Some(16), 4187, 5),
+        ]
+    };
+
+    #[test]
+    fn coarse_threshold_work_counts_are_pinned() {
+        // The ratchet's path through the linear and affine stripe sweeps:
+        // a fixed `Coarse` threshold keeps both whole-stripe rules live
+        // (the unmasked frontier bound and the remaining-cost bound), over
+        // seeded ragged stripes at every `(W, L)` entry of `run_stripe`.
+        // No benchmark workload runs the linear stripe under a ratchet,
+        // so this table is where a change in its abandons shows.
+        use crate::engine::AffineWeights;
+        use rand::Rng;
+        let modes = [
+            ("global", AlignMode::Global),
+            ("semi", AlignMode::SemiGlobal),
+            ("affine", AlignMode::GlobalAffine(AffineWeights { open: 2 })),
+        ];
+        // Member counts that select each `(W, L)` monomorphization:
+        // u8×16, u8×32, u16×8, u16×16, u32×8 and u64×8.
+        let entries = [
+            (LaneWidth::U8, 12),
+            (LaneWidth::U8, 24),
+            (LaneWidth::U16, 6),
+            (LaneWidth::U16, 12),
+            (LaneWidth::U32, 8),
+            (LaneWidth::U64, 8),
+        ];
+        let mut got = Vec::new();
+        for (label, mode) in modes {
+            for (ci, &(width, members)) in entries.iter().enumerate() {
+                for band in [None, Some(0), Some(3), Some(16)] {
+                    let mut rng = rl_dag::generate::seeded_rng(0xC0A5 + ci as u64);
+                    let pairs: Vec<(PackedSeq<Dna>, PackedSeq<Dna>)> = (0..members)
+                        .map(|l| {
+                            // Every third lane is a short near copy that
+                            // finishes under the threshold and retires
+                            // mid-sweep; the longer random lanes score over
+                            // it and are the ones the whole-stripe rules
+                            // abandon once the copies have retired.
+                            if l % 3 == 0 {
+                                let n = rng.random_range(10..=24);
+                                let q = Seq::<Dna>::random(&mut rng, n);
+                                let keep = n - rng.random_range(0..=6_usize);
+                                let p = q.as_slice()[..keep].iter().copied().collect();
+                                (pack(&q), pack(&p))
+                            } else {
+                                let (n, m) = (rng.random_range(24..=48), rng.random_range(24..=48));
+                                (
+                                    pack(&Seq::random(&mut rng, n)),
+                                    pack(&Seq::random(&mut rng, m)),
+                                )
+                            }
+                        })
+                        .collect();
+                    let mut cfg = AlignConfig::new(RaceWeights::fig4()).with_mode(mode);
+                    if let Some(k) = band {
+                        cfg = cfg.with_band(k);
+                    }
+                    let idx: Vec<usize> = (0..members).collect();
+                    let mut scratch = StripeScratch::new();
+                    let mut results = vec![EngineOutcome::default(); members];
+                    run_stripe(
+                        &cfg,
+                        &ref_pairs(&pairs),
+                        &idx,
+                        width,
+                        StripeThreshold::Coarse(32),
+                        &mut scratch,
+                        &mut results,
+                    );
+                    let cells: u64 = results.iter().map(|o| o.cells_computed).sum();
+                    let abandoned = results.iter().filter(|o| o.early_terminated).count();
+                    got.push((label, width, members, band, cells, abandoned));
+                }
+            }
+        }
+        assert_eq!(got.len(), COARSE_WORK.len());
+        for (g, want) in got.iter().zip(COARSE_WORK) {
+            assert_eq!(*g, want, "(mode, width, members, band, cells, abandoned)");
+        }
+    }
+
     #[test]
     fn grid_cells_matches_diag_range_sum() {
         // The closed form (full grid minus corner triangles) must equal
