@@ -11,11 +11,11 @@
 //!   dependency) and the *wavefront* sweep (anti-diagonal order: every
 //!   cell of a diagonal is independent, exactly the parallelism the
 //!   Race Logic array exploits in hardware, vectorized through
-//!   [`crate::simd`]). The linear wavefront stores only each diagonal's
-//!   in-band span, relative to its first row (O(min(n, m, band)) state,
-//!   which is how narrow bands stay on the wavefront), and
-//!   [`align_batch`] adds a further axis: the *striped batch kernel*,
-//!   one wavefront sweep whose SIMD lanes are *different pairs* of a
+//!   [`crate::simd`]). A per-pair wavefront is the striped sweep of
+//!   [`crate::striped`] at one lane, which computes only each
+//!   diagonal's in-band span (which is how narrow bands stay on the
+//!   wavefront), and [`align_batch`] adds a further axis: the same
+//!   sweep with SIMD lanes that are *different pairs* of a
 //!   shape-compatible cohort.
 //!   [`KernelStrategy::Auto`] picks by problem shape; the full decision
 //!   is [`AlignConfig::resolve_kernel`].
@@ -78,8 +78,8 @@ use rl_temporal::Time;
 
 use crate::alignment::RaceWeights;
 use crate::error::AlignError;
-use crate::simd::{self, KernelWord, LaneWeights};
-use crate::striped::{stripe_sweep_affine, stripe_sweep_local, StripeThreshold};
+use crate::simd::{KernelWord, LaneWeights};
+use crate::striped::{min_plus_sweep, stripe_sweep_local, Stripe, StripeThreshold};
 use crate::supervisor::{ScanControl, StopReason, SupCursor};
 
 /// `+∞` in the kernel's raw representation (identical to the bit pattern
@@ -833,8 +833,8 @@ impl AlignConfig {
     /// alone — [`AlignConfig::resolve_kernel`] without the lane detail,
     /// in O(1). [`KernelStrategy::Auto`] resolves to
     /// [`KernelStrategy::Wavefront`] when `min(n, m) ≥`
-    /// [`WAVEFRONT_MIN_LEN`] (whatever the band: the linear wavefront
-    /// stores only the in-band span of each diagonal) or when a
+    /// [`WAVEFRONT_MIN_LEN`] (whatever the band: the wavefront computes
+    /// only the in-band span of each diagonal) or when a
     /// threshold is set, otherwise to [`KernelStrategy::RollingRow`].
     /// The threshold rule keeps [`align_batch`] equal to a sequential
     /// loop: the rolling row abandons row by row and the wavefront (and
@@ -1200,219 +1200,31 @@ pub(crate) fn classify_outcome(
     }
 }
 
-/// The score-only linear min-plus wavefront kernel, serving
-/// [`AlignMode::Global`] and [`AlignMode::SemiGlobal`] at every band:
-/// anti-diagonal order over three rotating buffers, inner loop
-/// vectorized through [`crate::simd::diag_update`]. Each diagonal stores
-/// only its in-band span, relative to the span's first row, so the
-/// buffers hold `min(n, m, k) + 4` cells (`k` unbounded without a band)
-/// and stay L1-resident at any sequence length under a narrow band.
-///
-/// `p_rev` is `p`'s code sequence **reversed**: along an anti-diagonal
-/// `i + j = d`, the cell at row `i` compares `q[i − 1]` against
-/// `p[d − i − 1] = p_rev[m − d + i]`, so both streams are read forward
-/// and contiguously.
-///
-/// **Indexing and hygiene.** Cell `(i, d − i)` of diagonal `d` lives at
-/// buffer index `i − lo(d) + 1`, where `lo(d)` is the span's first row;
-/// index 0 and index `span + 1` are `+∞` guard cells, rewritten with
-/// every span. A neighbour on diagonal `d − a` (`a ∈ {1, 2}`) at row
-/// `i − b` then sits at relative index `(i − lo(d) + 1) + s_a − b` with
-/// `s_a = lo(d) − lo(d − a)`. Because `lo` and `hi` are non-decreasing in
-/// `d` and grow by at most one per diagonal, `s_1 ∈ {0, 1}` and
-/// `s_2 ∈ {0, 1, 2}`, and every neighbour read lands inside the span it
-/// reads or on one of that span's guards — stale values further out are
-/// never read.
-///
-/// **Band-empty diagonals.** At band `k ≥ 1` a diagonal is empty only
-/// once `d` has passed `2n + k` or `2m + k`; every later diagonal is
-/// empty too, so nothing reads its buffer again. At band 0 the odd
-/// diagonals are empty and are read by the even ones, whose buffers are
-/// exactly four cells. Resetting the first four cells to `+∞` covers
-/// both cases.
-///
-/// **Semi-global** (`semi = true`) changes three things: top-row
-/// boundary cells `(0, d)` are injected at `0` instead of `d · indel`
-/// (free leading gaps in P), a running best over bottom-row cells
-/// `(n, d − n)` replaces the sink readout (free trailing gaps — each
-/// diagonal intersects the bottom row in exactly one cell, so the
-/// tracking is one extra read per diagonal), and the abandon rule also
-/// folds in that best (an already-seen bottom-row value within the
-/// threshold must block abandoning). The abandon stays sound for the
-/// free injections *ahead* of the frontier automatically: while any
-/// remain (`d − 1 ≤ m` in band), the cell `(0, d − 1)` contributes `0`
-/// to `min1`, so the rule cannot fire until every injection point is
-/// behind the frontier.
-#[allow(clippy::too_many_arguments)]
-fn wavefront_score<W: KernelWord>(
-    q_codes: &[u8],
-    p_rev: &[u8],
-    w: RawWeights,
-    band: Option<usize>,
-    threshold: Option<u64>,
-    semi: bool,
-    bufs: &mut [Vec<W>; 3],
-    sup: &mut SupCursor<'_>,
-) -> Result<EngineOutcome, StopReason> {
-    let (n, m) = (q_codes.len(), p_rev.len());
-    let lw: LaneWeights<W> = w.lanes();
-    let t_w = threshold.map(W::clamp_raw);
-    // Span bound: hi − lo + 1 ≤ min(n, m, k) + 1; +1 guard on each side
-    // and +1 slack for the widest `s_2 = 2` read.
-    let cap = band.unwrap_or(usize::MAX).min(n).min(m) + 4;
-    for b in bufs.iter_mut() {
-        b.clear();
-        b.resize(cap, W::INF);
-    }
-
-    // Diagonal 0: the root cell (0, 0) at relative index 1 (lo(0) = 0).
-    bufs[0][1] = W::ZERO;
-    let mut cells = 1_u64;
-    // Minima over diagonals d − 1 and d − 2.
-    let (mut min1, mut min2) = (W::ZERO, W::INF);
-    // Best bottom-row value so far (semi-global readout); for n == 0
-    // the root cell itself is on the bottom row.
-    let mut best = if semi && n == 0 { W::ZERO } else { W::INF };
-    // lo of the two previous diagonals, tracked even across band-empty
-    // diagonals (the formula stays monotone there, keeping the shifts
-    // in range).
-    let (mut lo_prev1, mut lo_prev2) = (0_usize, 0_usize);
-
-    for d in 1..=(n + m) {
-        // Sound abandon: a root→sink path's cell indices i + j step by 1
-        // (indel) or 2 (diagonal), so every path visits a computed cell
-        // on diagonal d − 1 or d − 2; with non-negative weights its cost
-        // is at least that cell's value ≥ min(min1, min2).
-        if let Some(t) = t_w {
-            let floor = if semi {
-                min1.min(min2).min(best)
-            } else {
-                min1.min(min2)
-            };
-            if floor > t {
-                return Ok(EngineOutcome {
-                    score: Time::NEVER,
-                    cells_computed: cells,
-                    early_terminated: true,
-                });
-            }
-        }
-        let (cur, d1, d2) = rotate_bufs(bufs, d);
-        let (lo, hi) = diag_range(d, n, m, band);
-        if lo > hi {
-            cur[..4].fill(W::INF); // see "Band-empty diagonals" above
-            min2 = min1;
-            min1 = W::INF;
-            (lo_prev2, lo_prev1) = (lo_prev1, lo);
-            sup.tick(0)?;
-            continue;
-        }
-        let span = hi - lo + 1;
-        let s1 = lo - lo_prev1;
-        let s2 = lo - lo_prev2;
-        debug_assert!(s1 <= 1 && s2 <= 2, "lo grows by at most one per diagonal");
-        // Guard cells around the span about to be written.
-        cur[0] = W::INF;
-        cur[span + 1] = W::INF;
-
-        let mut dmin = W::INF;
-        // Boundary cells: indel chains from the root — except the
-        // semi-global top row, which is a free injection point.
-        let boundary = W::clamp_raw((d as u64).saturating_mul(w.indel));
-        let top_boundary = if semi { W::ZERO } else { boundary };
-        if lo == 0 {
-            cur[1] = top_boundary; // cell (0, d), d ≤ m guaranteed by lo == 0
-            dmin = dmin.min(top_boundary);
-        }
-        if hi == d {
-            cur[d - lo + 1] = boundary; // cell (d, 0), d ≤ n guaranteed by hi == d
-            dmin = dmin.min(boundary);
-        }
-        // Interior cells (i ≥ 1, j = d − i ≥ 1): the SIMD segment.
-        let ilo = lo.max(1);
-        let ihi = hi.min(d - 1);
-        if ilo <= ihi {
-            let len = ihi - ilo + 1;
-            let base = ilo - lo + 1;
-            let seg_min = simd::diag_update(
-                &d1[base + s1 - 1..base + s1 - 1 + len], // up: (i − 1, j) on d − 1
-                &d1[base + s1..base + s1 + len],         // left: (i, j − 1) on d − 1
-                &d2[base + s2 - 1..base + s2 - 1 + len], // diag: (i − 1, j − 1) on d − 2
-                &q_codes[ilo - 1..ilo - 1 + len],
-                &p_rev[m + ilo - d..m + ilo - d + len],
-                lw,
-                &mut cur[base..base + len],
-            );
-            dmin = dmin.min(seg_min);
-        }
-        if semi && lo <= n && n <= hi {
-            best = best.min(cur[n - lo + 1]); // bottom-row cell (n, d − n)
-        }
-        cells += span as u64;
-        min2 = min1;
-        min1 = dmin;
-        (lo_prev2, lo_prev1) = (lo_prev1, lo);
-        sup.tick(span as u64)?;
-    }
-
-    let score_raw = if semi {
-        // The running bottom-row best is the whole readout; a band that
-        // excludes every bottom-row cell leaves it at +∞ naturally.
-        best.to_raw()
-    } else {
-        let (flo, fhi) = diag_range(n + m, n, m, band);
-        if flo <= fhi {
-            bufs[(n + m) % 3][n - flo + 1].to_raw()
-        } else {
-            NEVER // the band excludes the sink cell itself
-        }
-    };
-    Ok(classify_outcome(score_raw, threshold, cells))
-}
-
-/// Per-plane diagonal scratch of the affine stripe sweep (a per-pair
-/// affine wavefront is its 1-lane form): three rotating buffers for
-/// each of the M / Ix / Iy planes at one lane width.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct AffineDiagScratch<W> {
-    pub(crate) m: [Vec<W>; 3],
-    pub(crate) x: [Vec<W>; 3],
-    pub(crate) y: [Vec<W>; 3],
-}
-
-/// Diagonal scratch at every lane word: the three rotating buffers of
-/// the linear and local kernels plus the affine planes, per word. Both
-/// the per-pair engine and the striped sweep own one; [`DiagWord`] picks
-/// a word's share.
+/// Diagonal scratch at every lane word: three planes of three rotating
+/// buffers per word. The linear and local kernels use plane 0, the affine
+/// kernel all three (M, Ix, Iy). Both the per-pair engine and the striped
+/// sweep own one; [`DiagWord`] picks a word's planes.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DiagScratch {
-    b8: [Vec<u8>; 3],
-    b16: [Vec<u16>; 3],
-    b32: [Vec<u32>; 3],
-    b64: [Vec<u64>; 3],
-    a8: AffineDiagScratch<u8>,
-    a16: AffineDiagScratch<u16>,
-    a32: AffineDiagScratch<u32>,
-    a64: AffineDiagScratch<u64>,
+    b8: [[Vec<u8>; 3]; 3],
+    b16: [[Vec<u16>; 3]; 3],
+    b32: [[Vec<u32>; 3]; 3],
+    b64: [[Vec<u64>; 3]; 3],
 }
 
 impl DiagScratch {
     /// `(capacity, bytes per word)` of every buffer, word by word.
     fn capacities(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        fn word<'a, W>(
-            b: &'a [Vec<W>; 3],
-            a: &'a AffineDiagScratch<W>,
-        ) -> impl Iterator<Item = (usize, usize)> + 'a {
-            b.iter()
-                .chain(&a.m)
-                .chain(&a.x)
-                .chain(&a.y)
+        fn word<W>(planes: &[[Vec<W>; 3]; 3]) -> impl Iterator<Item = (usize, usize)> + '_ {
+            planes
+                .iter()
+                .flatten()
                 .map(|v| (v.capacity(), std::mem::size_of::<W>()))
         }
-        word(&self.b8, &self.a8)
-            .chain(word(&self.b16, &self.a16))
-            .chain(word(&self.b32, &self.a32))
-            .chain(word(&self.b64, &self.a64))
+        word(&self.b8)
+            .chain(word(&self.b16))
+            .chain(word(&self.b32))
+            .chain(word(&self.b64))
     }
 }
 
@@ -1423,32 +1235,32 @@ pub(crate) trait DiagWord: KernelWord {
     /// `true` for the byte word, which the striped sweep runs under a
     /// running bias ([`u8_bias_rate`]).
     const BIASED: bool = false;
-    /// This word's linear/local buffers and affine planes.
-    fn split(s: &mut DiagScratch) -> (&mut [Vec<Self>; 3], &mut AffineDiagScratch<Self>);
+    /// This word's planes.
+    fn planes(s: &mut DiagScratch) -> &mut [[Vec<Self>; 3]; 3];
 }
 
 impl DiagWord for u8 {
     const BIASED: bool = true;
-    fn split(s: &mut DiagScratch) -> (&mut [Vec<u8>; 3], &mut AffineDiagScratch<u8>) {
-        (&mut s.b8, &mut s.a8)
+    fn planes(s: &mut DiagScratch) -> &mut [[Vec<u8>; 3]; 3] {
+        &mut s.b8
     }
 }
 
 impl DiagWord for u16 {
-    fn split(s: &mut DiagScratch) -> (&mut [Vec<u16>; 3], &mut AffineDiagScratch<u16>) {
-        (&mut s.b16, &mut s.a16)
+    fn planes(s: &mut DiagScratch) -> &mut [[Vec<u16>; 3]; 3] {
+        &mut s.b16
     }
 }
 
 impl DiagWord for u32 {
-    fn split(s: &mut DiagScratch) -> (&mut [Vec<u32>; 3], &mut AffineDiagScratch<u32>) {
-        (&mut s.b32, &mut s.a32)
+    fn planes(s: &mut DiagScratch) -> &mut [[Vec<u32>; 3]; 3] {
+        &mut s.b32
     }
 }
 
 impl DiagWord for u64 {
-    fn split(s: &mut DiagScratch) -> (&mut [Vec<u64>; 3], &mut AffineDiagScratch<u64>) {
-        (&mut s.b64, &mut s.a64)
+    fn planes(s: &mut DiagScratch) -> &mut [[Vec<u64>; 3]; 3] {
+        &mut s.b64
     }
 }
 
@@ -1459,11 +1271,10 @@ impl DiagWord for u64 {
 /// The scratch covers every kernel: two rolling rows (plus four more
 /// for the affine planes) and forward code buffers for
 /// [`KernelStrategy::RollingRow`]; for [`KernelStrategy::Wavefront`], a
-/// reversed-`p` code buffer and, per lane width, three anti-diagonal
-/// buffers (span-relative for the linear kernel; `n + 1` cells for the
-/// local kernel, the 1-lane stripe) plus the 1-lane stripe's
-/// three-plane affine buffers. Only the buffers of the kernel actually
-/// selected for a call are touched.
+/// reversed-`p` code buffer and, per lane width, the 1-lane stripe's
+/// three planes of three `n + 1`-cell anti-diagonal buffers (the linear
+/// and local modes use the first plane). Only the buffers of the kernel
+/// actually selected for a call are touched.
 #[derive(Debug, Clone)]
 pub struct AlignEngine {
     cfg: AlignConfig,
@@ -1661,21 +1472,11 @@ impl AlignEngine {
         sup: &mut SupCursor<'_>,
     ) -> Result<EngineOutcome, StopReason> {
         let plan = self.cfg.resolve_kernel(n, m);
-        if plan.strategy == KernelStrategy::Wavefront {
-            fill(&mut self.q_codes, &mut self.p_rev, true);
-            self.wavefront_codes(plan, sup)
-        } else {
+        if plan.strategy != KernelStrategy::Wavefront {
             fill(&mut self.q_codes, &mut self.p_codes, false);
-            self.rolling_row_codes(sup)
+            return self.rolling_row_codes(sup);
         }
-    }
-
-    /// Dispatches the wavefront kernel at the planned lane width.
-    fn wavefront_codes(
-        &mut self,
-        plan: KernelPlan,
-        sup: &mut SupCursor<'_>,
-    ) -> Result<EngineOutcome, StopReason> {
+        fill(&mut self.q_codes, &mut self.p_rev, true);
         match plan.lanes {
             // `LaneWidth::U8` exists only in the striped batch layout;
             // `resolve_kernel` bumps per-pair plans to a wider word.
@@ -1686,36 +1487,37 @@ impl AlignEngine {
         }
     }
 
-    /// The configured mode's wavefront kernel in lane word `W`. Local
-    /// and affine pairs run the striped sweep at one lane, whose code
-    /// planes are exactly `q_codes` and `p_rev`; the linear modes run
-    /// the span-relative [`wavefront_score`].
+    /// The configured mode's wavefront kernel in lane word `W`: the
+    /// striped sweep at one lane, whose code planes are exactly `q_codes`
+    /// and `p_rev`, under the configured threshold as
+    /// [`StripeThreshold::Exact`].
     fn wavefront_at<W: DiagWord>(
         &mut self,
         sup: &mut SupCursor<'_>,
     ) -> Result<EngineOutcome, StopReason> {
-        let (q, p_rev) = (&self.q_codes[..], &self.p_rev[..]);
-        let (bufs, affine) = W::split(&mut self.diag);
-        let w = RawWeights::from_weights(self.cfg.weights);
-        let (band, threshold) = (self.cfg.band, self.cfg.threshold);
-        let shape = [(q.len(), p_rev.len())];
+        let shape = [(self.q_codes.len(), self.p_rev.len())];
+        let stripe = Stripe {
+            shapes: &shape,
+            q: &self.q_codes,
+            p: &self.p_rev,
+            union: shape[0],
+            band: self.cfg.band,
+        };
+        let planes = W::planes(&mut self.diag);
         let mut out = [EngineOutcome::default()];
         match self.cfg.mode {
             AlignMode::Local(s) => {
-                stripe_sweep_local::<W, 1>(
-                    &shape, q, p_rev, shape[0], s, band, bufs, &mut out, sup,
-                )?;
+                stripe_sweep_local::<W, 1>(stripe, s, &mut planes[0], &mut out, sup)?;
             }
-            AlignMode::GlobalAffine(a) => {
-                crate::supervisor::fp_hit("affine");
-                let t = threshold.map_or(StripeThreshold::None, StripeThreshold::Exact);
-                stripe_sweep_affine::<W, 1>(
-                    &shape, q, p_rev, shape[0], w, a.open, band, t, None, 0, affine, &mut out, sup,
-                )?;
-            }
-            AlignMode::Global | AlignMode::SemiGlobal => {
-                let semi = self.cfg.mode == AlignMode::SemiGlobal;
-                return wavefront_score(q, p_rev, w, band, threshold, semi, bufs, sup);
+            mode => {
+                if let AlignMode::GlobalAffine(_) = mode {
+                    crate::supervisor::fp_hit("affine");
+                }
+                let t = self
+                    .cfg
+                    .threshold
+                    .map_or(StripeThreshold::None, StripeThreshold::Exact);
+                min_plus_sweep::<W, 1>(&self.cfg, stripe, t, None, planes, &mut out, sup)?;
             }
         }
         Ok(out[0])

@@ -4,10 +4,10 @@
 //! The Race Logic array's economics come from evaluating many
 //! independent race cells per clock. The per-pair wavefront kernel
 //! ([`crate::engine`]) captures the *intra*-pair version of that claim —
-//! the cells of one anti-diagonal are SIMD lanes. For the local and
-//! affine modes that per-pair kernel is this module's sweep at one lane
-//! ([`stripe_sweep_local`], [`stripe_sweep_affine`] with `L = 1`, called
-//! from [`AlignEngine::align`]). This module captures
+//! the cells of one anti-diagonal are SIMD lanes. That per-pair kernel
+//! is this module's sweep at one lane ([`min_plus_sweep`] and
+//! [`stripe_sweep_local`] with `L = 1`, called from
+//! [`AlignEngine::align`]). This module captures
 //! the *inter*-pair version: a cohort of shape-compatible pairs is
 //! transposed into interleaved code planes
 //! ([`rl_bio::StripedCodes`]) and swept by **one** wavefront in which
@@ -56,9 +56,9 @@ use rl_temporal::Time;
 use crate::bitpar::QueryMasks;
 use crate::engine::{
     applied_bias, classify_outcome, diag_range, raw_to_time, rotate_bufs, score_lower_bound,
-    u8_bias_rate, AffineDiagScratch, AlignConfig, AlignEngine, AlignMode, BatchPlanStats,
-    DiagScratch, DiagWord, EngineOutcome, KernelStrategy, LaneWidth, LocalScores, RawWeights,
-    NEVER, STRIPE_MIN_PAIRS, STRIPE_PAD_BUDGET_PCT,
+    u8_bias_rate, AlignConfig, AlignEngine, AlignMode, BatchPlanStats, DiagScratch, DiagWord,
+    EngineOutcome, KernelStrategy, LaneWidth, LocalScores, RawWeights, NEVER, STRIPE_MIN_PAIRS,
+    STRIPE_PAD_BUDGET_PCT,
 };
 use crate::simd::{self, KernelWord, LaneWeights};
 use crate::supervisor::{
@@ -455,8 +455,8 @@ pub(crate) enum StripeThreshold {
     /// The byte-identical contract: per-lane frontier minima masked to
     /// each lane's own in-band cells, per-lane abandon at exactly the
     /// diagonal the per-pair kernel would. Costs a second pass over
-    /// every interior cell each diagonal, except in the 1-lane affine
-    /// sweep, whose fused interior minimum is already exact.
+    /// every interior cell each diagonal, except at one lane, whose
+    /// fused interior minimum is already exact.
     Exact(u64),
     /// The ratchet's mode: one **whole-stripe** lower bound per
     /// diagonal — the unmasked interior minimum
@@ -1354,66 +1354,254 @@ fn sweep_at<W: DiagWord, const L: usize>(
     scratch: &mut StripeScratch,
     results: &mut [EngineOutcome],
 ) {
-    let (shapes, q, p) = (
-        &scratch.shapes[..],
-        scratch.q_plane.as_slice(),
-        scratch.p_plane.as_slice(),
-    );
-    let (bufs, affine) = W::split(&mut scratch.diag);
-    let w = RawWeights::from_weights(cfg.weights);
-    // The u8 sweep runs biased (see `engine::u8_bias_rate`); wider words
-    // store raw values and the bias machinery compiles out at rate 0.
-    let bias_m2 = if W::BIASED {
-        u8_bias_rate(cfg.mode, w)
-    } else {
-        0
+    let stripe = Stripe {
+        shapes: &scratch.shapes,
+        q: scratch.q_plane.as_slice(),
+        p: scratch.p_plane.as_slice(),
+        union,
+        band: cfg.band,
     };
+    let planes = W::planes(&mut scratch.diag);
     // Striped units are charged per unit (reserve, then charge), so the
     // sweeps run free here; only per-pair alignments checkpoint inside.
     let free = &mut SupCursor::new(None);
     let swept = match cfg.mode {
-        AlignMode::Local(s) => {
-            stripe_sweep_local::<W, L>(shapes, q, p, union, s, cfg.band, bufs, results, free)
-        }
-        AlignMode::GlobalAffine(a) => {
-            fp_hit("affine-stripe");
-            stripe_sweep_affine::<W, L>(
-                shapes, q, p, union, w, a.open, cfg.band, threshold, suffix, bias_m2, affine,
-                results, free,
-            )
-        }
-        AlignMode::Global | AlignMode::SemiGlobal => {
-            let semi = cfg.mode == AlignMode::SemiGlobal;
-            stripe_sweep::<W, L>(
-                shapes, q, p, union, w, cfg.band, threshold, suffix, semi, bias_m2, bufs, results,
-            );
-            Ok(())
+        AlignMode::Local(s) => stripe_sweep_local::<W, L>(stripe, s, &mut planes[0], results, free),
+        mode => {
+            if let AlignMode::GlobalAffine(_) = mode {
+                fp_hit("affine-stripe");
+            }
+            min_plus_sweep::<W, L>(cfg, stripe, threshold, suffix, planes, results, free)
         }
     };
     swept.expect("a free-running sweep cannot stop early");
 }
 
-/// One striped anti-diagonal sweep over a cohort: lane `l` of every
-/// vector op is pair `l`. The sweep runs the **union** geometry (the
-/// members' max shape `nn × mm` under the shared band); each lane
-/// mirrors the per-pair wavefront kernel over its own `(n_l, m_l)` via
-/// masks:
+/// One stripe's operands: the lane shapes, the lane-interleaved code
+/// planes (`q` forward, `p` reversed, both by absolute row) and the union
+/// shape the sweep runs, under the shared band.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Stripe<'a> {
+    pub(crate) shapes: &'a [(usize, usize)],
+    pub(crate) q: &'a [u8],
+    pub(crate) p: &'a [u8],
+    pub(crate) union: (usize, usize),
+    pub(crate) band: Option<usize>,
+}
+
+/// The three rotating buffers of one plane on diagonal `d`: `(cur, d − 1,
+/// d − 2)` (see [`rotate_bufs`]).
+type Rotation<'a, W> = (&'a mut Vec<W>, &'a mut Vec<W>, &'a mut Vec<W>);
+
+/// A min-plus score model as [`stripe_sweep`] runs it: a cell has one
+/// state in each of `P` planes (1 for the linear recurrence, 3 for
+/// Gotoh's M / Ix / Iy), and each plane has its own three rotating
+/// diagonal buffers. Everything else — the absolute-row layout, padding,
+/// the u8 bias, both threshold kinds, the remaining-cost checkpoint,
+/// lane retirement and cell counting — is the sweep's, written once.
+pub(crate) trait Recurrence<W: KernelWord, const P: usize> {
+    /// Cell `(0, d)` and cell `(d, 0)` in each plane, less the running u8
+    /// `bias`.
+    fn boundary(&self, d: usize, bias: u64) -> ([W; P], [W; P]);
+
+    /// Writes the interior cells `a..b` of the current diagonal in every
+    /// plane from the two diagonals behind it, and returns the minimum
+    /// written across planes and lanes. `q` and `p` are the cells' codes
+    /// `q[i − 1]` and `p[j − 1]`.
+    fn update<const L: usize>(
+        &self,
+        views: &mut [Rotation<'_, W>; P],
+        a: usize,
+        b: usize,
+        q: &[u8],
+        p: &[u8],
+    ) -> W;
+
+    /// Whether each lane keeps a best register over its bottom-row cells
+    /// and retires on it: the semi-global free end.
+    fn keeps_best(&self) -> bool {
+        false
+    }
+
+    /// The cross-plane minimum of the current diagonal's cell `t`: the
+    /// cell's arrival time. Sound as a frontier value because a path
+    /// visits one plane state per crossed cell and every weight is
+    /// non-negative.
+    fn cell(views: &[Rotation<'_, W>; P], t: usize) -> W {
+        views.iter().fold(W::INF, |v, (cur, ..)| v.min(cur[t]))
+    }
+}
+
+/// The linear recurrence of [`AlignMode::Global`] and
+/// [`AlignMode::SemiGlobal`]: one plane.
+struct Linear<W> {
+    lw: LaneWeights<W>,
+    indel: u64,
+    semi: bool,
+}
+
+impl<W: KernelWord> Recurrence<W, 1> for Linear<W> {
+    fn boundary(&self, d: usize, bias: u64) -> ([W; 1], [W; 1]) {
+        // Indel chains from the root, except the semi-global top row,
+        // which is a free injection point.
+        let chain = W::clamp_raw((d as u64).saturating_mul(self.indel).saturating_sub(bias));
+        ([if self.semi { W::ZERO } else { chain }], [chain])
+    }
+
+    #[inline]
+    fn update<const L: usize>(
+        &self,
+        [(cur, d1, d2)]: &mut [Rotation<'_, W>; 1],
+        a: usize,
+        b: usize,
+        q: &[u8],
+        p: &[u8],
+    ) -> W {
+        // Lane-interleaved storage makes the interior one flat
+        // recurrence in `t = i·L + l`: `up` and `diag` sit one row back,
+        // `left` at `t` on diagonal d − 1.
+        let (up, left, diag) = (&d1[a - L..b - L], &d1[a..b], &d2[a - L..b - L]);
+        if L == 1 {
+            // One lane's segment is a plain run of cells, which the
+            // unstriped form vectorizes at every length.
+            simd::diag_update(up, left, diag, q, p, self.lw, &mut cur[a..b])
+        } else {
+            simd::diag_update_lanes::<W, L>(up, left, diag, q, p, self.lw, &mut cur[a..b])
+        }
+    }
+
+    fn keeps_best(&self) -> bool {
+        self.semi
+    }
+}
+
+/// Gotoh's affine-gap recurrence of [`AlignMode::GlobalAffine`]: the
+/// M, Ix and Iy planes of [`simd::affine_diag_update_lanes`].
+struct Affine<W> {
+    lw: simd::AffineLaneWeights<W>,
+    open: u64,
+    indel: u64,
+}
+
+impl<W: KernelWord> Recurrence<W, 3> for Affine<W> {
+    fn boundary(&self, d: usize, bias: u64) -> ([W; 3], [W; 3]) {
+        // A single gap run from the root: one open plus d extensions, in
+        // the plane that gap lives in — Iy (consuming P) for cell (0, d),
+        // Ix (consuming Q) for cell (d, 0).
+        let run = W::clamp_raw(
+            self.open
+                .saturating_add((d as u64).saturating_mul(self.indel))
+                .saturating_sub(bias),
+        );
+        ([W::INF, W::INF, run], [W::INF, run, W::INF])
+    }
+
+    #[inline]
+    fn update<const L: usize>(
+        &self,
+        [(mc, m1, m2), (xc, x1, x2), (yc, y1, y2)]: &mut [Rotation<'_, W>; 3],
+        a: usize,
+        b: usize,
+        q: &[u8],
+        p: &[u8],
+    ) -> W {
+        let (up, left) = (a - L..b - L, a..b);
+        simd::affine_diag_update_lanes::<W, L>(
+            &m1[up.clone()],
+            &x1[up.clone()],
+            &y1[up.clone()],
+            &m1[left.clone()],
+            &x1[left.clone()],
+            &y1[left.clone()],
+            &m2[up.clone()],
+            &x2[up.clone()],
+            &y2[up],
+            q,
+            p,
+            self.lw,
+            &mut mc[left.clone()],
+            &mut xc[left.clone()],
+            &mut yc[left],
+        )
+    }
+}
+
+/// The min-plus sweep of `cfg`'s mode ([`AlignMode::Global`],
+/// [`AlignMode::SemiGlobal`] or [`AlignMode::GlobalAffine`]) over the
+/// lane word's `planes`: the linear recurrence on plane 0, the affine one
+/// on all three. The u8 word runs biased (see `engine::u8_bias_rate`);
+/// wider words store raw values and the bias machinery compiles out at
+/// rate 0. The per-pair wavefront is `L = 1` under an
+/// [`StripeThreshold::Exact`] threshold (or none) and no remaining-cost
+/// bound.
+pub(crate) fn min_plus_sweep<W: DiagWord, const L: usize>(
+    cfg: &AlignConfig,
+    stripe: Stripe<'_>,
+    threshold: StripeThreshold,
+    suffix: Option<SuffixBound>,
+    planes: &mut [[Vec<W>; 3]; 3],
+    out: &mut [EngineOutcome],
+    sup: &mut SupCursor<'_>,
+) -> Result<(), StopReason> {
+    let w = RawWeights::from_weights(cfg.weights);
+    let bias_m2 = if W::BIASED {
+        u8_bias_rate(cfg.mode, w)
+    } else {
+        0
+    };
+    if let AlignMode::GlobalAffine(a) = cfg.mode {
+        let lw = simd::AffineLaneWeights {
+            matched: W::clamp_raw(w.matched),
+            mismatched: W::clamp_raw(w.mismatched),
+            indel: W::clamp_raw(w.indel),
+            open: W::clamp_raw(a.open),
+        };
+        let rec = Affine {
+            lw,
+            open: a.open,
+            indel: w.indel,
+        };
+        stripe_sweep::<W, _, L, 3>(&rec, stripe, threshold, suffix, bias_m2, planes, out, sup)
+    } else {
+        let rec = Linear {
+            lw: w.lanes(),
+            indel: w.indel,
+            semi: cfg.mode == AlignMode::SemiGlobal,
+        };
+        let plane = std::array::from_mut(&mut planes[0]);
+        stripe_sweep::<W, _, L, 1>(&rec, stripe, threshold, suffix, bias_m2, plane, out, sup)
+    }
+}
+
+/// One striped anti-diagonal sweep of the min-plus recurrence `rec` over
+/// a cohort: lane `l` of every vector op is pair `l`. The sweep runs the
+/// **union** geometry (the members' max shape `nn × mm` under the shared
+/// band); each lane mirrors the per-pair wavefront over its own
+/// `(n_l, m_l)` via masks:
 ///
-/// - **Values**: the diagonal buffers hold `(nn + 1) × L` words,
+/// - **Values**: each plane's diagonal buffers hold `(nn + 1) × L` words,
 ///   row-major by absolute row `i` with lanes interleaved, so a lane's
 ///   cell `(i, j)` neighbours sit at the same lane offset one row over —
-///   the same three-buffer rotation as the per-pair kernel, vectorized
-///   across pairs instead of rows.
+///   three rotating buffers per plane, vectorized across pairs instead of
+///   rows. A buffer holding diagonal `d` is read while computing
+///   diagonals `d + 1` and `d + 2`, and because `lo` and `hi` grow by at
+///   most one per diagonal, every such read lands in `lo(d) − 1 ..=
+///   hi(d) + 1`: a one-row `+∞` padding around each written span keeps
+///   stale values unread.
 /// - **Minima**: a lane's frontier minimum includes exactly its own
-///   in-band cells (`i ≤ n_l ∧ d − i ≤ m_l`, band shared); padded and
-///   out-of-shape cells contribute `+∞`.
+///   in-band cells (`i ≤ n_l ∧ d − i ≤ m_l`, band shared) across every
+///   plane; padded and out-of-shape cells contribute `+∞`. One lane's
+///   in-band cells are the whole diagonal, so at `L = 1` the exact
+///   minimum is the fused one the update returns (plus the boundary
+///   cells), and the masked pass is skipped.
 /// - **Early termination**: before each diagonal `d`, every live lane
 ///   applies the per-pair abandon rule to its own two-diagonal minima
 ///   and retires independently (the stripe stops early only when *all*
 ///   lanes have retired).
 /// - **Retirement**: at `d = n_l + m_l` the lane's sink cell is read
-///   from the current diagonal and the lane classifies exactly like the
-///   per-pair kernel's epilogue.
+///   from the current diagonal (its cross-plane minimum, raised by the
+///   bias) and the lane classifies exactly like the per-pair epilogue.
+///   Cells are counted over grid *positions*, not plane states.
 ///
 /// A `threshold` at or above the lane word's `+∞` sentinel is clamped
 /// to it, which makes the in-lane abandon comparison `min > INF`
@@ -1424,7 +1612,7 @@ fn sweep_at<W: DiagWord, const L: usize>(
 /// scan instead starts from `+∞` and relies on this conservative
 /// clamping until the ratchet tightens into range.
 ///
-/// **Semi-global** (`semi = true`) mirrors the per-pair kernel's
+/// **Semi-global** ([`Recurrence::keeps_best`]) mirrors the per-pair
 /// free-end semantics lane by lane: top-row boundary cells inject `0`,
 /// a per-lane **best-score register** tracks each lane's bottom-row
 /// minimum (one extra read per live lane per diagonal — the bottom row
@@ -1433,63 +1621,63 @@ fn sweep_at<W: DiagWord, const L: usize>(
 /// abandon), and lanes retire on their best register instead of the
 /// sink cell — which also gives band-excluded sinks the right verdict
 /// for free.
+///
+/// `sup` checkpoints once per diagonal: `tick(0)` on a band-empty one,
+/// `tick(span)` after each computed one.
 #[allow(clippy::too_many_arguments)]
-fn stripe_sweep<W: KernelWord, const L: usize>(
-    shapes: &[(usize, usize)],
-    q_plane: &[u8],
-    p_plane: &[u8],
-    (nn, mm): (usize, usize),
-    w: RawWeights,
-    band: Option<usize>,
+fn stripe_sweep<W: KernelWord, R: Recurrence<W, P>, const L: usize, const P: usize>(
+    rec: &R,
+    stripe: Stripe<'_>,
     threshold: StripeThreshold,
     suffix: Option<SuffixBound>,
-    semi: bool,
     bias_m2: u64,
-    bufs: &mut [Vec<W>; 3],
+    planes: &mut [[Vec<W>; 3]; P],
     out: &mut [EngineOutcome],
-) {
+    sup: &mut SupCursor<'_>,
+) -> Result<(), StopReason> {
+    let Stripe {
+        shapes,
+        q: q_plane,
+        p: p_plane,
+        union: (nn, mm),
+        band,
+    } = stripe;
     let lanes = shapes.len();
     assert!(lanes <= L && lanes == out.len());
+    let semi = rec.keeps_best();
     debug_assert!(
         bias_m2 == 0 || !semi,
         "the bias rate is zero for semi-global"
     );
-    let lw: LaneWeights<W> = w.lanes();
     let t_raw = threshold.classify_raw();
+    // Every abandon register is dead without a threshold. Branching on
+    // this loop invariant, rather than on the registers themselves, keeps
+    // the unthresholded diagonal loop as lean as a dedicated kernel.
+    let thresholded = t_raw.is_some();
     // `u8` is the only biased monomorphization, and the only one whose
     // plan can admit a threshold at/above the lane word's `+∞`
     // (`engine::u8_admits` proves the saturated-threshold abandon rule
     // exact there — see the abandon check below).
     let byte = std::mem::size_of::<W>() == 1;
     let mut bias = 0_u64;
-    let mut t_w = match threshold {
-        StripeThreshold::Exact(t) => Some(W::clamp_raw(t)),
-        _ => None,
-    };
-    let mut t_c = match threshold {
-        StripeThreshold::Coarse(t) => Some(W::clamp_raw(t)),
-        _ => None,
-    };
-    for b in bufs.iter_mut() {
+    let mut front = Frontier::<W, L>::new(threshold);
+    for b in planes.iter_mut().flatten() {
         b.clear();
         b.resize((nn + 1) * L, W::INF);
     }
 
     // Per-lane shape masks as u32 (vectorizes the validity compares).
+    // Inactive lanes keep (0, 0) but start retired.
     let mut n_arr = [0_u32; L];
     let mut m_arr = [0_u32; L];
     for (l, &(n, m)) in shapes.iter().enumerate() {
         n_arr[l] = u32::try_from(n).expect("sequence fits u32");
         m_arr[l] = u32::try_from(m).expect("sequence fits u32");
     }
-    // Inactive lanes keep (0, 0) but start retired.
 
-    // Diagonal 0: the root cell (0, 0), real for every pair.
-    bufs[0][..L].fill(W::ZERO);
-    let mut min1 = [W::ZERO; L]; // per-lane min over diagonal d − 1
-    let mut min2 = [W::INF; L]; // per-lane min over diagonal d − 2
-    let mut gmin1 = W::ZERO; // whole-stripe lower bound, diagonal d − 1
-    let mut gmin2 = W::INF; // whole-stripe lower bound, diagonal d − 2
+    // Diagonal 0: the root cell (0, 0), real for every pair, in the
+    // first plane (M for affine).
+    planes[0][0][..L].fill(W::ZERO);
     let mut cells = [1_u64; L];
     let mut done = [true; L];
     // Per-lane best-score registers (semi-global readout): the running
@@ -1502,7 +1690,7 @@ fn stripe_sweep<W: KernelWord, const L: usize>(
             best[l] = W::ZERO;
         }
         if n + m == 0 {
-            // Root-only pair: the per-pair kernel's loop body never runs.
+            // Root-only pair: the per-pair loop body never runs.
             out[l] = classify_outcome(0, t_raw, 1);
         } else {
             done[l] = false;
@@ -1519,104 +1707,92 @@ fn stripe_sweep<W: KernelWord, const L: usize>(
         // inside the byte. `+∞` is preserved (a clamped or NEVER cell
         // must keep reading as `+∞`), and live in-band values cannot
         // underflow (they carry ≥ 15·m2 of slack at a boundary — see
-        // [`crate::engine::applied_bias`]). The registers and
-        // thresholds shift here, before the abandon checks read them;
-        // the frontier buffers shift after rotation (see `rebase_buf`),
-        // so only the two readable diagonals pay the pass.
+        // [`crate::engine::applied_bias`]; gap opens only add cost, so
+        // the bound holds on every plane). The registers and thresholds
+        // shift here, before the abandon checks read them; the frontier
+        // buffers shift after rotation (see `rebase_buf`), so only the
+        // two readable diagonals of each plane pay the pass.
         let mut rebase_delta: Option<W> = None;
         if bias_m2 > 0 {
             let new_bias = applied_bias(d, bias_m2);
             if new_bias != bias {
                 let delta = W::clamp_raw(new_bias - bias);
-                rebase_delta = Some(delta);
-                for l in 0..L {
-                    if min1[l] != W::INF {
-                        min1[l] = min1[l].sub_weight(delta);
-                    }
-                    if min2[l] != W::INF {
-                        min2[l] = min2[l].sub_weight(delta);
-                    }
-                }
-                if gmin1 != W::INF {
-                    gmin1 = gmin1.sub_weight(delta);
-                }
-                if gmin2 != W::INF {
-                    gmin2 = gmin2.sub_weight(delta);
-                }
                 bias = new_bias;
-                if let StripeThreshold::Exact(t) = threshold {
-                    t_w = Some(W::clamp_raw(t.saturating_sub(bias)));
-                }
-                if let StripeThreshold::Coarse(t) = threshold {
-                    t_c = Some(W::clamp_raw(t.saturating_sub(bias)));
-                }
+                front.rebase(delta, threshold, bias);
+                rebase_delta = Some(delta);
             }
         }
-        // Per-lane abandon check, before computing diagonal d (the
-        // per-pair kernel's order). Semi-global folds the lane's best
-        // bottom-row value in, exactly like the per-pair kernel. When
-        // the (bias-adjusted) threshold saturates the lane word, the
-        // byte kernel abandons on an all-`+∞` frontier: `u8_admits`
-        // guarantees every value `≤ min(threshold, d·max_step)` is
-        // stored exactly then, so an all-`+∞` lane frontier proves the
-        // lane's true frontier minimum exceeds the threshold — the
-        // same diagonal the per-pair `u64` kernel abandons at.
-        if let Some(t) = t_w {
-            for l in 0..lanes {
-                let mut floor = min1[l].min(min2[l]);
-                if semi {
-                    floor = floor.min(best[l]);
-                }
-                let abandon = if t < W::INF {
-                    floor > t
-                } else {
-                    byte && floor >= W::INF
-                };
-                if !done[l] && abandon {
-                    out[l] = EngineOutcome {
-                        score: Time::NEVER,
-                        cells_computed: cells[l],
-                        early_terminated: true,
-                    };
-                    done[l] = true;
-                    live -= 1;
-                }
-            }
-            if live == 0 {
-                break;
-            }
-        }
-        // Coarse whole-stripe abandon: the two-diagonal lower bound is
-        // ≤ every live lane's true frontier minimum, so exceeding the
-        // threshold proves score > t for every lane at once — provided
-        // no live lane has already banked a bottom-row value within the
-        // threshold (semi-global), hence the fold over best registers.
-        if let Some(t) = t_c {
-            let mut floor = gmin1.min(gmin2);
-            if semi {
+        if thresholded {
+            // Per-lane abandon check, before computing diagonal d (the
+            // per-pair kernel's order). Semi-global folds the lane's best
+            // bottom-row value in, exactly like the per-pair kernel. When
+            // the (bias-adjusted) threshold saturates the lane word, the
+            // byte kernel abandons on an all-`+∞` frontier: `u8_admits`
+            // guarantees every value `≤ min(threshold, d·max_step)` is
+            // stored exactly then, so an all-`+∞` lane frontier proves
+            // the lane's true frontier minimum exceeds the threshold —
+            // the same diagonal the per-pair `u64` kernel abandons at.
+            if let Some(t) = front.exact {
                 for l in 0..lanes {
-                    if !done[l] {
+                    let mut floor = front.lane1[l].min(front.lane2[l]);
+                    if semi {
                         floor = floor.min(best[l]);
                     }
+                    let abandon = if t < W::INF {
+                        floor > t
+                    } else {
+                        byte && floor >= W::INF
+                    };
+                    if !done[l] && abandon {
+                        out[l] = EngineOutcome {
+                            score: Time::NEVER,
+                            cells_computed: cells[l],
+                            early_terminated: true,
+                        };
+                        done[l] = true;
+                        live -= 1;
+                    }
+                }
+                if live == 0 {
+                    break;
                 }
             }
-            if floor > t {
-                abandon_live_lanes(&mut done, &mut live, &cells, out);
-                break;
+            // Coarse whole-stripe abandon: the two-diagonal lower bound
+            // is ≤ every live lane's true frontier minimum, so exceeding
+            // the threshold proves score > t for every lane at once —
+            // provided no live lane has already banked a bottom-row value
+            // within the threshold (semi-global), hence the fold over
+            // best registers.
+            if let Some(t) = front.coarse {
+                let mut floor = front.stripe1.min(front.stripe2);
+                if semi {
+                    for l in 0..lanes {
+                        if !done[l] {
+                            floor = floor.min(best[l]);
+                        }
+                    }
+                }
+                if floor > t {
+                    abandon_live_lanes(&mut done, &mut live, &cells, out);
+                    break;
+                }
             }
         }
-        let (cur, d1, d2) = rotate_bufs(bufs, d);
+        let mut views = planes.each_mut().map(|bufs| rotate_bufs(bufs, d));
         if let Some(delta) = rebase_delta {
-            rebase_buf(d1, delta);
-            rebase_buf(d2, delta);
+            for (_, d1, d2) in &mut views {
+                rebase_buf(d1, delta);
+                rebase_buf(d2, delta);
+            }
         }
-        // Remaining-cost checkpoint (coarse global only): elapsed cost
-        // plus Ukkonen's bound on each lane's suffix, over d − 1, d − 2.
+        // Remaining-cost checkpoint (coarse global and affine only):
+        // elapsed cost plus Ukkonen's bound on each lane's suffix, over
+        // d − 1 and d − 2.
         if let (Some(sb), StripeThreshold::Coarse(t)) = (suffix, threshold) {
             if d % REMAINING_BOUND_EVERY == 0
                 && sb.proves_out(
-                    [&d1[..]],
-                    [&d2[..]],
+                    views.each_ref().map(|(_, d1, _)| &d1[..]),
+                    views.each_ref().map(|(_, _, d2)| &d2[..]),
                     d,
                     (nn, mm),
                     band,
@@ -1633,151 +1809,108 @@ fn stripe_sweep<W: KernelWord, const L: usize>(
         if lo > hi {
             // Band-empty union diagonal (empty for every lane, since
             // lane ranges are subsets): reset the cells later diagonals
-            // may read, exactly like the per-pair kernel.
+            // may read, in every plane.
             let clo = lo.saturating_sub(1).min(nn);
             let chi = (hi + 1).min(nn);
             if clo <= chi {
-                cur[clo * L..(chi + 1) * L].fill(W::INF);
+                for (cur, ..) in &mut views {
+                    cur[clo * L..(chi + 1) * L].fill(W::INF);
+                }
             }
-            min2 = min1;
-            min1 = [W::INF; L];
-            (gmin2, gmin1) = (gmin1, W::INF);
+            if thresholded {
+                front.push([W::INF; L], W::INF);
+            }
             // A lane whose final diagonal this was still retires: its
             // sink range is empty too, so its score is the per-pair
-            // kernel's band-excluded-sink verdict — or, semi-global,
-            // whatever its best register already holds.
+            // band-excluded-sink verdict — or, semi-global, whatever its
+            // best register already holds.
             for (l, &(n, m)) in shapes.iter().enumerate() {
                 if !done[l] && d == n + m {
                     let raw = if semi { best[l].to_raw() } else { NEVER };
                     out[l] = classify_outcome(raw, t_raw, cells[l]);
                     done[l] = true;
                     live -= 1;
-                    if t_c.is_some() {
-                        retire_lane_residue(l, nn, cur, d1, d2);
+                    if front.coarse.is_some() {
+                        retire_lane_residue(l, nn, &mut views);
                     }
                 }
             }
+            sup.tick(0)?;
             continue;
         }
-        // One-row +∞ padding around the written span.
-        if lo > 0 {
-            cur[(lo - 1) * L..lo * L].fill(W::INF);
+        // One-row +∞ padding around the written span, then the boundary
+        // cells, in every plane.
+        for (cur, ..) in &mut views {
+            if lo > 0 {
+                cur[(lo - 1) * L..lo * L].fill(W::INF);
+            }
+            if hi < nn {
+                cur[(hi + 1) * L..(hi + 2) * L].fill(W::INF);
+            }
         }
-        if hi < nn {
-            cur[(hi + 1) * L..(hi + 2) * L].fill(W::INF);
+        let (mut top, mut left) = (W::INF, W::INF);
+        if lo == 0 || hi == d {
+            let (tops, lefts) = rec.boundary(d, bias);
+            for (k, (cur, ..)) in views.iter_mut().enumerate() {
+                if lo == 0 {
+                    cur[..L].fill(tops[k]); // cell (0, d) — real where d ≤ m_l
+                }
+                if hi == d {
+                    cur[d * L..(d + 1) * L].fill(lefts[k]); // cell (d, 0) — real where d ≤ n_l
+                }
+            }
+            if lo == 0 {
+                top = tops.into_iter().fold(W::INF, W::min);
+            }
+            if hi == d {
+                left = lefts.into_iter().fold(W::INF, W::min);
+            }
         }
-
-        let boundary = W::clamp_raw((d as u64).saturating_mul(w.indel).saturating_sub(bias));
-        let top_boundary = if semi { W::ZERO } else { boundary };
-        if lo == 0 {
-            cur[..L].fill(top_boundary); // cell (0, d) — real where d ≤ m_l
-        }
-        if hi == d {
-            cur[d * L..(d + 1) * L].fill(boundary); // cell (d, 0) — real where d ≤ n_l
-        }
-        // Interior rows: lane-interleaved storage makes the whole
-        // `(rows × lanes)` interior one *flat contiguous* recurrence in
-        // `t = i·L + l` — every operand of cell `t` sits at a fixed
-        // offset (`up`/`diag`/`q` at `t − L`, `left` at `t`, `p` at
-        // `t + (mm − d)·L`), so the interior is literally one
-        // [`crate::simd::diag_update_lanes`] call over
+        // Interior rows: every operand of cell `t = i·L + l` sits at a
+        // fixed offset (`up`/`diag`/`q` at `t − L`, `left` at `t`, `p` at
+        // `t + (mm − d)·L`), so the interior is one update over
         // `(ihi − ilo + 1)·L` lanes, with no per-row temporaries and no
         // tails.
         let ilo = lo.max(1);
         let ihi = hi.min(d - 1);
-        let mut interior_min = W::INF;
+        // The whole-stripe bound: the unmasked interior minimum (padding
+        // and out-of-shape cells included — a superset, so only ever
+        // conservative; retired lanes are reset to +∞ at retirement so
+        // their residue cannot stall the bound) plus the boundary cells.
+        let mut gdmin = W::INF;
         if ilo <= ihi {
             let (a, b) = (ilo * L, (ihi + 1) * L);
-            interior_min = simd::diag_update_lanes::<W, L>(
-                &d1[a - L..b - L],                                    // up: (i − 1, j)
-                &d1[a..b],                                            // left: (i, j − 1)
-                &d2[a - L..b - L],                                    // diag: (i − 1, j − 1)
-                &q_plane[a - L..b - L],                               // q[i − 1], lane-major
-                &p_plane[(mm + ilo - d) * L..(mm + ihi + 1 - d) * L], // p[j − 1], right-aligned reversed
-                lw,
-                &mut cur[a..b],
+            gdmin = rec.update::<L>(
+                &mut views,
+                a,
+                b,
+                &q_plane[a - L..b - L],
+                &p_plane[(mm + ilo - d) * L..(mm + ihi + 1 - d) * L],
             );
         }
-        if t_c.is_some() {
-            // The whole-stripe bound: the unmasked interior minimum
-            // (padding and out-of-shape cells included — a superset, so
-            // only ever conservative; retired lanes are reset to +∞ at
-            // retirement so their residue cannot stall the bound) plus
-            // the shared boundary values when any boundary cell exists.
-            let mut gdmin = interior_min;
-            if lo == 0 {
-                gdmin = gdmin.min(top_boundary);
-            }
-            if hi == d {
-                gdmin = gdmin.min(boundary);
-            }
-            (gmin2, gmin1) = (gmin1, gdmin);
-        }
+        gdmin = gdmin.min(top).min(left);
 
-        // Per-lane frontier minima are only consumed by the abandon
-        // rule; without a threshold the whole accumulation is skipped.
-        if t_w.is_some() {
-            let mut dmin = [W::INF; L];
-            let du = u32::try_from(d).expect("diagonal fits u32");
-            if lo == 0 {
-                for l in 0..L {
-                    if du <= m_arr[l] {
-                        dmin[l] = dmin[l].min(top_boundary);
-                    }
-                }
-            }
-            if hi == d {
-                for l in 0..L {
-                    if du <= n_arr[l] {
-                        dmin[l] = dmin[l].min(boundary);
-                    }
-                }
-            }
-            // Accumulation over the interior: only a lane's own in-band
-            // cells count (i ≤ n_l and j = d − i ≤ m_l; the band test is
-            // shared and already satisfied by every swept row). Rows
-            // valid for *every live* lane — all of them, for same-shape
-            // cohorts — take a branch-free vector min; only the edge
-            // rows of ragged cohorts pay the per-lane mask. (Retired
-            // lanes may accumulate junk in the core region; their
-            // minima are never read again.)
-            let mut core_lo = ilo;
-            let mut core_hi = ihi;
-            for (l, &(n, m)) in shapes.iter().enumerate() {
-                if !done[l] {
-                    core_lo = core_lo.max(d.saturating_sub(m));
-                    core_hi = core_hi.min(n);
-                }
-            }
-            let masked = |rows: std::ops::RangeInclusive<usize>, dmin: &mut [W; L]| {
-                for i in rows {
-                    let block = &cur[i * L..(i + 1) * L];
-                    let iu = i as u32;
-                    let ju = (d - i) as u32;
-                    for l in 0..L {
-                        let v = if iu <= n_arr[l] && ju <= m_arr[l] {
-                            block[l]
-                        } else {
-                            W::INF
-                        };
-                        dmin[l] = dmin[l].min(v);
-                    }
-                }
-            };
-            if core_lo <= core_hi {
-                masked(ilo..=core_lo.saturating_sub(1).min(ihi), &mut dmin);
-                for i in core_lo..=core_hi {
-                    let block = &cur[i * L..(i + 1) * L];
-                    for l in 0..L {
-                        dmin[l] = dmin[l].min(block[l]);
-                    }
-                }
-                masked((core_hi + 1).max(ilo)..=ihi, &mut dmin);
+        // Per-lane frontier minima are only consumed by the exact abandon
+        // rule. One lane's in-band cells are the whole diagonal, so its
+        // exact minimum is the fused one.
+        if thresholded {
+            let lane_min = if L == 1 {
+                [gdmin; L]
+            } else if front.exact.is_some() {
+                lane_minima::<W, R, L, P>(
+                    &views,
+                    d,
+                    (ilo, ihi),
+                    (top, left),
+                    shapes,
+                    &done,
+                    &n_arr,
+                    &m_arr,
+                )
             } else {
-                masked(ilo..=ihi, &mut dmin);
-            }
-            min2 = min1;
-            min1 = dmin;
+                [W::INF; L]
+            };
+            front.push(lane_min, gdmin);
         }
 
         // Per-lane best-score registers (semi-global): each live lane's
@@ -1785,19 +1918,25 @@ fn stripe_sweep<W: KernelWord, const L: usize>(
         if semi {
             for (l, &(n, m)) in shapes.iter().enumerate() {
                 if !done[l] && d >= n && d <= n + m {
-                    let (llo, lhi) = diag_range(d, n, m, band);
+                    // One lane's range is the union range.
+                    let (llo, lhi) = if L == 1 {
+                        (lo, hi)
+                    } else {
+                        diag_range(d, n, m, band)
+                    };
                     if llo <= n && n <= lhi {
-                        best[l] = best[l].min(cur[n * L + l]);
+                        best[l] = best[l].min(R::cell(&views, n * L + l));
                     }
                 }
             }
         }
 
-        count_lane_cells(&mut cells, (hi - lo + 1) as u64, d, shapes, &done, band);
+        let span = (hi - lo + 1) as u64;
+        count_lane_cells(&mut cells, span, d, shapes, &done, band);
 
         // Retire lanes whose final diagonal this was. Semi-global lanes
         // read their best register (which has already folded this
-        // diagonal's sink cell in); global lanes read the sink itself.
+        // diagonal's sink cell in); the others read the sink itself.
         for (l, &(n, m)) in shapes.iter().enumerate() {
             if !done[l] && d == n + m {
                 let raw = if semi {
@@ -1805,7 +1944,7 @@ fn stripe_sweep<W: KernelWord, const L: usize>(
                 } else {
                     let (flo, fhi) = diag_range(d, n, m, band);
                     if flo <= fhi {
-                        raise_raw(cur[n * L + l], bias)
+                        raise_raw(R::cell(&views, n * L + l), bias)
                     } else {
                         NEVER // the band excludes the lane's sink cell
                     }
@@ -1813,21 +1952,148 @@ fn stripe_sweep<W: KernelWord, const L: usize>(
                 out[l] = classify_outcome(raw, t_raw, cells[l]);
                 done[l] = true;
                 live -= 1;
-                if t_c.is_some() {
-                    // Coarse-bound hygiene: a retired lane's cells keep
-                    // evolving from stale values, and under a zero
-                    // matched weight that residue stops growing — which
-                    // would freeze the whole-stripe lower bound below
-                    // the live lanes' true frontiers forever. Resetting
-                    // the lane's columns to +∞ drops it out of the
-                    // unmasked minimum, keeping the coarse abandon
-                    // tight for levenshtein-style weights too.
-                    retire_lane_residue(l, nn, cur, d1, d2);
+                if front.coarse.is_some() {
+                    retire_lane_residue(l, nn, &mut views);
                 }
             }
         }
+        sup.tick(span)?;
     }
     debug_assert_eq!(live, 0, "every lane must retire by the last diagonal");
+    Ok(())
+}
+
+/// The abandon registers of a sweep, in the biased space: each lane's
+/// frontier minimum and the whole-stripe lower bound over diagonals
+/// `d − 1` (`*1`) and `d − 2` (`*2`), and the thresholds they are tested
+/// against.
+struct Frontier<W, const L: usize> {
+    lane1: [W; L],
+    lane2: [W; L],
+    stripe1: W,
+    stripe2: W,
+    /// The [`StripeThreshold::Exact`] threshold in the lane word.
+    exact: Option<W>,
+    /// The [`StripeThreshold::Coarse`] threshold in the lane word.
+    coarse: Option<W>,
+}
+
+impl<W: KernelWord, const L: usize> Frontier<W, L> {
+    /// The registers after diagonal 0, which holds only the root at 0.
+    fn new(threshold: StripeThreshold) -> Self {
+        let mut front = Frontier {
+            lane1: [W::ZERO; L],
+            lane2: [W::INF; L],
+            stripe1: W::ZERO,
+            stripe2: W::INF,
+            exact: None,
+            coarse: None,
+        };
+        front.lower_thresholds(threshold, 0);
+        front
+    }
+
+    fn lower_thresholds(&mut self, threshold: StripeThreshold, bias: u64) {
+        match threshold {
+            StripeThreshold::None => {}
+            StripeThreshold::Exact(t) => self.exact = Some(W::clamp_raw(t.saturating_sub(bias))),
+            StripeThreshold::Coarse(t) => self.coarse = Some(W::clamp_raw(t.saturating_sub(bias))),
+        }
+    }
+
+    /// Moves past a diagonal whose lane minima are `lane` and whose
+    /// whole-stripe bound is `stripe`.
+    fn push(&mut self, lane: [W; L], stripe: W) {
+        (self.lane2, self.lane1) = (self.lane1, lane);
+        (self.stripe2, self.stripe1) = (self.stripe1, stripe);
+    }
+
+    /// Subtracts a u8 rebase `delta` from every finite register and
+    /// lowers the thresholds to the new running `bias`. It runs once per
+    /// bias window, so it stays out of the diagonal loop's body.
+    #[cold]
+    #[inline(never)]
+    fn rebase(&mut self, delta: W, threshold: StripeThreshold, bias: u64) {
+        let lower = |v: &mut W| {
+            if *v != W::INF {
+                *v = v.sub_weight(delta);
+            }
+        };
+        self.lane1.iter_mut().for_each(lower);
+        self.lane2.iter_mut().for_each(lower);
+        lower(&mut self.stripe1);
+        lower(&mut self.stripe2);
+        self.lower_thresholds(threshold, bias);
+    }
+}
+
+/// Each lane's frontier minimum over its own in-band cells of the
+/// current diagonal, across planes: rows `ilo..=ihi` of the interior plus
+/// the `top` and `left` boundary cells where the lane's shape holds them
+/// (`i ≤ n_l` and `j = d − i ≤ m_l`; the band test is shared and already
+/// satisfied by every swept row). Rows valid for *every live* lane — all
+/// of them, for same-shape cohorts — take a branch-free vector min; only
+/// the edge rows of ragged cohorts pay the per-lane mask. (Retired lanes
+/// may accumulate junk in the core region; their minima are never read
+/// again.)
+#[allow(clippy::too_many_arguments)]
+fn lane_minima<W: KernelWord, R: Recurrence<W, P>, const L: usize, const P: usize>(
+    views: &[Rotation<'_, W>; P],
+    d: usize,
+    (ilo, ihi): (usize, usize),
+    (top, left): (W, W),
+    shapes: &[(usize, usize)],
+    done: &[bool; L],
+    n_arr: &[u32; L],
+    m_arr: &[u32; L],
+) -> [W; L] {
+    let mut dmin = [W::INF; L];
+    let du = u32::try_from(d).expect("diagonal fits u32");
+    for l in 0..L {
+        if du <= m_arr[l] {
+            dmin[l] = dmin[l].min(top);
+        }
+        if du <= n_arr[l] {
+            dmin[l] = dmin[l].min(left);
+        }
+    }
+    let mut core_lo = ilo;
+    let mut core_hi = ihi;
+    for (l, &(n, m)) in shapes.iter().enumerate() {
+        if !done[l] {
+            core_lo = core_lo.max(d.saturating_sub(m));
+            core_hi = core_hi.min(n);
+        }
+    }
+    let masked = |rows: std::ops::RangeInclusive<usize>, dmin: &mut [W; L]| {
+        for i in rows {
+            let iu = i as u32;
+            let ju = (d - i) as u32;
+            for l in 0..L {
+                let v = if iu <= n_arr[l] && ju <= m_arr[l] {
+                    R::cell(views, i * L + l)
+                } else {
+                    W::INF
+                };
+                dmin[l] = dmin[l].min(v);
+            }
+        }
+    };
+    if core_lo <= core_hi {
+        masked(ilo..=core_lo.saturating_sub(1).min(ihi), &mut dmin);
+        for i in core_lo..=core_hi {
+            for (cur, ..) in views {
+                let block = &cur[i * L..(i + 1) * L];
+                for l in 0..L {
+                    dmin[l] = dmin[l].min(block[l]);
+                }
+            }
+        }
+        masked((core_hi + 1).max(ilo)..=ihi, &mut dmin);
+    } else {
+        masked(ilo..=ihi, &mut dmin);
+    }
+    dmin
 }
 
 /// Ends every live lane of a stripe as abandoned at the current diagonal
@@ -2003,23 +2269,25 @@ impl SuffixBound {
     }
 }
 
-/// Fills lane `l`'s column in all three diagonal buffers with `+∞` —
-/// called at lane retirement in [`StripeThreshold::Coarse`] mode so the
-/// whole-stripe lower bound (an *unmasked* minimum over the interior)
-/// no longer sees the retired lane. `+∞` is absorbing under every lane
-/// word's clamped arithmetic, so the lane's cells stay at `+∞` for the
-/// rest of the sweep.
-fn retire_lane_residue<W: KernelWord>(
+/// Fills lane `l`'s column in all three diagonal buffers of every plane
+/// with `+∞` — called at lane retirement in [`StripeThreshold::Coarse`]
+/// mode so the whole-stripe lower bound (an *unmasked* minimum over the
+/// interior) no longer sees the retired lane. Every plane needs it: a
+/// retired lane's Ix/Iy residue would stall the bound just like the M
+/// plane's. `+∞` is absorbing under every lane word's clamped
+/// arithmetic, so the lane's cells stay at `+∞` for the rest of the
+/// sweep.
+fn retire_lane_residue<W: KernelWord, const P: usize>(
     l: usize,
     nn: usize,
-    cur: &mut [W],
-    d1: &mut [W],
-    d2: &mut [W],
+    views: &mut [Rotation<'_, W>; P],
 ) {
-    let lanes = cur.len() / (nn + 1);
-    for buf in [cur, d1, d2] {
-        for i in 0..=nn {
-            buf[i * lanes + l] = W::INF;
+    for (cur, d1, d2) in views {
+        let lanes = cur.len() / (nn + 1);
+        for buf in [cur, d1, d2] {
+            for i in 0..=nn {
+                buf[i * lanes + l] = W::INF;
+            }
         }
     }
 }
@@ -2058,393 +2326,6 @@ fn raise_raw<W: KernelWord>(s: W, bias: u64) -> u64 {
     }
 }
 
-/// The **striped three-plane affine** (Gotoh) sweep: the
-/// [`stripe_sweep`] lane-interleaved layout applied to the M / Ix / Iy
-/// planes of [`crate::simd::affine_diag_update_lanes`] — nine rotating
-/// diagonal buffers advanced in lockstep, each lane racing Gotoh's
-/// recurrence over its own `(n_l, m_l)` geometry. Every plane follows
-/// the absolute-row padding and hygiene rules of
-/// [`stripe_sweep_local`], padding with `+∞`.
-///
-/// Everything lane-shaped is inherited from the linear sweep: per-lane
-/// frontier minima masked to each lane's own in-band cells (taken
-/// across all three planes — sound because an alignment path visits
-/// exactly one plane state per crossed cell and every weight, `open`
-/// included, is non-negative), the per-lane abandon rule before each
-/// diagonal, per-lane cell accounting over grid
-/// *positions* (not plane states, keeping counts comparable across
-/// modes), independent lane retirement reading `min(M, Ix, Iy)` at the
-/// lane's sink, and the coarse-mode residue reset — which here must
-/// cover **all nine** buffers, or a retired lane's Ix/Iy residue could
-/// stall the whole-stripe lower bound exactly like the PR 5 M-plane
-/// bug. Affine is global-only (no `semi` readout), and the u8 `bias`
-/// schedule applies unchanged: gap opens only *add* cost, so the
-/// per-diagonal lower bound behind [`crate::engine::applied_bias`]
-/// holds on every plane.
-///
-/// At `L = 1` this is the per-pair affine wavefront
-/// ([`AlignEngine::align`]): the lane's shape is the union shape, so its
-/// exact frontier minimum is the interior minimum
-/// [`simd::affine_diag_update_lanes`] returns plus the boundary cells,
-/// and the masked second pass is skipped. `sup` checkpoints once per
-/// diagonal: `tick(0)` on a band-empty one, `tick(span)` after each
-/// computed one.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn stripe_sweep_affine<W: KernelWord, const L: usize>(
-    shapes: &[(usize, usize)],
-    q_plane: &[u8],
-    p_plane: &[u8],
-    (nn, mm): (usize, usize),
-    w: RawWeights,
-    open: u64,
-    band: Option<usize>,
-    threshold: StripeThreshold,
-    suffix: Option<SuffixBound>,
-    bias_m2: u64,
-    planes: &mut AffineDiagScratch<W>,
-    out: &mut [EngineOutcome],
-    sup: &mut SupCursor<'_>,
-) -> Result<(), StopReason> {
-    let lanes = shapes.len();
-    assert!(lanes <= L && lanes == out.len());
-    let lw = simd::AffineLaneWeights {
-        matched: W::clamp_raw(w.matched),
-        mismatched: W::clamp_raw(w.mismatched),
-        indel: W::clamp_raw(w.indel),
-        open: W::clamp_raw(open),
-    };
-    let t_raw = threshold.classify_raw();
-    let byte = std::mem::size_of::<W>() == 1;
-    let mut bias = 0_u64;
-    let mut t_w = match threshold {
-        StripeThreshold::Exact(t) => Some(W::clamp_raw(t)),
-        _ => None,
-    };
-    let mut t_c = match threshold {
-        StripeThreshold::Coarse(t) => Some(W::clamp_raw(t)),
-        _ => None,
-    };
-    for b in planes
-        .m
-        .iter_mut()
-        .chain(planes.x.iter_mut())
-        .chain(planes.y.iter_mut())
-    {
-        b.clear();
-        b.resize((nn + 1) * L, W::INF);
-    }
-
-    let mut n_arr = [0_u32; L];
-    let mut m_arr = [0_u32; L];
-    for (l, &(n, m)) in shapes.iter().enumerate() {
-        n_arr[l] = u32::try_from(n).expect("sequence fits u32");
-        m_arr[l] = u32::try_from(m).expect("sequence fits u32");
-    }
-
-    // Diagonal 0: only the substitution plane holds the root.
-    planes.m[0][..L].fill(W::ZERO);
-    let mut min1 = [W::ZERO; L];
-    let mut min2 = [W::INF; L];
-    let mut gmin1 = W::ZERO;
-    let mut gmin2 = W::INF;
-    let mut cells = [1_u64; L];
-    let mut done = [true; L];
-    let mut live = 0_usize;
-    for (l, &(n, m)) in shapes.iter().enumerate() {
-        if n + m == 0 {
-            out[l] = classify_outcome(0, t_raw, 1);
-        } else {
-            done[l] = false;
-            live += 1;
-        }
-    }
-
-    for d in 1..=(nn + mm) {
-        if live == 0 {
-            break;
-        }
-        // u8 bias rebase — identical to the linear sweep's split form:
-        // registers and thresholds shift here, the six readable
-        // diagonal buffers (every plane stores biased values) shift
-        // after rotation via the vectorized `rebase_buf` pass.
-        let mut rebase_delta: Option<W> = None;
-        if bias_m2 > 0 {
-            let new_bias = applied_bias(d, bias_m2);
-            if new_bias != bias {
-                let delta = W::clamp_raw(new_bias - bias);
-                rebase_delta = Some(delta);
-                for l in 0..L {
-                    if min1[l] != W::INF {
-                        min1[l] = min1[l].sub_weight(delta);
-                    }
-                    if min2[l] != W::INF {
-                        min2[l] = min2[l].sub_weight(delta);
-                    }
-                }
-                if gmin1 != W::INF {
-                    gmin1 = gmin1.sub_weight(delta);
-                }
-                if gmin2 != W::INF {
-                    gmin2 = gmin2.sub_weight(delta);
-                }
-                bias = new_bias;
-                if let StripeThreshold::Exact(t) = threshold {
-                    t_w = Some(W::clamp_raw(t.saturating_sub(bias)));
-                }
-                if let StripeThreshold::Coarse(t) = threshold {
-                    t_c = Some(W::clamp_raw(t.saturating_sub(bias)));
-                }
-            }
-        }
-        // Per-lane abandon, before computing diagonal d — the per-pair
-        // affine kernel's order and rule (cross-plane frontier minima;
-        // saturated-threshold byte rule as in the linear sweep).
-        if let Some(t) = t_w {
-            for l in 0..lanes {
-                let floor = min1[l].min(min2[l]);
-                let abandon = if t < W::INF {
-                    floor > t
-                } else {
-                    byte && floor >= W::INF
-                };
-                if !done[l] && abandon {
-                    out[l] = EngineOutcome {
-                        score: Time::NEVER,
-                        cells_computed: cells[l],
-                        early_terminated: true,
-                    };
-                    done[l] = true;
-                    live -= 1;
-                }
-            }
-            if live == 0 {
-                break;
-            }
-        }
-        // Coarse whole-stripe abandon: the unmasked cross-plane lower
-        // bound, exactly as in the linear sweep.
-        if let Some(t) = t_c {
-            if gmin1.min(gmin2) > t {
-                abandon_live_lanes(&mut done, &mut live, &cells, out);
-                break;
-            }
-        }
-        let (mc, m1, m2) = rotate_bufs(&mut planes.m, d);
-        let (xc, x1, x2) = rotate_bufs(&mut planes.x, d);
-        let (yc, y1, y2) = rotate_bufs(&mut planes.y, d);
-        if let Some(delta) = rebase_delta {
-            for buf in [&mut *m1, &mut *m2, &mut *x1, &mut *x2, &mut *y1, &mut *y2] {
-                rebase_buf(buf, delta);
-            }
-        }
-        // Remaining-cost checkpoint, `D` taken across the three planes.
-        if let (Some(sb), StripeThreshold::Coarse(t)) = (suffix, threshold) {
-            if d % REMAINING_BOUND_EVERY == 0
-                && sb.proves_out(
-                    [&m1[..], &x1[..], &y1[..]],
-                    [&m2[..], &x2[..], &y2[..]],
-                    d,
-                    (nn, mm),
-                    band,
-                    shapes,
-                    &done,
-                    t.saturating_sub(bias),
-                )
-            {
-                abandon_live_lanes(&mut done, &mut live, &cells, out);
-                break;
-            }
-        }
-        let (lo, hi) = diag_range(d, nn, mm, band);
-        if lo > hi {
-            // Band-empty union diagonal: reset the cells later
-            // diagonals may read, in every plane.
-            let clo = lo.saturating_sub(1).min(nn);
-            let chi = (hi + 1).min(nn);
-            if clo <= chi {
-                mc[clo * L..(chi + 1) * L].fill(W::INF);
-                xc[clo * L..(chi + 1) * L].fill(W::INF);
-                yc[clo * L..(chi + 1) * L].fill(W::INF);
-            }
-            min2 = min1;
-            min1 = [W::INF; L];
-            (gmin2, gmin1) = (gmin1, W::INF);
-            for (l, &(n, m)) in shapes.iter().enumerate() {
-                if !done[l] && d == n + m {
-                    // The lane's sink range is empty too: the per-pair
-                    // kernel's band-excluded-sink verdict.
-                    out[l] = classify_outcome(NEVER, t_raw, cells[l]);
-                    done[l] = true;
-                    live -= 1;
-                    if t_c.is_some() {
-                        retire_lane_residue(l, nn, mc, m1, m2);
-                        retire_lane_residue(l, nn, xc, x1, x2);
-                        retire_lane_residue(l, nn, yc, y1, y2);
-                    }
-                }
-            }
-            sup.tick(0)?;
-            continue;
-        }
-        // One-row +∞ padding around the written span, per plane.
-        for plane in [&mut *mc, &mut *xc, &mut *yc] {
-            if lo > 0 {
-                plane[(lo - 1) * L..lo * L].fill(W::INF);
-            }
-            if hi < nn {
-                plane[(hi + 1) * L..(hi + 2) * L].fill(W::INF);
-            }
-        }
-
-        // Boundary cells: a single gap run from the root — one open
-        // plus d extensions, in the plane that gap lives in.
-        let boundary = W::clamp_raw(
-            open.saturating_add((d as u64).saturating_mul(w.indel))
-                .saturating_sub(bias),
-        );
-        if lo == 0 {
-            // Cell (0, d): a run of horizontal gaps (Iy consumes P).
-            mc[..L].fill(W::INF);
-            xc[..L].fill(W::INF);
-            yc[..L].fill(boundary);
-        }
-        if hi == d {
-            // Cell (d, 0): a run of vertical gaps (Ix consumes Q).
-            mc[d * L..(d + 1) * L].fill(W::INF);
-            xc[d * L..(d + 1) * L].fill(boundary);
-            yc[d * L..(d + 1) * L].fill(W::INF);
-        }
-        let ilo = lo.max(1);
-        let ihi = hi.min(d - 1);
-        let mut interior_min = W::INF;
-        if ilo <= ihi {
-            let (a, b) = (ilo * L, (ihi + 1) * L);
-            interior_min = simd::affine_diag_update_lanes::<W, L>(
-                &m1[a - L..b - L], // up: (i − 1, j)
-                &x1[a - L..b - L],
-                &y1[a - L..b - L],
-                &m1[a..b], // left: (i, j − 1)
-                &x1[a..b],
-                &y1[a..b],
-                &m2[a - L..b - L], // diag: (i − 1, j − 1)
-                &x2[a - L..b - L],
-                &y2[a - L..b - L],
-                &q_plane[a - L..b - L], // q[i − 1], lane-major
-                &p_plane[(mm + ilo - d) * L..(mm + ihi + 1 - d) * L], // p[j − 1], reversed
-                lw,
-                &mut mc[a..b],
-                &mut xc[a..b],
-                &mut yc[a..b],
-            );
-        }
-        let mut gdmin = interior_min;
-        if lo == 0 || hi == d {
-            gdmin = gdmin.min(boundary);
-        }
-        if t_c.is_some() {
-            (gmin2, gmin1) = (gmin1, gdmin);
-        }
-
-        // Per-lane frontier minima across the three planes, masked to
-        // each lane's own in-band cells — consumed only by the exact
-        // abandon rule. One lane's in-band cells are the whole diagonal,
-        // so its exact minimum is the fused one.
-        if L == 1 && t_w.is_some() {
-            (min2, min1) = (min1, [gdmin; L]);
-        } else if t_w.is_some() {
-            let mut dmin = [W::INF; L];
-            let du = u32::try_from(d).expect("diagonal fits u32");
-            if lo == 0 {
-                for l in 0..L {
-                    if du <= m_arr[l] {
-                        dmin[l] = dmin[l].min(boundary); // Iy boundary
-                    }
-                }
-            }
-            if hi == d {
-                for l in 0..L {
-                    if du <= n_arr[l] {
-                        dmin[l] = dmin[l].min(boundary); // Ix boundary
-                    }
-                }
-            }
-            let mut core_lo = ilo;
-            let mut core_hi = ihi;
-            for (l, &(n, m)) in shapes.iter().enumerate() {
-                if !done[l] {
-                    core_lo = core_lo.max(d.saturating_sub(m));
-                    core_hi = core_hi.min(n);
-                }
-            }
-            let masked = |rows: std::ops::RangeInclusive<usize>, dmin: &mut [W; L]| {
-                for i in rows {
-                    let mb = &mc[i * L..(i + 1) * L];
-                    let xb = &xc[i * L..(i + 1) * L];
-                    let yb = &yc[i * L..(i + 1) * L];
-                    let iu = i as u32;
-                    let ju = (d - i) as u32;
-                    for l in 0..L {
-                        let v = if iu <= n_arr[l] && ju <= m_arr[l] {
-                            mb[l].min(xb[l]).min(yb[l])
-                        } else {
-                            W::INF
-                        };
-                        dmin[l] = dmin[l].min(v);
-                    }
-                }
-            };
-            if core_lo <= core_hi {
-                masked(ilo..=core_lo.saturating_sub(1).min(ihi), &mut dmin);
-                for i in core_lo..=core_hi {
-                    let mb = &mc[i * L..(i + 1) * L];
-                    let xb = &xc[i * L..(i + 1) * L];
-                    let yb = &yc[i * L..(i + 1) * L];
-                    for l in 0..L {
-                        dmin[l] = dmin[l].min(mb[l]).min(xb[l]).min(yb[l]);
-                    }
-                }
-                masked((core_hi + 1).max(ilo)..=ihi, &mut dmin);
-            } else {
-                masked(ilo..=ihi, &mut dmin);
-            }
-            min2 = min1;
-            min1 = dmin;
-        }
-
-        let span = (hi - lo + 1) as u64;
-        count_lane_cells(&mut cells, span, d, shapes, &done, band);
-
-        // Retire lanes whose final diagonal this was: the sink value is
-        // the minimum across all three planes, raised by the bias.
-        for (l, &(n, m)) in shapes.iter().enumerate() {
-            if !done[l] && d == n + m {
-                let (flo, fhi) = diag_range(d, n, m, band);
-                let raw = if flo <= fhi {
-                    let s = mc[n * L + l].min(xc[n * L + l]).min(yc[n * L + l]);
-                    raise_raw(s, bias)
-                } else {
-                    NEVER // the band excludes the lane's sink cell
-                };
-                out[l] = classify_outcome(raw, t_raw, cells[l]);
-                done[l] = true;
-                live -= 1;
-                if t_c.is_some() {
-                    // Coarse-bound hygiene across *all three* planes: a
-                    // retired lane's Ix/Iy residue can stall the
-                    // whole-stripe bound exactly like the M plane's
-                    // (the PR 5 bug class).
-                    retire_lane_residue(l, nn, mc, m1, m2);
-                    retire_lane_residue(l, nn, xc, x1, x2);
-                    retire_lane_residue(l, nn, yc, y1, y2);
-                }
-            }
-        }
-        sup.tick(span)?;
-    }
-    debug_assert_eq!(live, 0, "every lane must retire by the last diagonal");
-    Ok(())
-}
-
 /// The **local** (max-plus Smith–Waterman) striped sweep: the same
 /// lane-interleaved anti-diagonal layout as [`stripe_sweep`], racing
 /// the AND-type dual with per-lane **best-score (maximum) registers**.
@@ -2477,18 +2358,20 @@ pub(crate) fn stripe_sweep_affine<W: KernelWord, const L: usize>(
 /// would watch. At `L = 1` this is the per-pair local wavefront
 /// ([`AlignEngine::align`]), and `sup` checkpoints once per diagonal:
 /// `tick(0)` on a band-empty one, `tick(span)` after each computed one.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn stripe_sweep_local<W: KernelWord, const L: usize>(
-    shapes: &[(usize, usize)],
-    q_plane: &[u8],
-    p_plane: &[u8],
-    (nn, mm): (usize, usize),
+    stripe: Stripe<'_>,
     s: LocalScores,
-    band: Option<usize>,
     bufs: &mut [Vec<W>; 3],
     out: &mut [EngineOutcome],
     sup: &mut SupCursor<'_>,
 ) -> Result<(), StopReason> {
+    let Stripe {
+        shapes,
+        q: q_plane,
+        p: p_plane,
+        union: (nn, mm),
+        band,
+    } = stripe;
     let lanes = shapes.len();
     assert!(lanes <= L && lanes == out.len());
     let lw = LaneWeights {

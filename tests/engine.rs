@@ -638,8 +638,8 @@ fn diagonal_abandon_cells(
     cells
 }
 
-/// Deterministic regression for the span-relative wavefront layout at
-/// every band: no band, every half-width from 0 through 9 (empty
+/// Deterministic regression for the per-pair wavefront's band handling
+/// at every band: no band, every half-width from 0 through 9 (empty
 /// diagonals, alternating band 0/1 spans, the buffers' guard cells), 64,
 /// and one wider than `n + m`; global and semi-global, each with and
 /// without a threshold; `u32` and `u64` (lane-floor pin) lanes, plus one
