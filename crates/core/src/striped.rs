@@ -1718,7 +1718,7 @@ fn stripe_sweep<W: KernelWord, R: Recurrence<W, P>, const L: usize, const P: usi
             if new_bias != bias {
                 let delta = W::clamp_raw(new_bias - bias);
                 bias = new_bias;
-                front.rebase(delta, threshold, bias);
+                front = front.rebased(delta, threshold, bias);
                 rebase_delta = Some(delta);
             }
         }
@@ -2013,7 +2013,7 @@ impl<W: KernelWord, const L: usize> Frontier<W, L> {
     /// bias window, so it stays out of the diagonal loop's body.
     #[cold]
     #[inline(never)]
-    fn rebase(&mut self, delta: W, threshold: StripeThreshold, bias: u64) {
+    fn rebased(mut self, delta: W, threshold: StripeThreshold, bias: u64) -> Self {
         let lower = |v: &mut W| {
             if *v != W::INF {
                 *v = v.sub_weight(delta);
@@ -2024,6 +2024,7 @@ impl<W: KernelWord, const L: usize> Frontier<W, L> {
         lower(&mut self.stripe1);
         lower(&mut self.stripe2);
         self.lower_thresholds(threshold, bias);
+        self
     }
 }
 
