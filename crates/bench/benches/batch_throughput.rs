@@ -135,7 +135,7 @@ fn bench_ragged(c: &mut Criterion) {
 /// Mode sweep: the striped batch kernel under every alignment mode at
 /// one fixed shape — how much the free-end bookkeeping (semi-global
 /// best registers), the max-plus dual (local), and the three-plane
-/// per-pair fallback (affine) cost relative to global.
+/// affine stripes cost relative to global.
 fn bench_mode_sweep(c: &mut Criterion) {
     use race_logic::engine::{AffineWeights, AlignMode, LocalScores};
 
@@ -169,9 +169,12 @@ fn bench_mode_sweep(c: &mut Criterion) {
 /// Per-pair wavefront: pinned-`Wavefront` `AlignEngine::align` at a
 /// `u32` lane floor on 64 random DNA pairs of shape `n × (n + 7)`, per
 /// mode, unbanded and at band 16 (affine at 256² also under a
-/// threshold of 300) — the per-pair table of `docs/KERNELS.md`. Local
-/// and affine pairs run the 1-lane stripe sweep, linear ones the
-/// span-relative kernel.
+/// threshold of 300) — the per-pair table of `docs/KERNELS.md`. Every
+/// mode runs the 1-lane stripe sweep: global, semi-global and affine
+/// the min-plus sweep, local the max-plus one.
+///
+/// `cargo bench -p rl-bench --bench batch_throughput -- per_pair_wavefront`
+/// runs this group alone (a few seconds).
 fn bench_per_pair_wavefront(c: &mut Criterion) {
     use race_logic::engine::{AffineWeights, AlignMode, LaneWidth, LocalScores};
     const PER_PAIR: usize = 64;
@@ -191,6 +194,7 @@ fn bench_per_pair_wavefront(c: &mut Criterion) {
         group.throughput(Throughput::Elements(PER_PAIR as u64));
         for mode in [
             AlignMode::Global,
+            AlignMode::SemiGlobal,
             AlignMode::Local(LocalScores::unit()),
             AlignMode::GlobalAffine(AffineWeights { open: 2 }),
         ] {
