@@ -1495,19 +1495,15 @@ impl AlignEngine {
         &mut self,
         sup: &mut SupCursor<'_>,
     ) -> Result<EngineOutcome, StopReason> {
-        let shape = [(self.q_codes.len(), self.p_rev.len())];
-        let stripe = Stripe {
-            shapes: &shape,
-            q: &self.q_codes,
-            p: &self.p_rev,
-            union: shape[0],
-            band: self.cfg.band,
-        };
+        let (q, p) = (&self.q_codes[..], &self.p_rev[..]);
+        let shape = [(q.len(), p.len())];
+        let band = self.cfg.band;
         let planes = W::planes(&mut self.diag);
         let mut out = [EngineOutcome::default()];
         match self.cfg.mode {
             AlignMode::Local(s) => {
-                stripe_sweep_local::<W, 1>(stripe, s, &mut planes[0], &mut out, sup)?;
+                let bufs = &mut planes[0];
+                stripe_sweep_local::<W, 1>(&shape, q, p, shape[0], s, band, bufs, &mut out, sup)?;
             }
             mode => {
                 if let AlignMode::GlobalAffine(_) = mode {
@@ -1517,6 +1513,13 @@ impl AlignEngine {
                     .cfg
                     .threshold
                     .map_or(StripeThreshold::None, StripeThreshold::Exact);
+                let stripe = Stripe {
+                    shapes: &shape,
+                    q,
+                    p,
+                    union: shape[0],
+                    band,
+                };
                 min_plus_sweep::<W, 1>(&self.cfg, stripe, t, None, planes, &mut out, sup)?;
             }
         }

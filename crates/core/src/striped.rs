@@ -1354,23 +1354,31 @@ fn sweep_at<W: DiagWord, const L: usize>(
     scratch: &mut StripeScratch,
     results: &mut [EngineOutcome],
 ) {
-    let stripe = Stripe {
-        shapes: &scratch.shapes,
-        q: scratch.q_plane.as_slice(),
-        p: scratch.p_plane.as_slice(),
-        union,
-        band: cfg.band,
-    };
+    let (shapes, q, p) = (
+        &scratch.shapes[..],
+        scratch.q_plane.as_slice(),
+        scratch.p_plane.as_slice(),
+    );
     let planes = W::planes(&mut scratch.diag);
     // Striped units are charged per unit (reserve, then charge), so the
     // sweeps run free here; only per-pair alignments checkpoint inside.
     let free = &mut SupCursor::new(None);
     let swept = match cfg.mode {
-        AlignMode::Local(s) => stripe_sweep_local::<W, L>(stripe, s, &mut planes[0], results, free),
+        AlignMode::Local(s) => {
+            let bufs = &mut planes[0];
+            stripe_sweep_local::<W, L>(shapes, q, p, union, s, cfg.band, bufs, results, free)
+        }
         mode => {
             if let AlignMode::GlobalAffine(_) = mode {
                 fp_hit("affine-stripe");
             }
+            let stripe = Stripe {
+                shapes,
+                q,
+                p,
+                union,
+                band: cfg.band,
+            };
             min_plus_sweep::<W, L>(cfg, stripe, threshold, suffix, planes, results, free)
         }
     };
@@ -2359,20 +2367,18 @@ fn raise_raw<W: KernelWord>(s: W, bias: u64) -> u64 {
 /// would watch. At `L = 1` this is the per-pair local wavefront
 /// ([`AlignEngine::align`]), and `sup` checkpoints once per diagonal:
 /// `tick(0)` on a band-empty one, `tick(span)` after each computed one.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn stripe_sweep_local<W: KernelWord, const L: usize>(
-    stripe: Stripe<'_>,
+    shapes: &[(usize, usize)],
+    q_plane: &[u8],
+    p_plane: &[u8],
+    (nn, mm): (usize, usize),
     s: LocalScores,
+    band: Option<usize>,
     bufs: &mut [Vec<W>; 3],
     out: &mut [EngineOutcome],
     sup: &mut SupCursor<'_>,
 ) -> Result<(), StopReason> {
-    let Stripe {
-        shapes,
-        q: q_plane,
-        p: p_plane,
-        union: (nn, mm),
-        band,
-    } = stripe;
     let lanes = shapes.len();
     assert!(lanes <= L && lanes == out.len());
     let lw = LaneWeights {
