@@ -11,8 +11,8 @@
 //!   dependency) and the *wavefront* sweep (anti-diagonal order: every
 //!   cell of a diagonal is independent, exactly the parallelism the
 //!   Race Logic array exploits in hardware, vectorized through
-//!   [`crate::simd`]). A per-pair wavefront is the striped sweep of
-//!   [`crate::striped`] at one lane, which computes only each
+//!   [`crate::simd`]). A per-pair wavefront is the striped batch
+//!   kernel's sweep at one lane, which computes only each
 //!   diagonal's in-band span (which is how narrow bands stay on the
 //!   wavefront), and [`align_batch`] adds a further axis: the same
 //!   sweep with SIMD lanes that are *different pairs* of a
