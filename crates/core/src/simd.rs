@@ -445,8 +445,9 @@ pub fn diag_update<W: KernelWord>(
 /// ~40% slower than 16-lane u16 stripes on the same workload. Like
 /// [`diag_update_local_lanes`], iterating the row dimension via
 /// `chunks_exact(L)` with a branch-free inner lane loop over exactly
-/// `L`-sized chunks survives inlining at every width: the bound checks
-/// drop and the inner loop vectorizes whole. The per-lane running
+/// `L`-sized chunks drops the bound checks, and staging each narrow
+/// row in a local array (see the loop) lets the lane loop vectorize
+/// whole wherever it is inlined. The per-lane running
 /// minima accumulate into a fixed-`L` block with a single horizontal
 /// reduction at the end, fusing the frontier-minimum pass the fused
 /// early termination needs.
