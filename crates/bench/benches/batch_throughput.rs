@@ -14,7 +14,8 @@
 //! Two more groups sweep the alignment modes: the striped batch at
 //! 64 bp, and the per-pair wavefront at 256² and 1024², unbanded and at
 //! band 16 (`per_pair_wavefront`). The `short_pairs` group times the
-//! routing of pairs under 32 symbols, per pair and in batches.
+//! routing of pairs under 32 symbols, per pair and in batches. The
+//! `scan_workers` group times one ratcheted `scan` at 1 and 2 workers.
 //!
 //! Pass a name filter to time one group or row:
 //! `cargo bench -p rl-bench --bench batch_throughput -- short_pairs`.
@@ -328,12 +329,94 @@ fn bench_short_pairs(c: &mut Criterion) {
     }
 }
 
+/// One ratcheted `scan` at 1 and 2 workers, on two inputs shaped like
+/// perfbench's workloads:
+/// - `bitpar-2000x256`: 2,000 log-normal entries (median 256 bp,
+///   σ = 0.5, 8–1,024 bp) against a 256 bp global fig4 query, k = 10,
+///   on the bit-parallel kernel (`scan_long`). The query is an edited
+///   copy of an entry, so the ratchet meets a real hit.
+/// - `affine-128x64`: 128 entries (median 64 bp, 8–256 bp) against a
+///   random 64 bp global-affine (open 2) query, k = 3, on the striped
+///   kernel (`scan_short`'s affine half).
+///
+/// The two rows of a group differ only in the worker count, so their
+/// ratio is what the second worker gains or costs per scan.
+/// `cargo bench -p rl-bench --bench batch_throughput -- scan_workers`
+/// runs this group alone (a few seconds); `docs/KERNELS.md`, "Work
+/// units", holds its table.
+fn bench_scan_workers(c: &mut Criterion) {
+    use race_logic::early_termination::{scan, ScanEntries};
+    use race_logic::engine::{AffineWeights, AlignMode};
+    use rl_bench::lognormal_len;
+    use rl_bio::mutate::{mutate, MutationConfig};
+
+    let mut rng = seeded_rng(0x5CA4);
+    let mut database = |entries: usize, median: f64, max: usize| -> Vec<Seq<Dna>> {
+        (0..entries)
+            .map(|_| {
+                let len = lognormal_len(&mut rng, median, 0.5, 8, max);
+                Seq::random(&mut rng, len)
+            })
+            .collect()
+    };
+    let long = database(2_000, 256.0, 1_024);
+    let short = database(128, 64.0, 256);
+    let mut rng = seeded_rng(0x5CA5);
+    let source = long
+        .iter()
+        .find(|e| (240..=272).contains(&e.len()))
+        .expect("an entry near 256 bp");
+    let inputs = [
+        (
+            "bitpar-2000x256",
+            AlignConfig::new(RaceWeights::fig4()),
+            mutate(source, &MutationConfig::balanced(0.1 / 3.0), &mut rng),
+            long,
+            10,
+        ),
+        (
+            "affine-128x64",
+            AlignConfig::new(RaceWeights::fig4())
+                .with_mode(AlignMode::GlobalAffine(AffineWeights { open: 2 })),
+            Seq::random(&mut rng, 64),
+            short,
+            3,
+        ),
+    ];
+    for (label, cfg, query, entries, k) in inputs {
+        let query = PackedSeq::from_seq(&query);
+        let db: Vec<PackedSeq<Dna>> = entries.iter().map(PackedSeq::from_seq).collect();
+        let mut group = c.benchmark_group(format!("scan_workers/{label}"));
+        group.sample_size(30);
+        group.throughput(Throughput::Elements(db.len() as u64));
+        for workers in [1_usize, 2] {
+            group.bench_function(format!("workers={workers}"), |b| {
+                b.iter(|| {
+                    let (outcome, _) = scan(
+                        &cfg,
+                        &query,
+                        ScanEntries::Memory(&db),
+                        k,
+                        None,
+                        Some(workers),
+                        &ScanControl::new(),
+                    )
+                    .expect("admitted");
+                    black_box(outcome.hits)
+                });
+            });
+        }
+        group.finish();
+    }
+}
+
 criterion_group!(
     benches,
     bench_batch_throughput,
     bench_ragged,
     bench_mode_sweep,
     bench_per_pair_wavefront,
-    bench_short_pairs
+    bench_short_pairs,
+    bench_scan_workers
 );
 criterion_main!(benches);

@@ -50,9 +50,10 @@
 //!   a padding budget ([`STRIPE_PAD_BUDGET_PCT`]) — and sweeps each
 //!   stripe with the inter-pair striped kernel (every SIMD lane a
 //!   different pair, per-lane banding masks and early-termination
-//!   flags, lanes retiring independently), fanned out across cores
-//!   with rayon, one scratch arena per worker, always supervised,
-//!   results in input order — and byte-identical to the sequential
+//!   flags, lanes retiring independently), claimed from one
+//!   plan-order queue by the calling thread and its helper threads,
+//!   one scratch arena per worker, always supervised, results in
+//!   input order — and byte-identical to the sequential
 //!   loop. The §6 database scan sharpens this into
 //!   [`crate::early_termination::scan`], whose shared top-k ratchet
 //!   tightens the fused threshold as hits land.
@@ -1848,8 +1849,10 @@ pub fn batch_plan_stats<S: Symbol>(
 /// Aligns every `(q, p)` pair under `cfg`, in parallel, under `ctrl` —
 /// the one batch entry point.
 ///
-/// Two levels of parallelism are fused. Across cores, work is chunked
-/// with rayon, one scratch set per worker chunk. Within a core, pairs
+/// Two levels of parallelism are fused. Across cores, the calling
+/// thread and `n − 1` helper threads claim work units from one queue
+/// in plan order, one scratch set per worker; the plan itself does not
+/// depend on `n`. Within a core, pairs
 /// of any length (unless the config pins
 /// [`KernelStrategy::RollingRow`]) are sorted by `(n, m)` and
 /// consecutive pairs greedily share a stripe while padding stays

@@ -105,7 +105,8 @@ pub struct ServiceConfig {
     /// running segment once its `cells_spent` counter stalls for `t`
     /// while a query is executing. `None`: no watchdog thread.
     pub watchdog_timeout: Option<Duration>,
-    /// Worker threads per scan segment (`None` = the rayon default).
+    /// Worker threads per scan segment, the service's own included
+    /// (`None` = one per available thread, or `RAYON_NUM_THREADS`).
     pub workers: Option<usize>,
 }
 

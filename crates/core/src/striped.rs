@@ -46,10 +46,9 @@
 //! lane's minima and counts.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use rayon::prelude::*;
 use rl_bio::{alphabet::Symbol, PackedSeq, StripedCodes};
 use rl_temporal::Time;
 
@@ -274,7 +273,7 @@ pub(crate) fn run_batch<S: Symbol>(
     let mut slots = vec![Slot::Pending; pairs.len()];
     let mut stop = None;
     if !pairs.is_empty() {
-        let units = plan_units_guarded(cfg, pairs, resolve_workers(None), false, &mut faults);
+        let units = plan_units_guarded(cfg, pairs, false, &mut faults);
         let mut report = run_units(cfg, pairs, units, None, None, None, ctrl, &mut slots);
         faults.append(&mut report.faults);
         stop = report.stop;
@@ -336,13 +335,7 @@ pub(crate) fn scan_topk_resume_impl<S: Symbol>(
         return (slots, RunReport { faults, stop: None });
     }
     let masks = QueryMasks::for_scan(cfg, pairs);
-    let units = plan_units_guarded(
-        cfg,
-        pairs,
-        resolve_workers(workers),
-        masks.is_some(),
-        &mut faults,
-    );
+    let units = plan_units_guarded(cfg, pairs, masks.is_some(), &mut faults);
     let ratchet = Ratchet::seeded(k, cfg.threshold, seed, ids.to_vec());
     let mut report = run_units(
         cfg,
@@ -487,11 +480,15 @@ impl StripeThreshold {
     }
 }
 
-/// Executes planned units across workers (round-robin, one scratch set
-/// per worker) and scatters results back into input order. With a
-/// `ratchet`, each unit runs under the ratchet's threshold at the
-/// moment the unit starts, and finished scores feed back into it.
-/// Bit-parallel units need the ratchet and the segment's `masks`.
+/// Executes planned units across workers and scatters results back
+/// into input order. The units form one queue, claimed in plan order
+/// through a shared cursor: the calling thread is worker 0 and sweeps
+/// units itself beside `n − 1` scoped helpers, each worker with its own
+/// scratch set, each taking the next unclaimed unit until the queue is
+/// empty. With a `ratchet`, each unit runs under the ratchet's
+/// threshold at the moment the unit starts, and finished scores feed
+/// back into it. Bit-parallel units need the ratchet and the segment's
+/// `masks`.
 ///
 /// The [`ScanControl`] is consulted before every work unit (and inside
 /// the per-pair kernels at row/diagonal granularity); units an early
@@ -511,31 +508,21 @@ fn run_units<S: Symbol>(
 ) -> RunReport {
     let n_workers = resolve_workers(workers).min(units.len()).max(1);
     let ledger = ExecLedger::new();
-    // Round-robin units across workers: the planner emits all striped
-    // units first and the (at most one-per-worker) per-pair units last,
-    // so contiguous chunking would pile every per-pair unit onto the
-    // final worker. Round-robin spreads both kinds.
-    struct WorkSlot {
-        units: Vec<WorkUnit>,
-        scratch: WorkerScratch,
-    }
-    let mut slots: Vec<WorkSlot> = (0..n_workers)
-        .map(|_| WorkSlot {
-            units: Vec::new(),
-            scratch: WorkerScratch {
-                engine: AlignEngine::new(*cfg),
-                stripe: StripeScratch::new(),
-                bits: Vec::new(),
-            },
-        })
-        .collect();
-    for (i, unit) in units.into_iter().enumerate() {
-        slots[i % n_workers].units.push(unit);
-    }
-    slots.par_chunks_mut(1).for_each(|slot| {
-        let slot = &mut slot[0];
-        let worker = &mut slot.scratch;
-        for unit in &mut slot.units {
+    // One lock per unit: exactly one worker claims each index, so the
+    // locks never contend; they hand the unit to whichever thread
+    // claimed it and back to this one after the scope.
+    let queue: Vec<Mutex<WorkUnit>> = units.into_iter().map(Mutex::new).collect();
+    let cursor = AtomicUsize::new(0);
+    let sweep = || {
+        let worker = &mut WorkerScratch {
+            engine: AlignEngine::new(*cfg),
+            stripe: StripeScratch::new(),
+            bits: Vec::new(),
+        };
+        while let Some(unit) = queue.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            let unit = &mut *unit
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
             unit.results
                 .resize(unit.members.len(), EngineOutcome::default());
             unit.states.resize(unit.members.len(), SlotState::Pending);
@@ -599,8 +586,17 @@ fn run_units<S: Symbol>(
                 }
             }
         }
+    };
+    std::thread::scope(|s| {
+        for _ in 1..n_workers {
+            s.spawn(sweep);
+        }
+        sweep();
     });
-    for unit in slots.iter().flat_map(|s| &s.units) {
+    for unit in queue {
+        let unit = unit
+            .into_inner()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         for ((&i, &r), &state) in unit.members.iter().zip(&unit.results).zip(&unit.states) {
             out[i] = match state {
                 SlotState::Done => Slot::Done(r),
@@ -1043,8 +1039,8 @@ fn stripe_scratch_bytes(
 }
 
 /// The worker count a run uses: the caller's, or one per available
-/// thread. Planning and execution both read it, so a `Some(n)` run plans
-/// the same units on every host.
+/// thread. Only execution reads it; the plan is the same at every
+/// worker count.
 fn resolve_workers(workers: Option<usize>) -> usize {
     workers.unwrap_or_else(rayon::current_num_threads).max(1)
 }
@@ -1058,19 +1054,27 @@ fn stripes_allowed(cfg: &AlignConfig) -> bool {
     cfg.strategy != KernelStrategy::RollingRow
 }
 
+/// The planned cells ([`grid_cells`]) at which the planner closes a
+/// per-pair or bit-parallel unit. Units are the grain the workers'
+/// queue hands out, so a scan smaller than this is one unit and runs on
+/// the calling thread alone, while a larger one splits into units a
+/// helper can take. A pair at or above the target is a unit of its own.
+/// Chosen from the `scan_workers` rows of
+/// `crates/bench/benches/batch_throughput.rs` (`docs/KERNELS.md`,
+/// "Work units").
+const UNIT_CELLS: u64 = 1 << 20;
+
 /// Groups the batch into work units with the length-aware packer
 /// ([`pack_length_aware`]), which takes every pair unless the config
 /// pins the rolling row. Stripes left under [`STRIPE_MIN_PAIRS`]
 /// members, and every pair of a rolling-row-pinned plan, fall back to
-/// per-pair runs split evenly across `workers` (the count
-/// [`resolve_workers`] gives the run); those resolve their kernel per
-/// pair ([`AlignConfig::resolve_kernel`]). A `bit_parallel` plan (a
-/// scan segment with query masks) instead splits every pair, in input
-/// order, evenly into bit-parallel units.
+/// per-pair runs ([`split_units`]); those resolve their kernel per pair
+/// ([`AlignConfig::resolve_kernel`]). A `bit_parallel` plan (a scan
+/// segment with query masks) instead splits every pair, in input order,
+/// into bit-parallel units. The plan reads no worker count.
 fn plan_units<S: Symbol>(
     cfg: &AlignConfig,
     pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
-    workers: usize,
     bit_parallel: bool,
 ) -> Vec<WorkUnit> {
     fp_hit("packer");
@@ -1081,7 +1085,7 @@ fn plan_units<S: Symbol>(
             UnitKind::PerPair
         };
         let all: Vec<usize> = (0..pairs.len()).collect();
-        return split_units(&all, workers, kind);
+        return split_units(cfg, pairs, &all, kind);
     }
     let mut eligible: Vec<(usize, usize, usize)> = pairs
         .iter()
@@ -1091,26 +1095,39 @@ fn plan_units<S: Symbol>(
     let mut singles: Vec<usize> = Vec::new();
     let mut units = pack_length_aware(cfg, &mut eligible, &mut singles);
     singles.sort_unstable();
-    units.extend(split_units(&singles, workers, UnitKind::PerPair));
+    units.extend(split_units(cfg, pairs, &singles, UnitKind::PerPair));
     units
 }
 
-/// Splits `members` evenly, in order, into at most `workers` units of
-/// `kind` (none when `members` is empty).
-fn split_units(members: &[usize], workers: usize, kind: UnitKind) -> Vec<WorkUnit> {
-    if members.is_empty() {
-        return Vec::new();
+/// Splits `members`, in order, into units of `kind`, closing each unit
+/// once its planned cells reach [`UNIT_CELLS`] (none when `members` is
+/// empty).
+fn split_units<S: Symbol>(
+    cfg: &AlignConfig,
+    pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
+    members: &[usize],
+    kind: UnitKind,
+) -> Vec<WorkUnit> {
+    let unit = |members: &[usize]| WorkUnit {
+        kind,
+        width: LaneWidth::U64,
+        members: members.to_vec(),
+        results: Vec::new(),
+        states: Vec::new(),
+    };
+    let mut units = Vec::new();
+    let (mut start, mut cells) = (0, 0);
+    for (end, &i) in members.iter().enumerate() {
+        cells += grid_cells(pairs[i].0.len(), pairs[i].1.len(), cfg.band);
+        if cells >= UNIT_CELLS {
+            units.push(unit(&members[start..=end]));
+            (start, cells) = (end + 1, 0);
+        }
     }
-    members
-        .chunks(members.len().div_ceil(workers))
-        .map(|chunk| WorkUnit {
-            kind,
-            width: LaneWidth::U64,
-            members: chunk.to_vec(),
-            results: Vec::new(),
-            states: Vec::new(),
-        })
-        .collect()
+    if start < members.len() {
+        units.push(unit(&members[start..]));
+    }
+    units
 }
 
 /// Plans units under `catch_unwind`: an injected `packer` panic
@@ -1119,17 +1136,14 @@ fn split_units(members: &[usize], workers: usize, kind: UnitKind) -> Vec<WorkUni
 fn plan_units_guarded<S: Symbol>(
     cfg: &AlignConfig,
     pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
-    workers: usize,
     bit_parallel: bool,
     faults: &mut Vec<Fault>,
 ) -> Vec<WorkUnit> {
-    match catch_unwind(AssertUnwindSafe(|| {
-        plan_units(cfg, pairs, workers, bit_parallel)
-    })) {
+    match catch_unwind(AssertUnwindSafe(|| plan_units(cfg, pairs, bit_parallel))) {
         Ok(units) => units,
         Err(payload) => {
             let all: Vec<usize> = (0..pairs.len()).collect();
-            let units = split_units(&all, workers, UnitKind::PerPair);
+            let units = split_units(cfg, pairs, &all, UnitKind::PerPair);
             faults.push(Fault::new("packer", all, true, panic_message(&*payload)));
             units
         }
@@ -1222,7 +1236,7 @@ pub(crate) fn plan_stats_impl<S: Symbol>(
     if stripes_allowed(cfg) {
         stats.wavefront_eligible = pairs.len();
     }
-    for unit in plan_units(cfg, pairs, resolve_workers(None), false) {
+    for unit in plan_units(cfg, pairs, false) {
         if unit.kind != UnitKind::Striped {
             continue;
         }
@@ -2623,7 +2637,7 @@ mod tests {
         // Three same-shape pairs < STRIPE_MIN_PAIRS: planner must not stripe.
         let pairs = random_pairs(STRIPE_MIN_PAIRS - 1, 64, 64);
         let cfg = AlignConfig::new(RaceWeights::fig4());
-        let units = plan_units(&cfg, &ref_pairs(&pairs), 1, false);
+        let units = plan_units(&cfg, &ref_pairs(&pairs), false);
         assert!(units.iter().all(|u| u.kind != UnitKind::Striped));
         assert_batch_matches_sequential(&cfg, &pairs);
     }
@@ -2640,7 +2654,6 @@ mod tests {
         let u8_units = plan_units(
             &AlignConfig::new(RaceWeights::fig4()),
             &ref_pairs(&pairs),
-            1,
             false,
         );
         let u8_striped: Vec<_> = u8_units
@@ -2650,7 +2663,7 @@ mod tests {
         assert_eq!(u8_striped.len(), 1, "u8's 32 lanes hold all 20 pairs");
         assert_eq!(u8_striped[0].width, LaneWidth::U8);
         assert_eq!(u8_striped[0].members.len(), 20);
-        let units = plan_units(&base, &ref_pairs(&pairs), 1, false);
+        let units = plan_units(&base, &ref_pairs(&pairs), false);
         let striped: Vec<_> = units
             .iter()
             .filter(|u| u.kind == UnitKind::Striped)
@@ -2661,12 +2674,12 @@ mod tests {
         // Short pairs stripe too: one full 16-lane stripe of 8×8 pairs.
         // Under the rolling-row pin they never stripe.
         let short = random_pairs(16, 8, 8);
-        let units = plan_units(&base, &ref_pairs(&short), 1, false);
+        let units = plan_units(&base, &ref_pairs(&short), false);
         assert_eq!(units.len(), 1);
         assert_eq!(units[0].kind, UnitKind::Striped);
         assert_eq!(units[0].members.len(), 16);
         let pinned = base.with_strategy(KernelStrategy::RollingRow);
-        assert!(plan_units(&pinned, &ref_pairs(&short), 1, false)
+        assert!(plan_units(&pinned, &ref_pairs(&short), false)
             .iter()
             .all(|u| u.kind == UnitKind::PerPair));
     }
@@ -2721,7 +2734,7 @@ mod tests {
 
         let mut over: Vec<_> = (0..7).map(|_| mk(39)).collect();
         over.push(mk(49));
-        let units = plan_units(&cfg, &ref_pairs(&over), 1, false);
+        let units = plan_units(&cfg, &ref_pairs(&over), false);
         let striped: Vec<_> = units
             .iter()
             .filter(|u| u.kind == UnitKind::Striped)
@@ -2732,7 +2745,7 @@ mod tests {
 
         let mut under: Vec<_> = (0..7).map(|_| mk(39)).collect();
         under.push(mk(44));
-        let units = plan_units(&cfg, &ref_pairs(&under), 1, false);
+        let units = plan_units(&cfg, &ref_pairs(&under), false);
         let striped: Vec<_> = units
             .iter()
             .filter(|u| u.kind == UnitKind::Striped)
@@ -2761,7 +2774,7 @@ mod tests {
             pack(&Seq::random(&mut rng, 300)),
         ));
         let cfg = AlignConfig::new(RaceWeights::fig4());
-        let units = plan_units(&cfg, &ref_pairs(&pairs), 1, false);
+        let units = plan_units(&cfg, &ref_pairs(&pairs), false);
         let striped: Vec<_> = units
             .iter()
             .filter(|u| u.kind == UnitKind::Striped)
@@ -2856,7 +2869,7 @@ mod tests {
         let pairs = random_pairs(16, 64, 64);
         let cfg = AlignConfig::new(RaceWeights::fig4())
             .with_mode(AlignMode::GlobalAffine(AffineWeights { open: 1 }));
-        let units = plan_units(&cfg, &ref_pairs(&pairs), 1, false);
+        let units = plan_units(&cfg, &ref_pairs(&pairs), false);
         assert!(
             units.iter().any(|u| u.kind == UnitKind::Striped),
             "affine must stripe now"
@@ -2871,7 +2884,7 @@ mod tests {
         // stripe, halving its swept cells, and stay byte-identical.
         let pairs = random_pairs(21, 64, 64);
         let cfg = AlignConfig::new(RaceWeights::fig4()).with_lane_floor(LaneWidth::U16);
-        let units = plan_units(&cfg, &ref_pairs(&pairs), 1, false);
+        let units = plan_units(&cfg, &ref_pairs(&pairs), false);
         let striped: Vec<_> = units
             .iter()
             .filter(|u| u.kind == UnitKind::Striped)
@@ -3164,33 +3177,221 @@ mod tests {
         }
     }
 
+    /// A plan's unit list as `(kind, width, members)`.
+    fn unit_list(units: &[WorkUnit]) -> Vec<(UnitKind, LaneWidth, Vec<usize>)> {
+        units
+            .iter()
+            .map(|u| (u.kind, u.width, u.members.clone()))
+            .collect()
+    }
+
     #[test]
-    fn per_pair_split_follows_the_run_worker_count() {
-        // The rolling-row pin keeps every pair off the stripes, so the
-        // whole batch is per-pair units, split into even chunks for the
-        // workers the run will use, whatever the host's thread count
-        // (and `RAYON_NUM_THREADS`) says.
-        let pairs = random_pairs(12, 8, 12);
-        let cfg = AlignConfig::new(RaceWeights::fig4()).with_strategy(KernelStrategy::RollingRow);
+    fn plan_is_the_same_at_every_worker_count() {
+        // The planners read no worker count: a run at any worker count,
+        // or at the host's (`RAYON_NUM_THREADS`), executes one unit list.
+        // Per-pair and bit-parallel units close on planned cells
+        // (`UNIT_CELLS`), so a short batch is one unit however many
+        // workers the run has.
+        let short = random_pairs(12, 8, 12);
+        let ragged = random_pairs(70, 40, 44);
+        let fig4 = AlignConfig::new(RaceWeights::fig4());
+        let pinned = fig4.with_strategy(KernelStrategy::RollingRow);
+        // A bit-parallel plan is a scan segment: one query, many texts.
+        let scan: Vec<_> = short.iter().map(|(_, p)| (&short[0].0, p)).collect();
+        let plans = [
+            ("rolling-row pin", pinned, ref_pairs(&short), false),
+            ("bit-parallel", fig4, scan, true),
+            ("striped", fig4, ref_pairs(&ragged), false),
+        ];
         let mut faults = Vec::new();
-        for workers in [1, 2, 3, 5, 12, 40] {
-            let expected = pairs.len().div_ceil(pairs.len().div_ceil(workers));
-            let units = plan_units(&cfg, &ref_pairs(&pairs), workers, false);
-            assert!(units.iter().all(|u| u.kind == UnitKind::PerPair));
-            assert_eq!(units.len(), expected, "{workers} workers");
-            let guarded = plan_units_guarded(&cfg, &ref_pairs(&pairs), workers, false, &mut faults);
-            assert_eq!(guarded.len(), expected, "{workers} workers (guarded)");
-            // A bit-parallel plan splits the same way, in input order.
-            let bits = plan_units(&cfg, &ref_pairs(&pairs), workers, true);
-            assert!(bits.iter().all(|u| u.kind == UnitKind::BitParallel));
-            assert_eq!(bits.len(), expected, "{workers} workers (bit-parallel)");
-            let order: Vec<usize> = bits.iter().flat_map(|u| u.members.clone()).collect();
-            assert_eq!(order, (0..pairs.len()).collect::<Vec<_>>());
+        for (label, cfg, refs, bits) in plans {
+            let reference = unit_list(&plan_units(&cfg, &refs, bits));
+            for workers in [1, 2, 3, 5, 12, 40, resolve_workers(None)] {
+                let units = plan_units_guarded(&cfg, &refs, bits, &mut faults);
+                assert_eq!(unit_list(&units), reference, "{label} at {workers} workers");
+                // A run at `workers` finishes every pair of that list.
+                let mut slots = vec![Slot::Pending; refs.len()];
+                let masks = QueryMasks::for_scan(&cfg, &refs);
+                let ratchet = Ratchet::seeded(3, None, &[], (0..refs.len()).collect());
+                let ratchet = masks.as_ref().map(|_| &ratchet);
+                let ctrl = ScanControl::new();
+                let report = run_units(
+                    &cfg,
+                    &refs,
+                    units,
+                    ratchet,
+                    masks.as_ref(),
+                    Some(workers),
+                    &ctrl,
+                    &mut slots,
+                );
+                assert!(report.faults.is_empty() && report.stop.is_none());
+                assert!(slots.iter().all(|s| s.outcome().is_some()), "{label}");
+            }
+            // Each kind keeps its members in input order.
+            for kind in [UnitKind::PerPair, UnitKind::BitParallel] {
+                let order: Vec<usize> = reference
+                    .iter()
+                    .filter(|u| u.0 == kind)
+                    .flat_map(|u| u.2.clone())
+                    .collect();
+                assert!(order.windows(2).all(|w| w[0] < w[1]), "{label} {kind:?}");
+            }
+            let striped = reference.iter().filter(|u| u.0 == UnitKind::Striped);
+            for (_, _, members) in striped {
+                let shapes: Vec<(usize, usize, usize)> = members
+                    .iter()
+                    .map(|&i| (refs[i].0.len(), refs[i].1.len(), i))
+                    .collect();
+                assert!(
+                    shapes.windows(2).all(|w| w[0] < w[1]),
+                    "{label}: sorted by (n, m)"
+                );
+            }
         }
         assert!(faults.is_empty());
+        let short_refs = ref_pairs(&short);
+        assert_eq!(plan_units(&pinned, &short_refs, false).len(), 1);
+        assert_eq!(plan_units(&fig4, &short_refs, true).len(), 1);
+        assert!(plan_units(&fig4, &ref_pairs(&ragged), false)
+            .iter()
+            .any(|u| u.kind == UnitKind::Striped));
+
+        // A pinned batch of a few long pairs still spreads over workers:
+        // each pair reaches the cell target alone.
+        let side = (UNIT_CELLS as f64).sqrt() as usize;
+        let long = random_pairs(3, side, side);
+        let units = plan_units(&pinned, &ref_pairs(&long), false);
+        assert!(units.len() > 1);
+        assert_eq!(units.len(), 3);
         assert_eq!(resolve_workers(Some(3)), 3);
         assert_eq!(resolve_workers(Some(0)), 1);
         assert_eq!(resolve_workers(None), rayon::current_num_threads().max(1));
+    }
+
+    /// The `k` best `(score, index)` pairs among finished slots.
+    fn slot_hits(slots: &[Slot], k: usize) -> Vec<(u64, usize)> {
+        let mut hits: Vec<(u64, usize)> = slots
+            .iter()
+            .enumerate()
+            .filter_map(|(i, s)| Some((s.outcome()?.finished_score()?, i)))
+            .collect();
+        hits.sort_unstable();
+        hits.truncate(k);
+        hits
+    }
+
+    #[test]
+    fn queue_runs_every_pair_exactly_once() {
+        // Many more units than workers: a bit-parallel scan of about 35
+        // cell-target units, and a striped affine scan of about 40
+        // stripes. Every worker count must finish each pair in its own
+        // slot, with the 1-worker run's hits and counts, and a cancel
+        // that lands mid-run must leave each pair `Done` or `Pending`.
+        let mut rng = rl_dag::generate::seeded_rng(0xE1AC);
+        let bit_query = pack(&Seq::random(&mut rng, 64));
+        let per_pair = grid_cells(64, 120, None);
+        let bit_db: Vec<PackedSeq<Dna>> = (0..36 * UNIT_CELLS.div_ceil(per_pair) as usize)
+            .map(|i| pack(&Seq::random(&mut rng, 120 + i % 13)))
+            .collect();
+        let affine_query = pack(&Seq::random(&mut rng, 32));
+        let affine_db: Vec<PackedSeq<Dna>> = (0..1280)
+            .map(|i| pack(&Seq::random(&mut rng, 24 + i % 17)))
+            .collect();
+        let fig4 = AlignConfig::new(RaceWeights::fig4());
+        let affine = fig4.with_mode(AlignMode::GlobalAffine(crate::engine::AffineWeights {
+            open: 2,
+        }));
+        let scans = [
+            ("bit-parallel", fig4, &bit_query, &bit_db),
+            ("striped affine", affine, &affine_query, &affine_db),
+        ];
+        for (label, cfg, query, db) in scans {
+            let pairs: Vec<(&PackedSeq<Dna>, &PackedSeq<Dna>)> =
+                db.iter().map(|p| (query, p)).collect();
+            let ids: Vec<usize> = (0..pairs.len()).collect();
+            let refs = &pairs[..];
+            let units = plan_units(&cfg, refs, QueryMasks::for_scan(&cfg, refs).is_some());
+            assert!(units.len() >= 32, "{label}: {} units", units.len());
+            let k = 5;
+            let scan = |w: usize, ctrl: &ScanControl| {
+                scan_topk_resume_impl(&cfg, refs, &ids, k, &[], Some(w), ctrl)
+            };
+            let (one, report) = scan(1, &ScanControl::new());
+            assert!(report.faults.is_empty() && report.stop.is_none(), "{label}");
+            assert!(one.iter().all(|s| s.outcome().is_some()), "{label}");
+            let hits = slot_hits(&one, k);
+            let outcome = |w: usize| {
+                let (outcome, _) = crate::early_termination::scan(
+                    &cfg,
+                    query,
+                    crate::early_termination::ScanEntries::Memory(db),
+                    k,
+                    None,
+                    Some(w),
+                    &ScanControl::new(),
+                )
+                .expect("admitted");
+                (outcome.hits, outcome.completed_pairs, outcome.faulted_pairs)
+            };
+            let reference = outcome(1);
+            assert_eq!(reference.1, pairs.len(), "{label}");
+            for workers in [1, 2, 4, 8] {
+                let (slots, report) = scan(workers, &ScanControl::new());
+                assert!(report.faults.is_empty() && report.stop.is_none(), "{label}");
+                assert_eq!(slots.len(), pairs.len());
+                // A finished score is exact, so a pair finished in both
+                // runs agrees: no result landed in another pair's slot.
+                for (i, (s, r)) in slots.iter().zip(&one).enumerate() {
+                    let (s, r) = (s.outcome().expect("done"), r.outcome().expect("done"));
+                    if let (Some(a), Some(b)) = (s.finished_score(), r.finished_score()) {
+                        assert_eq!(a, b, "{label} pair {i} at {workers} workers");
+                    }
+                }
+                assert_eq!(slot_hits(&slots, k), hits, "{label} at {workers} workers");
+                assert_eq!(outcome(workers), reference, "{label} at {workers} workers");
+
+                // Cancel once the first cells are charged. The poller may
+                // lose the race on a loaded host, so retry until a run is
+                // cut with pairs on both sides.
+                let mut cut = false;
+                for _ in 0..200 {
+                    let ctrl = ScanControl::new();
+                    let running = std::sync::atomic::AtomicBool::new(true);
+                    let (slots, report) = std::thread::scope(|s| {
+                        s.spawn(|| {
+                            while running.load(Ordering::Relaxed) {
+                                if ctrl.cells_spent() > 0 {
+                                    ctrl.cancel();
+                                    break;
+                                }
+                                std::thread::yield_now();
+                            }
+                        });
+                        let run = scan(workers, &ctrl);
+                        running.store(false, Ordering::Relaxed);
+                        run
+                    });
+                    assert!(report.faults.is_empty(), "{label}");
+                    let done = slots.iter().filter(|s| matches!(s, Slot::Done(_))).count();
+                    let pending = slots.iter().filter(|s| matches!(s, Slot::Pending)).count();
+                    assert_eq!(done + pending, pairs.len(), "{label}: no pair faulted");
+                    for (i, (s, r)) in slots.iter().zip(&one).enumerate() {
+                        let (Some(s), Some(r)) = (s.outcome(), r.outcome()) else {
+                            continue;
+                        };
+                        if let (Some(a), Some(b)) = (s.finished_score(), r.finished_score()) {
+                            assert_eq!(a, b, "{label} pair {i} cancelled at {workers} workers");
+                        }
+                    }
+                    if report.stop == Some(StopReason::Cancelled) && done > 0 && pending > 0 {
+                        cut = true;
+                        break;
+                    }
+                }
+                assert!(cut, "{label}: no run cut mid-way at {workers} workers");
+            }
+        }
     }
 
     #[test]

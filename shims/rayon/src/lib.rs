@@ -1,11 +1,10 @@
 //! Offline stand-in for the `rayon` crate.
 //!
 //! The build environment has no crate registry, so the workspace vendors
-//! the slice of the rayon API it uses: `par_chunks_mut(..).enumerate()
-//! .for_each(..)` over mutable slices, plus [`current_num_threads`] and
-//! [`join`]. Parallelism comes from [`std::thread::scope`] — one OS
-//! thread per chunk — rather than a work-stealing pool, so callers
-//! should size chunks to roughly `len / current_num_threads()`.
+//! the one piece of the rayon API it still uses: [`current_num_threads`],
+//! the worker count a batch or scan defaults to. The workers themselves
+//! are `std::thread::scope` threads that the batch pipeline starts
+//! (`race_logic::striped`); this shim runs no pool and spawns no thread.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,126 +26,18 @@ pub fn current_num_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Runs two closures, in parallel when more than one thread is available.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if current_num_threads() <= 1 {
-        return (a(), b());
-    }
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        (ra, hb.join().expect("parallel closure panicked"))
-    })
-}
-
-/// Parallel operations over slices.
-pub mod slice {
-    /// Extension trait adding parallel chunking to mutable slices.
-    pub trait ParallelSliceMut<T: Send> {
-        /// Splits the slice into non-overlapping chunks of at most
-        /// `chunk_size` elements, processed in parallel.
-        fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T>;
-    }
-
-    impl<T: Send> ParallelSliceMut<T> for [T] {
-        fn par_chunks_mut(&mut self, chunk_size: usize) -> ParChunksMut<'_, T> {
-            assert!(chunk_size > 0, "chunk size must be positive");
-            ParChunksMut {
-                chunks: self.chunks_mut(chunk_size).collect(),
-            }
-        }
-    }
-
-    /// Parallel iterator over mutable chunks of a slice.
-    pub struct ParChunksMut<'a, T> {
-        chunks: Vec<&'a mut [T]>,
-    }
-
-    impl<'a, T: Send> ParChunksMut<'a, T> {
-        /// Pairs each chunk with its index.
-        #[must_use]
-        pub fn enumerate(self) -> EnumerateChunksMut<'a, T> {
-            EnumerateChunksMut {
-                chunks: self.chunks,
-            }
-        }
-
-        /// Applies `op` to every chunk, one scoped thread per chunk.
-        pub fn for_each<F>(self, op: F)
-        where
-            F: Fn(&mut [T]) + Sync,
-        {
-            EnumerateChunksMut {
-                chunks: self.chunks,
-            }
-            .for_each(|(_, c)| op(c));
-        }
-    }
-
-    /// Enumerated parallel iterator over mutable chunks.
-    pub struct EnumerateChunksMut<'a, T> {
-        chunks: Vec<&'a mut [T]>,
-    }
-
-    impl<T: Send> EnumerateChunksMut<'_, T> {
-        /// Applies `op` to every `(index, chunk)` pair, one scoped thread
-        /// per chunk (inline when there is nothing to parallelize).
-        pub fn for_each<F>(self, op: F)
-        where
-            F: Fn((usize, &mut [T])) + Sync,
-        {
-            let mut chunks = self.chunks;
-            if chunks.len() <= 1 || super::current_num_threads() <= 1 {
-                for (i, chunk) in chunks.iter_mut().enumerate() {
-                    op((i, chunk));
-                }
-                return;
-            }
-            std::thread::scope(|s| {
-                let op = &op;
-                let mut handles = Vec::with_capacity(chunks.len());
-                for (i, chunk) in chunks.into_iter().enumerate() {
-                    handles.push(s.spawn(move || op((i, chunk))));
-                }
-                for h in handles {
-                    h.join().expect("parallel chunk worker panicked");
-                }
-            });
-        }
-    }
-}
-
-/// The rayon prelude: traits needed for `par_chunks_mut` call syntax.
-pub mod prelude {
-    pub use crate::slice::ParallelSliceMut;
-}
-
 #[cfg(test)]
 mod tests {
-    use super::prelude::*;
-
     #[test]
-    fn par_chunks_mut_visits_everything_in_order() {
-        let mut data = vec![0_u64; 100];
-        data.par_chunks_mut(7).enumerate().for_each(|(ci, chunk)| {
-            for (k, v) in chunk.iter_mut().enumerate() {
-                *v = (ci * 7 + k) as u64;
-            }
-        });
-        let expected: Vec<u64> = (0..100).collect();
-        assert_eq!(data, expected);
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = super::join(|| 2 + 2, || "ok");
-        assert_eq!(a, 4);
-        assert_eq!(b, "ok");
+    fn current_num_threads_follows_the_override() {
+        let expected = std::env::var("RAYON_NUM_THREADS")
+            .ok()
+            .and_then(|v| v.parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or_else(|| {
+                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+            });
+        assert_eq!(super::current_num_threads(), expected);
+        assert!(super::current_num_threads() >= 1);
     }
 }
