@@ -30,14 +30,13 @@ pub fn current_num_threads() -> usize {
 mod tests {
     #[test]
     fn current_num_threads_follows_the_override() {
-        let expected = std::env::var("RAYON_NUM_THREADS")
+        let set = std::env::var("RAYON_NUM_THREADS")
             .ok()
             .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            });
-        assert_eq!(super::current_num_threads(), expected);
-        assert!(super::current_num_threads() >= 1);
+            .filter(|&n| n > 0);
+        match set {
+            Some(n) => assert_eq!(super::current_num_threads(), n),
+            None => assert!(super::current_num_threads() >= 1),
+        }
     }
 }
