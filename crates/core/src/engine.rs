@@ -996,35 +996,9 @@ fn row_update(
 
 /// Fills `grid` (row-major, `(n+1) × (m+1)`, raw `u64` with
 /// [`NEVER`] = +∞) with the arrival fixed point of racing `q_codes`
-/// against `p_codes` in **row-major (rolling-row) order** — the
-/// historical kernel behind `run_functional` and `banded_race`.
-/// Equivalent to [`fill_grid_with`] with
-/// [`KernelStrategy::RollingRow`]. Returns the number of cells computed.
-///
-/// `grid` is cleared and resized in place, so a caller that reuses the
-/// same buffer allocates nothing after warm-up.
-///
-/// # Panics
-///
-/// Panics if `weights.indel == 0`.
-pub fn fill_grid(
-    q_codes: &[u8],
-    p_codes: &[u8],
-    weights: RaceWeights,
-    band: Option<usize>,
-    grid: &mut Vec<u64>,
-) -> u64 {
-    fill_grid_with(
-        q_codes,
-        p_codes,
-        weights,
-        band,
-        KernelStrategy::RollingRow,
-        grid,
-    )
-}
-
-/// [`fill_grid`] with an explicit traversal order.
+/// against `p_codes` under a global boundary, in the given traversal
+/// order — the kernel behind `run_functional` and `banded_race`.
+/// Returns the number of cells computed.
 ///
 /// Both orders produce the **identical** grid (same cell set, same
 /// values, same count — property-tested); they differ only in memory
@@ -1036,6 +1010,9 @@ pub fn fill_grid(
 /// hardware's evaluation order; the *fast* wavefront path is the
 /// score-only [`AlignEngine::align`], which keeps only three diagonals
 /// of state.
+///
+/// `grid` is cleared and resized in place, so a caller that reuses the
+/// same buffer allocates nothing after warm-up.
 ///
 /// # Panics
 ///
@@ -1050,75 +1027,54 @@ pub fn fill_grid_with(
 ) -> u64 {
     assert!(weights.indel > 0, "indel weight must be positive");
     let w = RawWeights::from_weights(weights);
+    if strategy != KernelStrategy::Wavefront {
+        return fill_rows(q_codes, p_codes, w, band, AlignMode::Global, grid);
+    }
     let (n, m) = (q_codes.len(), p_codes.len());
     let cols = m + 1;
     grid.clear();
     grid.resize((n + 1) * cols, NEVER);
     let mut cells = 0_u64;
-
-    if strategy == KernelStrategy::Wavefront {
-        // Anti-diagonal order straight over the row-major grid. Cells
-        // outside the band keep their NEVER pre-fill, which is exactly
-        // the +∞ every in-band neighbour read expects.
-        for d in 0..=(n + m) {
-            let (lo, hi) = diag_range(d, n, m, band);
-            if lo > hi {
-                continue;
-            }
-            for i in lo..=hi {
-                let j = d - i;
-                let idx = i * cols + j;
-                grid[idx] = if i == 0 {
-                    (j as u64).saturating_mul(w.indel)
-                } else if j == 0 {
-                    (i as u64).saturating_mul(w.indel)
-                } else {
-                    scalar_cell(
-                        grid[idx - cols],
-                        grid[idx - 1],
-                        grid[idx - cols - 1],
-                        q_codes[i - 1] == p_codes[j - 1],
-                        w,
-                    )
-                };
-            }
-            cells += (hi - lo + 1) as u64;
-        }
-        return cells;
-    }
-
-    // Row 0: indel chain along the top boundary, clipped to the band.
-    let (lo0, hi0) = band_range(0, m, band);
-    debug_assert_eq!(lo0, 0);
-    for (j, cell) in grid.iter_mut().enumerate().take(hi0 + 1) {
-        *cell = (j as u64).saturating_mul(w.indel);
-    }
-    cells += (hi0 - lo0 + 1) as u64;
-
-    for i in 1..=n {
-        let (lo, hi) = band_range(i, m, band);
+    // Anti-diagonal order straight over the row-major grid. Cells
+    // outside the band keep their NEVER pre-fill, which is exactly the
+    // +∞ every in-band neighbour read expects.
+    for d in 0..=(n + m) {
+        let (lo, hi) = diag_range(d, n, m, band);
         if lo > hi {
-            continue; // band excludes the entire row
+            continue;
         }
-        let (prev_rows, curr_rows) = grid.split_at_mut(i * cols);
-        let prev = &prev_rows[(i - 1) * cols..];
-        let curr = &mut curr_rows[..cols];
-        row_update(i, q_codes[i - 1], p_codes, w, prev, curr, (lo, hi));
+        for i in lo..=hi {
+            let j = d - i;
+            let idx = i * cols + j;
+            grid[idx] = if i == 0 {
+                (j as u64).saturating_mul(w.indel)
+            } else if j == 0 {
+                (i as u64).saturating_mul(w.indel)
+            } else {
+                scalar_cell(
+                    grid[idx - cols],
+                    grid[idx - 1],
+                    grid[idx - cols - 1],
+                    q_codes[i - 1] == p_codes[j - 1],
+                    w,
+                )
+            };
+        }
         cells += (hi - lo + 1) as u64;
     }
     cells
 }
 
-/// [`fill_grid`] with a mode-aware boundary: fills the row-major grid
-/// with the arrival fixed point under `mode`'s injection rule —
-/// [`AlignMode::Global`] charges the top row as an indel chain,
-/// [`AlignMode::SemiGlobal`] injects the race signal along the entire
-/// top row for free (the "query anywhere in the reference" wiring).
-/// Runs in rolling-row order (materializing a row-major grid is the
-/// workload that order is cache-optimal for); the score-only fast paths
-/// live on [`AlignEngine::align`]. Returns the number of cells
-/// computed. [`crate::semi_global::semi_global_race`] is a thin wrapper
-/// over this fill.
+/// [`fill_grid_with`] in rolling-row order with a mode-aware boundary:
+/// fills the row-major grid with the arrival fixed point under `mode`'s
+/// injection rule — [`AlignMode::Global`] charges the top row as an
+/// indel chain, [`AlignMode::SemiGlobal`] injects the race signal along
+/// the entire top row for free (the "query anywhere in the reference"
+/// wiring). Rolling-row order is the one materializing a row-major grid
+/// is cache-optimal for; the score-only fast paths live on
+/// [`AlignEngine::align`]. Returns the number of cells computed.
+/// [`crate::semi_global::semi_global_race`] is a thin wrapper over this
+/// fill.
 ///
 /// # Panics
 ///
@@ -1139,25 +1095,41 @@ pub fn fill_grid_mode(
         "fill_grid_mode covers the linear min-plus modes; \
          local/affine grids have no single-plane u64 representation"
     );
-    if mode == AlignMode::Global {
-        return fill_grid(q_codes, p_codes, weights, band, grid);
-    }
     let w = RawWeights::from_weights(weights);
+    fill_rows(q_codes, p_codes, w, band, mode, grid)
+}
+
+/// The row-major (rolling-row) grid fill of [`fill_grid_with`] and
+/// [`fill_grid_mode`]: row 0, clipped to the band, is an indel chain
+/// under [`AlignMode::Global`] and free under [`AlignMode::SemiGlobal`];
+/// every later row is one [`row_update`].
+fn fill_rows(
+    q_codes: &[u8],
+    p_codes: &[u8],
+    w: RawWeights,
+    band: Option<usize>,
+    mode: AlignMode,
+    grid: &mut Vec<u64>,
+) -> u64 {
     let (n, m) = (q_codes.len(), p_codes.len());
     let cols = m + 1;
     grid.clear();
     grid.resize((n + 1) * cols, NEVER);
-    let mut cells = 0_u64;
-
-    // Row 0: the free-injection row, clipped to the band.
     let (lo0, hi0) = band_range(0, m, band);
-    grid[..=hi0].fill(0);
-    cells += (hi0 - lo0 + 1) as u64;
-
+    debug_assert_eq!(lo0, 0);
+    let free_top = mode == AlignMode::SemiGlobal;
+    for (j, cell) in grid[..=hi0].iter_mut().enumerate() {
+        *cell = if free_top {
+            0
+        } else {
+            (j as u64).saturating_mul(w.indel)
+        };
+    }
+    let mut cells = (hi0 - lo0 + 1) as u64;
     for i in 1..=n {
         let (lo, hi) = band_range(i, m, band);
         if lo > hi {
-            continue;
+            continue; // band excludes the entire row
         }
         let (prev_rows, curr_rows) = grid.split_at_mut(i * cols);
         let prev = &prev_rows[(i - 1) * cols..];

@@ -143,8 +143,8 @@ enum UnitKind {
 
 /// One schedulable unit of batch work: a striped cohort sweep, a run of
 /// per-pair alignments, or a run of bit-parallel scores. `members` are
-/// indices into the batch; `results`/`states` are filled by the worker
-/// and scattered back afterwards.
+/// indices into the batch; the worker that claims the unit fills one
+/// slot per member, scattered back afterwards.
 struct WorkUnit {
     kind: UnitKind,
     /// Stripe lane width, resolved **once** by the planner from the
@@ -153,19 +153,7 @@ struct WorkUnit {
     /// swept at.
     width: LaneWidth,
     members: Vec<usize>,
-    results: Vec<EngineOutcome>,
-    states: Vec<SlotState>,
-}
-
-/// Completion state of one pair inside a work unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotState {
-    /// Never reached: an early stop drained the queue first.
-    Pending,
-    /// Finished; the matching `results` entry is valid.
-    Done,
-    /// Lost to an unrecovered worker fault.
-    Faulted,
+    slots: Vec<Slot>,
 }
 
 /// Per-pair result slot of a supervised run: `Done` carries the
@@ -251,12 +239,13 @@ pub(crate) struct RunReport {
     pub(crate) stop: Option<StopReason>,
 }
 
-/// Per-worker scratch of one `run_units` pass: a per-pair fallback
-/// engine, the striped-sweep arena and the bit-parallel state words,
-/// reused across the worker's units.
+/// Per-worker scratch of one `run_units` pass: a per-pair engine, the
+/// striped-sweep arena and the outcomes a stripe sweeps into, and the
+/// bit-parallel state words, reused across the worker's units.
 struct WorkerScratch {
     engine: AlignEngine,
     stripe: StripeScratch,
+    outcomes: Vec<EngineOutcome>,
     bits: Vec<u64>,
 }
 
@@ -490,11 +479,13 @@ impl StripeThreshold {
 /// back into it. Bit-parallel units need the ratchet and the segment's
 /// `masks`.
 ///
-/// The [`ScanControl`] is consulted before every work unit (and inside
-/// the per-pair kernels at row/diagonal granularity); units an early
-/// stop never reaches leave their slots `Pending`. Worker panics are
-/// isolated per unit: a poisoned stripe is quarantined and its members
-/// retried on the scalar fallback kernel (see [`run_striped_unit`]).
+/// The [`ScanControl`] is consulted before every work unit, before
+/// every member of a per-pair, bit-parallel or quarantined unit, and
+/// inside the per-pair kernels at row/diagonal granularity. Every stop
+/// is permanent, so a worker whose unit stops claims no more; units an
+/// early stop never reaches leave their slots `Pending`. Worker panics
+/// are isolated per unit: a poisoned unit is quarantined and its
+/// members retried on the rolling-row fallback ([`UnitRun::quarantine`]).
 #[allow(clippy::too_many_arguments)]
 fn run_units<S: Symbol>(
     cfg: &AlignConfig,
@@ -507,7 +498,14 @@ fn run_units<S: Symbol>(
     out: &mut [Slot],
 ) -> RunReport {
     let n_workers = resolve_workers(workers).min(units.len()).max(1);
-    let ledger = ExecLedger::new();
+    let run = UnitRun {
+        cfg,
+        pairs,
+        ratchet,
+        masks,
+        ctrl,
+        ledger: ExecLedger::new(),
+    };
     // One lock per unit: exactly one worker claims each index, so the
     // locks never contend; they hand the unit to whichever thread
     // claimed it and back to this one after the scope.
@@ -517,73 +515,19 @@ fn run_units<S: Symbol>(
         let worker = &mut WorkerScratch {
             engine: AlignEngine::new(*cfg),
             stripe: StripeScratch::new(),
+            outcomes: Vec::new(),
             bits: Vec::new(),
         };
         while let Some(unit) = queue.get(cursor.fetch_add(1, Ordering::Relaxed)) {
             let unit = &mut *unit
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            unit.results
-                .resize(unit.members.len(), EngineOutcome::default());
-            unit.states.resize(unit.members.len(), SlotState::Pending);
+            unit.slots.resize(unit.members.len(), Slot::Pending);
             // Each unit boundary is a checkpoint: the only place a batch
             // evaluates stop conditions between whole work units.
             telemetry::count(&telemetry::metrics::CHECKPOINTS, 1);
-            if let Some(stop) = ctrl.should_stop() {
-                ledger.note_stop(stop);
+            if run.check_stop().is_err() || run.unit(unit, worker).is_err() {
                 break;
-            }
-            match unit.kind {
-                UnitKind::BitParallel => {
-                    let (Some(r), Some(masks)) = (ratchet, masks) else {
-                        unreachable!("bit-parallel units run only in a ratcheted scan with masks")
-                    };
-                    run_bitpar_unit(cfg, pairs, unit, masks, worker, r, ctrl, &ledger);
-                }
-                UnitKind::PerPair => {
-                    run_per_pair_unit(cfg, pairs, unit, worker, ratchet, ctrl, &ledger);
-                }
-                UnitKind::Striped => {
-                    let threshold = match ratchet {
-                        Some(r) => match r.current() {
-                            Some(t) => StripeThreshold::Coarse(t),
-                            None => StripeThreshold::None,
-                        },
-                        None => match cfg.threshold {
-                            Some(t) => StripeThreshold::Exact(t),
-                            None => StripeThreshold::None,
-                        },
-                    };
-                    // Under the ratchet, a stripe whose every member the
-                    // length bound already proves out is abandoned whole,
-                    // before a single cell is swept.
-                    if let StripeThreshold::Coarse(t) = threshold {
-                        if unit
-                            .members
-                            .iter()
-                            .all(|&i| length_prunes(cfg, pairs[i], t))
-                        {
-                            unit.results.fill(PRUNED);
-                            unit.states.fill(SlotState::Done);
-                            telemetry::count(
-                                &telemetry::metrics::PAIRS_PRUNED,
-                                unit.members.len() as u64,
-                            );
-                            continue;
-                        }
-                    }
-                    let planned = || {
-                        unit.members
-                            .iter()
-                            .map(|&i| grid_cells(pairs[i].0.len(), pairs[i].1.len(), cfg.band))
-                            .sum()
-                    };
-                    if !ctrl.reserve(planned()) {
-                        ledger.note_stop(StopReason::BudgetExhausted);
-                        break;
-                    }
-                    run_striped_unit(cfg, pairs, unit, threshold, worker, ratchet, ctrl, &ledger);
-                }
             }
         }
     };
@@ -597,385 +541,361 @@ fn run_units<S: Symbol>(
         let unit = unit
             .into_inner()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for ((&i, &r), &state) in unit.members.iter().zip(&unit.results).zip(&unit.states) {
-            out[i] = match state {
-                SlotState::Done => Slot::Done(r),
-                SlotState::Pending => Slot::Pending,
-                SlotState::Faulted => Slot::Faulted,
-            };
+        for (&i, &slot) in unit.members.iter().zip(&unit.slots) {
+            out[i] = slot;
         }
     }
-    ledger.into_report()
+    run.ledger.into_report()
 }
 
-/// Executes one striped unit: scratch-budget gate, `catch_unwind`
-/// isolation around the sweep, quarantine + per-pair fallback retry on
-/// a panic.
-///
-/// Every finished score is observed by the ratchet **exactly once** —
-/// a repeat observation of the same `(score, index)` would occupy two
-/// of the heap's k slots and tighten the ratchet below the true k-th
-/// best, breaking the abandon proof. A panicked sweep skips the
-/// observation loop entirely; retried members observe only on retry
-/// success.
-#[allow(clippy::too_many_arguments)]
-fn run_striped_unit<S: Symbol>(
-    cfg: &AlignConfig,
-    pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
-    unit: &mut WorkUnit,
-    threshold: StripeThreshold,
-    worker: &mut WorkerScratch,
-    ratchet: Option<&Ratchet>,
-    ctrl: &ScanControl,
-    ledger: &ExecLedger,
-) {
-    if let Some(budget) = ctrl.scratch_budget() {
-        let (mut nn, mut mm) = (0_usize, 0_usize);
-        for &i in &unit.members {
-            let (q, p) = &pairs[i];
-            nn = nn.max(q.len());
-            mm = mm.max(p.len());
+/// The supervision of one `run_units` pass, shared by its workers: the
+/// batch, the scan's ratchet and query masks (if any), the control and
+/// the fault/stop ledger. Every member of a per-pair, bit-parallel or
+/// quarantined unit runs through [`drain`](UnitRun::drain), and every
+/// finished member through [`finish`](UnitRun::finish), so the stop
+/// check, the length prune and the ratchet observation are each written
+/// once.
+struct UnitRun<'a, S: Symbol> {
+    cfg: &'a AlignConfig,
+    pairs: &'a [(&'a PackedSeq<S>, &'a PackedSeq<S>)],
+    ratchet: Option<&'a Ratchet>,
+    masks: Option<&'a QueryMasks>,
+    ctrl: &'a ScanControl,
+    ledger: ExecLedger,
+}
+
+impl<S: Symbol> UnitRun<'_, S> {
+    /// The threshold a unit or member starts under: the ratchet's
+    /// current value in a scan, the configured one in a batch.
+    fn threshold(&self) -> Option<u64> {
+        match self.ratchet {
+            Some(r) => r.current(),
+            None => self.cfg.threshold,
         }
-        let lanes = effective_stripe_lanes(unit.width, unit.members.len());
-        let planes = if matches!(cfg.mode, AlignMode::GlobalAffine(_)) {
-            3
-        } else {
-            1
-        };
-        let need = stripe_scratch_bytes(nn, mm, lanes, unit.width, planes);
-        if need > budget {
-            ledger.note_fault(Fault::new(
-                "scratch-budget",
-                unit.members.clone(),
-                true,
-                format!(
-                    "stripe scratch estimate {need} B exceeds budget {budget} B; \
-                     members degraded to the per-pair kernel"
-                ),
-            ));
-            run_per_pair_unit(cfg, pairs, unit, worker, ratchet, ctrl, ledger);
+    }
+
+    /// Checks the stop conditions, ledgering a stop it finds.
+    fn check_stop(&self) -> Result<(), StopReason> {
+        match self.ctrl.should_stop() {
+            Some(stop) => Err(self.stopped(stop)),
+            None => Ok(()),
+        }
+    }
+
+    /// Ledgers `stop` (the first stop of a run wins) and hands it back.
+    fn stopped(&self, stop: StopReason) -> StopReason {
+        self.ledger.note_stop(stop);
+        stop
+    }
+
+    /// Runs one claimed unit; `Err` carries the stop that cut it short.
+    fn unit(&self, unit: &mut WorkUnit, worker: &mut WorkerScratch) -> Result<(), StopReason> {
+        match unit.kind {
+            UnitKind::Striped => self.stripe(unit, worker),
+            UnitKind::PerPair => self.per_pair(unit, worker),
+            UnitKind::BitParallel => {
+                let masks = self
+                    .masks
+                    .expect("bit-parallel units run only in a ratcheted scan with masks");
+                let bits = &mut worker.bits;
+                // AssertUnwindSafe: a panic leaves only the worker's
+                // bit-parallel state words stale, and the kernel
+                // re-initializes them per pair.
+                let drained = catch_unwind(AssertUnwindSafe(|| {
+                    self.drain(unit, |i, t| {
+                        let (q, p) = self.pairs[i];
+                        if !self.ctrl.reserve(grid_cells(q.len(), p.len(), None)) {
+                            return Err(StopReason::BudgetExhausted);
+                        }
+                        fp_hit("bitpar-sweep");
+                        let (score, columns) = masks.score(p, t, bits);
+                        // The whole grid once every column is swept.
+                        let swept = (q.len() as u64 + 1) * (columns as u64 + 1);
+                        self.ctrl.charge(swept);
+                        telemetry::count(&telemetry::metrics::BITPAR_PAIRS, 1);
+                        // A score above `t`, computed or proved by the
+                        // kernel's early stop, is reported as abandoned.
+                        let finished = score.filter(|&s| t.is_none_or(|t| s <= t));
+                        Ok(Some(EngineOutcome {
+                            score: finished.map_or(Time::NEVER, raw_to_time),
+                            cells_computed: swept,
+                            early_terminated: finished.is_none(),
+                        }))
+                    })
+                }));
+                drained.unwrap_or_else(|payload| {
+                    self.quarantine(unit, worker, "bitpar-sweep", panic_message(&*payload))
+                })
+            }
+        }
+    }
+
+    /// The member loop of every per-pair, bit-parallel and quarantined
+    /// unit. Per member not yet `Done`, in order: check the stop
+    /// conditions, read the [`threshold`](UnitRun::threshold), apply
+    /// the length prune (ratcheted runs only: the fixed-threshold batch
+    /// promises the per-pair kernel's exact cell counts), then
+    /// `sweep(pair, t)` and [`finish`](UnitRun::finish). `sweep` returns
+    /// the outcome, `None` for a pair lost to a fault, or the stop that
+    /// cut it short; a stop ends the unit.
+    fn drain(
+        &self,
+        unit: &mut WorkUnit,
+        mut sweep: impl FnMut(usize, Option<u64>) -> Result<Option<EngineOutcome>, StopReason>,
+    ) -> Result<(), StopReason> {
+        for idx in 0..unit.members.len() {
+            if matches!(unit.slots[idx], Slot::Done(_)) {
+                continue;
+            }
+            let i = unit.members[idx];
+            self.check_stop()?;
+            let t = self.threshold();
+            if self.ratchet.is_some()
+                && t.is_some_and(|t| length_prunes(self.cfg, self.pairs[i], t))
+            {
+                telemetry::count(&telemetry::metrics::PAIRS_PRUNED, 1);
+                self.finish(unit, idx, PRUNED);
+                continue;
+            }
+            match sweep(i, t).map_err(|stop| self.stopped(stop))? {
+                Some(outcome) => self.finish(unit, idx, outcome),
+                None => unit.slots[idx] = Slot::Faulted,
+            }
+        }
+        Ok(())
+    }
+
+    /// Marks member `idx` `Done` with `outcome` and, in a scan, feeds a
+    /// finished score to the ratchet. This is the only place either
+    /// happens, so every score is observed exactly once: a repeat
+    /// observation of the same `(score, index)` would occupy two of the
+    /// heap's k slots and tighten the ratchet below the true k-th best,
+    /// breaking the abandon proof. The observation runs under
+    /// `catch_unwind`: an injected `ratchet` failpoint panic loses it,
+    /// which is sound, since a missed observation only leaves the
+    /// ratchet looser than it could be.
+    fn finish(&self, unit: &mut WorkUnit, idx: usize, outcome: EngineOutcome) {
+        unit.slots[idx] = Slot::Done(outcome);
+        let (Some(r), Some(score)) = (self.ratchet, outcome.finished_score()) else {
             return;
+        };
+        let index = unit.members[idx];
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| r.observe(score, index))) {
+            self.ledger.note_fault(Fault::new(
+                "ratchet",
+                vec![index],
+                true,
+                panic_message(&*payload),
+            ));
         }
     }
-    // AssertUnwindSafe: on panic the stripe scratch holds stale sweep
-    // state, but every field is re-packed or re-sized from scratch by
-    // the next sweep, so no torn state can leak into later results.
-    let sweep = catch_unwind(AssertUnwindSafe(|| {
-        run_stripe(
-            cfg,
-            pairs,
-            &unit.members,
-            unit.width,
-            threshold,
-            &mut worker.stripe,
-            &mut unit.results,
-        );
-    }));
-    match sweep {
-        Ok(()) => {
-            unit.states.fill(SlotState::Done);
-            let cells: u64 = unit.results.iter().map(|r| r.cells_computed).sum();
-            ctrl.charge(cells);
-            telemetry::count(&telemetry::metrics::STRIPE_UNITS, 1);
-            telemetry::count(&telemetry::metrics::UNIT_PAIRS, unit.members.len() as u64);
-            telemetry::observe(&telemetry::metrics::UNIT_CELLS, cells);
-            if let Some(r) = ratchet {
-                for (&i, res) in unit.members.iter().zip(&unit.results) {
-                    if let Some(score) = res.finished_score() {
-                        observe_guarded(r, score, i, ledger);
-                    }
-                }
-            }
-        }
-        Err(payload) => quarantine_and_retry(
-            cfg,
-            pairs,
-            unit,
-            worker,
-            ratchet,
-            ctrl,
-            ledger,
-            "stripe-sweep",
-            panic_message(&*payload),
-        ),
-    }
-}
 
-/// Quarantines a poisoned stripe: records the fault and retries every
-/// member on the scalar rolling-row fallback kernel, each retry under
-/// its own `catch_unwind`. The retry threshold is the ratchet's
-/// *current* value (or the configured threshold) — always at least the
-/// true k-th best score, so a retried true-top-k entry still finishes
-/// with its exact score and the final top-k stays byte-identical to
-/// the unfaulted run (property-tested in `tests/failpoints.rs`).
-///
-/// A deadline/cancel/budget/watchdog trip *during* the fallback is an
-/// interruption, not a loss: the untouched members stay `Pending`
-/// (resumable) and the stripe's ledger entry carries the stop in
-/// [`Fault::interrupted`] instead of folding it into the worker-fault
-/// message. `recovered` then still reflects only the pairs the
-/// fallback actually reached.
-#[allow(clippy::too_many_arguments)]
-fn quarantine_and_retry<S: Symbol>(
-    cfg: &AlignConfig,
-    pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
-    unit: &mut WorkUnit,
-    worker: &mut WorkerScratch,
-    ratchet: Option<&Ratchet>,
-    ctrl: &ScanControl,
-    ledger: &ExecLedger,
-    site: &str,
-    message: String,
-) {
-    telemetry::count(&telemetry::metrics::QUARANTINES, 1);
-    ctrl.trace(|| TraceEvent::StripeQuarantined {
-        members: unit.members.len() as u64,
-    });
-    let mut lost = false;
-    let mut interrupted = None;
-    for idx in 0..unit.members.len() {
-        if unit.states[idx] == SlotState::Done {
-            continue;
-        }
-        let i = unit.members[idx];
-        if let Some(stop) = ctrl.should_stop() {
-            ledger.note_stop(stop);
-            interrupted = Some(stop);
-            break;
-        }
-        let mut fallback = *cfg;
-        fallback.strategy = KernelStrategy::RollingRow;
-        if let Some(r) = ratchet {
-            fallback.threshold = r.current().or(cfg.threshold);
-        }
-        worker.engine.set_config(fallback);
-        let (q, p) = &pairs[i];
+    /// The rolling-row retry of pair `i` under threshold `t`, under its
+    /// own `catch_unwind`: the outcome, the stop that cut it short, or
+    /// `None` when the retry panicked too (ledgered as a lost `per-pair`
+    /// fault).
+    fn fallback(
+        &self,
+        engine: &mut AlignEngine,
+        i: usize,
+        t: Option<u64>,
+    ) -> Result<Option<EngineOutcome>, StopReason> {
+        let mut cfg = *self.cfg;
+        cfg.strategy = KernelStrategy::RollingRow;
+        cfg.threshold = t;
+        engine.set_config(cfg);
         telemetry::count(&telemetry::metrics::PAIR_FALLBACKS, 1);
-        match catch_unwind(AssertUnwindSafe(|| {
-            worker.engine.align_ctrl(q, p, Some(ctrl))
-        })) {
-            Ok(Ok(o)) => {
-                unit.results[idx] = o;
-                unit.states[idx] = SlotState::Done;
-                ctrl.trace(|| TraceEvent::PairFallback {
-                    pair: i as u64,
-                    recovered: true,
-                });
-                if let Some(r) = ratchet {
-                    if let Some(score) = o.finished_score() {
-                        observe_guarded(r, score, i, ledger);
-                    }
-                }
-            }
-            Ok(Err(stop)) => {
-                ledger.note_stop(stop);
-                interrupted = Some(stop);
-                break;
-            }
-            Err(retry_payload) => {
-                unit.states[idx] = SlotState::Faulted;
-                lost = true;
+        let (q, p) = self.pairs[i];
+        let recovered = catch_unwind(AssertUnwindSafe(|| {
+            engine.align_ctrl(q, p, Some(self.ctrl))
+        }));
+        self.ctrl.trace(|| TraceEvent::PairFallback {
+            pair: i as u64,
+            recovered: recovered.is_ok(),
+        });
+        match recovered {
+            Ok(res) => res.map(Some),
+            Err(payload) => {
                 telemetry::count(&telemetry::metrics::WORKER_FAULTS, 1);
-                ctrl.trace(|| TraceEvent::PairFallback {
-                    pair: i as u64,
-                    recovered: false,
-                });
-                ledger.note_fault(Fault::new(
+                self.ledger.note_fault(Fault::new(
                     "per-pair",
                     vec![i],
                     false,
-                    panic_message(&*retry_payload),
+                    panic_message(&*payload),
                 ));
+                Ok(None)
             }
         }
     }
-    worker.engine.set_config(*cfg);
-    ledger.note_fault(Fault {
-        interrupted,
-        ..Fault::new(site, unit.members.clone(), !lost, message)
-    });
-    if lost {
-        flight::dump("worker-fault");
-    }
-}
 
-/// Executes one per-pair unit: each alignment under its own
-/// `catch_unwind`; a panicked pair is retried
-/// once on the rolling-row fallback kernel before being declared lost.
-///
-/// With a ratchet, the threshold is re-read per pair, not per unit —
-/// per-pair units can hold a large share of the batch (e.g. short-read
-/// databases where nothing stripes), so the threshold keeps tightening
-/// while the unit drains; the per-pair plan re-resolves lane width
-/// from the live threshold, so the fused abandon stays exact. Every
-/// finished score observes the ratchet exactly once.
-fn run_per_pair_unit<S: Symbol>(
-    cfg: &AlignConfig,
-    pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
-    unit: &mut WorkUnit,
-    worker: &mut WorkerScratch,
-    ratchet: Option<&Ratchet>,
-    ctrl: &ScanControl,
-    ledger: &ExecLedger,
-) {
-    for idx in 0..unit.members.len() {
-        let i = unit.members[idx];
-        if let Some(stop) = ctrl.should_stop() {
-            ledger.note_stop(stop);
-            break;
-        }
-        let mut run_cfg = *cfg;
-        if let Some(r) = ratchet {
-            run_cfg.threshold = r.current();
-            if run_cfg
-                .threshold
-                .is_some_and(|t| length_prunes(cfg, pairs[i], t))
-            {
-                unit.results[idx] = PRUNED;
-                unit.states[idx] = SlotState::Done;
-                telemetry::count(&telemetry::metrics::PAIRS_PRUNED, 1);
-                continue;
-            }
-        }
-        worker.engine.set_config(run_cfg);
-        let (q, p) = &pairs[i];
-        let first = catch_unwind(AssertUnwindSafe(|| {
-            worker.engine.align_ctrl(q, p, Some(ctrl))
-        }));
-        let result = match first {
-            Ok(res) => res,
-            Err(payload) => {
-                let mut fallback = run_cfg;
-                fallback.strategy = KernelStrategy::RollingRow;
-                worker.engine.set_config(fallback);
-                telemetry::count(&telemetry::metrics::PAIR_FALLBACKS, 1);
-                match catch_unwind(AssertUnwindSafe(|| {
-                    worker.engine.align_ctrl(q, p, Some(ctrl))
-                })) {
-                    Ok(res) => {
-                        ctrl.trace(|| TraceEvent::PairFallback {
-                            pair: i as u64,
-                            recovered: true,
-                        });
-                        ledger.note_fault(Fault::new(
+    /// A per-pair unit: [`drain`](UnitRun::drain) with the engine's own
+    /// kernel, each alignment under its own `catch_unwind`; a panicked
+    /// pair is retried once on the [`fallback`](UnitRun::fallback)
+    /// before it is declared lost.
+    ///
+    /// In a scan the threshold is re-read per pair, not per unit —
+    /// per-pair units can hold a large share of the batch (e.g.
+    /// short-read databases where nothing stripes), so the threshold
+    /// keeps tightening while the unit drains; the per-pair plan
+    /// re-resolves lane width from the live threshold, so the fused
+    /// abandon stays exact.
+    fn per_pair(&self, unit: &mut WorkUnit, worker: &mut WorkerScratch) -> Result<(), StopReason> {
+        let engine = &mut worker.engine;
+        self.drain(unit, |i, t| {
+            let mut cfg = *self.cfg;
+            cfg.threshold = t;
+            engine.set_config(cfg);
+            let (q, p) = self.pairs[i];
+            match catch_unwind(AssertUnwindSafe(|| {
+                engine.align_ctrl(q, p, Some(self.ctrl))
+            })) {
+                Ok(res) => res.map(Some),
+                Err(payload) => {
+                    let retry = self.fallback(engine, i, t);
+                    if matches!(retry, Ok(None)) {
+                        flight::dump("worker-fault");
+                    } else {
+                        self.ledger.note_fault(Fault::new(
                             "per-pair",
                             vec![i],
                             true,
                             panic_message(&*payload),
                         ));
-                        res
                     }
-                    Err(retry_payload) => {
-                        unit.states[idx] = SlotState::Faulted;
-                        telemetry::count(&telemetry::metrics::WORKER_FAULTS, 1);
-                        ctrl.trace(|| TraceEvent::PairFallback {
-                            pair: i as u64,
-                            recovered: false,
-                        });
-                        ledger.note_fault(Fault::new(
-                            "per-pair",
-                            vec![i],
-                            false,
-                            panic_message(&*retry_payload),
-                        ));
-                        flight::dump("worker-fault");
-                        continue;
-                    }
+                    retry
                 }
             }
-        };
-        match result {
-            Ok(o) => {
-                unit.results[idx] = o;
-                unit.states[idx] = SlotState::Done;
-                if let Some(r) = ratchet {
-                    if let Some(score) = o.finished_score() {
-                        observe_guarded(r, score, i, ledger);
-                    }
-                }
-            }
-            Err(stop) => {
-                ledger.note_stop(stop);
-                break;
-            }
-        }
+        })
     }
-}
 
-/// Executes one bit-parallel unit of a ratcheted scan. Per pair, in
-/// order: check the stop conditions, read the ratchet's current `t`,
-/// apply the length prune, reserve the pair's grid cells, sweep it on
-/// the bit-parallel kernel, charge the cells of the columns swept. A
-/// score above `t` — computed, or proved by the kernel's early stop —
-/// is reported as abandoned ([`Time::NEVER`], `early_terminated`), and
-/// every other score is observed by the ratchet exactly once.
-///
-/// A panic anywhere in the loop quarantines the unit: the members not
-/// yet `Done` are retried on the scalar rolling row
-/// ([`quarantine_and_retry`], site `bitpar-sweep`).
-#[allow(clippy::too_many_arguments)]
-fn run_bitpar_unit<S: Symbol>(
-    cfg: &AlignConfig,
-    pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
-    unit: &mut WorkUnit,
-    masks: &QueryMasks,
-    worker: &mut WorkerScratch,
-    ratchet: &Ratchet,
-    ctrl: &ScanControl,
-    ledger: &ExecLedger,
-) {
-    // AssertUnwindSafe: a panic leaves only the worker's bit-parallel
-    // state words stale, and the kernel re-initializes them per pair.
-    let sweep = catch_unwind(AssertUnwindSafe(|| {
-        for idx in 0..unit.members.len() {
-            let i = unit.members[idx];
-            if let Some(stop) = ctrl.should_stop() {
-                ledger.note_stop(stop);
-                return;
-            }
-            let t = ratchet.current();
-            if t.is_some_and(|t| length_prunes(cfg, pairs[i], t)) {
-                unit.results[idx] = PRUNED;
-                unit.states[idx] = SlotState::Done;
-                telemetry::count(&telemetry::metrics::PAIRS_PRUNED, 1);
-                continue;
-            }
-            let (q, p) = pairs[i];
-            let cells = grid_cells(q.len(), p.len(), None);
-            if !ctrl.reserve(cells) {
-                ledger.note_stop(StopReason::BudgetExhausted);
-                return;
-            }
-            fp_hit("bitpar-sweep");
-            let (score, columns) = masks.score(p, t, &mut worker.bits);
-            // The whole grid, `cells`, once every column is swept.
-            let swept = (q.len() as u64 + 1) * (columns as u64 + 1);
-            ctrl.charge(swept);
-            telemetry::count(&telemetry::metrics::BITPAR_PAIRS, 1);
-            let finished = score.filter(|&s| t.is_none_or(|t| s <= t));
-            unit.results[idx] = EngineOutcome {
-                score: finished.map_or(Time::NEVER, raw_to_time),
-                cells_computed: swept,
-                early_terminated: finished.is_none(),
-            };
-            unit.states[idx] = SlotState::Done;
-            if let Some(score) = finished {
-                observe_guarded(ratchet, score, i, ledger);
+    /// A striped unit: under the ratchet, the whole-stripe length prune;
+    /// then the cell reservation, the scratch-budget gate (a stripe
+    /// over it degrades to a [`per_pair`](UnitRun::per_pair) unit) and
+    /// one sweep under `catch_unwind` into the worker's outcome buffer.
+    /// Every member then ends in [`finish`](UnitRun::finish), or a
+    /// panicked sweep is [quarantined](UnitRun::quarantine).
+    fn stripe(&self, unit: &mut WorkUnit, worker: &mut WorkerScratch) -> Result<(), StopReason> {
+        let (cfg, pairs) = (self.cfg, self.pairs);
+        let threshold = match (self.threshold(), self.ratchet) {
+            (None, _) => StripeThreshold::None,
+            (Some(t), Some(_)) => StripeThreshold::Coarse(t),
+            (Some(t), None) => StripeThreshold::Exact(t),
+        };
+        // Under the ratchet, a stripe whose every member the length
+        // bound already proves out is abandoned whole, before a single
+        // cell is swept.
+        if let StripeThreshold::Coarse(t) = threshold {
+            if unit
+                .members
+                .iter()
+                .all(|&i| length_prunes(cfg, pairs[i], t))
+            {
+                telemetry::count(&telemetry::metrics::PAIRS_PRUNED, unit.members.len() as u64);
+                for idx in 0..unit.members.len() {
+                    self.finish(unit, idx, PRUNED);
+                }
+                return Ok(());
             }
         }
-    }));
-    if let Err(payload) = sweep {
-        quarantine_and_retry(
-            cfg,
-            pairs,
-            unit,
-            worker,
-            Some(ratchet),
-            ctrl,
-            ledger,
-            "bitpar-sweep",
-            panic_message(&*payload),
-        );
+        let (mut nn, mut mm, mut planned) = (0_usize, 0_usize, 0);
+        for &i in &unit.members {
+            let (q, p) = pairs[i];
+            (nn, mm) = (nn.max(q.len()), mm.max(p.len()));
+            planned += grid_cells(q.len(), p.len(), cfg.band);
+        }
+        if !self.ctrl.reserve(planned) {
+            return Err(self.stopped(StopReason::BudgetExhausted));
+        }
+        if let Some(budget) = self.ctrl.scratch_budget() {
+            let lanes = effective_stripe_lanes(unit.width, unit.members.len());
+            let planes = if matches!(cfg.mode, AlignMode::GlobalAffine(_)) {
+                3
+            } else {
+                1
+            };
+            let need = stripe_scratch_bytes(nn, mm, lanes, unit.width, planes);
+            if need > budget {
+                self.ledger.note_fault(Fault::new(
+                    "scratch-budget",
+                    unit.members.clone(),
+                    true,
+                    format!(
+                        "stripe scratch estimate {need} B exceeds budget {budget} B; \
+                         members degraded to the per-pair kernel"
+                    ),
+                ));
+                return self.per_pair(unit, worker);
+            }
+        }
+        worker.outcomes.clear();
+        worker
+            .outcomes
+            .resize(unit.members.len(), EngineOutcome::default());
+        // AssertUnwindSafe: on panic the stripe scratch holds stale sweep
+        // state, but every field is re-packed or re-sized from scratch by
+        // the next sweep, so no torn state can leak into later results.
+        let sweep = catch_unwind(AssertUnwindSafe(|| {
+            run_stripe(
+                cfg,
+                pairs,
+                &unit.members,
+                unit.width,
+                threshold,
+                &mut worker.stripe,
+                &mut worker.outcomes,
+            );
+        }));
+        if let Err(payload) = sweep {
+            return self.quarantine(unit, worker, "stripe-sweep", panic_message(&*payload));
+        }
+        let cells: u64 = worker.outcomes.iter().map(|r| r.cells_computed).sum();
+        self.ctrl.charge(cells);
+        telemetry::count(&telemetry::metrics::STRIPE_UNITS, 1);
+        telemetry::count(&telemetry::metrics::UNIT_PAIRS, unit.members.len() as u64);
+        telemetry::observe(&telemetry::metrics::UNIT_CELLS, cells);
+        for (idx, &outcome) in worker.outcomes.iter().enumerate() {
+            self.finish(unit, idx, outcome);
+        }
+        Ok(())
+    }
+
+    /// Quarantines a poisoned unit: records the fault and retries every
+    /// member not yet `Done` through [`drain`](UnitRun::drain), with the
+    /// [`fallback`](UnitRun::fallback) as its kernel. So a retried
+    /// member runs under the live threshold — always at least the true
+    /// k-th best score, so a retried true-top-k entry still finishes
+    /// with its exact score and the final top-k stays byte-identical to
+    /// the unfaulted run (property-tested in `tests/failpoints.rs`) —
+    /// and, in a scan, is length-pruned like every other member.
+    ///
+    /// A deadline/cancel/budget/watchdog trip *during* the retry is an
+    /// interruption, not a loss: the untouched members stay `Pending`
+    /// (resumable) and the unit's ledger entry carries the stop in
+    /// [`Fault::interrupted`] instead of folding it into the worker-fault
+    /// message. `recovered` then still reflects only the pairs the
+    /// fallback actually reached.
+    fn quarantine(
+        &self,
+        unit: &mut WorkUnit,
+        worker: &mut WorkerScratch,
+        site: &str,
+        message: String,
+    ) -> Result<(), StopReason> {
+        telemetry::count(&telemetry::metrics::QUARANTINES, 1);
+        self.ctrl.trace(|| TraceEvent::StripeQuarantined {
+            members: unit.members.len() as u64,
+        });
+        let engine = &mut worker.engine;
+        let drained = self.drain(unit, |i, t| self.fallback(engine, i, t));
+        let lost = unit.slots.iter().any(|s| matches!(s, Slot::Faulted));
+        self.ledger.note_fault(Fault {
+            interrupted: drained.err(),
+            ..Fault::new(site, unit.members.clone(), !lost, message)
+        });
+        if lost {
+            flight::dump("worker-fault");
+        }
+        drained
     }
 }
 
@@ -1004,21 +924,6 @@ fn length_prunes<S: Symbol>(
         q.len(),
         p.len(),
     ) > t
-}
-
-/// Feeds a finished score into the ratchet under `catch_unwind`: an
-/// injected `ratchet` failpoint panic loses the observation, which is
-/// sound — a missed observation only leaves the ratchet looser than it
-/// could be, and abandons stay strict `score > threshold` proofs.
-fn observe_guarded(r: &Ratchet, score: u64, index: usize, ledger: &ExecLedger) {
-    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| r.observe(score, index))) {
-        ledger.note_fault(Fault::new(
-            "ratchet",
-            vec![index],
-            true,
-            panic_message(&*payload),
-        ));
-    }
 }
 
 /// Estimated bytes of striped-sweep scratch a `(nn, mm)` union shape
@@ -1112,8 +1017,7 @@ fn split_units<S: Symbol>(
         kind,
         width: LaneWidth::U64,
         members: members.to_vec(),
-        results: Vec::new(),
-        states: Vec::new(),
+        slots: Vec::new(),
     };
     let mut units = Vec::new();
     let (mut start, mut cells) = (0, 0);
@@ -1212,8 +1116,7 @@ fn pack_length_aware(
                 kind: UnitKind::Striped,
                 width,
                 members,
-                results: Vec::new(),
-                states: Vec::new(),
+                slots: Vec::new(),
             });
         } else {
             singles.extend(members);
@@ -3391,6 +3294,67 @@ mod tests {
                 }
                 assert!(cut, "{label}: no run cut mid-way at {workers} workers");
             }
+        }
+    }
+
+    #[cfg(feature = "failpoints")]
+    #[test]
+    fn quarantined_stripe_members_are_length_pruned() {
+        use crate::supervisor::failpoint::{self, Action};
+        // One global fig4 stripe under a ratchet seeded at `t`, the
+        // survivor's exact score. Its other members' length bound alone
+        // proves `score > t` (under fig4 it is the longer length), but
+        // the survivor keeps the stripe from being pruned whole.
+        let mut rng = rl_dag::generate::seeded_rng(0x9A2E);
+        let query = pack(&Seq::random(&mut rng, 32));
+        let survivor = pack(&Seq::random(&mut rng, 32));
+        let cfg = AlignConfig::new(RaceWeights::fig4());
+        let exact = AlignEngine::new(cfg).align(&query, &survivor);
+        let t = exact.finished_score().expect("unthresholded");
+        let db: Vec<PackedSeq<Dna>> = std::iter::once(survivor)
+            .chain((1..6).map(|d| pack(&Seq::random(&mut rng, t as usize + d))))
+            .collect();
+        let pairs: Vec<(&PackedSeq<Dna>, &PackedSeq<Dna>)> =
+            db.iter().map(|p| (&query, p)).collect();
+        assert!(!length_prunes(&cfg, pairs[0], t));
+        assert!(pairs[1..].iter().all(|&pair| length_prunes(&cfg, pair, t)));
+        let unit = WorkUnit {
+            kind: UnitKind::Striped,
+            width: cfg.resolve_stripe_lanes(32, t as usize + 5),
+            members: (0..pairs.len()).collect(),
+            slots: Vec::new(),
+        };
+        let ratchet = Ratchet::seeded(1, Some(t), &[], (0..pairs.len()).collect());
+        let mut slots = vec![Slot::Pending; pairs.len()];
+        let _guard = failpoint::lock_for_test();
+        failpoint::quiet_failpoint_panics();
+        // Armed on this thread only, and the run has one worker: the
+        // calling thread.
+        failpoint::arm_times_here("stripe-sweep", Action::Panic, 1);
+        let report = run_units(
+            &cfg,
+            &pairs,
+            vec![unit],
+            Some(&ratchet),
+            None,
+            Some(1),
+            &ScanControl::new(),
+            &mut slots,
+        );
+        failpoint::disarm("stripe-sweep");
+        assert_eq!(report.stop, None);
+        assert_eq!(report.faults.len(), 1, "{:?}", report.faults);
+        let fault = &report.faults[0];
+        assert_eq!(fault.site, "stripe-sweep");
+        assert!(fault.recovered && fault.interrupted.is_none());
+        assert_eq!(fault.pairs, (0..pairs.len()).collect::<Vec<_>>());
+        // The retry prunes as every other member path does: no cell of a
+        // pruned member is swept, and the survivor keeps its exact score.
+        assert_eq!(slots[0].outcome(), Some(&exact));
+        for (i, slot) in slots.iter().enumerate().skip(1) {
+            let outcome = slot.outcome().expect("done");
+            assert_eq!(*outcome, PRUNED, "member {i}");
+            assert!(outcome.early_terminated && outcome.cells_computed == 0);
         }
     }
 

@@ -666,6 +666,8 @@ pub mod failpoint {
     struct Armed {
         action: Action,
         left: Option<usize>,
+        /// The one thread the site fires on; `None` fires on every thread.
+        thread: Option<std::thread::ThreadId>,
     }
 
     static ANY_ARMED: AtomicBool = AtomicBool::new(false);
@@ -685,12 +687,35 @@ pub mod failpoint {
 
     /// Arms `site` to run `action` on every hit until disarmed.
     pub fn arm(site: &'static str, action: Action) {
-        reg_lock().insert(site, Armed { action, left: None });
+        reg_lock().insert(
+            site,
+            Armed {
+                action,
+                left: None,
+                thread: None,
+            },
+        );
         ANY_ARMED.store(true, Ordering::Relaxed);
     }
 
     /// Arms `site` for exactly `n` hits, then self-disarms.
     pub fn arm_times(site: &'static str, action: Action, n: usize) {
+        arm_times_on(site, action, n, None);
+    }
+
+    /// [`arm_times`] for hits on the calling thread only: other threads
+    /// pass the site untouched, so a unit test can inject a fault while
+    /// the other tests of its binary run the same site concurrently.
+    pub fn arm_times_here(site: &'static str, action: Action, n: usize) {
+        arm_times_on(site, action, n, Some(std::thread::current().id()));
+    }
+
+    fn arm_times_on(
+        site: &'static str,
+        action: Action,
+        n: usize,
+        thread: Option<std::thread::ThreadId>,
+    ) {
         if n == 0 {
             return;
         }
@@ -699,6 +724,7 @@ pub mod failpoint {
             Armed {
                 action,
                 left: Some(n),
+                thread,
             },
         );
         ANY_ARMED.store(true, Ordering::Relaxed);
@@ -762,6 +788,12 @@ pub mod failpoint {
             let Some(armed) = reg.get_mut(site) else {
                 return;
             };
+            if armed
+                .thread
+                .is_some_and(|t| t != std::thread::current().id())
+            {
+                return;
+            }
             let action = armed.action;
             if let Some(left) = &mut armed.left {
                 *left -= 1;

@@ -976,6 +976,7 @@ impl TraceHandle {
 /// events across all queries, dumped on faults for post-mortem analysis.
 pub mod flight {
     use super::*;
+    use std::sync::atomic::fence;
 
     /// Number of slots in the flight ring.
     pub const FLIGHT_CAPACITY: usize = 256;
@@ -1020,11 +1021,17 @@ pub mod flight {
     }
 
     struct Slot {
-        // Seqlock per slot: writers publish `2n + 1` before and `2n + 2`
-        // after the field stores, where `n` is the ticket; readers accept a
-        // slot only if they see the same even seq before and after reading
-        // the payload.  All fields are atomics, so torn reads are impossible
-        // and the protocol needs no unsafe code.
+        // Seqlock per slot, in the fence form of Boehm (2012), "Can
+        // seqlocks get along with programming language memory models?".
+        // The writer of ticket `n` claims the slot by moving its seq
+        // from an earlier ticket's even value to `2n + 1`, issues a
+        // release fence, stores the fields and publishes `2n + 2`. A
+        // reader loads the seq, then the fields, then issues an acquire
+        // fence and loads the seq again; it accepts the slot only if
+        // both loads saw `2n + 2`. A reader that saw any field of a
+        // later write therefore sees that write's odd seq (or later) on
+        // its second load. All fields are atomics, so no single field
+        // tears and the protocol needs no unsafe code.
         seq: AtomicU64,
         at: AtomicU64,
         query: AtomicU64,
@@ -1092,10 +1099,25 @@ pub mod flight {
 
     /// Writes a raw record into the ring.  Used by `record` and by the
     /// store, which records corruption before any trace handle exists.
+    ///
+    /// The record is dropped when its slot is not free to claim: another
+    /// writer is still in it, or a later ticket already reached it (this
+    /// writer was descheduled for a whole lap of the ring).
     pub(crate) fn record_raw(query: u64, at: u64, kind: u64, a: u64, b: u64) {
         let ticket = HEAD.fetch_add(1, Ordering::Relaxed);
         let slot = &RING[(ticket as usize) % FLIGHT_CAPACITY];
-        slot.seq.store(2 * ticket + 1, Ordering::Release);
+        let claim = 2 * ticket + 1;
+        let prev = slot.seq.load(Ordering::Relaxed);
+        if prev % 2 == 1
+            || prev >= claim
+            || slot
+                .seq
+                .compare_exchange(prev, claim, Ordering::Relaxed, Ordering::Relaxed)
+                .is_err()
+        {
+            return;
+        }
+        fence(Ordering::Release);
         slot.at.store(at, Ordering::Relaxed);
         slot.query.store(query, Ordering::Relaxed);
         slot.kind.store(kind, Ordering::Relaxed);
@@ -1136,7 +1158,8 @@ pub mod flight {
                 a: slot.a.load(Ordering::Relaxed),
                 b: slot.b.load(Ordering::Relaxed),
             };
-            let after = slot.seq.load(Ordering::Acquire);
+            fence(Ordering::Acquire);
+            let after = slot.seq.load(Ordering::Relaxed);
             if after == before {
                 out.push(rec);
             }
@@ -1194,6 +1217,16 @@ pub mod flight {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The flight ring, its last dump and the enable flag are
+    /// process-global: the tests that reset, dump or switch them off
+    /// take turns, or one test's reset or disable hides another's
+    /// records.
+    fn flight_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 
     #[test]
     fn histogram_buckets_follow_bit_length() {
@@ -1264,6 +1297,7 @@ mod tests {
 
     #[test]
     fn flight_snapshot_returns_sequence_order() {
+        let _flight = flight_lock();
         flight::reset_for_test();
         let t = TraceHandle::with_clock(9, Arc::new(ManualClock::at(1)));
         t.record(TraceEvent::SegmentStart { attempt: 1 });
@@ -1278,6 +1312,7 @@ mod tests {
 
     #[test]
     fn dump_stores_last_dump() {
+        let _flight = flight_lock();
         flight::reset_for_test();
         let t = TraceHandle::with_clock(11, Arc::new(ManualClock::at(5)));
         t.record(TraceEvent::StripeQuarantined { members: 4 });
@@ -1294,6 +1329,7 @@ mod tests {
 
     #[test]
     fn disabling_telemetry_skips_recording() {
+        let _flight = flight_lock();
         let prior = set_enabled(false);
         flight::reset_for_test();
         let before = metrics::FLIGHT_EVENTS.get();
