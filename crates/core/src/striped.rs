@@ -479,25 +479,25 @@ impl StripeThreshold {
 /// back into it. Bit-parallel units need the ratchet and the segment's
 /// `masks`.
 ///
-/// The [`ScanControl`] is consulted before every work unit, before
-/// every member of a per-pair, bit-parallel or quarantined unit, and
-/// inside the per-pair kernels at row/diagonal granularity. Every stop
-/// is permanent, so a worker whose unit stops claims no more; units an
-/// early stop never reaches leave their slots `Pending`. Worker panics
-/// are isolated per unit: a poisoned unit is quarantined and its
-/// members retried on the rolling-row fallback ([`UnitRun::quarantine`]).
+/// A cell budget is decided here alone, before any worker starts. The
+/// [`ScanControl`] is consulted before every unit and every member of a
+/// per-pair, bit-parallel or quarantined unit, and inside the per-pair
+/// kernels per row/diagonal. Every stop is permanent, so a worker whose
+/// unit stops claims no more; pairs the budget refuses or a stop never
+/// reaches stay `Pending`. Worker panics are isolated per unit: a
+/// poisoned unit is quarantined and its members retried on the
+/// rolling-row fallback ([`UnitRun::quarantine`]).
 #[allow(clippy::too_many_arguments)]
 fn run_units<S: Symbol>(
     cfg: &AlignConfig,
     pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
-    units: Vec<WorkUnit>,
+    mut units: Vec<WorkUnit>,
     ratchet: Option<&Ratchet>,
     masks: Option<&QueryMasks>,
     workers: Option<usize>,
     ctrl: &ScanControl,
     out: &mut [Slot],
 ) -> RunReport {
-    let n_workers = resolve_workers(workers).min(units.len()).max(1);
     let run = UnitRun {
         cfg,
         pairs,
@@ -506,6 +506,33 @@ fn run_units<S: Symbol>(
         ctrl,
         ledger: ExecLedger::new(),
     };
+    // The budget's one rule: in plan order, admit items (a stripe whole,
+    // or one member of another unit) while their planned cells, which
+    // bound the cells swept, stay below the budget left; and always the
+    // first item, so every resume segment progresses.
+    if let Some(mut left) = ctrl.cells_left() {
+        let mut first = left > 0;
+        let mut admit = |cells: u64| {
+            let admitted = std::mem::take(&mut first) || cells < left;
+            left = left.saturating_sub(cells);
+            admitted
+        };
+        let planned = |&i: &usize| grid_cells(pairs[i].0.len(), pairs[i].1.len(), cfg.band);
+        let refused = units.iter_mut().position(|unit| {
+            let members = &mut unit.members;
+            let kept = if unit.kind == UnitKind::Striped {
+                members.len() * usize::from(admit(members.iter().map(planned).sum()))
+            } else {
+                members.iter().take_while(|&i| admit(planned(i))).count()
+            };
+            members.drain(kept..).count() > 0
+        });
+        if let Some(u) = refused {
+            units.truncate(u + usize::from(!units[u].members.is_empty()));
+            run.stopped(StopReason::BudgetExhausted);
+        }
+    }
+    let n_workers = resolve_workers(workers).min(units.len()).max(1);
     // One lock per unit: exactly one worker claims each index, so the
     // locks never contend; they hand the unit to whichever thread
     // claimed it and back to this one after the scope.
@@ -604,9 +631,6 @@ impl<S: Symbol> UnitRun<'_, S> {
                 let drained = catch_unwind(AssertUnwindSafe(|| {
                     self.drain(unit, |i, t| {
                         let (q, p) = self.pairs[i];
-                        if !self.ctrl.reserve(grid_cells(q.len(), p.len(), None)) {
-                            return Err(StopReason::BudgetExhausted);
-                        }
                         fp_hit("bitpar-sweep");
                         let (score, columns) = masks.score(p, t, bits);
                         // The whole grid once every column is swept.
@@ -769,9 +793,9 @@ impl<S: Symbol> UnitRun<'_, S> {
     }
 
     /// A striped unit: under the ratchet, the whole-stripe length prune;
-    /// then the cell reservation, the scratch-budget gate (a stripe
-    /// over it degrades to a [`per_pair`](UnitRun::per_pair) unit) and
-    /// one sweep under `catch_unwind` into the worker's outcome buffer.
+    /// then the scratch-budget gate (a stripe over it degrades to a
+    /// [`per_pair`](UnitRun::per_pair) unit) and one sweep under
+    /// `catch_unwind` into the worker's outcome buffer.
     /// Every member then ends in [`finish`](UnitRun::finish), or a
     /// panicked sweep is [quarantined](UnitRun::quarantine).
     fn stripe(&self, unit: &mut WorkUnit, worker: &mut WorkerScratch) -> Result<(), StopReason> {
@@ -797,23 +821,8 @@ impl<S: Symbol> UnitRun<'_, S> {
                 return Ok(());
             }
         }
-        let (mut nn, mut mm, mut planned) = (0_usize, 0_usize, 0);
-        for &i in &unit.members {
-            let (q, p) = pairs[i];
-            (nn, mm) = (nn.max(q.len()), mm.max(p.len()));
-            planned += grid_cells(q.len(), p.len(), cfg.band);
-        }
-        if !self.ctrl.reserve(planned) {
-            return Err(self.stopped(StopReason::BudgetExhausted));
-        }
         if let Some(budget) = self.ctrl.scratch_budget() {
-            let lanes = effective_stripe_lanes(unit.width, unit.members.len());
-            let planes = if matches!(cfg.mode, AlignMode::GlobalAffine(_)) {
-                3
-            } else {
-                1
-            };
-            let need = stripe_scratch_bytes(nn, mm, lanes, unit.width, planes);
+            let need = stripe_scratch_bytes(cfg, pairs, unit);
             if need > budget {
                 self.ledger.note_fault(Fault::new(
                     "scratch-budget",
@@ -926,20 +935,27 @@ fn length_prunes<S: Symbol>(
     ) > t
 }
 
-/// Estimated bytes of striped-sweep scratch a `(nn, mm)` union shape
-/// claims at `lanes` lanes of `width`-word diagonals: three rotating
-/// diagonal buffers of `(nn + 1) · lanes` words per plane (`planes` is
-/// 1 for the linear modes, 3 for affine's M/Ix/Iy) plus the two
-/// interleaved `u8` code planes. A gating estimate for
-/// [`ScanControl::with_scratch_budget`], not an allocator contract.
-fn stripe_scratch_bytes(
-    nn: usize,
-    mm: usize,
-    lanes: usize,
-    width: LaneWidth,
-    planes: usize,
+/// Estimated bytes of striped-sweep scratch `unit` claims over its
+/// members' union shape `(nn, mm)`: three rotating diagonal buffers of
+/// `(nn + 1) · lanes` words per plane (1 plane for the linear modes, 3
+/// for affine's M/Ix/Iy) plus the two interleaved `u8` code planes. A
+/// gating estimate for [`ScanControl::with_scratch_budget`], not an
+/// allocator contract.
+fn stripe_scratch_bytes<S: Symbol>(
+    cfg: &AlignConfig,
+    pairs: &[(&PackedSeq<S>, &PackedSeq<S>)],
+    unit: &WorkUnit,
 ) -> usize {
-    let word = width.bits() as usize / 8;
+    let (nn, mm) = unit.members.iter().fold((0, 0), |(nn, mm), &i| {
+        (nn.max(pairs[i].0.len()), mm.max(pairs[i].1.len()))
+    });
+    let lanes = effective_stripe_lanes(unit.width, unit.members.len());
+    let planes = if matches!(cfg.mode, AlignMode::GlobalAffine(_)) {
+        3
+    } else {
+        1
+    };
+    let word = unit.width.bits() as usize / 8;
     3 * planes * (nn + 1) * lanes * word + (nn + mm) * lanes
 }
 
@@ -1277,7 +1293,7 @@ fn sweep_at<W: DiagWord, const L: usize>(
         scratch.p_plane.as_slice(),
     );
     let planes = W::planes(&mut scratch.diag);
-    // Striped units are charged per unit (reserve, then charge), so the
+    // Striped units are admitted whole and charged at their end, so the
     // sweeps run free here; only per-pair alignments checkpoint inside.
     let free = &mut SupCursor::new(None);
     let swept = match cfg.mode {

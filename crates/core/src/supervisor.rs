@@ -76,11 +76,14 @@ impl std::fmt::Display for StopReason {
 ///
 /// Checkpoints are cooperative: per-pair kernels check between
 /// anti-diagonals (rows, for the rolling-row kernels), the batch
-/// pipeline checks between work units. Cancellation and the cell budget
-/// are checked at every checkpoint; the deadline clock is read every
-/// [`DEADLINE_CHECK_INTERVAL`] checkpoints — except the *first*, which
-/// always reads it, so a deadline already in the past (e.g. 0 ms) stops
-/// the run deterministically before any real work.
+/// pipeline checks between work units. Cancellation, the watchdog and
+/// the cell budget are checked at every checkpoint, in that order; the
+/// deadline clock is read last, every [`DEADLINE_CHECK_INTERVAL`]
+/// checkpoints — except the *first*, which always reads it, so a
+/// deadline already in the past (e.g. 0 ms) stops the run
+/// deterministically before any real work. A batch or scan spends the
+/// cell budget on a plan prefix chosen before any worker starts
+/// ([`with_cells_budget`](ScanControl::with_cells_budget)).
 ///
 /// [`cancel`]: ScanControl::cancel
 #[derive(Debug, Default)]
@@ -91,9 +94,6 @@ pub struct ScanControl {
     cells_budget: Option<u64>,
     scratch_budget: Option<usize>,
     cells_spent: AtomicU64,
-    /// Planned cells of every striped unit admitted so far (see
-    /// [`ScanControl::reserve`]).
-    cells_reserved: AtomicU64,
     tracer: Option<TraceHandle>,
 }
 
@@ -122,7 +122,12 @@ impl ScanControl {
         self.with_deadline(Instant::now() + timeout)
     }
 
-    /// Bounds the run by a total grid-cell budget across all pairs.
+    /// Bounds the run by a total grid-cell budget across all pairs. A
+    /// batch or scan admits, before any worker starts, the plan prefix
+    /// whose planned cells stay below the budget left (always its first
+    /// stripe or pair), so the same pairs run at every worker count, and
+    /// only a first item larger than the budget can overshoot it
+    /// (`docs/ROBUSTNESS.md` gives the rule and its cost).
     #[must_use]
     pub fn with_cells_budget(mut self, cells: u64) -> Self {
         self.cells_budget = Some(cells);
@@ -211,17 +216,10 @@ impl ScanControl {
         self.cells_spent.fetch_add(cells, Ordering::Relaxed);
     }
 
-    /// Reserves a striped unit's (or a bit-parallel pair's) planned
-    /// cells against the cell budget before it sweeps, and reports
-    /// whether it is admitted: only while the cells reserved before it
-    /// are still below the budget. A sweep charges its cells only when
-    /// it ends, so gating on [`cells_spent`](ScanControl::cells_spent)
-    /// alone would let every worker's first unit start at zero;
-    /// reserving up front bounds the overshoot by one unit at any worker
-    /// count. Always admits without a budget.
-    pub(crate) fn reserve(&self, cells: u64) -> bool {
+    /// The cell budget still left, if there is a budget.
+    pub(crate) fn cells_left(&self) -> Option<u64> {
         self.cells_budget
-            .is_none_or(|budget| self.cells_reserved.fetch_add(cells, Ordering::Relaxed) < budget)
+            .map(|budget| budget.saturating_sub(self.cells_spent()))
     }
 
     /// Checks every stop condition, including an immediate deadline
@@ -230,23 +228,23 @@ impl ScanControl {
     /// clock read.
     #[must_use]
     pub fn should_stop(&self) -> Option<StopReason> {
+        self.stop_reason(true)
+    }
+
+    /// The one stop order: cancellation, the watchdog, a spent budget,
+    /// then (when `read_clock`) an expired deadline.
+    fn stop_reason(&self, read_clock: bool) -> Option<StopReason> {
         if self.is_cancelled() {
-            return Some(StopReason::Cancelled);
+            Some(StopReason::Cancelled)
+        } else if self.watchdog_tripped() {
+            Some(StopReason::Watchdog)
+        } else if self.cells_budget.is_some_and(|b| self.cells_spent() >= b) {
+            Some(StopReason::BudgetExhausted)
+        } else if read_clock && self.deadline.is_some_and(|d| Instant::now() >= d) {
+            Some(StopReason::DeadlineExpired)
+        } else {
+            None
         }
-        if self.watchdog_tripped() {
-            return Some(StopReason::Watchdog);
-        }
-        if let Some(budget) = self.cells_budget {
-            if self.cells_spent() >= budget {
-                return Some(StopReason::BudgetExhausted);
-            }
-        }
-        if let Some(deadline) = self.deadline {
-            if Instant::now() >= deadline {
-                return Some(StopReason::DeadlineExpired);
-            }
-        }
-        None
     }
 }
 
@@ -266,9 +264,9 @@ impl<'c> SupCursor<'c> {
         SupCursor { ctrl, countdown: 1 }
     }
 
-    /// One checkpoint: charge `cells`, then stop on cancellation, a
-    /// spent budget, or (every [`DEADLINE_CHECK_INTERVAL`] ticks, and
-    /// always on the first) an expired deadline.
+    /// One checkpoint: charge `cells`, then check the stop conditions in
+    /// [`ScanControl::should_stop`]'s order, reading the deadline clock
+    /// every [`DEADLINE_CHECK_INTERVAL`] ticks and always on the first.
     #[inline]
     pub(crate) fn tick(&mut self, cells: u64) -> Result<(), StopReason> {
         let Some(ctrl) = self.ctrl else {
@@ -276,27 +274,12 @@ impl<'c> SupCursor<'c> {
         };
         ctrl.charge(cells);
         telemetry::count(&telemetry::metrics::CHECKPOINTS, 1);
-        if ctrl.is_cancelled() {
-            return Err(StopReason::Cancelled);
-        }
-        if ctrl.watchdog_tripped() {
-            return Err(StopReason::Watchdog);
-        }
-        if let Some(budget) = ctrl.cells_budget {
-            if ctrl.cells_spent() >= budget {
-                return Err(StopReason::BudgetExhausted);
-            }
-        }
         self.countdown -= 1;
-        if self.countdown == 0 {
+        let read_clock = self.countdown == 0;
+        if read_clock {
             self.countdown = DEADLINE_CHECK_INTERVAL;
-            if let Some(deadline) = ctrl.deadline {
-                if Instant::now() >= deadline {
-                    return Err(StopReason::DeadlineExpired);
-                }
-            }
         }
-        Ok(())
+        ctrl.stop_reason(read_clock).map_or(Ok(()), Err)
     }
 }
 
@@ -498,8 +481,8 @@ impl ResumeToken {
     }
 
     /// Original indices of every pair still to run: remaining, then
-    /// retryable. The service's admission estimate for a resumed query.
-    pub(crate) fn pending_indices(&self) -> impl Iterator<Item = usize> + '_ {
+    /// retryable. The service prices a resumed query's admission on them.
+    pub fn pending_indices(&self) -> impl Iterator<Item = usize> + '_ {
         self.remaining.iter().chain(&self.retryable).copied()
     }
 

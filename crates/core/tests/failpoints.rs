@@ -1113,30 +1113,8 @@ fn store_corruption_soak_quarantines_then_replica_recovers() {
 // and its timelines/flight dumps must be exactly pinnable under a
 // deterministic clock.
 
-use race_logic::supervisor::ScanOutcome;
+use race_logic::supervisor::{ResumeToken, ScanOutcome};
 use race_logic::telemetry::{self, flight, ManualClock, TraceEvent, TraceHandle};
-
-/// A normalized, scheduling-insensitive view of a scan's fault ledger:
-/// the multiset of `(site, pairs, recovered, message)` entries. With
-/// multiple OS workers the *order* faults land in the ledger depends on
-/// thread interleaving (independently of telemetry), so identity
-/// comparisons sort first.
-fn sorted_fault_keys(outcome: &ScanOutcome) -> Vec<(String, Vec<usize>, bool, String)> {
-    let mut keys: Vec<_> = outcome
-        .faults
-        .iter()
-        .map(|f| {
-            (
-                f.site.clone(),
-                f.pairs.clone(),
-                f.recovered,
-                f.message.clone(),
-            )
-        })
-        .collect();
-    keys.sort();
-    keys
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
@@ -1144,10 +1122,13 @@ proptest! {
     /// Tentpole invariant: a telemetry-enabled scan (registry recording
     /// on, a tracer attached) returns hits/ledger/tokens byte-identical
     /// to the telemetry-off run, across modes × workers {1, 4} × injected
-    /// stripe panics. At one worker the whole (outcome, token) pair is
-    /// compared strictly; at four, order-insensitively (thread
-    /// interleaving reorders the ledger and retunes the ratchet's
-    /// abandon timing run-to-run, with or without telemetry).
+    /// stripe panics, with or without a cell budget. At one worker the
+    /// whole (outcome, token) pair is compared strictly; at four, every
+    /// field but the abandon counts and cells, which thread
+    /// interleaving retunes run to run through the ratchet's timing,
+    /// with or without telemetry. The budget admits the same plan
+    /// prefix at either worker count, and the ledger is in canonical
+    /// order, so stops, faults and pending pairs compare as-is.
     #[test]
     fn telemetry_toggle_is_result_invariant(
         seed in 0_u64..1_000,
@@ -1167,9 +1148,7 @@ proptest! {
         let (q, database) = db(seed, 40, 48);
 
         for workers in [1_usize, 4] {
-            // A budget-interrupted prefix is only deterministic on one
-            // worker; multi-worker runs race to the budget line.
-            let budget = (use_budget == 1 && workers == 1).then_some(budget_cells);
+            let budget = (use_budget == 1).then_some(budget_cells);
             let run = |on: bool| {
                 let prior = telemetry::set_enabled(on);
                 failpoint::arm("stripe-sweep", Action::Panic);
@@ -1198,8 +1177,12 @@ proptest! {
                 prop_assert_eq!(off_out.completed_pairs, on_out.completed_pairs);
                 prop_assert_eq!(off_out.faulted_pairs, on_out.faulted_pairs);
                 prop_assert_eq!(off_out.total_pairs, on_out.total_pairs);
-                prop_assert_eq!(sorted_fault_keys(&off_out), sorted_fault_keys(&on_out));
-                prop_assert_eq!(off_tok.is_none(), on_tok.is_none());
+                prop_assert_eq!(off_out.stop, on_out.stop);
+                prop_assert_eq!(&off_out.faults, &on_out.faults);
+                let pending = |tok: &Option<ResumeToken>| {
+                    tok.as_ref().map(|t| t.pending_indices().collect::<Vec<_>>())
+                };
+                prop_assert_eq!(pending(&off_tok), pending(&on_tok));
             }
         }
     }
@@ -1277,7 +1260,7 @@ fn deterministic_clock_pins_budget_resume_retry_timeline() {
     match &partial.trace.events[3].event {
         TraceEvent::SegmentStop { stop, cells } => {
             assert_eq!(*stop, Some(StopReason::BudgetExhausted));
-            assert!(*cells >= 6_000, "budget overshoot is bounded by one unit");
+            assert!(*cells <= 6_000, "the budget is a hard cap");
         }
         other => panic!("expected SegmentStop, got {other:?}"),
     }

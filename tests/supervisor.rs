@@ -282,34 +282,135 @@ fn generous_deadline_completes_every_pair() {
 
 #[test]
 fn cells_budget_stops_mid_scan_with_exact_accounting() {
-    let cfg = AlignConfig::new(RaceWeights::fig4());
-    // Two u8 stripes (32 + 8 pairs). Each stripe reserves its planned
-    // cells before it sweeps, so at any worker count only the first to
-    // reserve runs, even when both would start at once.
+    // 40 pairs of 65 × 65 = 4,225 planned cells. The fig4 `Auto` scan is
+    // bit-parallel, one budget item per pair; pinned to the wavefront it
+    // packs two u8 stripes (32 + 8 pairs), one item each. The budget
+    // admits the plan prefix whose planned cells fit before any worker
+    // starts, so at any worker count 5,000 cells admit one pair and
+    // 150,000 admit the first stripe.
     let (q, database) = db(19, 40, 64);
-    for workers in [1, 2, 4] {
-        let ctrl = ScanControl::new().with_cells_budget(5_000);
-        let outcome = supervised(&cfg, &q, &database, 3, Some(workers), &ctrl).unwrap();
-        assert_eq!(
-            outcome.stop,
-            Some(StopReason::BudgetExhausted),
-            "{workers} workers"
-        );
-        assert!(outcome.budget_exhausted());
-        assert!(
-            outcome.remaining_pairs() > 0,
-            "budget should cut the scan short"
-        );
-        assert!(
-            outcome.completed_pairs <= 32,
-            "{workers} workers: the budget admits one stripe, not {} pairs",
-            outcome.completed_pairs
-        );
-        assert!(ctrl.cells_spent() >= 5_000);
-        assert_eq!(
-            outcome.completed_pairs + outcome.faulted_pairs + outcome.remaining_pairs(),
-            outcome.total_pairs
-        );
+    for (strategy, budget, admitted) in [
+        (KernelStrategy::Auto, 5_000, 1),
+        (KernelStrategy::Wavefront, 150_000, 32),
+    ] {
+        let cfg = AlignConfig::new(RaceWeights::fig4()).with_strategy(strategy);
+        for workers in [1, 2, 4] {
+            let ctrl = ScanControl::new().with_cells_budget(budget);
+            let outcome = supervised(&cfg, &q, &database, 3, Some(workers), &ctrl).unwrap();
+            assert_eq!(
+                outcome.stop,
+                Some(StopReason::BudgetExhausted),
+                "{strategy:?}, {workers} workers"
+            );
+            assert!(outcome.budget_exhausted());
+            assert!(
+                outcome.remaining_pairs() > 0,
+                "budget should cut the scan short"
+            );
+            assert!(
+                outcome.completed_pairs <= 32,
+                "{workers} workers: the budget admits one stripe, not {} pairs",
+                outcome.completed_pairs
+            );
+            assert_eq!(
+                outcome.completed_pairs, admitted,
+                "{strategy:?}, {workers} workers"
+            );
+            assert!(ctrl.cells_spent() <= budget);
+            assert_eq!(
+                outcome.completed_pairs + outcome.faulted_pairs + outcome.remaining_pairs(),
+                outcome.total_pairs
+            );
+        }
+    }
+}
+
+/// A 64 bp query and `entries` entries of seed-pinned log-normal length
+/// (median 64 bp, σ 0.5, clamped to 16–160 bp).
+fn lognormal_db(seed: u64, entries: usize) -> (PackedSeq<Dna>, Vec<PackedSeq<Dna>>) {
+    let mut rng = seeded_rng(seed);
+    let query = PackedSeq::from_seq(&Seq::<Dna>::random(&mut rng, 64));
+    let database = (0..entries)
+        .map(|_| {
+            let len = rl_bench::lognormal_len(&mut rng, 64.0, 0.5, 16, 160);
+            PackedSeq::from_seq(&Seq::<Dna>::random(&mut rng, len))
+        })
+        .collect();
+    (query, database)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// A cell budget admits a plan prefix chosen before any worker
+    /// starts, so a budgeted scan returns the same hits, pair counts,
+    /// stop and pending pairs at 1, 2, 4 and 8 workers: bit-parallel
+    /// (fig4 `Auto`, three units of about 2^20 cells), striped
+    /// (`Wavefront`-pinned) and affine scans alike. Each budget cuts
+    /// mid-plan and exceeds the largest possible first item (a 32-lane
+    /// stripe of the largest grid), so the scan also spends at most its
+    /// budget. A budgeted batch completes each pair it admits with the
+    /// unbudgeted batch's outcome.
+    #[test]
+    fn budget_admits_the_same_prefix_at_every_worker_count(
+        seed in 0_u64..1_000,
+        frac in 0.0_f64..0.8,
+    ) {
+        let (q, database) = lognormal_db(seed, 600);
+        let grids: Vec<u64> = database
+            .iter()
+            .map(|p| (q.len() as u64 + 1) * (p.len() as u64 + 1))
+            .collect();
+        let first_item = 32 * grids.iter().max().unwrap();
+        let total: u64 = grids.iter().sum();
+        let budget = first_item + 1 + ((total - first_item) as f64 * frac) as u64;
+        let affine = AlignMode::GlobalAffine(AffineWeights { open: 2 });
+        for cfg in [
+            AlignConfig::new(RaceWeights::fig4()),
+            AlignConfig::new(RaceWeights::fig4()).with_strategy(KernelStrategy::Wavefront),
+            AlignConfig::new(RaceWeights::fig4()).with_mode(affine),
+        ] {
+            let mut first = None;
+            for workers in [1, 2, 4, 8] {
+                let ctrl = ScanControl::new().with_cells_budget(budget);
+                let (outcome, token) =
+                    scan(&cfg, &q, ScanEntries::Memory(&database), 5, None, Some(workers), &ctrl)
+                        .unwrap();
+                prop_assert!(
+                    ctrl.cells_spent() <= budget,
+                    "{:?}, {} workers: spent {} of {}",
+                    cfg.mode, workers, ctrl.cells_spent(), budget
+                );
+                prop_assert_eq!(outcome.stop, Some(StopReason::BudgetExhausted));
+                let token = token.expect("a cut scan issues a token");
+                let run = (
+                    outcome.hits,
+                    outcome.completed_pairs,
+                    outcome.faulted_pairs,
+                    outcome.stop,
+                    token.pending_indices().collect::<Vec<_>>(),
+                    token.retryable_pairs(),
+                );
+                match &first {
+                    None => first = Some(run),
+                    Some(one) => prop_assert_eq!(one, &run, "{:?}, {} workers", cfg.strategy, workers),
+                }
+            }
+        }
+
+        let pairs: Vec<_> = database.iter().map(|p| (&q, p)).collect();
+        let cfg = AlignConfig::new(RaceWeights::fig4());
+        let full = align_batch(&cfg, &pairs, &ScanControl::new());
+        let ctrl = ScanControl::new().with_cells_budget(budget);
+        let cut = align_batch(&cfg, &pairs, &ctrl);
+        prop_assert_eq!(cut.stop, Some(StopReason::BudgetExhausted));
+        prop_assert!(ctrl.cells_spent() <= budget);
+        prop_assert!(cut.completed_pairs > 0 && cut.completed_pairs < pairs.len());
+        for (budgeted, unbudgeted) in cut.outcomes.iter().zip(&full.outcomes) {
+            if budgeted.is_some() {
+                prop_assert_eq!(budgeted, unbudgeted);
+            }
+        }
     }
 }
 
