@@ -3075,6 +3075,117 @@ mod tests {
     }
 
     #[test]
+    fn local_stripes_match_the_rolling_row_at_every_lane_word() {
+        // Local (max-plus) alignment at every `(W, L)` entry of
+        // `run_stripe` and on the 1-lane per-pair wavefront at every
+        // lane word it runs: each lane's outcome must equal the scalar
+        // rolling row's, byte for byte.
+        use crate::engine::{LocalScores, U16_MIN_LEN};
+        use rand::Rng;
+        // A near copy of `q`: every `every`-th residue substituted.
+        let near_copy = |q: &Seq<Dna>, every: usize| -> Seq<Dna> {
+            let mut codes = q.as_slice().to_vec();
+            for c in codes.iter_mut().skip(every / 2).step_by(every) {
+                *c = Dna::from_index((c.index() + 1) % Dna::COUNT).expect("index in range");
+            }
+            codes.into_iter().collect()
+        };
+        // `(width, members, lanes swept)`: member counts that select
+        // u8×16, u8×32, u16×8, u16×16, u32×8 and u64×8.
+        let entries = [
+            (LaneWidth::U8, 12, HALF_U8_STRIPE_LANES),
+            (LaneWidth::U8, 24, 32),
+            (LaneWidth::U16, 6, HALF_STRIPE_LANES),
+            (LaneWidth::U16, 12, 16),
+            (LaneWidth::U32, 8, 8),
+            (LaneWidth::U64, 8, 8),
+        ];
+        let mut swept = Vec::new();
+        let mut per_pair_words = Vec::new();
+        for scores in [LocalScores::blast(), LocalScores::unit()] {
+            for band in [None, Some(0), Some(3), Some(16)] {
+                let mut cfg =
+                    AlignConfig::new(RaceWeights::fig4()).with_mode(AlignMode::Local(scores));
+                if let Some(k) = band {
+                    cfg = cfg.with_band(k);
+                }
+                let mut rolling = AlignEngine::new(cfg.with_strategy(KernelStrategy::RollingRow));
+                // One pair long enough for the per-pair u16 word, which
+                // only an unbanded pair of at least `U16_MIN_LEN` runs.
+                let mut rng = rl_dag::generate::seeded_rng(0x10CA1);
+                let long = Seq::<Dna>::random(&mut rng, U16_MIN_LEN + 8);
+                let mut per_pair = vec![(pack(&long), pack(&near_copy(&long, 40)))];
+                for (ci, &(width, members, lanes)) in entries.iter().enumerate() {
+                    assert_eq!(effective_stripe_lanes(width, members), lanes);
+                    let mut rng = rl_dag::generate::seeded_rng(0x10CA1 + 1 + ci as u64);
+                    // Ragged lanes short enough for the u8 word under the
+                    // blast bonus; every third lane is a near copy, so its
+                    // best local alignment spans most of the pair.
+                    let pairs: Vec<(PackedSeq<Dna>, PackedSeq<Dna>)> = (0..members)
+                        .map(|l| {
+                            let n = rng.random_range(0..=28);
+                            let q = Seq::<Dna>::random(&mut rng, n);
+                            let p = if l % 3 == 0 {
+                                near_copy(&q, 9)
+                            } else {
+                                let m = rng.random_range(0..=28);
+                                Seq::random(&mut rng, m)
+                            };
+                            (pack(&q), pack(&p))
+                        })
+                        .collect();
+                    let want: Vec<EngineOutcome> =
+                        pairs.iter().map(|(q, p)| rolling.align(q, p)).collect();
+                    let idx: Vec<usize> = (0..members).collect();
+                    let mut scratch = StripeScratch::new();
+                    let mut results = vec![EngineOutcome::default(); members];
+                    run_stripe(
+                        &cfg,
+                        &ref_pairs(&pairs),
+                        &idx,
+                        width,
+                        StripeThreshold::None,
+                        &mut scratch,
+                        &mut results,
+                    );
+                    assert_eq!(results, want, "{width:?}×{lanes}, band {band:?}");
+                    swept.push((width, lanes));
+                    per_pair.extend(pairs);
+                }
+                for floor in [LaneWidth::U16, LaneWidth::U32, LaneWidth::U64] {
+                    let pinned = cfg
+                        .with_strategy(KernelStrategy::Wavefront)
+                        .with_lane_floor(floor);
+                    let mut engine = AlignEngine::new(pinned);
+                    for (i, (q, p)) in per_pair.iter().enumerate() {
+                        let plan = pinned.resolve_kernel(q.len(), p.len());
+                        assert_eq!(plan.strategy, KernelStrategy::Wavefront);
+                        assert!(plan.lanes >= floor);
+                        per_pair_words.push(plan.lanes);
+                        assert_eq!(
+                            engine.align(q, p),
+                            rolling.align(q, p),
+                            "per pair at floor {floor:?}, band {band:?}, pair {i}"
+                        );
+                    }
+                }
+            }
+        }
+        for &(width, _, lanes) in &entries {
+            assert!(
+                swept.contains(&(width, lanes)),
+                "{width:?}×{lanes} was never swept"
+            );
+        }
+        for word in [LaneWidth::U16, LaneWidth::U32, LaneWidth::U64] {
+            assert!(
+                per_pair_words.contains(&word),
+                "no per-pair alignment ran at {word:?}"
+            );
+        }
+    }
+
+    #[test]
     fn grid_cells_matches_diag_range_sum() {
         // The closed form (full grid minus corner triangles) must equal
         // the kernel's own per-diagonal ranges for every clipping shape:
