@@ -80,7 +80,7 @@ use rl_temporal::Time;
 use crate::alignment::RaceWeights;
 use crate::error::AlignError;
 use crate::simd::{KernelWord, LaneWeights};
-use crate::striped::{min_plus_sweep, stripe_sweep_local, Stripe, StripeThreshold};
+use crate::striped::{mode_sweep, Stripe, StripeThreshold};
 use crate::supervisor::{ScanControl, StopReason, SupCursor};
 
 /// `+∞` in the kernel's raw representation (identical to the bit pattern
@@ -1468,34 +1468,25 @@ impl AlignEngine {
         &mut self,
         sup: &mut SupCursor<'_>,
     ) -> Result<EngineOutcome, StopReason> {
+        if let AlignMode::GlobalAffine(_) = self.cfg.mode {
+            crate::supervisor::fp_hit("affine");
+        }
         let (q, p) = (&self.q_codes[..], &self.p_rev[..]);
         let shape = [(q.len(), p.len())];
-        let band = self.cfg.band;
+        let stripe = Stripe {
+            shapes: &shape,
+            q,
+            p,
+            union: shape[0],
+            band: self.cfg.band,
+        };
+        let t = self
+            .cfg
+            .threshold
+            .map_or(StripeThreshold::None, StripeThreshold::Exact);
         let planes = W::planes(&mut self.diag);
         let mut out = [EngineOutcome::default()];
-        match self.cfg.mode {
-            AlignMode::Local(s) => {
-                let bufs = &mut planes[0];
-                stripe_sweep_local::<W, 1>(&shape, q, p, shape[0], s, band, bufs, &mut out, sup)?;
-            }
-            mode => {
-                if let AlignMode::GlobalAffine(_) = mode {
-                    crate::supervisor::fp_hit("affine");
-                }
-                let t = self
-                    .cfg
-                    .threshold
-                    .map_or(StripeThreshold::None, StripeThreshold::Exact);
-                let stripe = Stripe {
-                    shapes: &shape,
-                    q,
-                    p,
-                    union: shape[0],
-                    band,
-                };
-                min_plus_sweep::<W, 1>(&self.cfg, stripe, t, None, planes, &mut out, sup)?;
-            }
-        }
+        mode_sweep::<W, 1>(&self.cfg, stripe, t, None, planes, &mut out, sup)?;
         Ok(out[0])
     }
 

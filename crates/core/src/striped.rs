@@ -5,9 +5,8 @@
 //! independent race cells per clock. The per-pair wavefront kernel
 //! ([`crate::engine`]) captures the *intra*-pair version of that claim —
 //! the cells of one anti-diagonal are SIMD lanes. That per-pair kernel
-//! is this module's sweep at one lane ([`min_plus_sweep`] and
-//! [`stripe_sweep_local`] with `L = 1`, called from
-//! [`AlignEngine::align`]). This module captures
+//! is this module's sweep at one lane ([`mode_sweep`] with `L = 1`,
+//! called from [`AlignEngine::align`]), in every mode. This module captures
 //! the *inter*-pair version: a cohort of shape-compatible pairs is
 //! transposed into interleaved code planes
 //! ([`rl_bio::StripedCodes`]) and swept by **one** wavefront in which
@@ -56,7 +55,7 @@ use crate::bitpar::QueryMasks;
 use crate::engine::{
     applied_bias, classify_outcome, diag_range, raw_to_time, rotate_bufs, score_lower_bound,
     u8_bias_rate, AlignConfig, AlignEngine, AlignMode, BatchPlanStats, DiagScratch, DiagWord,
-    EngineOutcome, KernelStrategy, LaneWidth, LocalScores, RawWeights, NEVER, STRIPE_MIN_PAIRS,
+    EngineOutcome, KernelStrategy, LaneWidth, RawWeights, NEVER, STRIPE_MIN_PAIRS,
     STRIPE_PAD_BUDGET_PCT,
 };
 use crate::simd::{self, KernelWord, LaneWeights};
@@ -1287,35 +1286,22 @@ fn sweep_at<W: DiagWord, const L: usize>(
     scratch: &mut StripeScratch,
     results: &mut [EngineOutcome],
 ) {
-    let (shapes, q, p) = (
-        &scratch.shapes[..],
-        scratch.q_plane.as_slice(),
-        scratch.p_plane.as_slice(),
-    );
+    if let AlignMode::GlobalAffine(_) = cfg.mode {
+        fp_hit("affine-stripe");
+    }
+    let stripe = Stripe {
+        shapes: &scratch.shapes,
+        q: scratch.q_plane.as_slice(),
+        p: scratch.p_plane.as_slice(),
+        union,
+        band: cfg.band,
+    };
     let planes = W::planes(&mut scratch.diag);
     // Striped units are admitted whole and charged at their end, so the
     // sweeps run free here; only per-pair alignments checkpoint inside.
     let free = &mut SupCursor::new(None);
-    let swept = match cfg.mode {
-        AlignMode::Local(s) => {
-            let bufs = &mut planes[0];
-            stripe_sweep_local::<W, L>(shapes, q, p, union, s, cfg.band, bufs, results, free)
-        }
-        mode => {
-            if let AlignMode::GlobalAffine(_) = mode {
-                fp_hit("affine-stripe");
-            }
-            let stripe = Stripe {
-                shapes,
-                q,
-                p,
-                union,
-                band: cfg.band,
-            };
-            min_plus_sweep::<W, L>(cfg, stripe, threshold, suffix, planes, results, free)
-        }
-    };
-    swept.expect("a free-running sweep cannot stop early");
+    mode_sweep::<W, L>(cfg, stripe, threshold, suffix, planes, results, free)
+        .expect("a free-running sweep cannot stop early");
 }
 
 /// One stripe's operands: the lane shapes, the lane-interleaved code
@@ -1334,13 +1320,37 @@ pub(crate) struct Stripe<'a> {
 /// d − 2)` (see [`rotate_bufs`]).
 type Rotation<'a, W> = (&'a mut Vec<W>, &'a mut Vec<W>, &'a mut Vec<W>);
 
-/// A min-plus score model as [`stripe_sweep`] runs it: a cell has one
-/// state in each of `P` planes (1 for the linear recurrence, 3 for
+/// How a lane of [`stripe_sweep`] reads its score when it retires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Readout {
+    /// The sink cell `(n_l, m_l)`: global and affine.
+    Sink,
+    /// The minimum over the lane's bottom-row cells, kept in its best
+    /// register: the semi-global free end.
+    BottomRowMin,
+    /// The maximum over every cell the lane computed, kept in its best
+    /// register: local.
+    RunningMax,
+}
+
+/// A score model as [`stripe_sweep`] runs it: a cell has one state in
+/// each of `P` planes (1 for the linear and local recurrences, 3 for
 /// Gotoh's M / Ix / Iy), and each plane has its own three rotating
 /// diagonal buffers. Everything else — the absolute-row layout, padding,
 /// the u8 bias, both threshold kinds, the remaining-cost checkpoint,
 /// lane retirement and cell counting — is the sweep's, written once.
+/// The readout and the reset value are associated consts, so each
+/// monomorphization compiles the other models' branches out.
 pub(crate) trait Recurrence<W: KernelWord, const P: usize> {
+    /// How a lane reads its score at retirement.
+    const READOUT: Readout;
+
+    /// The value of a cell no path enters: the buffers' initial fill,
+    /// the one-row padding around each written span and the cells of a
+    /// band-empty diagonal. `+∞` under min-plus; `0` under max-plus,
+    /// where a missing neighbour is a fresh start.
+    const RESET: W;
+
     /// Cell `(0, d)` and cell `(d, 0)` in each plane, less the running u8
     /// `bias`.
     fn boundary(&self, d: usize, bias: u64) -> ([W; P], [W; P]);
@@ -1348,7 +1358,8 @@ pub(crate) trait Recurrence<W: KernelWord, const P: usize> {
     /// Writes the interior cells `a..b` of the current diagonal in every
     /// plane from the two diagonals behind it, and returns the minimum
     /// written across planes and lanes. `q` and `p` are the cells' codes
-    /// `q[i − 1]` and `p[j − 1]`.
+    /// `q[i − 1]` and `p[j − 1]`. Only a [`Readout::RunningMax`] model
+    /// writes the lanes' `best` registers, fused into the update.
     fn update<const L: usize>(
         &self,
         views: &mut [Rotation<'_, W>; P],
@@ -1356,13 +1367,8 @@ pub(crate) trait Recurrence<W: KernelWord, const P: usize> {
         b: usize,
         q: &[u8],
         p: &[u8],
+        best: &mut [W; L],
     ) -> W;
-
-    /// Whether each lane keeps a best register over its bottom-row cells
-    /// and retires on it: the semi-global free end.
-    fn keeps_best(&self) -> bool {
-        false
-    }
 
     /// The cross-plane minimum of the current diagonal's cell `t`: the
     /// cell's arrival time. Sound as a frontier value because a path
@@ -1373,20 +1379,26 @@ pub(crate) trait Recurrence<W: KernelWord, const P: usize> {
     }
 }
 
-/// The linear recurrence of [`AlignMode::Global`] and
+/// The linear recurrence of [`AlignMode::Global`] and, with `SEMI`,
 /// [`AlignMode::SemiGlobal`]: one plane.
-struct Linear<W> {
+struct Linear<W, const SEMI: bool> {
     lw: LaneWeights<W>,
     indel: u64,
-    semi: bool,
 }
 
-impl<W: KernelWord> Recurrence<W, 1> for Linear<W> {
+impl<W: KernelWord, const SEMI: bool> Recurrence<W, 1> for Linear<W, SEMI> {
+    const READOUT: Readout = if SEMI {
+        Readout::BottomRowMin
+    } else {
+        Readout::Sink
+    };
+    const RESET: W = W::INF;
+
     fn boundary(&self, d: usize, bias: u64) -> ([W; 1], [W; 1]) {
         // Indel chains from the root, except the semi-global top row,
         // which is a free injection point.
         let chain = W::clamp_raw((d as u64).saturating_mul(self.indel).saturating_sub(bias));
-        ([if self.semi { W::ZERO } else { chain }], [chain])
+        ([if SEMI { W::ZERO } else { chain }], [chain])
     }
 
     #[inline]
@@ -1397,6 +1409,7 @@ impl<W: KernelWord> Recurrence<W, 1> for Linear<W> {
         b: usize,
         q: &[u8],
         p: &[u8],
+        _best: &mut [W; L],
     ) -> W {
         // Lane-interleaved storage makes the interior one flat
         // recurrence in `t = i·L + l`: `up` and `diag` sit one row back,
@@ -1410,10 +1423,6 @@ impl<W: KernelWord> Recurrence<W, 1> for Linear<W> {
             simd::diag_update_lanes::<W, L>(up, left, diag, q, p, self.lw, &mut cur[a..b])
         }
     }
-
-    fn keeps_best(&self) -> bool {
-        self.semi
-    }
 }
 
 /// Gotoh's affine-gap recurrence of [`AlignMode::GlobalAffine`]: the
@@ -1425,6 +1434,9 @@ struct Affine<W> {
 }
 
 impl<W: KernelWord> Recurrence<W, 3> for Affine<W> {
+    const READOUT: Readout = Readout::Sink;
+    const RESET: W = W::INF;
+
     fn boundary(&self, d: usize, bias: u64) -> ([W; 3], [W; 3]) {
         // A single gap run from the root: one open plus d extensions, in
         // the plane that gap lives in — Iy (consuming P) for cell (0, d),
@@ -1445,6 +1457,7 @@ impl<W: KernelWord> Recurrence<W, 3> for Affine<W> {
         b: usize,
         q: &[u8],
         p: &[u8],
+        _best: &mut [W; L],
     ) -> W {
         let (up, left) = (a - L..b - L, a..b);
         simd::affine_diag_update_lanes::<W, L>(
@@ -1467,15 +1480,66 @@ impl<W: KernelWord> Recurrence<W, 3> for Affine<W> {
     }
 }
 
-/// The min-plus sweep of `cfg`'s mode ([`AlignMode::Global`],
-/// [`AlignMode::SemiGlobal`] or [`AlignMode::GlobalAffine`]) over the
-/// lane word's `planes`: the linear recurrence on plane 0, the affine one
-/// on all three. The u8 word runs biased (see `engine::u8_bias_rate`);
-/// wider words store raw values and the bias machinery compiles out at
-/// rate 0. The per-pair wavefront is `L = 1` under an
-/// [`StripeThreshold::Exact`] threshold (or none) and no remaining-cost
-/// bound.
-pub(crate) fn min_plus_sweep<W: DiagWord, const L: usize>(
+/// The max-plus Smith–Waterman recurrence of [`AlignMode::Local`], the
+/// AND-type dual of the min-plus race, on one plane through
+/// [`simd::diag_update_local_lanes`].
+///
+/// Boundary and reset values are `0`, not `+∞`: in Smith–Waterman a
+/// missing neighbour *is* a fresh start (`H ≥ 0` everywhere, and
+/// reading an out-of-band cell as `0` is the textbook banded convention
+/// of treating unbuilt cells as empty alignments). The per-lane maxima
+/// are accumulated **unmasked**: a lane's out-of-shape and padded cells
+/// can never exceed its true in-shape best, because padding sentinels
+/// never compare equal to any code (no match bonus is reachable) and
+/// every other operation is non-increasing — so by induction every
+/// out-of-shape value is bounded by an earlier in-shape value already
+/// folded into the register. That makes the unmasked per-diagonal max
+/// exact, not just conservative (property-tested: striped local ==
+/// sequential [`AlignEngine::align`], byte-identical). Retired lanes keep
+/// accumulating junk; their registers are never read again.
+///
+/// The readout is each lane's running maximum over its computed cells:
+/// the best-cell register the hardware's paper-§6 threshold comparator
+/// would watch. Local mode has no sound frontier abandon and runs
+/// unbiased, so its sweep carries no threshold, bias or remaining-cost
+/// code, and lanes only retire at their final diagonal.
+struct Local<W> {
+    lw: LaneWeights<W>,
+}
+
+impl<W: KernelWord> Recurrence<W, 1> for Local<W> {
+    const READOUT: Readout = Readout::RunningMax;
+    const RESET: W = W::ZERO;
+
+    fn boundary(&self, _d: usize, _bias: u64) -> ([W; 1], [W; 1]) {
+        ([W::ZERO], [W::ZERO]) // empty local alignments
+    }
+
+    #[inline]
+    fn update<const L: usize>(
+        &self,
+        [(cur, d1, d2)]: &mut [Rotation<'_, W>; 1],
+        a: usize,
+        b: usize,
+        q: &[u8],
+        p: &[u8],
+        best: &mut [W; L],
+    ) -> W {
+        let (up, left, diag) = (&d1[a - L..b - L], &d1[a..b], &d2[a - L..b - L]);
+        simd::diag_update_local_lanes::<W, L>(up, left, diag, q, p, self.lw, &mut cur[a..b], best);
+        W::INF // no frontier minimum: nothing abandons a max-plus race
+    }
+}
+
+/// The sweep of `cfg`'s mode over the lane word's `planes`, the one place
+/// a mode picks its [`Recurrence`]: the linear recurrence
+/// ([`AlignMode::Global`], [`AlignMode::SemiGlobal`]) and the local one
+/// on plane 0, the affine one on all three. The u8 word runs biased (see
+/// `engine::u8_bias_rate`); wider words store raw values and the bias
+/// machinery compiles out at rate 0. The per-pair wavefront is `L = 1`
+/// under an [`StripeThreshold::Exact`] threshold (or none) and no
+/// remaining-cost bound.
+pub(crate) fn mode_sweep<W: DiagWord, const L: usize>(
     cfg: &AlignConfig,
     stripe: Stripe<'_>,
     threshold: StripeThreshold,
@@ -1490,32 +1554,45 @@ pub(crate) fn min_plus_sweep<W: DiagWord, const L: usize>(
     } else {
         0
     };
-    if let AlignMode::GlobalAffine(a) = cfg.mode {
-        let lw = simd::AffineLaneWeights {
-            matched: W::clamp_raw(w.matched),
-            mismatched: W::clamp_raw(w.mismatched),
-            indel: W::clamp_raw(w.indel),
-            open: W::clamp_raw(a.open),
-        };
-        let rec = Affine {
-            lw,
-            open: a.open,
-            indel: w.indel,
-        };
-        stripe_sweep::<W, _, L, 3>(&rec, stripe, threshold, suffix, bias_m2, planes, out, sup)
-    } else {
-        let rec = Linear {
-            lw: w.lanes(),
-            indel: w.indel,
-            semi: cfg.mode == AlignMode::SemiGlobal,
-        };
-        let plane = std::array::from_mut(&mut planes[0]);
-        stripe_sweep::<W, _, L, 1>(&rec, stripe, threshold, suffix, bias_m2, plane, out, sup)
+    let (lw, indel) = (w.lanes(), w.indel);
+    let plane = std::array::from_mut(&mut planes[0]);
+    match cfg.mode {
+        AlignMode::Global => {
+            let rec = Linear::<W, false> { lw, indel };
+            stripe_sweep::<W, _, L, 1>(&rec, stripe, threshold, suffix, bias_m2, plane, out, sup)
+        }
+        AlignMode::SemiGlobal => {
+            let rec = Linear::<W, true> { lw, indel };
+            stripe_sweep::<W, _, L, 1>(&rec, stripe, threshold, suffix, bias_m2, plane, out, sup)
+        }
+        AlignMode::Local(s) => {
+            let lw = LaneWeights {
+                matched: W::clamp_raw(s.matched),
+                mismatched: W::clamp_raw(s.mismatched),
+                indel: W::clamp_raw(s.gap),
+            };
+            let rec = Local { lw };
+            stripe_sweep::<W, _, L, 1>(&rec, stripe, threshold, suffix, bias_m2, plane, out, sup)
+        }
+        AlignMode::GlobalAffine(a) => {
+            let lw = simd::AffineLaneWeights {
+                matched: W::clamp_raw(w.matched),
+                mismatched: W::clamp_raw(w.mismatched),
+                indel: W::clamp_raw(w.indel),
+                open: W::clamp_raw(a.open),
+            };
+            let rec = Affine {
+                lw,
+                open: a.open,
+                indel: w.indel,
+            };
+            stripe_sweep::<W, _, L, 3>(&rec, stripe, threshold, suffix, bias_m2, planes, out, sup)
+        }
     }
 }
 
-/// One striped anti-diagonal sweep of the min-plus recurrence `rec` over
-/// a cohort: lane `l` of every vector op is pair `l`. The sweep runs the
+/// One striped anti-diagonal sweep of the recurrence `rec` over a
+/// cohort: lane `l` of every vector op is pair `l`. The sweep runs the
 /// **union** geometry (the members' max shape `nn × mm` under the shared
 /// band); each lane mirrors the per-pair wavefront over its own
 /// `(n_l, m_l)` via masks:
@@ -1527,8 +1604,8 @@ pub(crate) fn min_plus_sweep<W: DiagWord, const L: usize>(
 ///   rows. A buffer holding diagonal `d` is read while computing
 ///   diagonals `d + 1` and `d + 2`, and because `lo` and `hi` grow by at
 ///   most one per diagonal, every such read lands in `lo(d) − 1 ..=
-///   hi(d) + 1`: a one-row `+∞` padding around each written span keeps
-///   stale values unread.
+///   hi(d) + 1`: a one-row padding of [`Recurrence::RESET`] around each
+///   written span keeps stale values unread.
 /// - **Minima**: a lane's frontier minimum includes exactly its own
 ///   in-band cells (`i ≤ n_l ∧ d − i ≤ m_l`, band shared) across every
 ///   plane; padded and out-of-shape cells contribute `+∞`. One lane's
@@ -1539,10 +1616,11 @@ pub(crate) fn min_plus_sweep<W: DiagWord, const L: usize>(
 ///   applies the per-pair abandon rule to its own two-diagonal minima
 ///   and retires independently (the stripe stops early only when *all*
 ///   lanes have retired).
-/// - **Retirement**: at `d = n_l + m_l` the lane's sink cell is read
-///   from the current diagonal (its cross-plane minimum, raised by the
-///   bias) and the lane classifies exactly like the per-pair epilogue.
-///   Cells are counted over grid *positions*, not plane states.
+/// - **Retirement**: at `d = n_l + m_l` the lane reads its score by
+///   [`Recurrence::READOUT`] — the sink cell from the current diagonal
+///   (its cross-plane minimum, raised by the bias) or its best register —
+///   and classifies exactly like the per-pair epilogue. Cells are counted
+///   over grid *positions*, not plane states.
 ///
 /// A `threshold` at or above the lane word's `+∞` sentinel is clamped
 /// to it, which makes the in-lane abandon comparison `min > INF`
@@ -1553,7 +1631,7 @@ pub(crate) fn min_plus_sweep<W: DiagWord, const L: usize>(
 /// scan instead starts from `+∞` and relies on this conservative
 /// clamping until the ratchet tightens into range.
 ///
-/// **Semi-global** ([`Recurrence::keeps_best`]) mirrors the per-pair
+/// **Semi-global** ([`Readout::BottomRowMin`]) mirrors the per-pair
 /// free-end semantics lane by lane: top-row boundary cells inject `0`,
 /// a per-lane **best-score register** tracks each lane's bottom-row
 /// minimum (one extra read per live lane per diagonal — the bottom row
@@ -1561,7 +1639,10 @@ pub(crate) fn min_plus_sweep<W: DiagWord, const L: usize>(
 /// the lane's best in (an in-threshold hit already seen must block the
 /// abandon), and lanes retire on their best register instead of the
 /// sink cell — which also gives band-excluded sinks the right verdict
-/// for free.
+/// for free. **Local** ([`Readout::RunningMax`], see [`Local`]) keeps the
+/// register as a running maximum that its update writes, and its
+/// instance drops the thresholds, the bias and the remaining-cost
+/// checkpoint at compile time.
 ///
 /// `sup` checkpoints once per diagonal: `tick(0)` on a band-empty one,
 /// `tick(span)` after each computed one.
@@ -1585,7 +1666,13 @@ fn stripe_sweep<W: KernelWord, R: Recurrence<W, P>, const L: usize, const P: usi
     } = stripe;
     let lanes = shapes.len();
     assert!(lanes <= L && lanes == out.len());
-    let semi = rec.keeps_best();
+    let semi = matches!(R::READOUT, Readout::BottomRowMin);
+    // A max-plus race has no sound frontier abandon and never runs
+    // biased: fixing these here lets its instance compile them out.
+    let (threshold, suffix, bias_m2) = match R::READOUT {
+        Readout::RunningMax => (StripeThreshold::None, None, 0),
+        Readout::Sink | Readout::BottomRowMin => (threshold, suffix, bias_m2),
+    };
     debug_assert!(
         bias_m2 == 0 || !semi,
         "the bias rate is zero for semi-global"
@@ -1604,7 +1691,7 @@ fn stripe_sweep<W: KernelWord, R: Recurrence<W, P>, const L: usize, const P: usi
     let mut front = Frontier::<W, L>::new(threshold);
     for b in planes.iter_mut().flatten() {
         b.clear();
-        b.resize((nn + 1) * L, W::INF);
+        b.resize((nn + 1) * L, R::RESET);
     }
 
     // Per-lane shape masks as u32 (vectorizes the validity compares).
@@ -1621,10 +1708,11 @@ fn stripe_sweep<W: KernelWord, R: Recurrence<W, P>, const L: usize, const P: usi
     planes[0][0][..L].fill(W::ZERO);
     let mut cells = [1_u64; L];
     let mut done = [true; L];
-    // Per-lane best-score registers (semi-global readout): the running
-    // minimum over the lane's bottom-row cells. For n = 0 the root cell
-    // itself sits on the bottom row.
-    let mut best = [W::INF; L];
+    // Per-lane best-score registers (semi-global and local readouts): the
+    // running minimum over the lane's bottom-row cells, or the running
+    // maximum over its cells. For n = 0 the semi-global root cell itself
+    // sits on the bottom row; the local root is the reset value 0.
+    let mut best = [R::RESET; L];
     let mut live = 0_usize;
     for (l, &(n, m)) in shapes.iter().enumerate() {
         if semi && n == 0 {
@@ -1747,6 +1835,7 @@ fn stripe_sweep<W: KernelWord, R: Recurrence<W, P>, const L: usize, const P: usi
             }
         }
         let (lo, hi) = diag_range(d, nn, mm, band);
+        let mut span = 0;
         if lo > hi {
             // Band-empty union diagonal (empty for every lane, since
             // lane ranges are subsets): reset the cells later diagonals
@@ -1755,139 +1844,127 @@ fn stripe_sweep<W: KernelWord, R: Recurrence<W, P>, const L: usize, const P: usi
             let chi = (hi + 1).min(nn);
             if clo <= chi {
                 for (cur, ..) in &mut views {
-                    cur[clo * L..(chi + 1) * L].fill(W::INF);
+                    cur[clo * L..(chi + 1) * L].fill(R::RESET);
                 }
             }
             if thresholded {
                 front.push([W::INF; L], W::INF);
             }
-            // A lane whose final diagonal this was still retires: its
-            // sink range is empty too, so its score is the per-pair
-            // band-excluded-sink verdict — or, semi-global, whatever its
-            // best register already holds.
-            for (l, &(n, m)) in shapes.iter().enumerate() {
-                if !done[l] && d == n + m {
-                    let raw = if semi { best[l].to_raw() } else { NEVER };
-                    out[l] = classify_outcome(raw, t_raw, cells[l]);
-                    done[l] = true;
-                    live -= 1;
-                    if front.coarse.is_some() {
-                        retire_lane_residue(l, nn, &mut views);
-                    }
+        } else {
+            // One-row reset padding around the written span, then the
+            // boundary cells, in every plane.
+            for (cur, ..) in &mut views {
+                if lo > 0 {
+                    cur[(lo - 1) * L..lo * L].fill(R::RESET);
+                }
+                if hi < nn {
+                    cur[(hi + 1) * L..(hi + 2) * L].fill(R::RESET);
                 }
             }
-            sup.tick(0)?;
-            continue;
-        }
-        // One-row +∞ padding around the written span, then the boundary
-        // cells, in every plane.
-        for (cur, ..) in &mut views {
-            if lo > 0 {
-                cur[(lo - 1) * L..lo * L].fill(W::INF);
-            }
-            if hi < nn {
-                cur[(hi + 1) * L..(hi + 2) * L].fill(W::INF);
-            }
-        }
-        let (mut top, mut left) = (W::INF, W::INF);
-        if lo == 0 || hi == d {
-            let (tops, lefts) = rec.boundary(d, bias);
-            for (k, (cur, ..)) in views.iter_mut().enumerate() {
+            let (mut top, mut left) = (W::INF, W::INF);
+            if lo == 0 || hi == d {
+                let (tops, lefts) = rec.boundary(d, bias);
+                for (k, (cur, ..)) in views.iter_mut().enumerate() {
+                    if lo == 0 {
+                        cur[..L].fill(tops[k]); // cell (0, d) — real where d ≤ m_l
+                    }
+                    if hi == d {
+                        cur[d * L..(d + 1) * L].fill(lefts[k]); // cell (d, 0) — real where d ≤ n_l
+                    }
+                }
                 if lo == 0 {
-                    cur[..L].fill(tops[k]); // cell (0, d) — real where d ≤ m_l
+                    top = tops.into_iter().fold(W::INF, W::min);
                 }
                 if hi == d {
-                    cur[d * L..(d + 1) * L].fill(lefts[k]); // cell (d, 0) — real where d ≤ n_l
+                    left = lefts.into_iter().fold(W::INF, W::min);
                 }
             }
-            if lo == 0 {
-                top = tops.into_iter().fold(W::INF, W::min);
+            // Interior rows: every operand of cell `t = i·L + l` sits at a
+            // fixed offset (`up`/`diag`/`q` at `t − L`, `left` at `t`, `p` at
+            // `t + (mm − d)·L`), so the interior is one update over
+            // `(ihi − ilo + 1)·L` lanes, with no per-row temporaries and no
+            // tails.
+            let ilo = lo.max(1);
+            let ihi = hi.min(d - 1);
+            // The whole-stripe bound: the unmasked interior minimum (padding
+            // and out-of-shape cells included — a superset, so only ever
+            // conservative; retired lanes are reset to +∞ at retirement so
+            // their residue cannot stall the bound) plus the boundary cells.
+            let mut gdmin = W::INF;
+            if ilo <= ihi {
+                let (a, b) = (ilo * L, (ihi + 1) * L);
+                gdmin = rec.update::<L>(
+                    &mut views,
+                    a,
+                    b,
+                    &q_plane[a - L..b - L],
+                    &p_plane[(mm + ilo - d) * L..(mm + ihi + 1 - d) * L],
+                    &mut best,
+                );
             }
-            if hi == d {
-                left = lefts.into_iter().fold(W::INF, W::min);
+            gdmin = gdmin.min(top).min(left);
+
+            // Per-lane frontier minima are only consumed by the exact abandon
+            // rule. One lane's in-band cells are the whole diagonal, so its
+            // exact minimum is the fused one.
+            if thresholded {
+                let lane_min = if L == 1 {
+                    [gdmin; L]
+                } else if front.exact.is_some() {
+                    lane_minima::<W, R, L, P>(
+                        &views,
+                        d,
+                        (ilo, ihi),
+                        (top, left),
+                        shapes,
+                        &done,
+                        &n_arr,
+                        &m_arr,
+                    )
+                } else {
+                    [W::INF; L]
+                };
+                front.push(lane_min, gdmin);
             }
-        }
-        // Interior rows: every operand of cell `t = i·L + l` sits at a
-        // fixed offset (`up`/`diag`/`q` at `t − L`, `left` at `t`, `p` at
-        // `t + (mm − d)·L`), so the interior is one update over
-        // `(ihi − ilo + 1)·L` lanes, with no per-row temporaries and no
-        // tails.
-        let ilo = lo.max(1);
-        let ihi = hi.min(d - 1);
-        // The whole-stripe bound: the unmasked interior minimum (padding
-        // and out-of-shape cells included — a superset, so only ever
-        // conservative; retired lanes are reset to +∞ at retirement so
-        // their residue cannot stall the bound) plus the boundary cells.
-        let mut gdmin = W::INF;
-        if ilo <= ihi {
-            let (a, b) = (ilo * L, (ihi + 1) * L);
-            gdmin = rec.update::<L>(
-                &mut views,
-                a,
-                b,
-                &q_plane[a - L..b - L],
-                &p_plane[(mm + ilo - d) * L..(mm + ihi + 1 - d) * L],
-            );
-        }
-        gdmin = gdmin.min(top).min(left);
 
-        // Per-lane frontier minima are only consumed by the exact abandon
-        // rule. One lane's in-band cells are the whole diagonal, so its
-        // exact minimum is the fused one.
-        if thresholded {
-            let lane_min = if L == 1 {
-                [gdmin; L]
-            } else if front.exact.is_some() {
-                lane_minima::<W, R, L, P>(
-                    &views,
-                    d,
-                    (ilo, ihi),
-                    (top, left),
-                    shapes,
-                    &done,
-                    &n_arr,
-                    &m_arr,
-                )
-            } else {
-                [W::INF; L]
-            };
-            front.push(lane_min, gdmin);
-        }
-
-        // Per-lane best-score registers (semi-global): each live lane's
-        // bottom-row cell on this diagonal, if its own band admits one.
-        if semi {
-            for (l, &(n, m)) in shapes.iter().enumerate() {
-                if !done[l] && d >= n && d <= n + m {
-                    // One lane's range is the union range.
-                    let (llo, lhi) = if L == 1 {
-                        (lo, hi)
-                    } else {
-                        diag_range(d, n, m, band)
-                    };
-                    if llo <= n && n <= lhi {
-                        best[l] = best[l].min(R::cell(&views, n * L + l));
+            // Per-lane best-score registers (semi-global): each live lane's
+            // bottom-row cell on this diagonal, if its own band admits one.
+            if semi {
+                for (l, &(n, m)) in shapes.iter().enumerate() {
+                    if !done[l] && d >= n && d <= n + m {
+                        // One lane's range is the union range.
+                        let (llo, lhi) = if L == 1 {
+                            (lo, hi)
+                        } else {
+                            diag_range(d, n, m, band)
+                        };
+                        if llo <= n && n <= lhi {
+                            best[l] = best[l].min(R::cell(&views, n * L + l));
+                        }
                     }
                 }
             }
+
+            span = (hi - lo + 1) as u64;
+            count_lane_cells(&mut cells, span, d, shapes, &done, band);
         }
 
-        let span = (hi - lo + 1) as u64;
-        count_lane_cells(&mut cells, span, d, shapes, &done, band);
-
-        // Retire lanes whose final diagonal this was. Semi-global lanes
-        // read their best register (which has already folded this
-        // diagonal's sink cell in); the others read the sink itself.
+        // Retire lanes whose final diagonal this was. Semi-global and
+        // local lanes read their best register (which has already folded
+        // this diagonal's cells in); the others read the sink itself. On
+        // a band-empty diagonal the lane's sink range is empty too, so
+        // its score is the per-pair band-excluded-sink verdict.
         for (l, &(n, m)) in shapes.iter().enumerate() {
             if !done[l] && d == n + m {
-                let raw = if semi {
-                    best[l].to_raw()
-                } else {
-                    let (flo, fhi) = diag_range(d, n, m, band);
-                    if flo <= fhi {
-                        raise_raw(R::cell(&views, n * L + l), bias)
-                    } else {
-                        NEVER // the band excludes the lane's sink cell
+                let raw = match R::READOUT {
+                    Readout::BottomRowMin | Readout::RunningMax => best[l].to_raw(),
+                    Readout::Sink => {
+                        let (flo, fhi) = diag_range(d, n, m, band);
+                        if flo <= fhi {
+                            raise_raw(R::cell(&views, n * L + l), bias)
+                        } else {
+                            NEVER // the band excludes the lane's sink cell
+                        }
                     }
                 };
                 out[l] = classify_outcome(raw, t_raw, cells[l]);
@@ -2268,161 +2345,6 @@ fn raise_raw<W: KernelWord>(s: W, bias: u64) -> u64 {
     }
 }
 
-/// The **local** (max-plus Smith–Waterman) striped sweep: the same
-/// lane-interleaved anti-diagonal layout as [`stripe_sweep`], racing
-/// the AND-type dual with per-lane **best-score (maximum) registers**.
-///
-/// The buffers hold `(nn + 1) × L` words by absolute row `i`. A buffer
-/// holding diagonal `d` is read while computing diagonals `d + 1` (rows
-/// `lo(d+1) − 1 ..= hi(d+1)`) and `d + 2` (rows `lo(d+2) − 1 ..=
-/// hi(d+2) − 1`). Because `lo` and `hi` are non-decreasing in `d` and
-/// grow by at most one per diagonal, every such read lands in
-/// `lo(d) − 1 ..= hi(d) + 1`, so resetting that one-row padding around
-/// the written span suffices (stale values further out are never read).
-///
-/// Boundary and padding values are `0`, not `+∞`: in Smith–Waterman a
-/// missing neighbour *is* a fresh start (`H ≥ 0` everywhere, and
-/// reading an out-of-band cell as `0` is the textbook banded convention
-/// of treating unbuilt cells as empty alignments). The per-lane maxima
-/// are accumulated **unmasked**: a lane's out-of-shape and padded cells
-/// can never exceed its true in-shape best, because padding sentinels
-/// never compare equal to any code (no match bonus is reachable) and
-/// every other operation is non-increasing — so by induction every
-/// out-of-shape value is bounded by an earlier in-shape value already
-/// folded into the register. That makes the unmasked per-diagonal max
-/// pass exact, not just conservative (property-tested: striped local
-/// == sequential [`AlignEngine::align`], byte-identical). No
-/// thresholds: local mode has no sound frontier abandon, so lanes only
-/// retire at their final diagonal.
-///
-/// The readout is each lane's running maximum over its computed cells:
-/// the best-cell register the hardware's paper-§6 threshold comparator
-/// would watch. At `L = 1` this is the per-pair local wavefront
-/// ([`AlignEngine::align`]), and `sup` checkpoints once per diagonal:
-/// `tick(0)` on a band-empty one, `tick(span)` after each computed one.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn stripe_sweep_local<W: KernelWord, const L: usize>(
-    shapes: &[(usize, usize)],
-    q_plane: &[u8],
-    p_plane: &[u8],
-    (nn, mm): (usize, usize),
-    s: LocalScores,
-    band: Option<usize>,
-    bufs: &mut [Vec<W>; 3],
-    out: &mut [EngineOutcome],
-    sup: &mut SupCursor<'_>,
-) -> Result<(), StopReason> {
-    let lanes = shapes.len();
-    assert!(lanes <= L && lanes == out.len());
-    let lw = LaneWeights {
-        matched: W::clamp_raw(s.matched),
-        mismatched: W::clamp_raw(s.mismatched),
-        indel: W::clamp_raw(s.gap),
-    };
-    for b in bufs.iter_mut() {
-        b.clear();
-        b.resize((nn + 1) * L, W::ZERO);
-    }
-
-    let mut best = [W::ZERO; L];
-    let mut cells = [1_u64; L];
-    let mut done = [true; L];
-    let mut live = 0_usize;
-    for (l, &(n, m)) in shapes.iter().enumerate() {
-        if n + m == 0 {
-            out[l] = EngineOutcome {
-                score: Time::ZERO,
-                cells_computed: 1,
-                early_terminated: false,
-            };
-        } else {
-            done[l] = false;
-            live += 1;
-        }
-    }
-
-    for d in 1..=(nn + mm) {
-        if live == 0 {
-            break;
-        }
-        let (cur, d1, d2) = rotate_bufs(bufs, d);
-        let (lo, hi) = diag_range(d, nn, mm, band);
-        if lo > hi {
-            // Band-empty union diagonal: later reads see fresh starts.
-            let clo = lo.saturating_sub(1).min(nn);
-            let chi = (hi + 1).min(nn);
-            if clo <= chi {
-                cur[clo * L..(chi + 1) * L].fill(W::ZERO);
-            }
-            for (l, &(n, m)) in shapes.iter().enumerate() {
-                if !done[l] && d == n + m {
-                    out[l] = EngineOutcome {
-                        score: raw_to_time(best[l].to_raw()),
-                        cells_computed: cells[l],
-                        early_terminated: false,
-                    };
-                    done[l] = true;
-                    live -= 1;
-                }
-            }
-            sup.tick(0)?;
-            continue;
-        }
-        // One-row zero padding around the written span.
-        if lo > 0 {
-            cur[(lo - 1) * L..lo * L].fill(W::ZERO);
-        }
-        if hi < nn {
-            cur[(hi + 1) * L..(hi + 2) * L].fill(W::ZERO);
-        }
-        // Boundary rows: empty local alignments.
-        if lo == 0 {
-            cur[..L].fill(W::ZERO);
-        }
-        if hi == d {
-            cur[d * L..(d + 1) * L].fill(W::ZERO);
-        }
-
-        let ilo = lo.max(1);
-        let ihi = hi.min(d - 1);
-        if ilo <= ihi {
-            let (a, b) = (ilo * L, (ihi + 1) * L);
-            // Unmasked per-lane maxima are fused into the update
-            // (exact — see above). Retired lanes keep accumulating
-            // junk; their registers are never read again.
-            simd::diag_update_local_lanes::<W, L>(
-                &d1[a - L..b - L],
-                &d1[a..b],
-                &d2[a - L..b - L],
-                &q_plane[a - L..b - L],
-                &p_plane[(mm + ilo - d) * L..(mm + ihi + 1 - d) * L],
-                lw,
-                &mut cur[a..b],
-                &mut best,
-            );
-        }
-
-        let span = (hi - lo + 1) as u64;
-        count_lane_cells(&mut cells, span, d, shapes, &done, band);
-
-        // Retire lanes at their final diagonal.
-        for (l, &(n, m)) in shapes.iter().enumerate() {
-            if !done[l] && d == n + m {
-                out[l] = EngineOutcome {
-                    score: raw_to_time(best[l].to_raw()),
-                    cells_computed: cells[l],
-                    early_terminated: false,
-                };
-                done[l] = true;
-                live -= 1;
-            }
-        }
-        sup.tick(span)?;
-    }
-    debug_assert_eq!(live, 0, "every lane must retire by the last diagonal");
-    Ok(())
-}
-
 /// Per-lane cell accounting for one computed diagonal, over each live
 /// lane's own band range (grid positions). A single lane's shape is the
 /// union shape, so at `L = 1` its count is the union `span` and the
@@ -2453,7 +2375,7 @@ fn count_lane_cells<const L: usize>(
 mod tests {
     use super::*;
     use crate::alignment::RaceWeights;
-    use crate::engine::{align_batch, AlignEngine};
+    use crate::engine::{align_batch, AlignEngine, LocalScores};
     use crate::supervisor::ScanControl;
     use rl_bio::alphabet::Dna;
     use rl_bio::Seq;
