@@ -171,8 +171,8 @@ fn bench_mode_sweep(c: &mut Criterion) {
 /// `u32` lane floor on 64 random DNA pairs of shape `n × (n + 7)`, per
 /// mode, unbanded and at band 16 (affine at 256² also under a
 /// threshold of 300) — the per-pair table of `docs/KERNELS.md`. Every
-/// mode runs the 1-lane stripe sweep: global, semi-global and affine
-/// the min-plus sweep, local the max-plus one.
+/// mode runs the 1-lane stripe sweep, one `Recurrence` per mode (local
+/// the max-plus one).
 ///
 /// `cargo bench -p rl-bench --bench batch_throughput -- per_pair_wavefront`
 /// runs this group alone (a few seconds).

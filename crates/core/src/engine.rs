@@ -1174,9 +1174,9 @@ pub(crate) fn classify_outcome(
 }
 
 /// Diagonal scratch at every lane word: three planes of three rotating
-/// buffers per word. The linear and local kernels use plane 0, the affine
-/// kernel all three (M, Ix, Iy). Both the per-pair engine and the striped
-/// sweep own one; [`DiagWord`] picks a word's planes.
+/// buffers per word. The linear and local recurrences use plane 0, the
+/// affine one all three (M, Ix, Iy). Both the per-pair engine and the
+/// striped sweep own one; [`DiagWord`] picks a word's planes.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DiagScratch {
     b8: [[Vec<u8>; 3]; 3],

@@ -4,7 +4,8 @@
 //! the slice of the criterion API its benches use: [`Criterion`],
 //! benchmark groups with `sample_size`, [`BenchmarkId`], [`Throughput`],
 //! and `Bencher::iter`. Measurement is a plain calibrated wall-clock
-//! loop (median of `sample_size` samples) — good enough to compare
+//! loop (median of `sample_size` samples, printed beside the samples'
+//! quartiles so one run states its own spread) — good enough to compare
 //! engines and track regressions, with none of criterion's statistics.
 //!
 //! Like criterion, the bench binary takes a name filter:
@@ -59,10 +60,13 @@ pub struct Bencher {
     samples: usize,
     /// Median seconds per iteration, filled by [`Bencher::iter`].
     per_iter: f64,
+    /// First and third quartiles of the samples' seconds per iteration.
+    spread: (f64, f64),
 }
 
 impl Bencher {
-    /// Times `routine`, storing the median per-iteration duration.
+    /// Times `routine`, storing the median per-iteration duration and
+    /// the samples' quartiles.
     pub fn iter<R, F: FnMut() -> R>(&mut self, mut routine: F) {
         // Warm-up + calibration: find an iteration count that runs long
         // enough to be timeable.
@@ -93,8 +97,17 @@ impl Bencher {
             }
         }
         times.sort_by(f64::total_cmp);
-        self.per_iter = times[times.len() / 2];
+        let (q1, median, q3) = quartiles(&times);
+        self.per_iter = median;
+        self.spread = (q1, q3);
     }
+}
+
+/// `(first quartile, median, third quartile)` of ascending `sorted`, by
+/// nearest rank: the samples at `len / 4`, `len / 2` and `3 · len / 4`.
+fn quartiles(sorted: &[f64]) -> (f64, f64, f64) {
+    let n = sorted.len();
+    (sorted[n / 4], sorted[n / 2], sorted[3 * n / 4])
 }
 
 fn human(seconds: f64) -> String {
@@ -138,6 +151,7 @@ fn run_one(
     let mut b = Bencher {
         samples,
         per_iter: 0.0,
+        spread: (0.0, 0.0),
     };
     f(&mut b);
     let mut line = format!("{name:<50} {:>12}/iter", human(b.per_iter));
@@ -150,6 +164,9 @@ fn run_one(
             line.push_str(&format!("   {:>12.0} {unit}/s", count as f64 / b.per_iter));
         }
     }
+    // The samples' quartiles: how far one run's median can be trusted.
+    let (q1, q3) = b.spread;
+    line.push_str(&format!("   [q1 {} … q3 {}]", human(q1), human(q3)));
     println!("{line}");
 }
 
@@ -273,6 +290,14 @@ mod tests {
             b.iter(|| (0..n).sum::<u64>())
         });
         g.finish();
+    }
+
+    #[test]
+    fn quartiles_are_nearest_rank_samples() {
+        assert_eq!(quartiles(&[5.0]), (5.0, 5.0, 5.0));
+        assert_eq!(quartiles(&[1.0, 2.0]), (1.0, 2.0, 2.0));
+        let ten: Vec<f64> = (1..=10).map(f64::from).collect();
+        assert_eq!(quartiles(&ten), (3.0, 6.0, 8.0));
     }
 
     #[test]
