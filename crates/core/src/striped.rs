@@ -1321,7 +1321,7 @@ pub(crate) struct Stripe<'a> {
 type Rotation<'a, W> = (&'a mut Vec<W>, &'a mut Vec<W>, &'a mut Vec<W>);
 
 /// How a lane of [`stripe_sweep`] reads its score when it retires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) enum Readout {
     /// The sink cell `(n_l, m_l)`: global and affine.
     Sink,
