@@ -840,26 +840,50 @@ mod tests {
 
     #[test]
     fn diag_update_matches_reference_across_lengths() {
-        // Lengths straddling the block width: tails of every size.
-        for len in [0, 1, 3, LANES - 1, LANES, LANES + 1, 3 * LANES + 5] {
-            let up: Vec<u64> = (0..len).map(|i| (i as u64 * 7) % 23).collect();
-            let left: Vec<u64> = (0..len)
-                .map(|i| if i % 5 == 0 { u64::MAX } else { i as u64 })
-                .collect();
-            let diag: Vec<u64> = (0..len).map(|i| (i as u64 * 3) % 17).collect();
-            let q: Vec<u8> = (0..len).map(|i| (i % 4) as u8).collect();
-            let p: Vec<u8> = (0..len).map(|i| ((i / 2) % 4) as u8).collect();
-            let w = LaneWeights {
-                matched: 1,
-                mismatched: u64::MAX,
-                indel: 1,
-            };
-            let (want, want_min) = reference(&up, &left, &diag, &q, &p, w);
-            let mut out = vec![0_u64; len];
-            let got_min = diag_update(&up, &left, &diag, &q, &p, w, &mut out);
-            assert_eq!(out, want, "len {len}");
-            assert_eq!(got_min, want_min, "len {len}");
+        // Every word, at lengths on both sides of its `FLAT_MIN_LEN`,
+        // against the `u64` reference. Finite values stay below 127, so
+        // every word holds them exactly; `+∞` lowers to each word's `INF`.
+        fn check<W: KernelWord>() {
+            for len in [0, 1, 7, 8, 9, 31, 32, 33, 64, 100] {
+                let up: Vec<u64> = (0..len).map(|i| (i as u64 * 7) % 23).collect();
+                let left: Vec<u64> = (0..len)
+                    .map(|i| if i % 5 == 0 { u64::MAX } else { i as u64 })
+                    .collect();
+                let diag: Vec<u64> = (0..len).map(|i| (i as u64 * 3) % 17).collect();
+                let q: Vec<u8> = (0..len).map(|i| (i % 4) as u8).collect();
+                let p: Vec<u8> = (0..len).map(|i| ((i / 2) % 4) as u8).collect();
+                let w = LaneWeights {
+                    matched: 1,
+                    mismatched: u64::MAX,
+                    indel: 1,
+                };
+                let (want, want_min) = reference(&up, &left, &diag, &q, &p, w);
+                let lower = |v: &[u64]| -> Vec<W> { v.iter().map(|&x| W::clamp_raw(x)).collect() };
+                let lw = LaneWeights {
+                    matched: W::clamp_raw(w.matched),
+                    mismatched: W::clamp_raw(w.mismatched),
+                    indel: W::clamp_raw(w.indel),
+                };
+                let mut out = vec![W::ZERO; len];
+                let got_min = diag_update(
+                    &lower(&up),
+                    &lower(&left),
+                    &lower(&diag),
+                    &q,
+                    &p,
+                    lw,
+                    &mut out,
+                );
+                let raised: Vec<u64> = out.iter().map(|&x| x.to_raw()).collect();
+                let word = std::any::type_name::<W>();
+                assert_eq!(raised, want, "{word} len {len}");
+                assert_eq!(got_min.to_raw(), want_min, "{word} len {len}");
+            }
         }
+        check::<u8>();
+        check::<u16>();
+        check::<u32>();
+        check::<u64>();
     }
 
     #[test]
