@@ -174,6 +174,13 @@ fn bench_mode_sweep(c: &mut Criterion) {
 /// mode runs the 1-lane stripe sweep, one `Recurrence` per mode (local
 /// the max-plus one).
 ///
+/// Global and SemiGlobal also run at the other per-pair words, with the
+/// word in the row's label: at a `u64` floor at 256², unbanded and at
+/// band 16, and at the default floor at 1024² unbanded, which the
+/// planner runs at `u16` (the span reaches `U16_MIN_LEN`). Together with the
+/// `u32` rows they time the one-lane linear segment on both sides of
+/// `KernelWord::FLAT_MIN_LEN` at every word.
+///
 /// `cargo bench -p rl-bench --bench batch_throughput -- per_pair_wavefront`
 /// runs this group alone (a few seconds).
 fn bench_per_pair_wavefront(c: &mut Criterion) {
@@ -203,32 +210,49 @@ fn bench_per_pair_wavefront(c: &mut Criterion) {
                 AlignMode::GlobalAffine(_) if n == 256 => &[None, Some(300)],
                 _ => &[None],
             };
+            let linear = matches!(mode, AlignMode::Global | AlignMode::SemiGlobal);
+            // `(floor, band, threshold)`: the `u32` rows, then the linear
+            // modes at the other per-pair words.
+            let mut rows: Vec<(LaneWidth, Option<usize>, Option<u64>)> = Vec::new();
             for band in [None, Some(16)] {
                 for &threshold in thresholds {
-                    let mut cfg = AlignConfig::new(RaceWeights::fig4())
-                        .with_mode(mode)
-                        .with_strategy(KernelStrategy::Wavefront)
-                        .with_lane_floor(LaneWidth::U32);
-                    let mut label = mode.to_string();
-                    if let Some(k) = band {
-                        cfg = cfg.with_band(k);
-                        label += &format!("/band={k}");
-                    }
-                    if let Some(t) = threshold {
-                        cfg = cfg.with_threshold(t);
-                        label += &format!("/threshold={t}");
-                    }
-                    group.bench_function(label, |b| {
-                        let mut engine = AlignEngine::new(cfg);
-                        b.iter(|| {
-                            let mut acc = 0_u64;
-                            for (q, p) in &packed {
-                                acc += engine.align(q, p).cells_computed;
-                            }
-                            black_box(acc)
-                        });
-                    });
+                    rows.push((LaneWidth::U32, band, threshold));
                 }
+            }
+            if linear && n == 256 {
+                rows.push((LaneWidth::U64, None, None));
+                rows.push((LaneWidth::U64, Some(16), None));
+            }
+            if linear && n == 1024 {
+                rows.push((AlignConfig::new(RaceWeights::fig4()).lane_floor, None, None));
+            }
+            for (floor, band, threshold) in rows {
+                let mut cfg = AlignConfig::new(RaceWeights::fig4())
+                    .with_mode(mode)
+                    .with_strategy(KernelStrategy::Wavefront)
+                    .with_lane_floor(floor);
+                let mut label = mode.to_string();
+                if let Some(k) = band {
+                    cfg = cfg.with_band(k);
+                    label += &format!("/band={k}");
+                }
+                if let Some(t) = threshold {
+                    cfg = cfg.with_threshold(t);
+                    label += &format!("/threshold={t}");
+                }
+                if floor != LaneWidth::U32 {
+                    label += &format!("/{}", cfg.resolve_kernel(n, n + 7).lanes);
+                }
+                group.bench_function(label, |b| {
+                    let mut engine = AlignEngine::new(cfg);
+                    b.iter(|| {
+                        let mut acc = 0_u64;
+                        for (q, p) in &packed {
+                            acc += engine.align(q, p).cells_computed;
+                        }
+                        black_box(acc)
+                    });
+                });
             }
         }
         group.finish();
