@@ -3,14 +3,14 @@
 //! The Race Logic array evaluates every cell of an anti-diagonal in the
 //! same clock cycle — the cells are mutually independent, which is the
 //! whole hardware win. The software twin of that claim is this module:
-//! fixed-width blocks of [`LANES`] kernel words updated by straight-line,
+//! fixed-width rows of `L` kernel words updated by straight-line,
 //! branch-free code with **no loop-carried dependency**, which LLVM
 //! auto-vectorizes on every target that has vector registers and
 //! compiles to plain scalar code everywhere else. That scalar fallback
 //! is not a separate path: the lane loops *are* the fallback, so the
 //! offline-shim build (no nightly `std::simd`, no `unsafe`, no
 //! intrinsics) stays green by construction. If/when `std::simd`
-//! stabilizes, only the bodies of the block helpers below need to change.
+//! stabilizes, only the bodies of the lane loops below need to change.
 //!
 //! Four kernel word types implement [`KernelWord`]:
 //!
@@ -41,18 +41,14 @@
 //!   `race_logic::engine` (`u8_admits`), which proves every value that
 //!   must stay exact fits below the byte ceiling at every diagonal.
 //!
-//! The only compound operation kernels need is [`diag_update`]: one
+//! The linear recurrence's one kernel is [`diag_update_lanes`]: one
 //! anti-diagonal segment of the min-plus alignment recurrence, reading
 //! three neighbour slices and two symbol-code slices, writing one output
 //! slice, and returning the segment minimum (for fused early
-//! termination).
-
-/// Lanes per block. Eight `u32` words fill one AVX2 register; on
-/// narrower targets LLVM splits the block into several vector ops.
-pub const LANES: usize = 8;
-
-/// A fixed-width block of kernel words.
-pub type Block<W> = [W; LANES];
+//! termination). [`diag_update_local_lanes`] and
+//! [`affine_diag_update_lanes`] are its max-plus and affine-gap
+//! counterparts. Each serves the striped batch at `L` lanes and the
+//! per-pair wavefront at one.
 
 /// An unsigned word the wavefront kernel can do min-plus arithmetic in.
 ///
@@ -65,22 +61,26 @@ pub trait KernelWord: Copy + Ord + std::fmt::Debug {
     const INF: Self;
     /// The additive identity.
     const ZERO: Self;
-    /// Shortest segment [`diag_update`] runs as a plain indexed loop
-    /// (LLVM's *loop* vectorizer); shorter segments take the explicit
-    /// [`LANES`]-block form (the SLP vectorizer). For the narrow words
-    /// this is 32: the loop vectorizer's code only enters its vector
-    /// body past roughly that trip count (below it the flat form
-    /// degrades to scalar, while the block form still uses vectors for
-    /// every full block), and routing shorter segments to the flat loop
-    /// made `u32` band-16 wavefronts (17-cell segments) 1.35× slower at
-    /// 256² and 1.37× at 1024². Above it the loop vectorizer produces
+    /// Shortest **one-lane** segment [`diag_update_lanes`] runs as a
+    /// plain indexed loop (LLVM's *loop* vectorizer); shorter one-lane
+    /// segments, and every striped one, take its chunked lane loop. For
+    /// the narrow words this is 32: the loop vectorizer's code only
+    /// enters its vector body past roughly that trip count (below it
+    /// the flat form degrades to scalar, while the 8-wide block form
+    /// the per-pair kernel then had still used vectors for every full
+    /// block), and routing shorter segments to the flat loop made `u32`
+    /// band-16 wavefronts (17-cell segments) 1.35× slower than that
+    /// block form at 256² and 1.37× at 1024². The chunked loop, which
+    /// replaced the block form, beats it on those segments too (`docs/KERNELS.md`,
+    /// "One linear lane kernel"). Above it the loop vectorizer produces
     /// the best `u16` **and** `u32` code (clean widening compare +
     /// `pminuw`/`pminud`): per-pair wavefront at length 256 went
     /// 13.2k → 24.5k pairs/s (≈ 1.9×) and at length 64 165k → 214k
     /// (≈ 1.3×) on a 1-core container. `u64` takes the flat loop at
     /// every length: per-pair `u64` wavefronts ran in 0.33× the block
     /// form's time at 256², 0.30× at 1024² and 0.36× at 1024² band 16
-    /// (0.86× at 256² band 16), on a 2-vCPU x86-64-v2 Xeon.
+    /// (0.86× at 256² band 16), on a 2-vCPU x86-64-v2 Xeon, and sending
+    /// its segments under 32 cells to the chunked loop cost 4–14%.
     const FLAT_MIN_LEN: usize;
     /// Lowers a raw `u64` kernel value (where `u64::MAX` is `+∞`) into
     /// this representation, clamping to [`KernelWord::INF`].
@@ -278,52 +278,6 @@ impl KernelWord for u8 {
     }
 }
 
-/// Lane-wise minimum of two blocks.
-#[inline(always)]
-fn min_block<W: KernelWord>(a: Block<W>, b: Block<W>) -> Block<W> {
-    let mut out = a;
-    for l in 0..LANES {
-        out[l] = if b[l] < out[l] { b[l] } else { out[l] };
-    }
-    out
-}
-
-/// Adds a uniform weight to every lane (`add_weight` semantics).
-#[inline(always)]
-fn add_splat_block<W: KernelWord>(a: Block<W>, w: W) -> Block<W> {
-    let mut out = a;
-    for lane in &mut out {
-        *lane = lane.add_weight(w);
-    }
-    out
-}
-
-/// Per-lane `if q == p { matched } else { mismatched }` — the Fig. 4b
-/// XNOR comparator as a branch-free select over symbol codes.
-#[inline(always)]
-fn select_eq_block<W: KernelWord>(
-    q: &[u8; LANES],
-    p: &[u8; LANES],
-    matched: W,
-    mismatched: W,
-) -> Block<W> {
-    let mut out = [matched; LANES];
-    for l in 0..LANES {
-        out[l] = if q[l] == p[l] { matched } else { mismatched };
-    }
-    out
-}
-
-/// Horizontal minimum of a block.
-#[inline(always)]
-fn hmin_block<W: KernelWord>(a: Block<W>) -> W {
-    let mut m = a[0];
-    for &x in &a[1..] {
-        m = m.min(x);
-    }
-    m
-}
-
 /// The three alignment weights lowered to one kernel word type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneWeights<W> {
@@ -336,113 +290,29 @@ pub struct LaneWeights<W> {
     pub indel: W,
 }
 
-/// One anti-diagonal segment of the alignment recurrence:
+/// One anti-diagonal segment of the linear min-plus alignment
+/// recurrence:
 ///
 /// ```text
 /// out[x] = min(up[x] + indel, left[x] + indel,
 ///              diag[x] + (q[x] == p[x] ? matched : mismatched))
 /// ```
 ///
-/// clamped to [`KernelWord::INF`], for `x` in `0..out.len()`. Full
-/// [`LANES`]-wide blocks run through the branch-free lane helpers above;
-/// the remainder (a short diagonal, a banded diagonal narrower than a
-/// block, or the odd tail of a long one) runs the same arithmetic one
-/// lane at a time. Returns the minimum value written — the frontier
-/// minimum the engine's fused early termination tests against.
+/// clamped to [`KernelWord::INF`], for `x` in `0..out.len()`. Returns
+/// the minimum value written — the frontier minimum the engine's fused
+/// early termination tests against.
 ///
-/// The five input slices must all have exactly `out.len()` elements;
-/// this is debug-asserted and relied on by the block loads.
-#[inline]
-pub fn diag_update<W: KernelWord>(
-    up: &[W],
-    left: &[W],
-    diag: &[W],
-    q: &[u8],
-    p: &[u8],
-    w: LaneWeights<W>,
-    out: &mut [W],
-) -> W {
-    crate::supervisor::fp_hit("simd-diag");
-    let LaneWeights {
-        matched,
-        mismatched,
-        indel,
-    } = w;
-    let len = out.len();
-    debug_assert_eq!(up.len(), len);
-    debug_assert_eq!(left.len(), len);
-    debug_assert_eq!(diag.len(), len);
-    debug_assert_eq!(q.len(), len);
-    debug_assert_eq!(p.len(), len);
-
-    let mut seg_min = W::INF;
-    if len >= W::FLAT_MIN_LEN {
-        // Plain indexed loop: identical arithmetic, shaped for LLVM's
-        // loop vectorizer (which emits the clean widened compare +
-        // vector-min code for u16 that the SLP vectorizer misses).
-        for i in 0..len {
-            let dw = if q[i] == p[i] { matched } else { mismatched };
-            let cell = up[i]
-                .add_weight(indel)
-                .min(left[i].add_weight(indel))
-                .min(diag[i].add_weight(dw))
-                .min(W::INF);
-            out[i] = cell;
-            seg_min = seg_min.min(cell);
-        }
-        return seg_min;
-    }
-    // Lane-wise running minimum: the horizontal reduction happens once
-    // per call instead of once per block, keeping it off the hot path.
-    let mut acc = [W::INF; LANES];
-    let mut x = 0;
-    while x + LANES <= len {
-        let u: Block<W> = up[x..x + LANES].try_into().expect("block width");
-        let lf: Block<W> = left[x..x + LANES].try_into().expect("block width");
-        let dg: Block<W> = diag[x..x + LANES].try_into().expect("block width");
-        let qb: &[u8; LANES] = q[x..x + LANES].try_into().expect("block width");
-        let pb: &[u8; LANES] = p[x..x + LANES].try_into().expect("block width");
-
-        let dw = select_eq_block(qb, pb, matched, mismatched);
-        let mut cell = min_block(add_splat_block(u, indel), add_splat_block(lf, indel));
-        let mut dsum = dg;
-        for l in 0..LANES {
-            dsum[l] = dsum[l].add_weight(dw[l]);
-        }
-        cell = min_block(cell, dsum);
-        cell = min_block(cell, [W::INF; LANES]);
-        out[x..x + LANES].copy_from_slice(&cell);
-        acc = min_block(acc, cell);
-        x += LANES;
-    }
-    if x > 0 {
-        seg_min = seg_min.min(hmin_block(acc));
-    }
-    // Scalar tail: identical arithmetic, one lane at a time.
-    for i in x..len {
-        let dw = if q[i] == p[i] { matched } else { mismatched };
-        let cell = up[i]
-            .add_weight(indel)
-            .min(left[i].add_weight(indel))
-            .min(diag[i].add_weight(dw))
-            .min(W::INF);
-        out[i] = cell;
-        seg_min = seg_min.min(cell);
-    }
-    seg_min
-}
-
-/// [`diag_update`] for the **striped** (lane-interleaved) layout: the
-/// segment is `rows × L` cells with lane `l` of every row at offset
-/// `t ≡ l (mod L)`.
+/// The segment is striped (lane-interleaved): `rows × L` cells with
+/// lane `l` of every row at offset `t ≡ l (mod L)`; the per-pair
+/// wavefront is `L = 1`. The five input slices must all have exactly
+/// `out.len()` elements, a multiple of `L`; this is debug-asserted.
 ///
-/// Arithmetic is identical to [`diag_update`]; only the codegen shape
-/// differs, and on the striped layout the shape is the whole game. The
-/// linear striped sweep originally reused [`diag_update`], whose
-/// flat-loop form vectorizes cleanly *standalone* — but inlined into
-/// the (large, fully-flattened) sweep body LLVM's loop vectorizer gave
-/// the u8 copy a much worse lowering, and 32-lane byte stripes ran
-/// ~40% slower than 16-lane u16 stripes on the same workload. Like
+/// Codegen shape: the code is one arithmetic in two loop shapes. The
+/// striped sweep once reused a separate per-pair kernel whose flat-loop
+/// form vectorizes cleanly *standalone* — but inlined into the (large,
+/// fully-flattened) sweep body LLVM's loop vectorizer gave the u8 copy
+/// a much worse lowering, and 32-lane byte stripes ran ~40% slower than
+/// 16-lane u16 stripes on the same workload. Like
 /// [`diag_update_local_lanes`], iterating the row dimension via
 /// `chunks_exact(L)` with a branch-free inner lane loop over exactly
 /// `L`-sized chunks drops the bound checks, and staging each narrow
@@ -450,7 +320,13 @@ pub fn diag_update<W: KernelWord>(
 /// whole wherever it is inlined. The per-lane running
 /// minima accumulate into a fixed-`L` block with a single horizontal
 /// reduction at the end, fusing the frontier-minimum pass the fused
-/// early termination needs.
+/// early termination needs. A one-lane segment of at least
+/// [`KernelWord::FLAT_MIN_LEN`] cells is a plain run of cells, and
+/// there the flat indexed loop still wins: without it `u16` 1024²
+/// per-pair rows ran 1.8–2.4× slower. Shorter one-lane segments took
+/// the per-pair kernel's 8-wide block form until the chunked loop was
+/// measured faster on them (`docs/KERNELS.md`, "One linear lane
+/// kernel").
 #[inline]
 pub fn diag_update_lanes<W: KernelWord, const L: usize>(
     up: &[W],
@@ -475,6 +351,23 @@ pub fn diag_update_lanes<W: KernelWord, const L: usize>(
     debug_assert_eq!(q.len(), len);
     debug_assert_eq!(p.len(), len);
 
+    if L == 1 && len >= W::FLAT_MIN_LEN {
+        // Plain indexed loop: identical arithmetic, shaped for LLVM's
+        // loop vectorizer (which emits the clean widened compare +
+        // vector-min code for u16 that the chunked loop misses).
+        let mut seg_min = W::INF;
+        for i in 0..len {
+            let dw = if q[i] == p[i] { matched } else { mismatched };
+            let cell = up[i]
+                .add_weight(indel)
+                .min(left[i].add_weight(indel))
+                .min(diag[i].add_weight(dw))
+                .min(W::INF);
+            out[i] = cell;
+            seg_min = seg_min.min(cell);
+        }
+        return seg_min;
+    }
     // A row of at most two 128-bit registers is computed into a local
     // array and stored whole: writing it straight into `out` kept the
     // inner loop guarded by an aliasing check against the inputs and
@@ -513,7 +406,7 @@ pub fn diag_update_lanes<W: KernelWord, const L: usize>(
 }
 
 /// One anti-diagonal segment of the **max-plus (local / Smith–Waterman)**
-/// recurrence — the AND-race dual of [`diag_update`]:
+/// recurrence — the AND-race dual of [`diag_update_lanes`]:
 ///
 /// ```text
 /// out[x] = max(up[x] ⊖ gap, left[x] ⊖ gap,
@@ -638,7 +531,7 @@ pub struct AffineLaneWeights<W> {
 /// affine wavefront is `L = 1`.
 ///
 /// Codegen shape: the row dimension advances in exact `L`-sized array
-/// chunks (`try_into` per row, like [`diag_update`]'s block form) so the
+/// chunks (`try_into` per row) so the
 /// branch-free inner lane loop carries no bounds checks and the loop
 /// vectorizer lowers it whole — the same lesson as
 /// [`diag_update_local_lanes`], where the indexed form stayed scalar and
@@ -737,7 +630,7 @@ pub fn affine_diag_update_lanes<W: KernelWord, const L: usize>(
 mod tests {
     use super::*;
 
-    /// Scalar reference for `diag_update`, shared by both word types.
+    /// Scalar reference for `diag_update_lanes`, in `u64`.
     fn reference<W: KernelWord>(
         up: &[W],
         left: &[W],
@@ -807,7 +700,7 @@ mod tests {
 
     #[test]
     fn diag_update_u16_matches_u64_in_domain() {
-        let len = 2 * LANES + 3;
+        let len = 2 * 8 + 3;
         let up: Vec<u64> = (0..len).map(|i| i as u64).collect();
         let left: Vec<u64> = (0..len).map(|i| (i as u64 * 2) % 31).collect();
         let diag: Vec<u64> = (0..len).map(|i| (i as u64 * 5) % 29).collect();
@@ -820,7 +713,7 @@ mod tests {
             indel: 1,
         };
         let mut out64 = vec![0_u64; len];
-        let m64 = diag_update(&up, &left, &diag, &q, &p, w64, &mut out64);
+        let m64 = diag_update_lanes::<_, 1>(&up, &left, &diag, &q, &p, w64, &mut out64);
 
         let up16: Vec<u16> = up.iter().map(|&x| u16::clamp_raw(x)).collect();
         let left16: Vec<u16> = left.iter().map(|&x| u16::clamp_raw(x)).collect();
@@ -831,7 +724,7 @@ mod tests {
             indel: 1,
         };
         let mut out16 = vec![0_u16; len];
-        let m16 = diag_update(&up16, &left16, &diag16, &q, &p, w16, &mut out16);
+        let m16 = diag_update_lanes::<_, 1>(&up16, &left16, &diag16, &q, &p, w16, &mut out16);
 
         let raised: Vec<u64> = out16.iter().map(|&x| x.to_raw()).collect();
         assert_eq!(raised, out64);
@@ -865,7 +758,7 @@ mod tests {
                     indel: W::clamp_raw(w.indel),
                 };
                 let mut out = vec![W::ZERO; len];
-                let got_min = diag_update(
+                let got_min = diag_update_lanes::<W, 1>(
                     &lower(&up),
                     &lower(&left),
                     &lower(&diag),
@@ -908,7 +801,7 @@ mod tests {
             }
             (out, best)
         };
-        for len in [0, 1, 7, LANES, 3 * LANES + 5] {
+        for len in [0, 1, 7, 8, 3 * 8 + 5] {
             let up: Vec<u64> = (0..len).map(|i| (i as u64 * 7) % 23).collect();
             let left: Vec<u64> = (0..len).map(|i| (i as u64 * 3) % 19).collect();
             let diag: Vec<u64> = (0..len).map(|i| (i as u64 * 5) % 17).collect();
@@ -1055,7 +948,7 @@ mod tests {
     #[test]
     fn affine_diag_update_matches_scalar_reference() {
         // One lane: the per-pair affine wavefront's update.
-        let len = 2 * LANES + 3;
+        let len = 2 * 8 + 3;
         let planes = affine_planes(len, 7, 3);
         let q: Vec<u8> = (0..len).map(|i| (i % 4) as u8).collect();
         let p: Vec<u8> = (0..len).map(|i| ((i * 3) % 4) as u8).collect();
@@ -1069,7 +962,7 @@ mod tests {
 
     #[test]
     fn diag_update_u32_matches_u64_in_domain() {
-        let len = 2 * LANES + 3;
+        let len = 2 * 8 + 3;
         let up: Vec<u64> = (0..len).map(|i| i as u64).collect();
         let left: Vec<u64> = (0..len).map(|i| (i as u64 * 2) % 31).collect();
         let diag: Vec<u64> = (0..len).map(|i| (i as u64 * 5) % 29).collect();
@@ -1082,7 +975,7 @@ mod tests {
             indel: 1,
         };
         let mut out64 = vec![0_u64; len];
-        let m64 = diag_update(&up, &left, &diag, &q, &p, w64, &mut out64);
+        let m64 = diag_update_lanes::<_, 1>(&up, &left, &diag, &q, &p, w64, &mut out64);
 
         let up32: Vec<u32> = up.iter().map(|&x| u32::clamp_raw(x)).collect();
         let left32: Vec<u32> = left.iter().map(|&x| u32::clamp_raw(x)).collect();
@@ -1093,7 +986,7 @@ mod tests {
             indel: 1,
         };
         let mut out32 = vec![0_u32; len];
-        let m32 = diag_update(&up32, &left32, &diag32, &q, &p, w32, &mut out32);
+        let m32 = diag_update_lanes::<_, 1>(&up32, &left32, &diag32, &q, &p, w32, &mut out32);
 
         let raised: Vec<u64> = out32.iter().map(|&x| x.to_raw()).collect();
         assert_eq!(raised, out64);
@@ -1121,7 +1014,7 @@ mod tests {
     fn diag_update_u8_matches_u64_in_domain() {
         // Values kept far below 127 so the byte path needs no bias:
         // in-domain the two representations must agree cell for cell.
-        let len = 2 * LANES + 3;
+        let len = 2 * 8 + 3;
         let up: Vec<u64> = (0..len).map(|i| i as u64).collect();
         let left: Vec<u64> = (0..len).map(|i| (i as u64 * 2) % 31).collect();
         let diag: Vec<u64> = (0..len).map(|i| (i as u64 * 5) % 29).collect();
@@ -1134,7 +1027,7 @@ mod tests {
             indel: 1,
         };
         let mut out64 = vec![0_u64; len];
-        let m64 = diag_update(&up, &left, &diag, &q, &p, w64, &mut out64);
+        let m64 = diag_update_lanes::<_, 1>(&up, &left, &diag, &q, &p, w64, &mut out64);
 
         let up8: Vec<u8> = up.iter().map(|&x| u8::clamp_raw(x)).collect();
         let left8: Vec<u8> = left.iter().map(|&x| u8::clamp_raw(x)).collect();
@@ -1145,7 +1038,7 @@ mod tests {
             indel: 1,
         };
         let mut out8 = vec![0_u8; len];
-        let m8 = diag_update(&up8, &left8, &diag8, &q, &p, w8, &mut out8);
+        let m8 = diag_update_lanes::<_, 1>(&up8, &left8, &diag8, &q, &p, w8, &mut out8);
 
         let raised: Vec<u64> = out8.iter().map(|&x| x.to_raw()).collect();
         assert_eq!(raised, out64);

@@ -1415,13 +1415,7 @@ impl<W: KernelWord, const SEMI: bool> Recurrence<W, 1> for Linear<W, SEMI> {
         // recurrence in `t = i·L + l`: `up` and `diag` sit one row back,
         // `left` at `t` on diagonal d − 1.
         let (up, left, diag) = (&d1[a - L..b - L], &d1[a..b], &d2[a - L..b - L]);
-        if L == 1 {
-            // One lane's segment is a plain run of cells, which the
-            // unstriped form vectorizes at every length.
-            simd::diag_update(up, left, diag, q, p, self.lw, &mut cur[a..b])
-        } else {
-            simd::diag_update_lanes::<W, L>(up, left, diag, q, p, self.lw, &mut cur[a..b])
-        }
+        simd::diag_update_lanes::<W, L>(up, left, diag, q, p, self.lw, &mut cur[a..b])
     }
 }
 
