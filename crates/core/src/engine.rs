@@ -104,14 +104,14 @@ pub const WAVEFRONT_MIN_LEN: usize = 10;
 /// Smallest **effective segment length** — `min(n, m)`, further capped
 /// at `band + 1` when banded — at which the per-pair wavefront kernel
 /// drops to `u16` lanes when eligible. The crossover moved when the
-/// `u32` kernel gained its flat-loop form
+/// one-lane `u32` segment gained its flat-loop form
 /// ([`crate::simd::KernelWord::FLAT_MIN_LEN`]): flat `u32` now beats `u16`
 /// per pair up to roughly this length (measured on x86-64-v2: `u32`
 /// ≈ 1.3× at 256, parity at 512, `u16` 1.36× ahead at 1024 — the
 /// per-diagonal overhead amortizes across `u16`'s doubled lanes only
 /// once spans are long), so Auto keeps `u32` below it. The *striped*
 /// batch kernel ignores this gate: its interior segments are
-/// `span × lanes` long, deep inside flat-loop territory at any pair
+/// `span × lanes` long and run the chunked lane loop at any pair
 /// length, and its lane dimension doubles at `u16` — stripes always
 /// take the narrowest exact width.
 pub const U16_MIN_LEN: usize = 512;
@@ -942,8 +942,8 @@ pub(crate) fn diag_range(d: usize, n: usize, m: usize, band: Option<usize>) -> (
 /// One interior cell of the min-plus recurrence in raw `u64` form —
 /// **the** scalar definition of the cell update. Both traversal orders
 /// call it (the SIMD kernel's lane arithmetic in
-/// [`crate::simd::diag_update`] is the lane-typed restatement, tested
-/// equal), so a future change to the recurrence has one home.
+/// [`crate::simd::diag_update_lanes`] is the lane-typed restatement,
+/// tested equal), so a future change to the recurrence has one home.
 #[inline]
 fn scalar_cell(up: u64, left: u64, diag: u64, codes_equal: bool, w: RawWeights) -> u64 {
     // Branch-free packed-code compare (the Fig. 4b XNOR tree): one of
@@ -1186,13 +1186,10 @@ pub(crate) struct DiagScratch {
 }
 
 impl DiagScratch {
-    /// `(capacity, bytes per word)` of every buffer, word by word.
-    fn capacities(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        fn word<W>(planes: &[[Vec<W>; 3]; 3]) -> impl Iterator<Item = (usize, usize)> + '_ {
-            planes
-                .iter()
-                .flatten()
-                .map(|v| (v.capacity(), std::mem::size_of::<W>()))
+    /// The capacity of every buffer, word by word.
+    fn capacities(&self) -> impl Iterator<Item = usize> + '_ {
+        fn word<W>(planes: &[[Vec<W>; 3]; 3]) -> impl Iterator<Item = usize> + '_ {
+            planes.iter().flatten().map(Vec::capacity)
         }
         word(&self.b8)
             .chain(word(&self.b16))
@@ -1335,30 +1332,8 @@ impl AlignEngine {
             self.p_codes.capacity(),
             self.p_rev.capacity(),
         ];
-        caps.extend(self.diag.capacities().map(|(cap, _)| cap));
+        caps.extend(self.diag.capacities());
         caps
-    }
-
-    /// Total bytes of scratch the engine currently holds, across every
-    /// kernel's buffers — the per-worker figure the supervisor's
-    /// scratch-arena budget accounts against (see
-    /// [`ScanControl::with_scratch_budget`]).
-    #[must_use]
-    pub fn scratch_bytes(&self) -> usize {
-        let u64s = [
-            &self.prev,
-            &self.curr,
-            &self.xprev,
-            &self.xcurr,
-            &self.yprev,
-            &self.ycurr,
-        ]
-        .iter()
-        .map(|v| v.capacity())
-        .sum::<usize>();
-        let u8s = self.q_codes.capacity() + self.p_codes.capacity() + self.p_rev.capacity();
-        let diag: usize = self.diag.capacities().map(|(cap, word)| cap * word).sum();
-        u64s * 8 + u8s + diag
     }
 
     /// Aligns packed `q` (rows) against packed `p` (columns) on the
