@@ -796,23 +796,7 @@ pub enum TraceEvent {
 impl TraceEvent {
     /// Short stable label for the event kind (used by the flight recorder).
     pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::AdmissionPriced { .. } => "admission-priced",
-            TraceEvent::Queued { .. } => "queued",
-            TraceEvent::ShedConsidered { .. } => "shed-considered",
-            TraceEvent::Shed { .. } => "shed",
-            TraceEvent::SegmentStart { .. } => "segment-start",
-            TraceEvent::SegmentStop { .. } => "segment-stop",
-            TraceEvent::StripeQuarantined { .. } => "stripe-quarantined",
-            TraceEvent::PairFallback { .. } => "pair-fallback",
-            TraceEvent::Retry { .. } => "retry",
-            TraceEvent::WatchdogTrip => "watchdog-trip",
-            TraceEvent::ResumeTokenIssued { .. } => "resume-token-issued",
-            TraceEvent::ResumeTokenConsumed { .. } => "resume-token-consumed",
-            TraceEvent::StoreShardLoaded { .. } => "store-shard-loaded",
-            TraceEvent::StoreChunkCorrupt { .. } => "store-chunk-corrupt",
-            TraceEvent::StoreQuarantine { .. } => "store-quarantine",
-        }
+        flight::KIND_LABELS[flight::kind_code(self) as usize]
     }
 
     /// Packs the event payload into two `u64` words for the flight ring.
@@ -981,8 +965,8 @@ pub mod flight {
     /// Number of slots in the flight ring.
     pub const FLIGHT_CAPACITY: usize = 256;
 
-    /// Event kind codes stored in the ring (index into [`KIND_LABELS`]).
-    const KIND_LABELS: [&str; 15] = [
+    /// Event kind labels, indexed by the codes stored in the ring.
+    pub(super) const KIND_LABELS: [&str; 15] = [
         "admission-priced",
         "queued",
         "shed-considered",
@@ -1000,7 +984,9 @@ pub mod flight {
         "store-quarantine",
     ];
 
-    fn kind_code(event: &TraceEvent) -> u64 {
+    /// The one mapping from event kind to its code: the index of its
+    /// label in [`KIND_LABELS`].
+    pub(super) fn kind_code(event: &TraceEvent) -> u64 {
         match event {
             TraceEvent::AdmissionPriced { .. } => 0,
             TraceEvent::Queued { .. } => 1,
@@ -1132,7 +1118,8 @@ pub mod flight {
         if !super::enabled() {
             return;
         }
-        record_raw(0, super::now_nanos(), 13, shard, chunk);
+        let kind = kind_code(&TraceEvent::StoreChunkCorrupt { shard, chunk });
+        record_raw(0, super::now_nanos(), kind, shard, chunk);
     }
 
     /// Snapshots the ring contents in sequence order (oldest first).
