@@ -920,6 +920,34 @@ fn run_job<S: Symbol>(inner: &Inner<S>, job: Job<S>) {
         trips += (trips_now - trips_before) as u32;
         trips_before = trips_now;
 
+        // Every retry ledgers its fault on the token with this backoff,
+        // then takes it here: traced, counted and paused.
+        let delay = backoff_delay(service_cfg.backoff_base, service_cfg.backoff_cap, attempts);
+        let back_off = || {
+            shared.trace.record(TraceEvent::Retry {
+                attempt: u64::from(attempts) + 1,
+                backoff: delay,
+            });
+            telemetry::count(&telemetry::metrics::SERVICE_RETRIES, 1);
+            note_backoff(inner, delay);
+            inner.timer.pause(delay);
+        };
+        // The final report; a token handed back is traced as issued.
+        let report = |outcome, resume: Option<ResumeToken>| {
+            if let Some(tok) = &resume {
+                shared.trace.record(TraceEvent::ResumeTokenIssued {
+                    pending: tok.pending_indices().count() as u64,
+                });
+            }
+            QueryReport {
+                outcome,
+                resume,
+                attempts,
+                watchdog_trips: trips,
+                trace: QueryTrace::default(),
+            }
+        };
+
         let (outcome, next_token) = match segment {
             Ok(Ok(pair)) => pair,
             Ok(Err(err)) => {
@@ -937,19 +965,11 @@ fn run_job<S: Symbol>(inner: &Inner<S>, job: Job<S>) {
                 if attempts >= MAX_ATTEMPTS {
                     break Err(QueryError::Failed { message });
                 }
-                let delay =
-                    backoff_delay(service_cfg.backoff_base, service_cfg.backoff_cap, attempts);
                 if let Some(tok) = &mut token {
                     tok.push_service_fault("service-resume", Vec::new(), &message, delay, None);
                     tok.retry_faulted();
                 }
-                shared.trace.record(TraceEvent::Retry {
-                    attempt: u64::from(attempts) + 1,
-                    backoff: delay,
-                });
-                telemetry::count(&telemetry::metrics::SERVICE_RETRIES, 1);
-                note_backoff(inner, delay);
-                inner.timer.pause(delay);
+                back_off();
                 continue;
             }
         };
@@ -960,48 +980,19 @@ fn run_job<S: Symbol>(inner: &Inner<S>, job: Job<S>) {
 
         let retryable = next_token.as_ref().is_some_and(|t| t.retryable_pairs() > 0)
             || outcome.stop == Some(StopReason::Watchdog);
-        if !retryable || attempts >= MAX_ATTEMPTS {
+        let mut tok = match next_token {
+            Some(tok) if retryable && attempts < MAX_ATTEMPTS => tok,
             // Complete, or stopped by deadline/budget/cancel (the
-            // caller's bound — honor it), or out of attempts.
-            if let Some(tok) = &next_token {
-                shared.trace.record(TraceEvent::ResumeTokenIssued {
-                    pending: tok.pending_indices().count() as u64,
-                });
-            }
-            break Ok(QueryReport {
-                outcome,
-                resume: next_token,
-                attempts,
-                watchdog_trips: trips,
-                trace: QueryTrace::default(),
-            });
-        }
-        let Some(mut tok) = next_token else {
-            // A stop recorded after the last pair finished: complete.
-            break Ok(QueryReport {
-                outcome,
-                resume: None,
-                attempts,
-                watchdog_trips: trips,
-                trace: QueryTrace::default(),
-            });
+            // caller's bound — honor it), or out of attempts, or a stop
+            // recorded after the last pair finished.
+            resume => break Ok(report(outcome, resume)),
         };
         // An injected `service-retry` panic abandons the retry and
         // finalizes with the partial outcome instead of wedging.
         if catch_unwind(|| fp_hit("service-retry")).is_err() {
-            shared.trace.record(TraceEvent::ResumeTokenIssued {
-                pending: tok.pending_indices().count() as u64,
-            });
-            break Ok(QueryReport {
-                outcome,
-                resume: Some(tok),
-                attempts,
-                watchdog_trips: trips,
-                trace: QueryTrace::default(),
-            });
+            break Ok(report(outcome, Some(tok)));
         }
         let requeued = tok.retryable_indices().to_vec();
-        let delay = backoff_delay(service_cfg.backoff_base, service_cfg.backoff_cap, attempts);
         let cause = match outcome.stop {
             Some(StopReason::Watchdog) => "watchdog trip".to_string(),
             _ => format!("{} pair(s) lost to worker faults", requeued.len()),
@@ -1015,13 +1006,7 @@ fn run_job<S: Symbol>(inner: &Inner<S>, job: Job<S>) {
         );
         tok.retry_faulted();
         token = Some(tok);
-        shared.trace.record(TraceEvent::Retry {
-            attempt: u64::from(attempts) + 1,
-            backoff: delay,
-        });
-        telemetry::count(&telemetry::metrics::SERVICE_RETRIES, 1);
-        note_backoff(inner, delay);
-        inner.timer.pause(delay);
+        back_off();
     };
 
     // Snapshot the timeline into the report after its final event.
